@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 
+#include "controller/channel_timeline.hpp"
 #include "util/logging.hpp"
 
 namespace coruscant {
@@ -24,48 +25,24 @@ EventSimulator::run(std::vector<SimRequest> requests,
     for (const auto &r : requests)
         fatalIf(r.bank >= numBanks, "bank out of range");
 
-    std::vector<std::uint64_t> bank_free(numBanks, 0);
-    std::uint64_t bus_free = 0;
-    std::uint64_t issued_cmds = 0;
-    std::uint64_t busy_total = 0;
-    double latency_sum = 0;
+    ChannelTimeline timeline(numBanks);
     // Queue-depth tracking: dispatch start times are monotone (each
-    // dispatch advances bus_free past its start), so a single pointer
-    // over the arrival-sorted array counts arrivals <= now.
-    std::vector<std::uint64_t> arrivals;
+    // dispatch advances the bus past its start), so a single pointer
+    // over the arrival-sorted requests counts arrivals <= now.
     std::size_t arrived = 0, dispatched = 0;
-    if (trace && trace->on()) {
-        arrivals.reserve(requests.size());
-        for (const auto &r : requests)
-            arrivals.push_back(r.arrival);
-    }
-
-    auto start_for = [&](const SimRequest &r) {
-        // Commands can only be accepted once the bank is free (the
-        // activation begins the service) and the bus has a slot.
-        return std::max({r.arrival, bus_free, bank_free[r.bank]});
-    };
 
     auto dispatch = [&](const SimRequest &r) {
-        std::uint64_t start = start_for(r);
-        bus_free = start + r.issueCmds;
-        std::uint64_t completion = start + r.issueCmds
-                                   + r.serviceCycles;
-        bank_free[r.bank] = completion;
-        issued_cmds += r.issueCmds;
-        busy_total += r.serviceCycles;
+        auto [start, completion] = timeline.issue(
+            r.arrival, r.bank, r.issueCmds, r.serviceCycles);
         std::uint64_t latency = completion - r.arrival;
-        latency_sum += static_cast<double>(latency);
         stats.latency.record(latency);
-        stats.maxLatency = std::max(stats.maxLatency, latency);
-        stats.makespan = std::max(stats.makespan, completion);
         if (trace && trace->on()) {
             trace->span("request", "memchan", start,
                         r.issueCmds + r.serviceCycles, pid,
                         static_cast<std::uint32_t>(r.bank), "latency",
                         static_cast<double>(latency));
-            while (arrived < arrivals.size() &&
-                   arrivals[arrived] <= start)
+            while (arrived < requests.size() &&
+                   requests[arrived].arrival <= start)
                 ++arrived;
             ++dispatched;
             trace->counter("queue_depth", start, pid,
@@ -92,7 +69,7 @@ EventSimulator::run(std::vector<SimRequest> requests,
                 if (queues[b].empty())
                     continue;
                 const auto &head = queues[b].front();
-                std::uint64_t s = start_for(head);
+                std::uint64_t s = timeline.startFor(head.arrival, b);
                 if (s < best_start ||
                     (s == best_start && head.arrival < best_arrival)) {
                     best = b;
@@ -106,17 +83,11 @@ EventSimulator::run(std::vector<SimRequest> requests,
         }
     }
 
-    stats.avgLatency =
-        latency_sum / static_cast<double>(requests.size());
-    if (stats.makespan > 0) {
-        stats.busUtilization =
-            static_cast<double>(issued_cmds) /
-            static_cast<double>(stats.makespan);
-        stats.bankUtilization =
-            static_cast<double>(busy_total) /
-            (static_cast<double>(stats.makespan) *
-             static_cast<double>(numBanks));
-    }
+    stats.avgLatency = stats.latency.mean();
+    stats.maxLatency = stats.latency.max();
+    stats.makespan = timeline.makespan();
+    stats.busUtilization = timeline.busUtilization();
+    stats.bankUtilization = timeline.bankUtilization();
     return stats;
 }
 

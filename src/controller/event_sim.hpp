@@ -15,9 +15,13 @@
  *    start earliest (the reordering real controllers and the paper's
  *    high-throughput mode rely on).
  *
- * Used by the scheduling ablation and available to the system models;
- * the closed-form model remains the fast path and is cross-checked
- * against this simulator in the tests.
+ * Both policies issue through ChannelTimeline, the bus/bank kernel the
+ * service engine's dispatch shares; they differ only in which pending
+ * request they issue next.  Used by the scheduling ablation.  The
+ * closed-form CommandQueueModel stays a separate model: its bus runs
+ * ahead of busy banks instead of stalling behind them, and polybench
+ * and trace replay are defined by it (the difference is pinned in
+ * tests/test_queue_cross_check.cpp).
  */
 
 #ifndef CORUSCANT_CONTROLLER_EVENT_SIM_HPP

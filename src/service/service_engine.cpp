@@ -6,10 +6,13 @@
 #include <functional>
 #include <optional>
 #include <queue>
+#include <span>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "controller/channel_timeline.hpp"
 #include "util/logging.hpp"
 
 namespace coruscant {
@@ -176,10 +179,9 @@ worseOutcome(RequestOutcome a, RequestOutcome b)
 }
 
 /**
- * Simulates one channel: admission, batching, and in-order dispatch,
- * then replays the dispatched trace through EventSimulator so the
- * channel's utilization/makespan come from the existing simulator
- * (and cross-checks that both agree cycle-for-cycle).
+ * Simulates one channel: admission, batching, and in-order dispatch
+ * through the channel's ChannelTimeline, which also yields its
+ * makespan and utilization.
  */
 class ChannelSim
 {
@@ -192,10 +194,9 @@ class ChannelSim
           gen_(workloadConfigOf(cfg, costs.maxAddOperands()), cfg.seed,
                channel),
           batcher_(costs.maxGangOperands(), cfg.batchWindowCycles),
-          bankFree_(cfg.banksPerChannel, 0)
+          timeline_(cfg.banksPerChannel)
     {
         if (cfg.faults.enabled()) {
-            faultsOn_ = true;
             // A distinct per-channel stream, salted so the fault RNG
             // never correlates with the workload generator's.
             injector_.emplace(cfg.faults,
@@ -223,7 +224,7 @@ class ChannelSim
             chMetrics_ = &stats_.metrics.component(base);
             batchMetrics_ =
                 &stats_.metrics.component(base + "/batcher");
-            if (faultsOn_)
+            if (injector_)
                 guardMetrics_ =
                     &stats_.metrics.component(base + "/guard");
             if (dataInjector_)
@@ -246,9 +247,11 @@ class ChannelSim
         else
             runOpenLoop();
         finishFlush();
-        stats_.makespan = makespan_;
+        stats_.makespan = timeline_.makespan();
+        stats_.busUtilization = timeline_.busUtilization();
+        stats_.bankUtilization = timeline_.bankUtilization();
         stats_.batch = batcher_.stats();
-        if (faultsOn_) {
+        if (injector_) {
             stats_.injectedFaults = injector_->injected();
             if (guardMetrics_)
                 guardMetrics_->add(obs::Counter::FaultsInjected,
@@ -259,98 +262,59 @@ class ChannelSim
             stats_.steeredRequests = health_->steeredRequests();
             stats_.capacityLossFraction =
                 health_->capacityLossFraction();
-            if (dataInjector_) {
+            if (dataInjector_)
                 stats_.dataFaultsInjected = dataInjector_->injected();
-                stats_.eccCorrections = eccCorrections_;
-                stats_.eccDetectedUncorrectable = eccDue_;
-            }
         }
-
-        EventSimulator sim(cfg_.banksPerChannel);
-        SimStats replay = sim.run(trace_, SchedulePolicy::InOrder);
-        panicIf(replay.makespan != makespan_,
-                "service engine disagrees with EventSimulator: ",
-                replay.makespan, " vs ", makespan_);
-        panicIf(replay.requests != stats_.dispatchedUnits,
-                "service engine lost dispatch units");
-        stats_.busUtilization = replay.busUtilization;
-        stats_.bankUtilization = replay.bankUtilization;
         return stats_;
     }
 
   private:
-    struct Completion
-    {
-        std::uint64_t cycle;
-        std::uint8_t cls;
-        bool
-        operator>(const Completion &o) const
-        {
-            return cycle > o.cycle;
-        }
-    };
+    /** (completion cycle, request class) of an in-flight request. */
+    using Completion = std::pair<std::uint64_t, std::uint8_t>;
 
-    /** Retire completions up to @p now from the outstanding counts. */
-    void
-    settle(std::uint64_t now)
+    /** Count a request of class @p c that is never served. */
+    bool
+    reject(std::size_t c)
     {
-        while (!inFlight_.empty() && inFlight_.top().cycle <= now) {
-            --outstanding_[inFlight_.top().cls];
-            inFlight_.pop();
-        }
+        stats_.rejected += 1;
+        stats_.perClass[c].rejected += 1;
+        stats_.outcomes[static_cast<std::size_t>(
+            RequestOutcome::Rejected)] += 1;
+        return false;
     }
 
+    /**
+     * Degradation-aware bounded admission.  With faults on, the
+     * request's (bank, group) home is first routed around
+     * breaker-open/retiring/dead groups before it can reach the
+     * batcher — broken groups never join gang formation; when no live
+     * group remains the request is a typed capacity rejection, not an
+     * abort.  Then the class queue bound applies.
+     */
     bool
-    admit(const ServiceRequest &r, std::uint64_t now)
+    admit(ServiceRequest &r, std::uint64_t now)
     {
         auto c = static_cast<std::size_t>(r.cls);
         stats_.generated += 1;
         stats_.perClass[c].generated += 1;
-        settle(now);
-        std::uint64_t depth = outstanding_[c];
-        if (cfg_.queueCapacity > 0 && depth >= cfg_.queueCapacity) {
-            stats_.rejected += 1;
-            stats_.perClass[c].rejected += 1;
-            stats_.outcomes[static_cast<std::size_t>(
-                RequestOutcome::Rejected)] += 1;
-            return false;
+        if (health_ && !health_->steer(r.bank, r.dbcGroup, now)) {
+            stats_.capacityRejections += 1;
+            return reject(c);
         }
+        // Retire completions up to now from the outstanding counts.
+        while (!inFlight_.empty() && inFlight_.top().first <= now) {
+            --outstanding_[inFlight_.top().second];
+            inFlight_.pop();
+        }
+        std::uint64_t depth = outstanding_[c];
+        if (cfg_.queueCapacity > 0 && depth >= cfg_.queueCapacity)
+            return reject(c);
         outstanding_[c] += 1;
         stats_.admitted += 1;
         stats_.perClass[c].admitted += 1;
         stats_.perClass[c].maxQueueDepth =
             std::max(stats_.perClass[c].maxQueueDepth, depth + 1);
         return true;
-    }
-
-    /**
-     * Degradation-aware admission: route the request's (bank, group)
-     * home around breaker-open/retiring/dead groups before it can
-     * reach the batcher — broken groups never join gang formation.
-     * When no live group remains the request is a typed capacity
-     * rejection, not an abort.
-     */
-    bool
-    admitSteered(ServiceRequest &r, std::uint64_t now)
-    {
-        if (health_) {
-            std::uint32_t bank = r.bank;
-            std::uint32_t group = r.dbcGroup;
-            if (!health_->steer(bank, group, now)) {
-                auto c = static_cast<std::size_t>(r.cls);
-                stats_.generated += 1;
-                stats_.perClass[c].generated += 1;
-                stats_.rejected += 1;
-                stats_.perClass[c].rejected += 1;
-                stats_.outcomes[static_cast<std::size_t>(
-                    RequestOutcome::Rejected)] += 1;
-                stats_.capacityRejections += 1;
-                return false;
-            }
-            r.bank = bank;
-            r.dbcGroup = group;
-        }
-        return admit(r, now);
     }
 
     /** What the fault pipeline decided about one dispatched unit. */
@@ -363,6 +327,35 @@ class ChannelSim
         std::uint32_t corrections = 0; ///< misalignments fixed
         bool detected = false;         ///< health-tracker relevant
         bool due = false;
+
+        /** Add @p cycles and @p pj to the unit's service and energy. */
+        void
+        charge(std::uint64_t cycles, double pj)
+        {
+            extraCycles += cycles;
+            extraEnergyPj += pj;
+        }
+
+        /** Re-execute the unit after waiting @p backoff cycles. */
+        void
+        chargeRetry(std::uint64_t backoff, const RequestCost &cost)
+        {
+            charge(backoff + cost.serviceCycles, cost.energyPj);
+            retries += 1;
+        }
+
+        /** Fold in the verdict of a second fault source. */
+        void
+        merge(const FaultVerdict &o)
+        {
+            extraCycles += o.extraCycles;
+            extraEnergyPj += o.extraEnergyPj;
+            retries += o.retries;
+            corrections += o.corrections;
+            detected |= o.detected;
+            due |= o.due;
+            outcome = worseOutcome(outcome, o.outcome);
+        }
     };
 
     /**
@@ -385,13 +378,12 @@ class ChannelSim
             // the port touches data, so each fault is caught where it
             // happens: corrections add latency, nothing survives
             // silently and nothing accumulates.
-            v.extraCycles += g.checkCycles;
-            v.extraEnergyPj += g.checkEnergyPj;
+            v.charge(g.checkCycles, g.checkEnergyPj);
             ChannelFaultInjector::Sample s =
                 injector_->sample(shifts, now);
             if (s.faults) {
-                v.extraCycles += s.faults * g.correctCycles;
-                v.extraEnergyPj += s.faults * g.correctEnergyPj;
+                v.charge(s.faults * g.correctCycles,
+                         s.faults * g.correctEnergyPj);
                 v.corrections += s.faults;
                 v.detected = true;
                 v.outcome = RequestOutcome::Corrected;
@@ -417,17 +409,14 @@ class ChannelSim
         // unguarded traffic left behind on this group.
         {
             int &mis = health_->misalign(bank, group);
-            v.extraCycles += g.checkCycles;
-            v.extraEnergyPj += g.checkEnergyPj;
+            v.charge(g.checkCycles, g.checkEnergyPj);
             if (mis != 0) {
                 if (mis == 1 || mis == -1) {
-                    v.extraCycles += g.correctCycles;
-                    v.extraEnergyPj += g.correctEnergyPj;
+                    v.charge(g.correctCycles, g.correctEnergyPj);
                     v.corrections += 1;
                     v.outcome = RequestOutcome::Corrected;
                 } else {
-                    v.extraCycles += g.resetCycles;
-                    v.extraEnergyPj += g.resetEnergyPj;
+                    v.charge(g.resetCycles, g.resetEnergyPj);
                     v.due = true;
                     v.outcome = RequestOutcome::Due;
                 }
@@ -450,19 +439,17 @@ class ChannelSim
                 // the post-check sees an aligned cluster, but rows
                 // touched between the bad pulses were wrong — the
                 // blind spot of the coarse check cadence.
-                v.extraCycles += g.checkCycles;
-                v.extraEnergyPj += g.checkEnergyPj;
+                v.charge(g.checkCycles, g.checkEnergyPj);
                 v.outcome = RequestOutcome::Sdc;
                 return v;
             }
             v.detected = true;
             if (s.net == 1 || s.net == -1) {
-                v.extraCycles += g.correctCycles;
-                v.extraEnergyPj += g.correctEnergyPj;
+                v.charge(g.correctCycles, g.correctEnergyPj);
                 v.corrections += 1;
             } else {
-                v.extraCycles += g.checkCycles + g.resetCycles;
-                v.extraEnergyPj += g.checkEnergyPj + g.resetEnergyPj;
+                v.charge(g.checkCycles + g.resetCycles,
+                         g.checkEnergyPj + g.resetEnergyPj);
                 v.due = true;
                 v.outcome = RequestOutcome::Due;
                 return v;
@@ -472,11 +459,24 @@ class ChannelSim
                 v.outcome = RequestOutcome::Due;
                 return v;
             }
-            v.extraCycles +=
-                (fc.retryBackoffCycles << attempt) + cost.serviceCycles;
-            v.extraEnergyPj += cost.energyPj;
-            v.retries += 1;
+            v.chargeRetry(fc.retryBackoffCycles << attempt, cost);
         }
+    }
+
+    /**
+     * Cycles (bank, group) sat idle before @p now (its retention
+     * exposure); restarts its retention clock at @p now.
+     */
+    std::uint64_t
+    touch(std::uint32_t bank, std::uint32_t group, std::uint64_t now)
+    {
+        std::uint64_t &last =
+            lastTouch_[static_cast<std::size_t>(bank) *
+                           cfg_.dbcGroupsPerBank +
+                       group];
+        std::uint64_t idle = now - std::min(now, last);
+        last = now;
+        return idle;
     }
 
     /**
@@ -504,18 +504,13 @@ class ChannelSim
             v.extraEnergyPj +=
                 static_cast<double>(prims.reads) * g.eccReadEnergyPj +
                 static_cast<double>(prims.writes) * g.eccWriteEnergyPj;
-        std::size_t slot =
-            static_cast<std::size_t>(bank) * cfg_.dbcGroupsPerBank +
-            group;
-        std::uint64_t idle = now - std::min(now, lastTouch_[slot]);
-        lastTouch_[slot] = now;
+        std::uint64_t idle = touch(bank, group, now);
         const bool nmr = pim_class && fc.pimNmr > 1;
         if (nmr) {
             std::uint64_t extra =
                 static_cast<std::uint64_t>(fc.pimNmr) - 1;
-            v.extraCycles += extra * cost.serviceCycles;
-            v.extraEnergyPj +=
-                static_cast<double>(extra) * cost.energyPj;
+            v.charge(extra * cost.serviceCycles,
+                     static_cast<double>(extra) * cost.energyPj);
             accesses *= fc.pimNmr;
         }
         ChannelDataFaultInjector::Sample s =
@@ -541,10 +536,7 @@ class ChannelSim
             std::uint32_t sdc = s.sdcWords;
             for (std::size_t attempt = 0;
                  due > 0 && attempt < fc.maxRetries; ++attempt) {
-                v.extraCycles += (fc.retryBackoffCycles << attempt) +
-                                 cost.serviceCycles;
-                v.extraEnergyPj += cost.energyPj;
-                v.retries += 1;
+                v.chargeRetry(fc.retryBackoffCycles << attempt, cost);
                 ChannelDataFaultInjector::Sample rs =
                     dataInjector_->sample(accesses, 0);
                 flips += rs.flips;
@@ -553,7 +545,7 @@ class ChannelSim
                 sdc += rs.sdcWords;
             }
             if (corrected > 0) {
-                eccCorrections_ += corrected;
+                stats_.eccCorrections += corrected;
                 v.corrections += corrected;
                 v.detected = true;
                 v.outcome = RequestOutcome::Corrected;
@@ -565,7 +557,7 @@ class ChannelSim
                 v.outcome =
                     worseOutcome(v.outcome, RequestOutcome::Sdc);
             if (due > 0) {
-                eccDue_ += due;
+                stats_.eccDetectedUncorrectable += due;
                 v.due = true;
                 v.detected = true;
                 v.outcome = RequestOutcome::Due;
@@ -579,37 +571,30 @@ class ChannelSim
             if (v.extraEnergyPj != 0.0)
                 eccMetrics_->addEnergy(v.extraEnergyPj);
         }
-        if (stats_.trace.on())
-            stats_.trace.instant("data_fault", "ecc", now, channel_,
-                                 bank);
+        stats_.trace.instant("data_fault", "ecc", now, channel_,
+                             bank);
         return v;
     }
 
     /**
      * Non-request bank work (scrub sweeps, retirement migration):
      * occupies the command bus and the bank like any dispatched unit,
-     * so the EventSimulator replay accounts for it cycle-for-cycle.
+     * so it counts toward the channel's makespan and utilization.
      */
     std::uint64_t
     dispatchMaintenance(const char *name, std::uint64_t now,
                         std::uint32_t bank,
                         std::uint32_t service_cycles, double energy_pj)
     {
-        std::uint64_t start =
-            std::max({now, busFree_, bankFree_[bank]});
-        busFree_ = start + 1;
-        std::uint64_t completion = start + 1 + service_cycles;
-        bankFree_[bank] = completion;
-        trace_.push_back({now, bank, 1, service_cycles});
+        auto [start, completion] =
+            timeline_.issue(now, bank, 1, service_cycles);
         stats_.dispatchedUnits += 1;
         stats_.maintenanceUnits += 1;
         stats_.energyPj += energy_pj;
-        makespan_ = std::max(makespan_, completion);
         if (guardMetrics_)
             guardMetrics_->addEnergy(energy_pj);
-        if (stats_.trace.on())
-            stats_.trace.span(name, "maintenance", start,
-                              1 + service_cycles, channel_, bank);
+        stats_.trace.span(name, "maintenance", start,
+                          completion - start, channel_, bank);
         return completion;
     }
 
@@ -630,9 +615,8 @@ class ChannelSim
             return;
         if (guardMetrics_)
             guardMetrics_->add(obs::Counter::BreakerTrips);
-        if (stats_.trace.on())
-            stats_.trace.instant("breaker_open", "health", now,
-                                 channel_, bank);
+        stats_.trace.instant("breaker_open", "health", now,
+                             channel_, bank);
         if (act.retired) {
             std::uint64_t done = dispatchMaintenance(
                 "migrate", now, bank, guardCosts_.retireCycles,
@@ -640,76 +624,52 @@ class ChannelSim
             health_->holdUntil(bank, group, done);
             if (guardMetrics_)
                 guardMetrics_->add(obs::Counter::Retirements);
-            if (stats_.trace.on())
-                stats_.trace.instant("dbc_retire", "health", now,
-                                     channel_, bank);
-        } else if (act.died) {
-            if (stats_.trace.on())
-                stats_.trace.instant("dbc_dead", "health", now,
-                                     channel_, bank);
         }
+        if (act.retired || act.died)
+            stats_.trace.instant(act.retired ? "dbc_retire" : "dbc_dead",
+                                 "health", now, channel_, bank);
         for (const TrGang &g : batcher_.flushGroup(bank, group, now))
             dispatchGang(g);
     }
 
     /** Dispatch one bus/bank unit carrying @p members requests. */
-    std::uint64_t
+    void
     dispatch(std::uint64_t now, std::uint32_t bank, std::uint32_t group,
-             RequestCost cost,
-             const std::vector<ServiceRequest> &members)
+             const RequestCost &cost,
+             std::span<const ServiceRequest> members)
     {
+        const bool gang = members.size() > 1;
+        obs::PrimCounts prims;
+        if (injector_ || chMetrics_)
+            prims = gang ? costs_.gangPrims(members.size())
+                         : costs_.prims(members.front());
         FaultVerdict verdict;
-        if (faultsOn_) {
-            obs::PrimCounts prims =
-                members.size() > 1
-                    ? costs_.gangPrims(members.size())
-                    : costs_.prims(members.front());
+        if (injector_) {
             bool pim = members.front().cls != RequestClass::Read &&
                        members.front().cls != RequestClass::Write;
             verdict = applyFaults(now, bank, group, cost,
                                   prims.shifts, pim);
-            if (dataInjector_) {
-                FaultVerdict dv = applyDataFaults(now, bank, group,
-                                                  cost, prims, pim);
-                verdict.extraCycles += dv.extraCycles;
-                verdict.extraEnergyPj += dv.extraEnergyPj;
-                verdict.retries += dv.retries;
-                verdict.corrections += dv.corrections;
-                verdict.detected |= dv.detected;
-                verdict.due |= dv.due;
-                verdict.outcome =
-                    worseOutcome(verdict.outcome, dv.outcome);
-            }
-            cost.serviceCycles +=
-                static_cast<std::uint32_t>(verdict.extraCycles);
-            cost.energyPj += verdict.extraEnergyPj;
+            if (dataInjector_)
+                verdict.merge(applyDataFaults(now, bank, group, cost,
+                                              prims, pim));
         }
-        std::uint64_t start =
-            std::max({now, busFree_, bankFree_[bank]});
-        busFree_ = start + cost.issueCmds;
-        std::uint64_t completion =
-            start + cost.issueCmds + cost.serviceCycles;
-        bankFree_[bank] = completion;
-        trace_.push_back({now, bank, cost.issueCmds,
-                          cost.serviceCycles});
+        std::uint64_t service = cost.serviceCycles + verdict.extraCycles;
+        double energy = cost.energyPj + verdict.extraEnergyPj;
+        auto [start, completion] =
+            timeline_.issue(now, bank, cost.issueCmds, service);
         stats_.dispatchedUnits += 1;
-        stats_.energyPj += cost.energyPj;
-        makespan_ = std::max(makespan_, completion);
+        stats_.energyPj += energy;
         if (chMetrics_) {
             chMetrics_->add(obs::Counter::Requests, members.size());
-            chMetrics_->addPrims(members.size() > 1
-                                     ? costs_.gangPrims(members.size())
-                                     : costs_.prims(members.front()));
-            chMetrics_->addEnergy(cost.energyPj);
+            chMetrics_->addPrims(prims);
+            chMetrics_->addEnergy(energy);
         }
         if (stats_.trace.on()) {
             const char *name =
-                members.size() > 1
-                    ? "gang"
-                    : requestClassName(members.front().cls);
+                gang ? "gang" : requestClassName(members.front().cls);
             stats_.trace.span(name, "dispatch", start,
-                              cost.issueCmds + cost.serviceCycles,
-                              channel_, bank, "members",
+                              completion - start, channel_, bank,
+                              "members",
                               static_cast<double>(members.size()));
         }
         auto oidx = static_cast<std::size_t>(verdict.outcome);
@@ -723,24 +683,19 @@ class ChannelSim
             stats_.outcomes[oidx] += 1;
             stats_.outcomeLatency[oidx].record(lat);
             inFlight_.push({completion, static_cast<std::uint8_t>(c)});
-            if (closedLoop_)
+            if (cfg_.process == ArrivalProcess::ClosedLoop)
                 slots_.push(completion);
         }
-        if (faultsOn_) {
-            stats_.guardRetries += verdict.retries;
-            if (guardMetrics_) {
-                guardMetrics_->add(obs::Counter::MisalignCorrections,
-                                   verdict.corrections);
-                guardMetrics_->add(obs::Counter::Retries,
-                                   verdict.retries);
-                if (verdict.extraEnergyPj != 0.0)
-                    guardMetrics_->addEnergy(verdict.extraEnergyPj);
-            }
-            if (verdict.detected)
-                handleHealthEvent(bank, group, completion, verdict.due,
-                                  now);
+        stats_.guardRetries += verdict.retries;
+        if (guardMetrics_) {
+            guardMetrics_->add(obs::Counter::MisalignCorrections,
+                               verdict.corrections);
+            guardMetrics_->add(obs::Counter::Retries, verdict.retries);
+            if (verdict.extraEnergyPj != 0.0)
+                guardMetrics_->addEnergy(verdict.extraEnergyPj);
         }
-        return completion;
+        if (verdict.detected)
+            handleHealthEvent(bank, group, completion, verdict.due, now);
     }
 
     void
@@ -762,7 +717,7 @@ class ChannelSim
                 dispatchGang(g);
         } else {
             dispatch(r.arrival, r.bank, r.dbcGroup, costs_.cost(r),
-                     {r});
+                     {&r, 1});
         }
     }
 
@@ -778,7 +733,7 @@ class ChannelSim
     bool
     scrubDue() const
     {
-        if (!faultsOn_ || cfg_.faults.scrubIntervalCycles == 0 ||
+        if (!injector_ || cfg_.faults.scrubIntervalCycles == 0 ||
             nextScrub_ >= cfg_.durationCycles)
             return false;
         return cfg_.faults.policy == GuardPolicy::PeriodicScrub ||
@@ -844,20 +799,15 @@ class ChannelSim
     {
         cycles += guardCosts_.eccScrubGroupCycles;
         pj += guardCosts_.eccScrubGroupEnergyPj;
-        std::size_t slot =
-            static_cast<std::size_t>(bank) * cfg_.dbcGroupsPerBank +
-            grp;
-        std::uint64_t idle = at - std::min(at, lastTouch_[slot]);
-        lastTouch_[slot] = at;
         ChannelDataFaultInjector::Sample s =
-            dataInjector_->sample(0, idle);
+            dataInjector_->sample(0, touch(bank, grp, at));
         if (s.flips == 0)
             return;
         if (eccMetrics_)
             eccMetrics_->add(obs::Counter::DataFaultsInjected,
                              s.flips);
         if (s.correctedWords > 0) {
-            eccCorrections_ += s.correctedWords;
+            stats_.eccCorrections += s.correctedWords;
             if (eccMetrics_)
                 eccMetrics_->add(obs::Counter::EccCorrections,
                                  s.correctedWords);
@@ -867,15 +817,14 @@ class ChannelSim
             // Decay past SECDED's reach: the sweep flags the line (the
             // decoder sees it — no silent path here) and escalates to
             // the breaker/retirement machinery.
-            eccDue_ += lost;
+            stats_.eccDetectedUncorrectable += lost;
             if (eccMetrics_)
                 eccMetrics_->add(
                     obs::Counter::EccDetectedUncorrectable, lost);
             handleHealthEvent(bank, grp, at + cycles, true, at);
         }
-        if (stats_.trace.on())
-            stats_.trace.instant("ecc_scrub", "ecc", at, channel_,
-                                 bank);
+        stats_.trace.instant("ecc_scrub", "ecc", at, channel_,
+                             bank);
     }
 
     void
@@ -890,7 +839,7 @@ class ChannelSim
             std::uint64_t scrub_at = scrubDue() ? nextScrub_ : ~0ull;
             if (have &&
                 next.arrival < std::min(flush_at, scrub_at)) {
-                if (admitSteered(next, next.arrival))
+                if (admit(next, next.arrival))
                     handleAdmitted(next);
                 have = gen_.next(next);
             } else if (scrub_at <= flush_at) {
@@ -905,7 +854,6 @@ class ChannelSim
     void
     runClosedLoop()
     {
-        closedLoop_ = true;
         for (std::uint32_t i = 0; i < cfg_.closedLoopWindow; ++i)
             slots_.push(0);
         const std::uint64_t backoff =
@@ -934,7 +882,7 @@ class ChannelSim
             if (arrival >= cfg_.durationCycles)
                 continue; // this client retires
             ServiceRequest r = gen_.sampleAt(arrival);
-            if (admitSteered(r, arrival))
+            if (admit(r, arrival))
                 handleAdmitted(r);
             else
                 slots_.push(arrival + backoff);
@@ -960,21 +908,14 @@ class ChannelSim
     obs::ComponentMetrics *guardMetrics_ = nullptr; ///< into stats_
     WorkloadGenerator gen_;
     GangBatcher batcher_;
-    bool closedLoop_ = false;
-    bool faultsOn_ = false;
+    ChannelTimeline timeline_;
     std::optional<ChannelFaultInjector> injector_;
     std::optional<DbcHealthTracker> health_;
     std::optional<ChannelDataFaultInjector> dataInjector_;
     std::vector<std::uint64_t> lastTouch_; ///< retention clock/(b,g)
     obs::ComponentMetrics *eccMetrics_ = nullptr; ///< into stats_
-    std::uint64_t eccCorrections_ = 0;
-    std::uint64_t eccDue_ = 0;
     std::uint64_t nextScrub_ = 0;
 
-    std::uint64_t busFree_ = 0;
-    std::vector<std::uint64_t> bankFree_;
-    std::uint64_t makespan_ = 0;
-    std::vector<SimRequest> trace_;
     std::array<std::uint64_t, kRequestClasses> outstanding_{};
     std::priority_queue<Completion, std::vector<Completion>,
                         std::greater<Completion>>
@@ -996,18 +937,17 @@ ServiceEngine::ServiceEngine(const ServiceConfig &cfg)
     fatalIf(cfg_.process == ArrivalProcess::ClosedLoop &&
                 cfg_.closedLoopWindow == 0,
             "closed loop needs a positive window");
+    fatalIf(!cfg_.faults.retryLadderInRange(),
+            "fault retry ladder out of range (maxRetries <= 16, "
+            "retryBackoffCycles <= 2^32)");
 }
 
 ServiceStats
 ServiceEngine::run() const
 {
-    std::uint32_t n_threads = cfg_.threads;
-    if (n_threads == 0) {
-        n_threads = std::thread::hardware_concurrency();
-        if (n_threads == 0)
-            n_threads = 1;
-    }
-    n_threads = std::min(n_threads, cfg_.channels);
+    std::uint32_t n_threads = std::clamp<std::uint32_t>(
+        cfg_.threads ? cfg_.threads : std::thread::hardware_concurrency(),
+        1, cfg_.channels);
 
     // Guard maintenance costs are measured once through the real
     // device pipeline and shared read-only by every channel worker.
@@ -1052,7 +992,7 @@ ServiceEngine::run() const
     // per-channel results, independent of worker count or timing.
     ServiceStats out;
     out.channels = cfg_.channels;
-    double issued_cycles = 0, busy_weight = 0;
+    double issued_cycles = 0, busy_weight = 0, span_sum = 0;
     for (const ServiceStats &c : per_channel) {
         out.makespan = std::max(out.makespan, c.makespan);
         out.generated += c.generated;
@@ -1087,16 +1027,13 @@ ServiceEngine::run() const
             c.busUtilization * static_cast<double>(c.makespan);
         busy_weight +=
             c.bankUtilization * static_cast<double>(c.makespan);
-    }
-    double span_sum = 0;
-    for (const ServiceStats &c : per_channel)
         span_sum += static_cast<double>(c.makespan);
+    }
     if (span_sum > 0) {
         out.busUtilization = issued_cycles / span_sum;
         out.bankUtilization = busy_weight / span_sum;
     }
-    if (cfg_.channels > 0)
-        out.capacityLossFraction /= cfg_.channels;
+    out.capacityLossFraction /= cfg_.channels;
     return out;
 }
 

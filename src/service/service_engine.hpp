@@ -8,9 +8,9 @@
  *
  *   WorkloadGenerator --> admission (bounded per-class queues)
  *       --> GangBatcher (bulk-bitwise TR gangs, Sec. III-C / PIRM)
- *       --> per-channel dispatch (command bus + bank occupancy,
- *           identical math to EventSimulator's in-order policy)
- *       --> EventSimulator replay (authoritative SimStats per channel)
+ *       --> per-channel dispatch through a ChannelTimeline (command
+ *           bus + bank occupancy, the kernel the discrete-event channel
+ *           simulator shares; it yields makespan and utilization)
  *       --> merged ServiceStats with log-bucketed tail latencies.
  *
  * Sharding: memory channels are independent in the modeled system
@@ -37,7 +37,6 @@
 #include <cstdint>
 #include <string>
 
-#include "controller/event_sim.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_sink.hpp"
 #include "service/batcher.hpp"

@@ -116,6 +116,12 @@ TEST(CliProcess, UsageErrorsExitTwo)
     EXPECT_EQ(cliExit("campaign --policy nope"), 2);
     EXPECT_EQ(cliExit("area --anything 1"), 2);   // area takes none
     EXPECT_EQ(cliExit("serve --batch maybe"), 2);
+    // Retry ladders beyond 16 rungs or a 2^32-cycle first backoff.
+    EXPECT_EQ(cliExit("serve --retries 17"), 2);
+    EXPECT_EQ(cliExit("serve --backoff 4294967297"), 2);
+    EXPECT_EQ(cliExit("serve --pshift 0.2 --policy per-cpim --retries 70 "
+                      "--backoff 1000000000 --duration 20000 --channels 2"),
+              2);
 }
 
 TEST(CliProcess, DataFaultFlagValidationExitsTwo)

@@ -508,6 +508,11 @@ cmdServe(const std::vector<std::string> &args)
     faults.maxRetries = o.getSize("retries", faults.maxRetries);
     faults.retryBackoffCycles =
         o.getSize("backoff", faults.retryBackoffCycles);
+    if (!faults.retryLadderInRange()) {
+        std::fprintf(stderr, "--retries must be at most 16 and --backoff "
+                             "at most 2^32 (4294967296)\n");
+        return 2;
+    }
     faults.healthWindowCycles =
         o.getSize("health-window", faults.healthWindowCycles);
     faults.breakerThreshold = static_cast<std::uint32_t>(
@@ -598,8 +603,8 @@ usage(std::FILE *out)
         "              [--process poisson|bursty|closed] [--window 256]\n"
         "              [--queue-cap 64] [--clients 8] [--trd 7]\n"
         "              [--pshift 0] [--policy per-access|none|per-cpim|\n"
-        "               scrub] [--chaos on|off] [--retries 2]\n"
-        "              [--backoff 64] [--health-window 20000]\n"
+        "               scrub] [--chaos on|off] [--retries 2 (<=16)]\n"
+        "              [--backoff 64 (<=2^32)] [--health-window 20000]\n"
         "              [--breaker-threshold 8] [--cooldown 10000]\n"
         "              [--trips 3] [--spares 4] [--scrub-interval 4096]\n"
         "              [--pdata 0] [--pstuck 0] [--retention 0]\n"
