@@ -15,14 +15,13 @@
 
 #include <benchmark/benchmark.h>
 
-#include <fstream>
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "arch/dwm_memory.hpp"
 #include "core/coruscant_unit.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace_sink.hpp"
+#include "obs/output_files.hpp"
 #include "util/rng.hpp"
 
 using namespace coruscant;
@@ -148,12 +147,11 @@ BENCHMARK(BM_NmrVote)->Arg(3)->Arg(5)->Arg(7);
  * tracing.  Deterministic (fixed seeds, single pass).
  */
 int
-emitObservability(const std::string &metrics_path,
-                  const std::string &trace_path)
+emitObservability(const obs::OutputFiles &out)
 {
     obs::MetricsRegistry reg;
     obs::TraceSink trace;
-    if (!trace_path.empty()) {
+    if (out.trace) {
         trace.enable();
         trace.processName(0, "micro_ops");
     }
@@ -209,8 +207,7 @@ emitObservability(const std::string &metrics_path,
     {
         obs::MetricsRegistry mem_reg;
         DwmMainMemory mem;
-        mem.attachObs(mem_reg, trace_path.empty() ? nullptr : &trace,
-                      tid++);
+        mem.attachObs(mem_reg, out.trace ? &trace : nullptr, tid++);
         Rng rng(6);
         mem.writeLine(0, randomRow(rng, 512));
         mem.readLine(0);
@@ -225,27 +222,7 @@ emitObservability(const std::string &metrics_path,
         unit.nmrVote(reps);
     }
 
-    if (!metrics_path.empty()) {
-        std::ofstream os(metrics_path);
-        if (os)
-            os << reg.toJson();
-        if (!os) {
-            std::fprintf(stderr, "error: cannot write '%s'\n",
-                         metrics_path.c_str());
-            return 1;
-        }
-    }
-    if (!trace_path.empty()) {
-        std::ofstream os(trace_path);
-        if (os)
-            trace.writeJson(os);
-        if (!os) {
-            std::fprintf(stderr, "error: cannot write '%s'\n",
-                         trace_path.c_str());
-            return 1;
-        }
-    }
-    return 0;
+    return out.write(reg, trace) ? 0 : 1;
 }
 
 } // namespace
@@ -253,30 +230,30 @@ emitObservability(const std::string &metrics_path,
 int
 main(int argc, char **argv)
 {
-    std::string metrics_path, trace_path;
-    std::vector<char *> rest;
-    rest.push_back(argv[0]);
+    // Route our options to their table; the rest go to google-benchmark.
+    obs::OutputFiles out;
+    Options ours = out.options();
+    std::vector<std::string> our_args;
+    std::vector<char *> rest = {argv[0]};
     for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a == "--metrics-json" || a == "--trace") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "option '%s' requires a value\n",
-                             argv[i]);
-                return 2;
-            }
-            (a == "--trace" ? trace_path : metrics_path) = argv[++i];
-        } else {
+        bool mine = std::any_of(ours.begin(), ours.end(),
+                                [&](const Option &o) {
+                                    return argv[i] == "--" + o.name;
+                                });
+        if (!mine) {
             rest.push_back(argv[i]);
+            continue;
         }
+        our_args.push_back(argv[i]);
+        if (i + 1 < argc)
+            our_args.push_back(argv[++i]);
     }
+    parseOrExit(our_args, ours);
     int rest_argc = static_cast<int>(rest.size());
     benchmark::Initialize(&rest_argc, rest.data());
     if (benchmark::ReportUnrecognizedArguments(rest_argc, rest.data()))
         return 1;
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
-    if (!metrics_path.empty() || !trace_path.empty())
-        return emitObservability(metrics_path, trace_path);
-    return 0;
+    return out.metricsJson || out.trace ? emitObservability(out) : 0;
 }

@@ -17,19 +17,17 @@
  *   - correction work appears in the corrected-outcome tail and the
  *     ecc counters, not smeared over clean percentiles.
  *
- * Usage: service_ecc_tolerance [--pdata P] [--ecc none|secded]
- *                              [--retention R] [--duration N]
- *                              [--channels C]
- *   --pdata/--ecc run a single point (CI smoke); default sweeps both
- *   modes over rates {0, 1e-7, 1e-6, 1e-5}.
+ * Options (a bad one prints the list and exits 2): --pdata/--ecc run
+ * a single point (CI smoke) instead of sweeping both modes over rates
+ * {0, 1e-7, 1e-6, 1e-5}; --retention adds decay to every point;
+ * --duration and --channels size the runs.
  */
 
 #include <cstdio>
-#include <string>
+#include <optional>
 #include <vector>
 
-#include "service/service_engine.hpp"
-#include "util/cli_args.hpp"
+#include "service_bench.hpp"
 
 using namespace coruscant;
 
@@ -39,38 +37,15 @@ void
 printPoint(const char *ecc, double pdata, double retention,
            const ServiceStats &s, bool last)
 {
-    double sdc_rate =
-        s.generated == 0
-            ? 0.0
-            : static_cast<double>(s.outcomes[static_cast<std::size_t>(
-                  RequestOutcome::Sdc)]) /
-                  static_cast<double>(s.generated);
-    const LatencyHistogram &clean =
-        s.outcomeLatency[static_cast<std::size_t>(
-            RequestOutcome::Clean)];
-    const LatencyHistogram &corrected =
-        s.outcomeLatency[static_cast<std::size_t>(
-            RequestOutcome::Corrected)];
+    std::printf("    {\"ecc\": \"%s\", \"pdata\": %g, \"retention\": %g, ",
+                ecc, pdata, retention);
+    bench::printOutcomes(s);
     std::printf(
-        "    {\"ecc\": \"%s\", \"pdata\": %g, \"retention\": %g, "
-        "\"throughput_per_kcycle\": %.3f, \"p99\": %llu, "
-        "\"p99_clean\": %llu, \"p99_corrected\": %llu, "
-        "\"outcomes\": {\"clean\": %llu, \"corrected\": %llu, "
-        "\"due\": %llu, \"sdc\": %llu, \"rejected\": %llu}, "
-        "\"sdc_rate\": %.4g, \"data_faults_injected\": %llu, "
+        "\"data_faults_injected\": %llu, "
         "\"ecc_corrections\": %llu, \"ecc_due\": %llu, "
         "\"guard_retries\": %llu, \"breaker_trips\": %llu, "
         "\"retired_groups\": %llu, \"maintenance_units\": %llu, "
         "\"capacity_loss\": %.4f}%s\n",
-        ecc, pdata, retention, s.throughputPerKcycle(),
-        static_cast<unsigned long long>(s.latency.p99()),
-        static_cast<unsigned long long>(clean.p99()),
-        static_cast<unsigned long long>(corrected.p99()),
-        static_cast<unsigned long long>(s.outcomes[0]),
-        static_cast<unsigned long long>(s.outcomes[1]),
-        static_cast<unsigned long long>(s.outcomes[2]),
-        static_cast<unsigned long long>(s.outcomes[3]),
-        static_cast<unsigned long long>(s.outcomes[4]), sdc_rate,
         static_cast<unsigned long long>(s.dataFaultsInjected),
         static_cast<unsigned long long>(s.eccCorrections),
         static_cast<unsigned long long>(s.eccDetectedUncorrectable),
@@ -86,69 +61,40 @@ printPoint(const char *ecc, double pdata, double retention,
 int
 main(int argc, char **argv)
 {
-    ParsedArgs o =
-        parseArgs(std::vector<std::string>(argv + 1, argv + argc),
-                  {{"pdata", ArgType::Double},
-                   {"ecc", ArgType::String},
-                   {"retention", ArgType::Double},
-                   {"duration", ArgType::Size},
-                   {"channels", ArgType::Size}});
-    if (!o.ok()) {
-        std::fprintf(stderr, "error: %s\n", o.error().c_str());
-        return 2;
-    }
-    std::vector<std::string> modes = {"none", "secded"};
-    std::vector<double> rates = {0.0, 1e-7, 1e-6, 1e-5};
-    if (o.has("ecc"))
-        modes = {o.getString("ecc", "secded")};
-    if (o.has("pdata"))
-        rates = {o.getDouble("pdata", 1e-6)};
-    double retention = o.getDouble("retention", 0.0);
-
-    ServiceConfig cfg;
-    cfg.channels =
-        static_cast<std::uint32_t>(o.getSize("channels", 4));
-    cfg.threads = 0; // all cores; results are thread-count invariant
-    cfg.banksPerChannel = 16;
-    cfg.seed = 42;
-    cfg.durationCycles = o.getSize("duration", 100000);
+    bench::ServiceBench run;
+    ServiceConfig &cfg = run.cfg;
     cfg.ratePerKcycle = 16.0;
+    ServiceFaultConfig faults; // per-point base: carries --retention
+    std::optional<EccMode> ecc_only;
+    std::optional<double> pdata_only;
+    parseOrExit({argv + 1, argv + argc},
+                Options{opt("pdata", pdata_only, "run this rate only"),
+                        opt("ecc", ecc_only, "run this protection mode only"),
+                        opt("retention", faults.retentionRatePerCycle,
+                            "per-bit retention decay rate per cycle")} +
+                    run.options());
+    std::vector<EccMode> modes = {EccMode::None, EccMode::Secded};
+    std::vector<double> rates = {0.0, 1e-7, 1e-6, 1e-5};
+    if (ecc_only)
+        modes = {*ecc_only};
+    if (pdata_only)
+        rates = {*pdata_only};
 
-    std::printf("{\n");
-    std::printf(
-        "  \"bench\": \"service_ecc_tolerance\",\n"
-        "  \"config\": {\"channels\": %u, \"banks\": %u, "
-        "\"duration_cycles\": %llu, \"seed\": %llu, "
-        "\"rate_per_kcycle\": %.1f, \"mix\": \"%s\"},\n",
-        cfg.channels, cfg.banksPerChannel,
-        static_cast<unsigned long long>(cfg.durationCycles),
-        static_cast<unsigned long long>(cfg.seed), cfg.ratePerKcycle,
-        cfg.mix.describe().c_str());
-    std::printf("  \"sweep\": [\n");
+    bench::printSweepHeader("service_ecc_tolerance", cfg);
     std::size_t total = modes.size() * rates.size();
     std::size_t done = 0;
     int rc = 0;
-    for (const std::string &mode : modes) {
-        EccMode ecc;
-        if (mode == "none")
-            ecc = EccMode::None;
-        else if (mode == "secded")
-            ecc = EccMode::Secded;
-        else {
-            std::fprintf(stderr, "unknown ecc '%s' (none, secded)\n",
-                         mode.c_str());
-            return 2;
-        }
+    for (EccMode ecc : modes) {
         for (double pdata : rates) {
-            cfg.faults = ServiceFaultConfig{};
+            cfg.faults = faults;
             cfg.faults.dataFaultRate = pdata;
-            cfg.faults.retentionRatePerCycle = retention;
             cfg.faults.ecc = ecc;
-            cfg.faults.pimNmr = ecc == EccMode::Secded ? 3 : 1;
+            if (ecc == EccMode::Secded)
+                cfg.faults.pimNmr = 3; // NMR covers the TR path
             ServiceStats s = runService(cfg);
             ++done;
-            printPoint(mode.c_str(), pdata, retention, s,
-                       done == total);
+            printPoint(eccModeName(ecc), pdata,
+                       faults.retentionRatePerCycle, s, done == total);
             // Headline guarantee: SECDED (plus NMR on the TR path)
             // leaves no single-bit-dominated fault silent.
             if (ecc == EccMode::Secded &&

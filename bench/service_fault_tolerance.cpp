@@ -17,77 +17,34 @@
  *   - correction latency shows up in the corrected-outcome tail, not
  *     smeared over the clean percentiles.
  *
- * Usage: service_fault_tolerance [--pshift P] [--policy NAME]
- *                                [--duration N] [--channels C]
- *   --pshift/--policy run a single point (CI smoke); default sweeps
- *   policies {none, per-access, per-cpim, scrub} over rates
- *   {0, 1e-4, 3e-4, 1e-3, 3e-3}.
+ * Options (a bad one prints the list and exits 2): --pshift/--policy
+ * run a single point (CI smoke) instead of sweeping every policy over
+ * rates {0, 1e-4, 3e-4, 1e-3, 3e-3}; --duration and --channels size
+ * the runs.
  */
 
 #include <cstdio>
-#include <string>
+#include <optional>
 #include <vector>
 
-#include "service/service_engine.hpp"
-#include "util/cli_args.hpp"
+#include "service_bench.hpp"
 
 using namespace coruscant;
 
 namespace {
 
-GuardPolicy
-policyFromName(const std::string &name, bool &ok)
-{
-    ok = true;
-    if (name == "none")
-        return GuardPolicy::None;
-    if (name == "per-access")
-        return GuardPolicy::PerAccess;
-    if (name == "per-cpim")
-        return GuardPolicy::PerCpim;
-    if (name == "scrub")
-        return GuardPolicy::PeriodicScrub;
-    ok = false;
-    return GuardPolicy::None;
-}
-
 void
-printPoint(const std::string &policy, double pshift,
-           const ServiceStats &s, bool last)
+printPoint(const char *policy, double pshift, const ServiceStats &s,
+           bool last)
 {
-    double sdc_rate =
-        s.generated == 0
-            ? 0.0
-            : static_cast<double>(
-                  s.outcomes[static_cast<std::size_t>(
-                      RequestOutcome::Sdc)]) /
-                  static_cast<double>(s.generated);
-    const LatencyHistogram &clean =
-        s.outcomeLatency[static_cast<std::size_t>(
-            RequestOutcome::Clean)];
-    const LatencyHistogram &corrected =
-        s.outcomeLatency[static_cast<std::size_t>(
-            RequestOutcome::Corrected)];
+    std::printf("    {\"policy\": \"%s\", \"pshift\": %g, ", policy, pshift);
+    bench::printOutcomes(s);
     std::printf(
-        "    {\"policy\": \"%s\", \"pshift\": %g, "
-        "\"throughput_per_kcycle\": %.3f, \"p99\": %llu, "
-        "\"p99_clean\": %llu, \"p99_corrected\": %llu, "
-        "\"outcomes\": {\"clean\": %llu, \"corrected\": %llu, "
-        "\"due\": %llu, \"sdc\": %llu, \"rejected\": %llu}, "
-        "\"sdc_rate\": %.4g, \"injected_faults\": %llu, "
+        "\"injected_faults\": %llu, "
         "\"guard_retries\": %llu, \"breaker_trips\": %llu, "
         "\"retired_groups\": %llu, \"dead_groups\": %llu, "
         "\"steered\": %llu, \"capacity_rejected\": %llu, "
         "\"maintenance_units\": %llu, \"capacity_loss\": %.4f}%s\n",
-        policy.c_str(), pshift, s.throughputPerKcycle(),
-        static_cast<unsigned long long>(s.latency.p99()),
-        static_cast<unsigned long long>(clean.p99()),
-        static_cast<unsigned long long>(corrected.p99()),
-        static_cast<unsigned long long>(s.outcomes[0]),
-        static_cast<unsigned long long>(s.outcomes[1]),
-        static_cast<unsigned long long>(s.outcomes[2]),
-        static_cast<unsigned long long>(s.outcomes[3]),
-        static_cast<unsigned long long>(s.outcomes[4]), sdc_rate,
         static_cast<unsigned long long>(s.injectedFaults),
         static_cast<unsigned long long>(s.guardRetries),
         static_cast<unsigned long long>(s.breakerTrips),
@@ -104,62 +61,37 @@ printPoint(const std::string &policy, double pshift,
 int
 main(int argc, char **argv)
 {
-    ParsedArgs o = parseArgs(
-        std::vector<std::string>(argv + 1, argv + argc),
-        {{"pshift", ArgType::Double},
-         {"policy", ArgType::String},
-         {"duration", ArgType::Size},
-         {"channels", ArgType::Size}});
-    if (!o.ok()) {
-        std::fprintf(stderr, "error: %s\n", o.error().c_str());
-        return 2;
-    }
-    std::vector<std::string> policies = {"none", "per-access",
-                                         "per-cpim", "scrub"};
-    std::vector<double> rates = {0.0, 1e-4, 3e-4, 1e-3, 3e-3};
-    if (o.has("policy"))
-        policies = {o.getString("policy", "per-access")};
-    if (o.has("pshift"))
-        rates = {o.getDouble("pshift", 1e-3)};
-
-    ServiceConfig cfg;
-    cfg.channels = static_cast<std::uint32_t>(o.getSize("channels", 4));
-    cfg.threads = 0; // all cores; results are thread-count invariant
-    cfg.banksPerChannel = 16;
-    cfg.seed = 42;
-    cfg.durationCycles = o.getSize("duration", 100000);
+    bench::ServiceBench run;
+    ServiceConfig &cfg = run.cfg;
     cfg.ratePerKcycle = 16.0;
+    std::optional<GuardPolicy> policy;
+    std::optional<double> pshift;
+    parseOrExit({argv + 1, argv + argc},
+                Options{opt("pshift", pshift, "run this shift-fault rate only"),
+                        opt("policy", policy, "run this guard policy only")} +
+                    run.options());
+    std::vector<GuardPolicy> policies = {
+        GuardPolicy::None, GuardPolicy::PerAccess, GuardPolicy::PerCpim,
+        GuardPolicy::PeriodicScrub};
+    std::vector<double> rates = {0.0, 1e-4, 3e-4, 1e-3, 3e-3};
+    if (policy)
+        policies = {*policy};
+    if (pshift)
+        rates = {*pshift};
 
-    std::printf("{\n");
-    std::printf(
-        "  \"bench\": \"service_fault_tolerance\",\n"
-        "  \"config\": {\"channels\": %u, \"banks\": %u, "
-        "\"duration_cycles\": %llu, \"seed\": %llu, "
-        "\"rate_per_kcycle\": %.1f, \"mix\": \"%s\"},\n",
-        cfg.channels, cfg.banksPerChannel,
-        static_cast<unsigned long long>(cfg.durationCycles),
-        static_cast<unsigned long long>(cfg.seed), cfg.ratePerKcycle,
-        cfg.mix.describe().c_str());
-    std::printf("  \"sweep\": [\n");
+    bench::printSweepHeader("service_fault_tolerance", cfg);
     std::size_t total = policies.size() * rates.size();
     std::size_t done = 0;
     int rc = 0;
-    for (const std::string &policy : policies) {
-        bool ok = false;
-        GuardPolicy gp = policyFromName(policy, ok);
-        if (!ok) {
-            std::fprintf(stderr, "unknown policy '%s' (none, "
-                                 "per-access, per-cpim, scrub)\n",
-                         policy.c_str());
-            return 2;
-        }
+    for (GuardPolicy gp : policies) {
         for (double pshift : rates) {
             cfg.faults = ServiceFaultConfig{};
             cfg.faults.shiftFaultRate = pshift;
             cfg.faults.policy = gp;
             ServiceStats s = runService(cfg);
             ++done;
-            printPoint(policy, pshift, s, done == total);
+            printPoint(enumTokens(gp)[static_cast<std::size_t>(gp)],
+                       pshift, s, done == total);
             // Headline guarantee: per-access guarding leaves no fault
             // unflagged, at any rate in the sweep.
             if (gp == GuardPolicy::PerAccess &&

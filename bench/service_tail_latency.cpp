@@ -11,24 +11,24 @@
  * configuration sustains without exceeding the unbatched
  * configuration's worst p99.
  *
- * Usage: service_tail_latency [--rate R] [--duration N] [--channels C]
- *                             [--metrics-json FILE] [--trace FILE]
- *   --rate runs a single load point (CI smoke); default sweeps.
- *   --metrics-json merges every run's per-component counters into one
- *     registry, prefixed "rate<R>/batched|unbatched".  --trace records
- *     the last batched run (one full sweep of overlapping timelines
- *     would be unreadable).  Both flags add per-request bookkeeping,
- *     so leave them off when measuring simulator throughput.
+ * Options (a bad one prints the list and exits 2): --rate runs a
+ * single load point (CI smoke) instead of the sweep; --duration and
+ * --channels size the runs.  --metrics-json merges every run's
+ * per-component counters into one registry, prefixed
+ * "rate<R>/batched|unbatched".  --trace records the last batched run
+ * (one full sweep of overlapping timelines would be unreadable).  Both
+ * flags add per-request bookkeeping, so leave them off when measuring
+ * simulator throughput.
  */
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "service/service_engine.hpp"
-#include "util/cli_args.hpp"
+#include "obs/output_files.hpp"
+#include "service_bench.hpp"
 
 using namespace coruscant;
 
@@ -68,35 +68,21 @@ printStats(const char *key, const ServiceStats &s, bool last)
 int
 main(int argc, char **argv)
 {
-    ParsedArgs o = parseArgs(
-        std::vector<std::string>(argv + 1, argv + argc),
-        {{"rate", ArgType::Double},
-         {"duration", ArgType::Size},
-         {"channels", ArgType::Size},
-         {"metrics-json", ArgType::String},
-         {"trace", ArgType::String}});
-    if (!o.ok()) {
-        std::fprintf(stderr, "error: %s\n", o.error().c_str());
-        return 2;
-    }
-    std::vector<double> rates = {50, 100, 200, 300, 400, 600, 800};
-    if (o.has("rate"))
-        rates = {o.getDouble("rate", 0.0)};
-    std::uint64_t duration = o.getSize("duration", 100000);
-    std::uint32_t channels =
-        static_cast<std::uint32_t>(o.getSize("channels", 4));
-    bool want_metrics = o.has("metrics-json");
-    bool want_trace = o.has("trace");
-
-    ServiceConfig cfg;
-    cfg.channels = channels;
-    cfg.threads = 0; // all cores; results are thread-count invariant
-    cfg.banksPerChannel = 16;
-    cfg.seed = 42;
-    cfg.durationCycles = duration;
+    bench::ServiceBench run;
+    ServiceConfig &cfg = run.cfg;
     // Bitmap-index serving: bulk-bitwise folds dominate, concentrated
     // on hot accumulator groups — the workload Sec. V-C batches.
     cfg.mix = WorkloadMix::parse("bulk:0.9,read:0.05,write:0.05");
+    std::optional<double> only_rate;
+    obs::OutputFiles out;
+    parseOrExit({argv + 1, argv + argc},
+                Options{opt("rate", only_rate, "run this load point only")} +
+                    run.options() + out.options());
+    std::vector<double> rates = {50, 100, 200, 300, 400, 600, 800};
+    if (only_rate)
+        rates = {*only_rate};
+    bool want_metrics = out.metricsJson.has_value();
+    bool want_trace = out.trace.has_value();
 
     obs::MetricsRegistry merged;
     obs::TraceSink trace;
@@ -172,25 +158,5 @@ main(int argc, char **argv)
         best_unbatched);
     std::printf("}\n");
 
-    if (want_metrics) {
-        std::ofstream os(o.getString("metrics-json", ""));
-        if (os)
-            os << merged.toJson();
-        if (!os) {
-            std::fprintf(stderr, "error: cannot write '%s'\n",
-                         o.getString("metrics-json", "").c_str());
-            return 1;
-        }
-    }
-    if (want_trace) {
-        std::ofstream os(o.getString("trace", ""));
-        if (os)
-            trace.writeJson(os);
-        if (!os) {
-            std::fprintf(stderr, "error: cannot write '%s'\n",
-                         o.getString("trace", "").c_str());
-            return 1;
-        }
-    }
-    return 0;
+    return out.write(merged, trace) ? 0 : 1;
 }

@@ -30,6 +30,7 @@
 #ifndef CORUSCANT_APPS_CNN_THROUGHPUT_MODEL_HPP
 #define CORUSCANT_APPS_CNN_THROUGHPUT_MODEL_HPP
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -59,6 +60,14 @@ enum class CnnScheme
 
 const char *cnnSchemeName(CnnScheme s);
 const char *cnnModeName(CnnMode m);
+
+/** Command-line spelling of each CnnMode, in declaration order. */
+inline std::span<const char *const>
+enumTokens(CnnMode)
+{
+    static constexpr const char *kTokens[] = {"fp", "twn", "bwn"};
+    return kTokens;
+}
 
 /** Table IV cell. */
 struct CnnCell

@@ -19,11 +19,7 @@ guardPolicyName(GuardPolicy policy)
 const char *
 eccModeName(EccMode mode)
 {
-    switch (mode) {
-      case EccMode::None: return "none";
-      case EccMode::Secded: return "secded";
-    }
-    return "?";
+    return enumTokens(mode)[static_cast<std::size_t>(mode)];
 }
 
 LineAddress

@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "arch/timing.hpp"
 #include "dwm/device_params.hpp"
@@ -49,6 +50,18 @@ enum class GuardPolicy
 const char *guardPolicyName(GuardPolicy policy);
 
 /**
+ * Command-line spelling of each GuardPolicy, in declaration order
+ * (reports spell PeriodicScrub "periodic-scrub", the flag "scrub").
+ */
+inline std::span<const char *const>
+enumTokens(GuardPolicy)
+{
+    static constexpr const char *kTokens[] = {"none", "per-access",
+                                              "per-cpim", "scrub"};
+    return kTokens;
+}
+
+/**
  * In-memory ECC protecting the *contents* of stored lines (the guard
  * policies above protect their *position*).  Secded stores extended
  * Hamming check bits in dedicated check-lane nanowires of each DBC and
@@ -62,10 +75,35 @@ enum class EccMode
     Secded, ///< per-word SECDED over every line read/write
 };
 
+/** Spelling of each EccMode in declaration order, for flags and reports. */
+inline std::span<const char *const>
+enumTokens(EccMode)
+{
+    static constexpr const char *kTokens[] = {"none", "secded"};
+    return kTokens;
+}
+
 const char *eccModeName(EccMode mode);
 
+/**
+ * Limits of every retry ladder (ReliabilityConfig, ServiceFaultConfig):
+ * rung k waits `backoff << k`, so an in-range ladder charges fewer
+ * than 2^49 cycles and never shifts by 64 bits or more.
+ */
+struct RetryLadderLimits
+{
+    static constexpr std::size_t kMaxRetries = 16;
+    static constexpr std::uint64_t kMaxRetryBackoffCycles = 1ull << 32;
+
+    static bool
+    retryLadderInRange(std::size_t retries, std::uint64_t backoff)
+    {
+        return retries <= kMaxRetries && backoff <= kMaxRetryBackoffCycles;
+    }
+};
+
 /** Shift-fault injection and guarded-execution configuration. */
-struct ReliabilityConfig
+struct ReliabilityConfig : RetryLadderLimits
 {
     /** Probability that a single shift pulse over-/under-shifts. */
     double shiftFaultRate = 0.0;
@@ -90,14 +128,15 @@ struct ReliabilityConfig
     /** Accesses between sweeps under GuardPolicy::PeriodicScrub. */
     std::size_t scrubInterval = 256;
 
-    /** Retry-ladder depth for guarded cpim execution. */
+    /** Retry-ladder depth for guarded cpim execution (<= kMaxRetries). */
     std::size_t maxRetries = 2;
 
     /**
      * Idle cycles charged before the first ladder re-execution,
      * doubling with each further attempt (exponential backoff lets a
      * transient disturbance decay before the retry).  0 retries
-     * immediately, preserving the pre-backoff cost accounting.
+     * immediately, preserving the pre-backoff cost accounting.  At
+     * most kMaxRetryBackoffCycles.
      */
     std::uint64_t retryBackoffCycles = 0;
 

@@ -12,6 +12,10 @@ DwmMainMemory::DwmMainMemory(const MemoryConfig &config)
 {
     cfg.device.validate();
     const ReliabilityConfig &rel = cfg.reliability;
+    fatalIf(!RetryLadderLimits::retryLadderInRange(rel.maxRetries,
+                                                   rel.retryBackoffCycles),
+            "retry ladder out of range (maxRetries <= 16, "
+            "retryBackoffCycles <= 2^32)");
     if (rel.eccEnabled()) {
         // Check-bit lanes are extra nanowires of the same DBC: they
         // shift with the data under the shared controller signal and

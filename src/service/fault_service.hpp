@@ -65,7 +65,7 @@ struct FaultRampStep
 };
 
 /** Reliability configuration of one service run. */
-struct ServiceFaultConfig
+struct ServiceFaultConfig : RetryLadderLimits
 {
     /** Probability a single shift pulse over-/under-shifts. */
     double shiftFaultRate = 0.0;
@@ -87,17 +87,6 @@ struct ServiceFaultConfig
 
     /** First retry waits this long; doubles per further attempt. */
     std::uint64_t retryBackoffCycles = 64;
-
-    /** Ladder limits: rung k waits `backoff << k`, so < 2^49 total. */
-    static constexpr std::size_t kMaxRetries = 16;
-    static constexpr std::uint64_t kMaxRetryBackoffCycles = 1ull << 32;
-
-    bool
-    retryLadderInRange() const
-    {
-        return maxRetries <= kMaxRetries &&
-               retryBackoffCycles <= kMaxRetryBackoffCycles;
-    }
 
     /** Sliding window for the per-group detected-error rate. */
     std::uint64_t healthWindowCycles = 20000;

@@ -937,7 +937,8 @@ ServiceEngine::ServiceEngine(const ServiceConfig &cfg)
     fatalIf(cfg_.process == ArrivalProcess::ClosedLoop &&
                 cfg_.closedLoopWindow == 0,
             "closed loop needs a positive window");
-    fatalIf(!cfg_.faults.retryLadderInRange(),
+    fatalIf(!RetryLadderLimits::retryLadderInRange(
+                cfg_.faults.maxRetries, cfg_.faults.retryBackoffCycles),
             "fault retry ladder out of range (maxRetries <= 16, "
             "retryBackoffCycles <= 2^32)");
 }

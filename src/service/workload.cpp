@@ -10,15 +10,7 @@ namespace coruscant {
 const char *
 arrivalProcessName(ArrivalProcess p)
 {
-    switch (p) {
-    case ArrivalProcess::Poisson:
-        return "poisson";
-    case ArrivalProcess::Bursty:
-        return "bursty";
-    case ArrivalProcess::ClosedLoop:
-        return "closed";
-    }
-    return "?";
+    return enumTokens(p)[static_cast<std::size_t>(p)];
 }
 
 WorkloadMix

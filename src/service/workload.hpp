@@ -25,6 +25,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "service/request.hpp"
@@ -39,6 +40,14 @@ enum class ArrivalProcess
     Bursty,
     ClosedLoop,
 };
+
+/** Spelling of each ArrivalProcess in declaration order (flags, reports). */
+inline std::span<const char *const>
+enumTokens(ArrivalProcess)
+{
+    static constexpr const char *kTokens[] = {"poisson", "bursty", "closed"};
+    return kTokens;
+}
 
 const char *arrivalProcessName(ArrivalProcess p);
 

@@ -1,132 +1,76 @@
 #include "util/cli_args.hpp"
 
-#include <cerrno>
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 
 namespace coruscant {
 
-namespace {
+namespace detail {
 
-/** Whole-string unsigned parse: no sign, no trailing junk. */
-bool
-parseSizeStrict(const std::string &s, std::size_t &out)
+std::string
+joinTokens(std::span<const char *const> tokens)
 {
-    if (s.empty() || s[0] == '-' || s[0] == '+')
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (errno != 0 || end != s.c_str() + s.size())
-        return false;
-    out = static_cast<std::size_t>(v);
-    return true;
+    std::string out;
+    for (const char *t : tokens)
+        out += (out.empty() ? "" : "|") + std::string(t);
+    return out;
 }
 
-/** Whole-string floating-point parse (scientific notation allowed). */
-bool
-parseDoubleStrict(const std::string &s, double &out)
-{
-    if (s.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    double v = std::strtod(s.c_str(), &end);
-    if (errno != 0 || end != s.c_str() + s.size())
-        return false;
-    out = v;
-    return true;
-}
+} // namespace detail
 
-const char *
-typeName(ArgType t)
+Options
+operator+(Options a, const Options &b)
 {
-    switch (t) {
-      case ArgType::Size:
-        return "unsigned integer";
-      case ArgType::Double:
-        return "number";
-      case ArgType::String:
-        return "string";
-    }
-    return "value";
-}
-
-} // namespace
-
-std::size_t
-ParsedArgs::getSize(const std::string &name, std::size_t dflt) const
-{
-    auto it = values_.find(name);
-    if (it == values_.end())
-        return dflt;
-    std::size_t v = 0;
-    parseSizeStrict(it->second, v); // validated at parse time
-    return v;
-}
-
-double
-ParsedArgs::getDouble(const std::string &name, double dflt) const
-{
-    auto it = values_.find(name);
-    if (it == values_.end())
-        return dflt;
-    double v = 0.0;
-    parseDoubleStrict(it->second, v); // validated at parse time
-    return v;
+    a.insert(a.end(), b.begin(), b.end());
+    return a;
 }
 
 std::string
-ParsedArgs::getString(const std::string &name,
-                      const std::string &dflt) const
+parseOptions(const std::vector<std::string> &args, const Options &options)
 {
-    auto it = values_.find(name);
-    return it == values_.end() ? dflt : it->second;
-}
-
-ParsedArgs
-parseArgs(const std::vector<std::string> &args,
-          const std::vector<ArgSpec> &specs)
-{
-    ParsedArgs parsed;
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &tok = args[i];
-        if (tok.rfind("--", 0) != 0) {
-            parsed.error_ = "unexpected argument '" + tok + "'";
-            return parsed;
-        }
-        std::string name = tok.substr(2);
-        const ArgSpec *spec = nullptr;
-        for (const ArgSpec &s : specs)
-            if (name == s.name) {
-                spec = &s;
-                break;
-            }
-        if (spec == nullptr) {
-            parsed.error_ = "unknown option '" + tok + "'";
-            return parsed;
-        }
-        if (i + 1 >= args.size()) {
-            parsed.error_ = "option '" + tok + "' requires a value";
-            return parsed;
-        }
+        if (tok.rfind("--", 0) != 0)
+            return "unexpected argument '" + tok + "'";
+        auto it = std::find_if(options.begin(), options.end(),
+                               [&](const Option &o) {
+                                   return tok.substr(2) == o.name;
+                               });
+        if (it == options.end())
+            return "unknown option '" + tok + "'";
+        if (i + 1 >= args.size())
+            return "option '" + tok + "' requires a value";
         const std::string &value = args[++i];
-        bool valid = true;
-        if (spec->type == ArgType::Size) {
-            std::size_t v = 0;
-            valid = parseSizeStrict(value, v);
-        } else if (spec->type == ArgType::Double) {
-            double v = 0.0;
-            valid = parseDoubleStrict(value, v);
-        }
-        if (!valid) {
-            parsed.error_ = "invalid value '" + value +
-                            "' for option '" + tok + "' (expected " +
-                            typeName(spec->type) + ")";
-            return parsed;
-        }
-        parsed.values_[name] = value;
+        std::string why = it->set(value);
+        if (!why.empty())
+            return "invalid value '" + value + "' for option '" + tok +
+                   "' (" + why + ")";
     }
-    return parsed;
+    return {};
+}
+
+std::string
+describeOptions(const Options &options)
+{
+    std::string out;
+    for (const Option &o : options) {
+        std::string flag = "  --" + o.name + " " + o.value;
+        flag.resize(std::max<std::size_t>(flag.size() + 2, 32), ' ');
+        out += flag + o.help + "\n";
+    }
+    return out;
+}
+
+void
+parseOrExit(const std::vector<std::string> &args, const Options &options)
+{
+    std::string error = parseOptions(args, options);
+    if (error.empty())
+        return;
+    std::fprintf(stderr, "error: %s\noptions:\n%s", error.c_str(),
+                 describeOptions(options).c_str());
+    std::exit(2);
 }
 
 } // namespace coruscant

@@ -1,88 +1,201 @@
 /**
  * @file
- * Strict `--key value` command-line parsing.
+ * Declarative `--key value` command-line options.
  *
- * Each subcommand declares the options it accepts as a table of
- * ArgSpec entries; parseArgs() then rejects anything outside that
- * contract instead of silently falling back to defaults:
- *
- *   - an option not in the table      -> "unknown option '--x'"
- *   - a flag with no value following  -> "option '--x' requires a value"
- *   - a value the type cannot parse   -> "invalid value 'y' for ..."
- *   - a bare token without "--"       -> "unexpected argument 'y'"
- *
- * Values are validated eagerly at parse time (full-string numeric
- * consumption, no sign on unsigned sizes), so the typed getters on a
- * successful ParsedArgs cannot fail.  Repeated options keep the last
- * occurrence, matching common CLI convention.
+ * A command declares each option once, as an Option bound to the field
+ * it sets; that table is the accepted-flag set, the parser, the range
+ * checks and the help text.  Anything outside it is a diagnostic, never
+ * a silent default: an unknown option, a missing value, a bare token,
+ * or a value the field cannot hold.  Numbers are consumed whole and
+ * range-checked against their field's own type (a uint32_t field
+ * rejects 2^32); an option may add [lo, hi] or a predicate.  An
+ * enumeration is spelled by the enumTokens() overload declared beside
+ * its *Name() function (found by argument-dependent lookup), a bool by
+ * off|on.  An absent flag leaves its field as initialised, and help
+ * prints that value as the default; a std::optional field records
+ * whether its flag appeared.  Repeated options keep the last one.
  */
 
 #ifndef CORUSCANT_UTIL_CLI_ARGS_HPP
 #define CORUSCANT_UTIL_CLI_ARGS_HPP
 
+#include <algorithm>
+#include <charconv>
+#include <concepts>
 #include <cstddef>
-#include <map>
+#include <functional>
+#include <limits>
+#include <optional>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace coruscant {
 
-/** How an option's value string is validated and read back. */
-enum class ArgType
+/** One `--name VALUE` option bound to the field it sets. */
+struct Option
 {
-    Size,   ///< unsigned integer (std::size_t)
-    Double, ///< floating point, scientific notation accepted
-    String, ///< free-form text
+    std::string name;  ///< flag without the leading "--"
+    std::string value; ///< help column: the default, or a placeholder
+    std::string help;
+
+    /**
+     * Store @p text in the bound field.  Returns why the text was
+     * rejected ("expected ..."), or an empty string on success.
+     */
+    std::function<std::string(const std::string &text)> set;
 };
 
-/** One accepted option of a subcommand. */
-struct ArgSpec
+using Options = std::vector<Option>;
+
+/** Concatenate option tables (e.g. a command's own plus a shared one). */
+Options operator+(Options a, const Options &b);
+
+/** A bool option is spelled off|on. */
+inline constexpr const char *kOffOn[] = {"off", "on"};
+
+constexpr std::span<const char *const>
+enumTokens(bool)
 {
-    const char *name; ///< option name without the leading "--"
-    ArgType type;
-};
+    return kOffOn;
+}
 
-/** Outcome of a strict parse: either valid options or a diagnostic. */
-class ParsedArgs
+namespace detail {
+
+template <typename T>
+inline constexpr bool kOptional = false;
+template <typename T>
+inline constexpr bool kOptional<std::optional<T>> = true;
+
+template <typename T>
+inline constexpr bool kEnumerated = std::is_enum_v<T> || std::same_as<T, bool>;
+
+std::string joinTokens(std::span<const char *const> tokens);
+
+/** Store @p text in @p out; returns why it was rejected, or "". */
+template <typename T>
+std::string
+parse(const std::string &text, T &out)
 {
-  public:
-    /** True when every argument matched the spec table. */
-    bool ok() const { return error_.empty(); }
-
-    /** Diagnostic for the first offending argument (empty when ok). */
-    const std::string &error() const { return error_; }
-
-    /** True when the option appeared on the command line. */
-    bool has(const std::string &name) const
-    {
-        return values_.count(name) != 0;
+    if constexpr (kOptional<T>) {
+        typename T::value_type v{};
+        if (std::string why = parse(text, v); !why.empty())
+            return why;
+        out = v;
+    } else if constexpr (kEnumerated<T>) {
+        auto tokens = enumTokens(T{});
+        auto it = std::find(tokens.begin(), tokens.end(), text);
+        if (it == tokens.end())
+            return "expected one of " + joinTokens(tokens);
+        out = static_cast<T>(it - tokens.begin());
+    } else if constexpr (std::is_arithmetic_v<T>) {
+        T v{};
+        const char *last = text.data() + text.size();
+        auto [end, ec] = std::from_chars(text.data(), last, v);
+        if (text.empty() || ec != std::errc() || end != last || v != v)
+            return std::floating_point<T>
+                       ? "expected number"
+                       : "expected unsigned integer <= " +
+                             std::to_string(std::numeric_limits<T>::max());
+        out = v;
+    } else {
+        out = text;
     }
+    return {};
+}
 
-    /** Value of a Size option, or @p dflt when absent. */
-    std::size_t getSize(const std::string &name, std::size_t dflt) const;
+/** Help column: the value, or the kind of value an optional takes. */
+template <typename T>
+std::string
+show(const T &v)
+{
+    if constexpr (kOptional<T>) {
+        using V = typename T::value_type;
+        if constexpr (kEnumerated<V>)
+            return joinTokens(enumTokens(V{}));
+        return std::floating_point<V> ? "X"
+               : std::unsigned_integral<V> ? "N"
+                                            : "FILE";
+    } else if constexpr (kEnumerated<T>) {
+        return enumTokens(v)[static_cast<std::size_t>(v)];
+    } else {
+        char buf[32];
+        return {buf, std::to_chars(buf, buf + sizeof buf, v).ptr};
+    }
+}
 
-    /** Value of a Double option, or @p dflt when absent. */
-    double getDouble(const std::string &name, double dflt) const;
-
-    /** Value of a String option, or @p dflt when absent. */
-    std::string getString(const std::string &name,
-                          const std::string &dflt) const;
-
-  private:
-    friend ParsedArgs parseArgs(const std::vector<std::string> &args,
-                                const std::vector<ArgSpec> &specs);
-
-    std::map<std::string, std::string> values_;
-    std::string error_;
-};
+} // namespace detail
 
 /**
- * Parse @p args (the tokens after the subcommand name) against
- * @p specs.  Never exits; callers inspect ok()/error() and decide the
- * exit code, which keeps the parser unit-testable in-process.
+ * Option `--name` bound to @p field: an unsigned integer, double,
+ * bool, enumeration, or a std::optional of one (or of a string).
  */
-ParsedArgs parseArgs(const std::vector<std::string> &args,
-                     const std::vector<ArgSpec> &specs);
+template <typename T>
+Option
+opt(const char *name, T &field, std::string help)
+{
+    if constexpr (detail::kEnumerated<T>)
+        help += " (" + detail::joinTokens(enumTokens(T{})) + ")";
+    return {name, detail::show(field), std::move(help),
+            [&field](const std::string &text) {
+                return detail::parse(text, field);
+            }};
+}
+
+/**
+ * Option accepting only values for which @p ok holds; @p expected
+ * names them, in help and in the diagnostic.
+ */
+template <typename T>
+Option
+opt(const char *name, T &field, const std::string &help,
+    std::type_identity_t<std::function<bool(const T &)>> ok,
+    const std::string &expected)
+{
+    Option o = opt(name, field, help + " (" + expected + ")");
+    o.set = [&field, ok, expected](const std::string &text) {
+        T v = field;
+        std::string why = detail::parse(text, v);
+        if (why.empty() && !ok(v))
+            why = "expected " + expected;
+        if (why.empty())
+            field = v;
+        return why;
+    };
+    return o;
+}
+
+/** Number option accepted in [@p lo, @p hi]. */
+template <typename T>
+Option
+opt(const char *name, T &field, const std::string &help,
+    std::type_identity_t<T> lo, std::type_identity_t<T> hi)
+{
+    return opt(
+        name, field, help,
+        [lo, hi](const T &v) { return lo <= v && v <= hi; },
+        "in [" + detail::show(lo) + ", " + detail::show(hi) + "]");
+}
+
+/**
+ * Parse @p args (the tokens after the command name) into the fields
+ * bound by @p options.  Returns the diagnostic for the first offending
+ * argument, or an empty string when every argument matched.  Never
+ * exits, which keeps the parser unit-testable in-process.
+ */
+std::string parseOptions(const std::vector<std::string> &args,
+                         const Options &options);
+
+/** One help line per option: `  --name VALUE   help`. */
+std::string describeOptions(const Options &options);
+
+/**
+ * parseOptions(); on a diagnostic, print it and the option list to
+ * stderr and exit 2.
+ */
+void parseOrExit(const std::vector<std::string> &args,
+                 const Options &options);
 
 } // namespace coruscant
 

@@ -284,6 +284,52 @@ TEST(FaultPipeline, ZeroBackoffPreservesPreBackoffLedger)
     EXPECT_EQ(mem.ledger().byCategory().count("retry_backoff"), 0u);
 }
 
+TEST(FaultPipeline, RetryLadderBeyondItsLimitsDoesNotBuild)
+{
+    // Rung k charges `backoff << k`: a 17th rung or a first wait above
+    // 2^32 leaves the range that keeps the shift and the sum defined.
+    MemoryConfig cfg = smallConfig(GuardPolicy::PerCpim);
+    cfg.reliability.maxRetries = ReliabilityConfig::kMaxRetries + 1;
+    EXPECT_THROW(DwmMainMemory{cfg}, FatalError);
+    cfg = smallConfig(GuardPolicy::PerCpim);
+    cfg.reliability.retryBackoffCycles =
+        ReliabilityConfig::kMaxRetryBackoffCycles + 1;
+    EXPECT_THROW(DwmMainMemory{cfg}, FatalError);
+}
+
+TEST(FaultPipeline, RetryLadderAtItsLimitsRunsAGuardedCampaign)
+{
+    // The deepest, slowest ladder the config accepts, under a heavy
+    // fault rate that climbs several rungs: every charge must stay
+    // defined (CI runs this under UBSan) and a whole multiple of the
+    // first wait.
+    MemoryConfig cfg = smallConfig(GuardPolicy::PerCpim);
+    cfg.reliability.shiftFaultRate = 0.5;
+    cfg.reliability.shiftFaultSeed = 3;
+    cfg.reliability.maxRetries = ReliabilityConfig::kMaxRetries;
+    cfg.reliability.retryBackoffCycles =
+        ReliabilityConfig::kMaxRetryBackoffCycles;
+    DwmMainMemory mem(cfg);
+    MemoryController ctrl(mem);
+    Rng rng(4);
+    stageOperands(mem, 0, 3, 8, rng);
+    CpimInstruction inst;
+    inst.op = CpimOp::Add;
+    inst.src = 0;
+    inst.dst = ctrl.operandAddress(0, 4);
+    inst.operands = 3;
+    inst.blockSize = 8;
+    unsigned deepest = 0;
+    for (int i = 0; i < 50; ++i)
+        deepest = std::max(deepest, ctrl.executeGuarded(inst).retries);
+    EXPECT_GT(deepest, 4u);
+    EXPECT_LE(deepest, ReliabilityConfig::kMaxRetries);
+    std::uint64_t charged =
+        mem.ledger().byCategory().at("retry_backoff").cycles;
+    EXPECT_GE(charged, (1ull << 32) * ((1ull << deepest) - 1));
+    EXPECT_EQ(charged % (1ull << 32), 0u);
+}
+
 TEST(FaultPipeline, ScrubSweepRealignsEveryTouchedDbc)
 {
     DwmMainMemory mem(smallConfig(GuardPolicy::PeriodicScrub));
