@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "arch/dwm_memory.hpp"
 #include "controller/memory_controller.hpp"
 #include "reliability/fault_campaign.hpp"
@@ -249,16 +252,21 @@ TEST(FaultPipeline, RetryBackoffIsChargedExponentially)
     inst.dst = ctrl.operandAddress(0, 4);
     inst.operands = 3;
     inst.blockSize = 8;
-    unsigned retries = 0;
-    for (int i = 0; i < 50 && retries == 0; ++i)
-        retries = ctrl.executeGuarded(inst).retries;
-    ASSERT_GT(retries, 0u) << "no retry triggered at 5% fault rate";
+    // Ladder depth of each of the first executions, and the backoff
+    // they charged: rung k waits 64 << k, so an instruction that
+    // retried r times waited 64 * (2^r - 1) cycles.
+    std::vector<unsigned> retries;
+    std::uint64_t expected_wait = 0;
+    for (int i = 0; i < 12; ++i) {
+        retries.push_back(ctrl.executeGuarded(inst).retries);
+        expected_wait += 64 * ((1ull << retries.back()) - 1);
+    }
+    EXPECT_EQ(retries, (std::vector<unsigned>{0, 0, 0, 0, 1, 0, 0, 2, 0, 1,
+                                              2, 0}));
     const auto &by = mem.ledger().byCategory();
     ASSERT_TRUE(by.count("retry_backoff"));
-    // First retry waits 64, the next 128, ...: total charged cycles
-    // are bounded below by the first wait and are a multiple of it.
-    EXPECT_GE(by.at("retry_backoff").cycles, 64u);
-    EXPECT_EQ(by.at("retry_backoff").cycles % 64, 0u);
+    EXPECT_EQ(expected_wait, 512u);
+    EXPECT_EQ(by.at("retry_backoff").cycles, expected_wait);
 }
 
 TEST(FaultPipeline, ZeroBackoffPreservesPreBackoffLedger)
@@ -364,6 +372,110 @@ TEST(FaultPipeline, CampaignIsBitIdenticalForFixedSeed)
     EXPECT_EQ(a.correctivePulses, b.correctivePulses);
     EXPECT_EQ(a.retiredDbcs, b.retiredDbcs);
     EXPECT_EQ(a.residualAfterScrub, b.residualAfterScrub);
+}
+
+/** FNV-1a 64 of @p text: pins a multi-line output in one constant. */
+std::uint64_t
+fnv1a(const std::string &text)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : text) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** One pinned controller-campaign configuration and its outputs. */
+struct CampaignGolden
+{
+    const char *name;
+    void (*configure)(ControllerCampaignConfig &);
+    const char *fields;          ///< fields(result)
+    std::uint64_t metricsDigest; ///< fnv1a(metrics.toJson())
+};
+
+/**
+ * Every field of @p r in declaration order: trials, clean, corrected,
+ * due, sdc, injectedFaults, guardChecks, correctivePulses, retiredDbcs,
+ * residualAfterScrub, dataFaultsInjected, eccCorrections, eccDue.
+ */
+std::string
+fields(const ControllerCampaignResult &r)
+{
+    std::ostringstream os;
+    os << r.trials << " " << r.clean << " " << r.corrected << " "
+       << r.due << " " << r.sdc << " " << r.injectedFaults << " "
+       << r.guardChecks << " " << r.correctivePulses << " "
+       << r.retiredDbcs << " " << r.residualAfterScrub << " "
+       << r.dataFaultsInjected << " " << r.eccCorrections << " "
+       << r.eccDue;
+    return os.str();
+}
+
+const CampaignGolden kCampaignGoldens[] = {
+    {"none",
+     [](ControllerCampaignConfig &c) { c.policy = GuardPolicy::None; },
+     "1000 939 0 0 61 108 0 0 0 0 0 0 0", 0xe04d8a8e93b0a664ull},
+    {"per_access", [](ControllerCampaignConfig &) {},
+     "1000 898 102 0 0 108 12016 128 0 0 0 0 0", 0x7502e20dd44bd628ull},
+    {"per_access_retire",
+     [](ControllerCampaignConfig &c) { c.retireThreshold = 4; },
+     "1000 896 103 1 0 110 12038 124 25 0 0 0 0", 0xa729be1e3029af9bull},
+    {"per_cpim",
+     [](ControllerCampaignConfig &c) { c.policy = GuardPolicy::PerCpim; },
+     "1000 869 25 15 91 112 4124 151 0 0 0 0 0", 0xb3f0b75b8f73e3f6ull},
+    {"scrub",
+     [](ControllerCampaignConfig &c) {
+         c.policy = GuardPolicy::PeriodicScrub;
+     },
+     "1000 904 21 12 63 108 749 103 0 0 0 0 0", 0x45daabe5110b02e7ull},
+    {"per_cpim_secded_nmr3",
+     [](ControllerCampaignConfig &c) {
+         c.policy = GuardPolicy::PerCpim;
+         c.dataFaultRate = 1e-4;
+         c.retentionRatePerCycle = 1e-9;
+         c.ecc = EccMode::Secded;
+         c.pimNmr = 3;
+     },
+     "1000 646 207 20 127 189 4270 222 0 0 201 313 0",
+     0x277e5d001375be7bull},
+    {"per_cpim_secded_due_retire",
+     [](ControllerCampaignConfig &c) {
+         c.policy = GuardPolicy::PerCpim;
+         c.dataFaultRate = 1e-3;
+         c.retentionRatePerCycle = 1e-8;
+         c.ecc = EccMode::Secded;
+         c.retireThreshold = 2;
+     },
+     "1000 291 426 225 58 112 4228 128 64 0 946 1202 110",
+     0x034d686d4080d061ull},
+};
+
+TEST(FaultPipeline, GoldenCampaignOutputsArePinned)
+{
+    // Every field of the campaign result and the whole metrics
+    // document of seven configurations, as the campaign produced them
+    // when the goldens were captured: each guard policy at a fault
+    // rate that reaches its retry, retirement and scrub paths, the
+    // SECDED + NMR-3 + retention data-fault pipeline, and SECDED
+    // alone at a data-fault rate whose DUEs climb the controller's
+    // ladder and retire DBCs until the spare pool runs out.
+    for (const CampaignGolden &g : kCampaignGoldens) {
+        SCOPED_TRACE(g.name);
+        ControllerCampaignConfig cfg;
+        cfg.trials = 1000;
+        cfg.shiftFaultRate = 5e-3;
+        g.configure(cfg);
+        obs::MetricsRegistry reg;
+        cfg.metrics = &reg;
+        ControllerCampaignResult r = FaultCampaign::controllerCampaign(cfg);
+        EXPECT_EQ(fields(r), g.fields);
+        std::string metrics = reg.toJson();
+        EXPECT_EQ(fnv1a(metrics), g.metricsDigest)
+            << std::hex << "0x" << fnv1a(metrics) << "\n"
+            << metrics;
+    }
 }
 
 TEST(FaultPipeline, GuardedCampaignMeetsCoverageBar)

@@ -450,11 +450,33 @@ const ServeGolden kServeGoldens[] = {
      },
      0x31f163964ded5b64ull, 0xe0bdac449d4d351full, 20356,
      0x1.d5dcafe1de74ep-5, 0x1.29295df1d1b77p-3},
+    {"chaos_per_access",
+     [](ServiceConfig &c) {
+         c.faults.ramp =
+             ServiceFaultConfig::chaosRamp(1e-3, c.durationCycles);
+     },
+     0x9c9459066acb24f3ull, 0x7344b095df74646dull, 20372,
+     0x1.c8d01005b61fdp-5, 0x1.31d53227aeda3p-3},
+    {"unguarded",
+     [](ServiceConfig &c) {
+         c.faults.shiftFaultRate = 1e-3;
+         c.faults.policy = GuardPolicy::None;
+     },
+     0x77ef20a06c4308d2ull, 0x58f9b832889c6e5full, 20356,
+     0x1.c8eb7cb523db4p-5, 0x1.26ecacd956766p-3},
+    {"secded_port_path_pim",
+     [](ServiceConfig &c) {
+         c.faults.dataFaultRate = 1e-3;
+         c.faults.ecc = EccMode::Secded;
+         c.faults.pimNmr = 1; // PIM units climb the port-path DUE ladder
+     },
+     0xbd7cc3e5ec58e392ull, 0xa3cceef5b03359e6ull, 38567,
+     0x1.044dfb81999cbp-5, 0x1.a2aaedce3c62cp-3},
 };
 
 TEST(ServiceEngine, GoldenServeOutputsArePinned)
 {
-    // Every modeled output of six representative configurations, as
+    // Every modeled output of nine representative configurations, as
     // the engine produced them when the goldens were captured: the
     // report text, the metrics document, and the channel timeline's
     // makespan and utilizations (exact doubles), at 1 and 4 threads.
