@@ -22,6 +22,16 @@ eccModeName(EccMode mode)
     return enumTokens(mode)[static_cast<std::size_t>(mode)];
 }
 
+RetryLadder::RetryLadder(std::size_t max_retries,
+                         std::uint64_t backoff_cycles)
+    : maxRetries_(max_retries), backoffCycles_(backoff_cycles)
+{
+    fatalIf(max_retries > kMaxRetries ||
+                backoff_cycles > kMaxRetryBackoffCycles,
+            "retry ladder out of range (maxRetries <= 16, "
+            "retryBackoffCycles <= 2^32)");
+}
+
 LineAddress
 AddressMap::decode(std::uint64_t byte_addr) const
 {

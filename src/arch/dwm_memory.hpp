@@ -50,6 +50,40 @@ struct GuardReport
     bool sparesExhausted = false; ///< retirement wanted, no spare left
 };
 
+/**
+ * The memory's reliability event counters at one instant; the
+ * difference of two snapshots is what happened between them.
+ */
+struct MemoryEvents
+{
+    std::uint64_t correctedMisalignments = 0; ///< corrective pulses
+    std::uint64_t uncorrectable = 0;  ///< checks that could not realign
+    std::uint64_t retireFailures = 0; ///< retirements with no spare left
+    std::uint64_t eccCorrections = 0; ///< SECDED words corrected
+    std::uint64_t eccDue = 0;         ///< SECDED words flagged DUE
+
+    /** Events between @p before and this later snapshot. */
+    MemoryEvents
+    since(const MemoryEvents &before) const
+    {
+        return {correctedMisalignments - before.correctedMisalignments,
+                uncorrectable - before.uncorrectable,
+                retireFailures - before.retireFailures,
+                eccCorrections - before.eccCorrections,
+                eccDue - before.eccDue};
+    }
+
+    /** Something was flagged detected-uncorrectable. */
+    bool flagged() const { return uncorrectable > 0 || eccDue > 0; }
+
+    /** Something was detected and corrected. */
+    bool
+    fixed() const
+    {
+        return correctedMisalignments > 0 || eccCorrections > 0;
+    }
+};
+
 /** Outcome of a full scrub sweep. */
 struct ScrubReport
 {
@@ -165,11 +199,6 @@ class DwmMainMemory
         return shiftInjector ? shiftInjector->injectedFaults() : 0;
     }
 
-    const ShiftFaultModel *shiftFaultInjector() const
-    {
-        return shiftInjector.get();
-    }
-
     /** SECDED words corrected on reads and scrubs. */
     std::uint64_t eccCorrections() const { return eccCorrections_; }
 
@@ -183,25 +212,25 @@ class DwmMainMemory
         return dataInjector ? dataInjector->injectedFaults() : 0;
     }
 
-    const DataFaultModel *dataFaultInjector() const
+    /** Snapshot of the reliability event counters above. */
+    MemoryEvents
+    events() const
     {
-        return dataInjector.get();
+        return {corrected_, uncorrectable_, retireFailures,
+                eccCorrections_, eccDue_};
     }
-
-    /** Check-bit lanes added to each DBC by the active ECC mode. */
-    std::size_t eccCheckLanes() const { return eccLanes; }
 
     // --- Test / campaign backdoors --------------------------------------
 
     /** Physically misalign the DBC holding @p byte_addr by one step. */
     void injectShiftFaultAt(std::uint64_t byte_addr, bool toward_left);
 
-    /** Direct access to the (possibly remapped) DBC for @p byte_addr. */
-    DomainBlockCluster &dbcAt(std::uint64_t byte_addr);
-
     /** Aggregate access cost (timing charged in memory cycles). */
     const CostLedger &ledger() const { return costs; }
     void resetCosts() { costs.reset(); }
+
+    /** The guarded-cpim retry ladder (validated at construction). */
+    const RetryLadder &retryLadder() const { return ladder; }
 
     /**
      * Charge the controller's retry-ladder backoff wait (cycles spent
@@ -258,6 +287,20 @@ class DwmMainMemory
     /** Periodic-scrub hook, called once per line access. */
     void tickAccess();
 
+    /**
+     * Visit every materialized DBC in id order (bit-identical runs)
+     * inside trace span @p name; returns the sum of what @p visit
+     * returns (units scanned).
+     */
+    template <class Visit>
+    std::size_t sweep(const char *name, const char *category,
+                      Visit &&visit);
+
+    /** Charge one line access (data and ECC lanes); count @p kind. */
+    void chargeAccess(const char *category, std::uint64_t cycles,
+                      double port_pj, unsigned shifts,
+                      obs::Counter kind);
+
     /** Migrate @p state to a spare DBC; returns the replacement. */
     MemDbc *retire(MemDbc &state);
 
@@ -267,16 +310,22 @@ class DwmMainMemory
      */
     void applyRetention(MemDbc &state, std::size_t row);
 
+    /** Count @p faults injected data faults; mark them as @p name. */
+    void noteDataFaults(const char *name, std::uint64_t faults);
+
     /**
-     * SECDED-decode the payload read back from @p state's row: correct
+     * SECDED-decode the payload read back from @p state: correct
      * @p data (width wiresPerDbc) against @p check in place, account
      * counters/energy, and escalate repeated DUEs into retirement.
      * Returns the state serving the logical DBC afterwards.
      */
-    MemDbc &eccDecode(MemDbc &state, std::size_t row, BitVector &data,
-                      BitVector &check);
+    MemDbc &eccDecode(MemDbc &state, BitVector &data, BitVector &check);
+
+    /** Count a decode's SECDED words; true once @p state is worn out. */
+    bool tallyEcc(MemDbc &state, const LineSecded::Result &res);
 
     MemoryConfig cfg;
+    RetryLadder ladder;
     AddressMap amap;
     DeviceParams dbcParams; ///< cfg.device plus check/guard lanes
     std::optional<AlignmentGuard> guard;

@@ -52,13 +52,6 @@ struct DdrTiming
     {
         return tRcd + tWr + (shiftBased ? shift_cycles : tRp);
     }
-
-    /** Full activate/restore row cycle (row-wide in-memory ops). */
-    unsigned
-    rowCycle(unsigned shift_cycles = 1) const
-    {
-        return tRas + (shiftBased ? shift_cycles : tRp);
-    }
 };
 
 /** System-level interface constants (paper Table II). */

@@ -144,98 +144,80 @@ MemoryController::executeGuarded(const CpimInstruction &inst)
     ++executed;
     std::uint64_t cycles_before = mem.ledger().cycles();
     ExecReport report;
-    const ReliabilityConfig &rel = mem.config().reliability;
-    if (rel.guardPolicy != GuardPolicy::PerCpim) {
+    bool corrected = false;
+    bool uncorrectable = false;
+    bool spares_exhausted = false;
+    if (mem.config().reliability.guardPolicy != GuardPolicy::PerCpim) {
         // Per-access and scrub policies run inside the memory itself;
-        // an unguarded memory executes single-shot.  Surface any
-        // uncorrectable event the memory hit during this instruction.
-        std::uint64_t due_before = mem.uncorrectableEvents();
-        std::uint64_t fix_before = mem.correctedMisalignments();
-        std::uint64_t exhausted_before = mem.retirementFailures();
-        std::uint64_t ecc_due_before = mem.eccDetectedUncorrectable();
-        std::uint64_t ecc_fix_before = mem.eccCorrections();
+        // an unguarded memory executes single-shot.  Surface any event
+        // the memory hit during this instruction.
+        MemoryEvents before = mem.events();
         report.result = computeOnce(inst);
-        if (mem.retirementFailures() > exhausted_before) {
-            report.outcome = ExecOutcome::SparesExhausted;
-            ++spareExhaustedCount;
-        } else if (mem.uncorrectableEvents() > due_before ||
-                   mem.eccDetectedUncorrectable() > ecc_due_before) {
-            report.outcome = ExecOutcome::Uncorrectable;
-            ++uncorrectableCount;
-        } else if (mem.correctedMisalignments() > fix_before ||
-                   mem.eccCorrections() > ecc_fix_before) {
-            report.outcome = ExecOutcome::Corrected;
-        }
-        noteExecution(inst, report, cycles_before);
-        return report;
-    }
+        MemoryEvents seen = mem.events().since(before);
+        corrected = seen.fixed();
+        uncorrectable = seen.flagged();
+        spares_exhausted = seen.retireFailures > 0;
+    } else {
+        // Rung 1: realign the source and destination clusters up front
+        // so the operand reads (all in the source DBC, by the ISA)
+        // start from a known-good position.
+        GuardReport pre_src = mem.checkLine(inst.src);
+        GuardReport pre_dst = mem.checkLine(inst.dst);
+        corrected = pre_src.corrected || pre_dst.corrected;
+        uncorrectable = pre_src.uncorrectable || pre_dst.uncorrectable;
+        spares_exhausted =
+            pre_src.sparesExhausted || pre_dst.sparesExhausted;
 
-    // Rung 1: realign the source and destination clusters up front so
-    // the operand reads start from a known-good position.
-    std::uint64_t last_operand =
-        operandAddress(inst.src, inst.operands - 1);
-    GuardReport pre_src = mem.checkLine(inst.src);
-    GuardReport pre_dst = mem.checkLine(inst.dst);
-    bool corrected = pre_src.corrected || pre_dst.corrected;
-    bool uncorrectable =
-        pre_src.uncorrectable || pre_dst.uncorrectable;
-    bool spares_exhausted =
-        pre_src.sparesExhausted || pre_dst.sparesExhausted;
-    (void)last_operand; // operands share the source DBC by the ISA
-
-    // Rungs 2-3: execute, then re-check; a fault that struck between
-    // the pre-check and the post-check may have corrupted the operand
-    // reads or the result write, so re-read and recompute — after an
-    // exponentially growing backoff wait when one is configured.
-    for (unsigned attempt = 0;; ++attempt) {
-        std::uint64_t ecc_due_before = mem.eccDetectedUncorrectable();
-        std::uint64_t ecc_fix_before = mem.eccCorrections();
-        report.result = computeOnce(inst);
-        GuardReport post_src = mem.checkLine(inst.src);
-        GuardReport post_dst = mem.checkLine(inst.dst);
-        uncorrectable |=
-            post_src.uncorrectable || post_dst.uncorrectable;
-        spares_exhausted |=
-            post_src.sparesExhausted || post_dst.sparesExhausted;
-        if (uncorrectable)
-            break;
-        corrected |= mem.eccCorrections() > ecc_fix_before;
-        // An ECC DUE during this attempt means an operand or the
-        // result crossed the port unprotected; like a mid-instruction
-        // misalignment it warrants a re-execution — transient flips
-        // re-sample clean, and only persistent damage survives the
-        // ladder to become a DUE.
-        bool ecc_due =
-            mem.eccDetectedUncorrectable() > ecc_due_before;
-        if (!post_src.misaligned && !post_dst.misaligned && !ecc_due)
-            break; // executed against healthy clusters end to end
-        corrected |= post_src.misaligned || post_dst.misaligned;
-        if (attempt >= rel.maxRetries) {
-            // Ladder exhausted; keep the last (suspect) result.  A
-            // still-uncorrectable ECC word is a DUE, not a retry.
-            uncorrectable |= ecc_due;
-            break;
-        }
-        mem.chargeRetryBackoff(rel.retryBackoffCycles << attempt);
-        ++report.retries;
+        // Rungs 2-3: execute, then re-check; a fault that struck
+        // between the pre-check and the post-check may have corrupted
+        // the operand reads or the result write, so climb the ladder:
+        // back off, re-read and recompute.
+        bool ecc_due = false;
+        bool exhausted = mem.retryLadder().climb(
+            [&](std::size_t) {
+                MemoryEvents before = mem.events();
+                report.result = computeOnce(inst);
+                GuardReport post_src = mem.checkLine(inst.src);
+                GuardReport post_dst = mem.checkLine(inst.dst);
+                MemoryEvents seen = mem.events().since(before);
+                uncorrectable |=
+                    post_src.uncorrectable || post_dst.uncorrectable;
+                spares_exhausted |=
+                    post_src.sparesExhausted || post_dst.sparesExhausted;
+                if (uncorrectable)
+                    return false;
+                // An ECC DUE during this attempt means an operand or
+                // the result crossed the port unprotected; like a
+                // mid-instruction misalignment it warrants a
+                // re-execution — transient flips re-sample clean, and
+                // only persistent damage survives the ladder.
+                bool misaligned = post_src.misaligned || post_dst.misaligned;
+                ecc_due = seen.eccDue > 0;
+                corrected |= misaligned || seen.eccCorrections > 0;
+                return misaligned || ecc_due;
+            },
+            [&](std::uint64_t backoff) {
+                mem.chargeRetryBackoff(backoff);
+                ++report.retries;
+            });
+        // An exhausted ladder keeps the last (suspect) result; a
+        // still-uncorrectable ECC word is a DUE, a misalignment the
+        // last post-check corrected is not.
+        uncorrectable |= exhausted && ecc_due;
     }
 
     if (report.retries > 0)
         ++retried;
-    // Rung 4: escalate.  An uncorrectable misalignment means the
-    // cluster (and possibly the operand data) is beyond the guard's
-    // reach; the caller must treat the result as untrusted.  When the
-    // escalation itself failed for capacity (no spare to retire onto),
-    // report the typed capacity error so callers shed load instead of
-    // hammering a cluster that can never be replaced.
-    if (uncorrectable || spares_exhausted) {
-        if (spares_exhausted) {
-            report.outcome = ExecOutcome::SparesExhausted;
-            ++spareExhaustedCount;
-        } else {
-            report.outcome = ExecOutcome::Uncorrectable;
-            ++uncorrectableCount;
-        }
+    // Rung 4: escalate.  An uncorrectable misalignment or DUE word means
+    // the result is untrusted.  When the escalation itself failed for
+    // capacity (no spare to retire onto), report the typed capacity
+    // error so callers shed load instead of hammering a cluster that
+    // can never be replaced.
+    if (spares_exhausted) {
+        report.outcome = ExecOutcome::SparesExhausted;
+        ++spareExhaustedCount;
+    } else if (uncorrectable) {
+        report.outcome = ExecOutcome::Uncorrectable;
     } else if (corrected) {
         report.outcome = ExecOutcome::Corrected;
     }

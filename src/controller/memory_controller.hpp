@@ -16,18 +16,27 @@
  * orange path of paper Fig. 4(a)) via DwmMainMemory::read/writeLine.
  *
  * Guarded execution (GuardPolicy::PerCpim): the controller wraps each
- * cpim in a bounded retry ladder —
+ * cpim in the memory's RetryLadder (the same ladder type the service
+ * layer climbs) —
  *
  *   1. guard-check (and realign) the source and destination DBCs;
  *   2. read operands, compute, write the result;
  *   3. guard-check both DBCs again; if a misalignment was detected
- *      and corrected mid-instruction, the operands may have been read
- *      corrupt, so re-read, recompute, and rewrite (up to
- *      ReliabilityConfig::maxRetries times);
+ *      and corrected mid-instruction, or an ECC word came back
+ *      uncorrectable, the operands may have been read corrupt, so
+ *      wait `retryBackoffCycles << k` on rung k, then re-read,
+ *      recompute, and rewrite (at most ReliabilityConfig::maxRetries
+ *      rungs);
  *   4. if a check reports an uncorrectable misalignment, escalate:
  *      the instruction is classified detected-uncorrectable (a DUE in
  *      the DUE/SDC taxonomy) — its result cannot be trusted and the
  *      source data may be lost.
+ *
+ * An exhausted ladder keeps the last result: a DUE if the last attempt
+ * still saw an uncorrectable ECC word, else Corrected (the last
+ * post-check realigned the clusters, though the result may be
+ * suspect).  The service mirror reports an exhausted shift-fault
+ * ladder as a DUE instead.
  */
 
 #ifndef CORUSCANT_CONTROLLER_MEMORY_CONTROLLER_HPP
@@ -104,12 +113,6 @@ class MemoryController
     /** Instructions that needed at least one ladder retry. */
     std::uint64_t retriedInstructions() const { return retried; }
 
-    /** Instructions that ended detected-uncorrectable. */
-    std::uint64_t uncorrectableInstructions() const
-    {
-        return uncorrectableCount;
-    }
-
     /** Instructions that hit an exhausted spare pool. */
     std::uint64_t spareExhaustedInstructions() const
     {
@@ -138,7 +141,6 @@ class MemoryController
     std::uint32_t tracePid = 0;
     std::uint64_t executed = 0;
     std::uint64_t retried = 0;
-    std::uint64_t uncorrectableCount = 0;
     std::uint64_t spareExhaustedCount = 0;
 };
 

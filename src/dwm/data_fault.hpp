@@ -102,12 +102,9 @@ class DataFaultModel
         std::uint64_t changed = 0;
         for (std::size_t wire = 0; wire < row.size(); ++wire) {
             std::uint64_t h = siteHash(dbc_id, row_index, wire);
-            // Low 53 bits -> uniform [0,1) site draw; bit 63 is the
-            // independent stuck polarity.
-            double u = static_cast<double>(h >> 11) * 0x1.0p-53;
-            if (u >= cfg_.stuckAtFraction)
+            if (!stuckSite(h))
                 continue;
-            bool stuckValue = (h >> 63) != 0;
+            bool stuckValue = (h >> 63) != 0; // independent polarity
             if (row.get(wire) != stuckValue) {
                 row.set(wire, stuckValue);
                 ++changed;
@@ -124,12 +121,9 @@ class DataFaultModel
     {
         if (cfg_.stuckAtFraction <= 0.0)
             return false;
-        for (std::size_t wire = 0; wire < wires; ++wire) {
-            std::uint64_t h = siteHash(dbc_id, row_index, wire);
-            double u = static_cast<double>(h >> 11) * 0x1.0p-53;
-            if (u < cfg_.stuckAtFraction)
+        for (std::size_t wire = 0; wire < wires; ++wire)
+            if (stuckSite(siteHash(dbc_id, row_index, wire)))
                 return true;
-        }
         return false;
     }
 
@@ -140,11 +134,8 @@ class DataFaultModel
     std::uint64_t
     decay(BitVector &row, std::uint64_t elapsed_cycles)
     {
-        if (cfg_.retentionRatePerCycle <= 0.0 || elapsed_cycles == 0)
-            return 0;
-        double p = 1.0 - std::exp(-cfg_.retentionRatePerCycle *
-                                  static_cast<double>(elapsed_cycles));
-        std::uint64_t flips = flipBernoulli(row, p);
+        std::uint64_t flips =
+            flipBernoulli(row, retentionFlipProbability(elapsed_cycles));
         retentionFlips_ += flips;
         return flips;
     }
@@ -160,11 +151,6 @@ class DataFaultModel
     }
 
     std::uint64_t transientFlips() const { return transientFlips_; }
-    std::uint64_t stuckAtActivations() const
-    {
-        return stuckAtActivations_;
-    }
-    std::uint64_t retentionFlips() const { return retentionFlips_; }
 
     /** All data faults injected so far. */
     std::uint64_t
@@ -174,44 +160,22 @@ class DataFaultModel
                retentionFlips_;
     }
 
-    /**
-     * Change the transient rate mid-stream (chaos ramps).  The RNG
-     * stream is untouched, so runs stay reproducible for a fixed seed.
-     */
-    void setTransientRate(double p) { cfg_.transientFlipRate = p; }
-
   private:
-    /**
-     * Flip each bit of @p row independently with probability @p p via
-     * geometric gap sampling: O(expected flips), not O(bits).
-     */
+    /** Flip each bit of @p row independently with probability @p p. */
     std::uint64_t
     flipBernoulli(BitVector &row, double p)
     {
-        if (p <= 0.0 || row.size() == 0)
-            return 0;
-        if (p >= 1.0) {
-            for (std::size_t i = 0; i < row.size(); ++i)
-                row.set(i, !row.get(i));
-            return row.size();
-        }
-        std::uint64_t flips = 0;
-        double logq = std::log1p(-p);
-        std::size_t idx = 0;
-        while (true) {
-            double u = rng_.nextDouble();
-            // Gap to the next success of a Bernoulli(p) run.
-            double gap = std::floor(std::log1p(-u) / logq);
-            if (gap >= static_cast<double>(row.size() - idx))
-                break;
-            idx += static_cast<std::size_t>(gap);
-            row.set(idx, !row.get(idx));
-            ++flips;
-            ++idx;
-            if (idx >= row.size())
-                break;
-        }
-        return flips;
+        return forEachBernoulli(rng_, row.size(), p, [&](std::size_t i) {
+            row.set(i, !row.get(i));
+        });
+    }
+
+    /** Whether the site hashing to @p h is stuck (top 53 bits draw). */
+    bool
+    stuckSite(std::uint64_t h) const
+    {
+        return static_cast<double>(h >> 11) * 0x1.0p-53 <
+               cfg_.stuckAtFraction;
     }
 
     /** Stateless per-site hash (SplitMix64 finalizer over the key). */

@@ -137,20 +137,6 @@ DomainBlockCluster::writeRowAtPort(Port port, const BitVector &row)
     physRows[portPhysical(port)] = row;
 }
 
-bool
-DomainBlockCluster::readBitAtPort(std::size_t wire, Port port) const
-{
-    note(obs::Counter::Reads);
-    return physRows[portPhysical(port)].get(wire);
-}
-
-void
-DomainBlockCluster::writeBitAtPort(std::size_t wire, Port port, bool value)
-{
-    note(obs::Counter::Writes);
-    physRows[portPhysical(port)].set(wire, value);
-}
-
 std::size_t
 DomainBlockCluster::transverseReadWire(std::size_t wire,
                                        TrFaultModel *faults) const

@@ -51,8 +51,6 @@ class DomainBlockCluster
      */
     void attachShiftFaults(ShiftFaultModel *model) { shiftFaults = model; }
 
-    ShiftFaultModel *shiftFaultModel() const { return shiftFaults; }
-
     /**
      * Attach an observability counter set: every device primitive
      * (shift pulse, TR pulse, TW pulse, port read/write) increments it.
@@ -92,14 +90,6 @@ class DomainBlockCluster
 
     /** Write the X-bit row under @p port. */
     void writeRowAtPort(Port port, const BitVector &row);
-
-    // --- Per-wire access (carry chains) ----------------------------------
-
-    /** Read the bit of wire @p wire under @p port. */
-    bool readBitAtPort(std::size_t wire, Port port) const;
-
-    /** Write the bit of wire @p wire under @p port. */
-    void writeBitAtPort(std::size_t wire, Port port, bool value);
 
     // --- Transverse access ------------------------------------------------
 

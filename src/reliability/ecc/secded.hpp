@@ -101,9 +101,6 @@ class SecdedCode
     Decoded decode(BitVector &data, BitVector &check) const;
 
   private:
-    /** Positional (1-based) codeword index of flat data bit @p i. */
-    std::size_t dataPosition(std::size_t i) const { return dataPos_[i]; }
-
     std::size_t dataBits_;
     std::size_t hammingBits_;
     std::vector<std::size_t> dataPos_;  ///< flat data idx -> position

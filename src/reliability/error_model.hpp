@@ -37,7 +37,6 @@ class TrErrorModel
     explicit TrErrorModel(std::size_t trd, double p_fault = 1e-6);
 
     std::size_t trd() const { return trd_; }
-    double faultRate() const { return p; }
 
     // --- Per-bit rates (Table V, top block) ---------------------------
 

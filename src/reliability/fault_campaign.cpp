@@ -176,10 +176,7 @@ FaultCampaign::controllerCampaign(const ControllerCampaignConfig &ccfg)
         // Operands occupy consecutive rows of one random DBC; the
         // destination row sits just past them so ladder re-reads never
         // see a partially overwritten operand.
-        std::uint64_t fix0 = mem.correctedMisalignments();
-        std::uint64_t due0 = mem.uncorrectableEvents();
-        std::uint64_t ecc_fix0 = mem.eccCorrections();
-        std::uint64_t ecc_due0 = mem.eccDetectedUncorrectable();
+        MemoryEvents before = mem.events();
         LineAddress loc;
         loc.bank = rng.next() % mcfg.banks;
         loc.subarray = rng.next() % mcfg.subarraysPerBank;
@@ -225,13 +222,11 @@ FaultCampaign::controllerCampaign(const ControllerCampaignConfig &ccfg)
         // execution, readback): a flagged trial is a DUE whether or
         // not the result happens to be right; an unflagged wrong
         // result is the silent corruption the guard exists to prevent.
+        MemoryEvents seen = mem.events().since(before);
         bool flagged = rep.outcome == ExecOutcome::Uncorrectable ||
                        rep.outcome == ExecOutcome::SparesExhausted ||
-                       mem.uncorrectableEvents() > due0 ||
-                       mem.eccDetectedUncorrectable() > ecc_due0;
-        bool fixed = rep.outcome == ExecOutcome::Corrected ||
-                     mem.correctedMisalignments() > fix0 ||
-                     mem.eccCorrections() > ecc_fix0;
+                       seen.flagged();
+        bool fixed = rep.outcome == ExecOutcome::Corrected || seen.fixed();
         if (flagged)
             ++res.due;
         else if (!match)

@@ -188,9 +188,9 @@ class ChannelSim
   public:
     ChannelSim(const ServiceConfig &cfg, const ServiceCostTable &costs,
                const GuardServiceCosts &guard_costs,
-               std::uint32_t channel)
+               const RetryLadder &ladder, std::uint32_t channel)
         : cfg_(cfg), costs_(costs), guardCosts_(guard_costs),
-          channel_(channel),
+          ladder_(ladder), channel_(channel),
           gen_(workloadConfigOf(cfg, costs.maxAddOperands()), cfg.seed,
                channel),
           batcher_(costs.maxGangOperands(), cfg.batchWindowCycles),
@@ -344,6 +344,21 @@ class ChannelSim
             retries += 1;
         }
 
+        /** Realign a misaligned cluster: correct it, or reset (DUE). */
+        void
+        realign(const GuardServiceCosts::Realignment &r)
+        {
+            charge(r.cycles, r.energyPj);
+            detected = true;
+            if (r.due) {
+                due = true;
+                outcome = RequestOutcome::Due;
+            } else {
+                corrections += 1;
+                outcome = RequestOutcome::Corrected;
+            }
+        }
+
         /** Fold in the verdict of a second fault source. */
         void
         merge(const FaultVerdict &o)
@@ -407,60 +422,47 @@ class ChannelSim
         // PerCpim: check around the whole unit, correct, and re-execute
         // under the bounded retry ladder.  First clear anything earlier
         // unguarded traffic left behind on this group.
-        {
-            int &mis = health_->misalign(bank, group);
-            v.charge(g.checkCycles, g.checkEnergyPj);
-            if (mis != 0) {
-                if (mis == 1 || mis == -1) {
-                    v.charge(g.correctCycles, g.correctEnergyPj);
-                    v.corrections += 1;
-                    v.outcome = RequestOutcome::Corrected;
-                } else {
-                    v.charge(g.resetCycles, g.resetEnergyPj);
-                    v.due = true;
-                    v.outcome = RequestOutcome::Due;
+        v.charge(g.checkCycles, g.checkEnergyPj);
+        int &mis = health_->misalign(bank, group);
+        if (mis != 0) {
+            v.realign(g.realign(mis));
+            mis = 0;
+            if (v.due)
+                return v;
+        }
+        bool exhausted = ladder_.climb(
+            [&](std::size_t attempt) {
+                ChannelFaultInjector::Sample s =
+                    injector_->sample(shifts, now);
+                if (s.faults == 0) {
+                    if (attempt > 0)
+                        v.outcome = RequestOutcome::Corrected;
+                    return false;
                 }
-                v.detected = true;
-                mis = 0;
-            }
+                if (s.net == 0) {
+                    // Over- and under-shifts cancelled within the unit:
+                    // the post-check sees an aligned cluster, but rows
+                    // touched between the bad pulses were wrong — the
+                    // blind spot of the coarse check cadence.
+                    v.charge(g.checkCycles, g.checkEnergyPj);
+                    v.outcome = RequestOutcome::Sdc;
+                    return false;
+                }
+                GuardServiceCosts::Realignment fix = g.realign(s.net);
+                if (fix.due) {
+                    // A reset also pays the post-check that found it.
+                    fix.cycles += g.checkCycles;
+                    fix.energyPj += g.checkEnergyPj;
+                }
+                v.realign(fix);
+                return !v.due;
+            },
+            [&](std::uint64_t backoff) { v.chargeRetry(backoff, cost); });
+        if (exhausted) {
+            v.due = true;
+            v.outcome = RequestOutcome::Due;
         }
-        if (v.due)
-            return v;
-        for (std::size_t attempt = 0;; ++attempt) {
-            ChannelFaultInjector::Sample s =
-                injector_->sample(shifts, now);
-            if (s.faults == 0) {
-                if (attempt > 0)
-                    v.outcome = RequestOutcome::Corrected;
-                return v;
-            }
-            if (s.net == 0) {
-                // Over- and under-shifts cancelled within the unit:
-                // the post-check sees an aligned cluster, but rows
-                // touched between the bad pulses were wrong — the
-                // blind spot of the coarse check cadence.
-                v.charge(g.checkCycles, g.checkEnergyPj);
-                v.outcome = RequestOutcome::Sdc;
-                return v;
-            }
-            v.detected = true;
-            if (s.net == 1 || s.net == -1) {
-                v.charge(g.correctCycles, g.correctEnergyPj);
-                v.corrections += 1;
-            } else {
-                v.charge(g.checkCycles + g.resetCycles,
-                         g.checkEnergyPj + g.resetEnergyPj);
-                v.due = true;
-                v.outcome = RequestOutcome::Due;
-                return v;
-            }
-            if (attempt >= fc.maxRetries) {
-                v.due = true;
-                v.outcome = RequestOutcome::Due;
-                return v;
-            }
-            v.chargeRetry(fc.retryBackoffCycles << attempt, cost);
-        }
+        return v;
     }
 
     /**
@@ -534,36 +536,29 @@ class ChannelSim
             std::uint32_t corrected = s.correctedWords;
             std::uint32_t due = s.dueWords;
             std::uint32_t sdc = s.sdcWords;
-            for (std::size_t attempt = 0;
-                 due > 0 && attempt < fc.maxRetries; ++attempt) {
-                v.chargeRetry(fc.retryBackoffCycles << attempt, cost);
-                ChannelDataFaultInjector::Sample rs =
-                    dataInjector_->sample(accesses, 0);
-                flips += rs.flips;
-                corrected += rs.correctedWords;
-                due = rs.dueWords;
-                sdc += rs.sdcWords;
-            }
+            ladder_.climb([&](std::size_t) { return due > 0; },
+                          [&](std::uint64_t backoff) {
+                              v.chargeRetry(backoff, cost);
+                              ChannelDataFaultInjector::Sample rs =
+                                  dataInjector_->sample(accesses, 0);
+                              flips += rs.flips;
+                              corrected += rs.correctedWords;
+                              due = rs.dueWords;
+                              sdc += rs.sdcWords;
+                          });
+            tallyEcc(corrected, due);
             if (corrected > 0) {
-                stats_.eccCorrections += corrected;
                 v.corrections += corrected;
                 v.detected = true;
                 v.outcome = RequestOutcome::Corrected;
-                if (eccMetrics_)
-                    eccMetrics_->add(obs::Counter::EccCorrections,
-                                     corrected);
             }
             if (sdc > 0)
                 v.outcome =
                     worseOutcome(v.outcome, RequestOutcome::Sdc);
             if (due > 0) {
-                stats_.eccDetectedUncorrectable += due;
                 v.due = true;
                 v.detected = true;
                 v.outcome = RequestOutcome::Due;
-                if (eccMetrics_)
-                    eccMetrics_->add(
-                        obs::Counter::EccDetectedUncorrectable, due);
             }
         }
         if (eccMetrics_) {
@@ -574,6 +569,18 @@ class ChannelSim
         stats_.trace.instant("data_fault", "ecc", now, channel_,
                              bank);
         return v;
+    }
+
+    /** Count SECDED words corrected and flagged uncorrectable. */
+    void
+    tallyEcc(std::uint32_t corrected, std::uint32_t due)
+    {
+        stats_.eccCorrections += corrected;
+        stats_.eccDetectedUncorrectable += due;
+        if (eccMetrics_) {
+            eccMetrics_->add(obs::Counter::EccCorrections, corrected);
+            eccMetrics_->add(obs::Counter::EccDetectedUncorrectable, due);
+        }
     }
 
     /**
@@ -766,23 +773,18 @@ class ChannelSim
                 if (align) {
                     cycles += guardCosts_.checkCycles;
                     pj += guardCosts_.checkEnergyPj;
-                    int mis = health_->misalign(bank, grp);
+                    int &mis = health_->misalign(bank, grp);
                     if (mis != 0) {
-                        bool due = mis < -1 || mis > 1;
-                        if (due) {
-                            cycles += guardCosts_.resetCycles;
-                            pj += guardCosts_.resetEnergyPj;
-                        } else {
-                            cycles += guardCosts_.correctCycles;
-                            pj += guardCosts_.correctEnergyPj;
-                            if (guardMetrics_)
-                                guardMetrics_->add(
-                                    obs::Counter::
-                                        MisalignCorrections);
-                        }
-                        health_->misalign(bank, grp) = 0;
-                        handleHealthEvent(bank, grp, at + cycles, due,
-                                          at);
+                        GuardServiceCosts::Realignment fix =
+                            guardCosts_.realign(mis);
+                        mis = 0;
+                        cycles += fix.cycles;
+                        pj += fix.energyPj;
+                        if (!fix.due && guardMetrics_)
+                            guardMetrics_->add(
+                                obs::Counter::MisalignCorrections);
+                        handleHealthEvent(bank, grp, at + cycles,
+                                          fix.due, at);
                     }
                 }
                 if (ecc)
@@ -806,23 +808,13 @@ class ChannelSim
         if (eccMetrics_)
             eccMetrics_->add(obs::Counter::DataFaultsInjected,
                              s.flips);
-        if (s.correctedWords > 0) {
-            stats_.eccCorrections += s.correctedWords;
-            if (eccMetrics_)
-                eccMetrics_->add(obs::Counter::EccCorrections,
-                                 s.correctedWords);
-        }
+        // Decay past SECDED's reach is flagged (the decoder sees it —
+        // no silent path here) and escalates to the breaker/retirement
+        // machinery.
         std::uint32_t lost = s.dueWords + s.sdcWords;
-        if (lost > 0) {
-            // Decay past SECDED's reach: the sweep flags the line (the
-            // decoder sees it — no silent path here) and escalates to
-            // the breaker/retirement machinery.
-            stats_.eccDetectedUncorrectable += lost;
-            if (eccMetrics_)
-                eccMetrics_->add(
-                    obs::Counter::EccDetectedUncorrectable, lost);
+        tallyEcc(s.correctedWords, lost);
+        if (lost > 0)
             handleHealthEvent(bank, grp, at + cycles, true, at);
-        }
         stats_.trace.instant("ecc_scrub", "ecc", at, channel_,
                              bank);
     }
@@ -902,6 +894,7 @@ class ChannelSim
     const ServiceConfig &cfg_;
     const ServiceCostTable &costs_;
     const GuardServiceCosts &guardCosts_;
+    const RetryLadder &ladder_;
     std::uint32_t channel_ = 0;
     obs::ComponentMetrics *chMetrics_ = nullptr;    ///< into stats_
     obs::ComponentMetrics *batchMetrics_ = nullptr; ///< into stats_
@@ -929,7 +922,9 @@ class ChannelSim
 } // namespace
 
 ServiceEngine::ServiceEngine(const ServiceConfig &cfg)
-    : cfg_(cfg), costs_(ServiceCostTable::build(cfg.trd))
+    : cfg_(cfg),
+      ladder_(cfg.faults.maxRetries, cfg.faults.retryBackoffCycles),
+      costs_(ServiceCostTable::build(cfg.trd))
 {
     fatalIf(cfg_.channels == 0, "service needs at least one channel");
     fatalIf(cfg_.banksPerChannel == 0,
@@ -937,10 +932,6 @@ ServiceEngine::ServiceEngine(const ServiceConfig &cfg)
     fatalIf(cfg_.process == ArrivalProcess::ClosedLoop &&
                 cfg_.closedLoopWindow == 0,
             "closed loop needs a positive window");
-    fatalIf(!RetryLadderLimits::retryLadderInRange(
-                cfg_.faults.maxRetries, cfg_.faults.retryBackoffCycles),
-            "fault retry ladder out of range (maxRetries <= 16, "
-            "retryBackoffCycles <= 2^32)");
 }
 
 ServiceStats
@@ -961,7 +952,7 @@ ServiceEngine::run() const
         for (std::uint32_t ch = first; ch < cfg_.channels;
              ch += n_threads)
             per_channel[ch] =
-                ChannelSim(cfg_, costs_, guard_costs, ch).run();
+                ChannelSim(cfg_, costs_, guard_costs, ladder_, ch).run();
     };
 
     if (n_threads <= 1) {

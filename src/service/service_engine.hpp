@@ -180,6 +180,7 @@ class ServiceEngine
 
   private:
     ServiceConfig cfg_;
+    RetryLadder ladder_; ///< cfg_.faults' ladder, validated
     ServiceCostTable costs_;
 };
 

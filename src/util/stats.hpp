@@ -152,13 +152,6 @@ class CostLedger
         e.count += 1;
     }
 
-    /** Charge energy only (parallel activity hidden under other cycles). */
-    void
-    chargeEnergy(const std::string &what, double energy_pj)
-    {
-        charge(what, 0, energy_pj);
-    }
-
     /** Merge another ledger's totals into this one. */
     void
     merge(const CostLedger &o)
