@@ -42,29 +42,10 @@ CoruscantUnit::resolveActive(std::size_t active_wires) const
 // Charged device primitives
 // ---------------------------------------------------------------------
 
-std::size_t
-CoruscantUnit::chargedAlignWindow(std::size_t start_row,
-                                  std::size_t active_wires)
-{
-    std::size_t shifts = dbc.alignWindowStart(start_row);
-    if (shifts > 0)
-        chargeShifts(shifts, active_wires);
-    return shifts;
-}
-
 void
 CoruscantUnit::chargeTrAll(std::size_t active_wires)
 {
     double pj = static_cast<double>(active_wires)
-                * (dev.trEnergyPj(dev.trd) + dev.pimLogicEnergyPj);
-    costs.charge("tr", dev.trCycles, pj);
-    noteCost(obs::Counter::TrPulses, 1, pj);
-}
-
-void
-CoruscantUnit::chargeTrLanes(std::size_t lanes)
-{
-    double pj = static_cast<double>(lanes)
                 * (dev.trEnergyPj(dev.trd) + dev.pimLogicEnergyPj);
     costs.charge("tr", dev.trCycles, pj);
     noteCost(obs::Counter::TrPulses, 1, pj);
@@ -84,14 +65,6 @@ CoruscantUnit::chargeRowRead(std::size_t active_wires)
     double pj = static_cast<double>(active_wires) * dev.readEnergyPj;
     costs.charge("read", dev.readCycles, pj);
     noteCost(obs::Counter::Reads, 1, pj);
-}
-
-void
-CoruscantUnit::chargeBitWrites(std::size_t bits)
-{
-    double pj = static_cast<double>(bits) * dev.writeEnergyPj;
-    costs.charge("write", dev.writeCycles, pj);
-    noteCost(obs::Counter::Writes, 1, pj);
 }
 
 void

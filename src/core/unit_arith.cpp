@@ -82,8 +82,8 @@ CoruscantUnit::add(const std::vector<BitVector> &operands,
                 ++bits_written;
             }
         }
-        chargeTrLanes(lanes);
-        chargeBitWrites(bits_written);
+        chargeTrAll(lanes);
+        chargeRowWrite(bits_written);
     }
 
     return dbc.peekRow(s_row);
@@ -244,14 +244,14 @@ CoruscantUnit::addStepVoted(const std::vector<BitVector> &operands,
             }
         }
         for (std::size_t r = 0; r < n; ++r)
-            chargeTrLanes(lanes);
+            chargeTrAll(lanes);
         // One voting-logic cycle plus the parallel write.
         double vote_pj =
             static_cast<double>(lanes) * dev.pimLogicEnergyPj;
         costs.charge("vote", 1, vote_pj);
         if (metrics)
             metrics->addEnergy(vote_pj);
-        chargeBitWrites(bits_written);
+        chargeRowWrite(bits_written);
     }
     return dbc.peekRow(s_row);
 }

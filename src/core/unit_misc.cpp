@@ -51,7 +51,7 @@ CoruscantUnit::maxOfRows(const std::vector<BitVector> &candidates,
             std::size_t w = lane * word_bits + bit;
             any_one[lane] = dbc.transverseReadWire(w, &faults) > 0;
         }
-        chargeTrLanes(lanes);
+        chargeTrAll(lanes);
 
         // Rotate all TRD window rows through the ports, eliminating
         // lanes that have a '0' where some candidate has a '1'.
@@ -109,7 +109,7 @@ CoruscantUnit::relu(const BitVector &row, std::size_t block_size,
                 result.set(lane * block_size + b, false);
         }
     }
-    chargeTrLanes(lanes);
+    chargeTrAll(lanes);
     chargeRowWrite(act);
     std::size_t ws = dbc.rowAtPort(Port::Left);
     dbc.pokeRow(ws, result);

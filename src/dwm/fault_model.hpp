@@ -66,8 +66,6 @@ class TrFaultModel
     /** Number of faults injected so far. */
     std::uint64_t injectedFaults() const { return injected; }
 
-    double probability() const { return faultProbability; }
-
   private:
     double faultProbability = 0.0;
     Rng rng;

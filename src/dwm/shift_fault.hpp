@@ -84,8 +84,6 @@ class ShiftFaultModel
     std::uint64_t overShifts() const { return overShiftCount; }
     std::uint64_t underShifts() const { return underShiftCount; }
 
-    double probability() const { return faultProbability; }
-
     /**
      * Change the fault rate mid-stream (chaos ramps).  The RNG stream
      * is untouched, so runs remain reproducible for a fixed seed.
