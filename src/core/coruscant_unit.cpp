@@ -180,17 +180,12 @@ CoruscantUnit::bulkBitwise(BulkOp op, const std::vector<BitVector> &operands,
     }
 
     // One transverse read evaluates every wire; the PIM block (or the
-    // orange direct path, for OR) selects the output.
-    auto counts = dbc.transverseReadAll(&faults);
+    // orange direct path, for OR) selects the output.  The effective
+    // window for AND is the operand count plus the '1' padding, i.e.
+    // all TRD domains must read '1'.
+    BitVector result =
+        bulkOpRow(op, dbc.transverseReadPlanes(&faults), dev.trd);
     chargeTrAll(act);
-
-    BitVector result(dev.wiresPerDbc);
-    for (std::size_t w = 0; w < dev.wiresPerDbc; ++w) {
-        // The effective window for AND is the operand count plus the
-        // '1' padding, i.e. all TRD domains must read '1'.
-        PimOutputs out = evalPimLogic(counts[w], dev.trd);
-        result.set(w, selectBulkOp(op, out));
-    }
 
     if (write_back) {
         dbc.writeRowAtPort(Port::Left, result);

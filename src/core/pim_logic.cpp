@@ -49,4 +49,20 @@ selectBulkOp(BulkOp op, const PimOutputs &out)
     panic("unknown bulk op");
 }
 
+BitVector
+bulkOpRow(BulkOp op, const CountPlanes &counts, std::size_t window)
+{
+    switch (op) {
+      case BulkOp::And: return counts.atLeast(window);
+      case BulkOp::Nand: return ~counts.atLeast(window);
+      case BulkOp::Or: return counts.atLeast(1);
+      case BulkOp::Nor: return ~counts.atLeast(1);
+      case BulkOp::Xor: return counts.plane(0);
+      case BulkOp::Xnor: return ~counts.plane(0);
+      case BulkOp::Not: return ~counts.atLeast(1);
+      case BulkOp::Maj: return counts.plane(2);
+    }
+    panic("unknown bulk op");
+}
+
 } // namespace coruscant

@@ -16,7 +16,9 @@
  *
  * These are pure functions of the ones count; the hardware realizes
  * them with a small NAND/NAND network whose energy/area is captured in
- * DeviceParams / AreaModel.
+ * DeviceParams / AreaModel.  evalPimLogic() decodes one wire's count;
+ * bulkOpRow() decodes every wire at once from the count planes of a
+ * row-wide transverse read (S, C, C' are planes 0, 1, 2).
  */
 
 #ifndef CORUSCANT_CORE_PIM_LOGIC_HPP
@@ -25,6 +27,9 @@
 #include <array>
 #include <cstddef>
 #include <string>
+
+#include "dwm/count_planes.hpp"
+#include "util/bit_vector.hpp"
 
 namespace coruscant {
 
@@ -81,6 +86,13 @@ PimOutputs evalPimLogic(std::size_t count, std::size_t window);
 
 /** Select a single bulk-bitwise result bit from the PIM outputs. */
 bool selectBulkOp(BulkOp op, const PimOutputs &out);
+
+/**
+ * Word-wide selectBulkOp(op, evalPimLogic(count, window)) over every
+ * wire of a row-wide transverse read.
+ */
+BitVector bulkOpRow(BulkOp op, const CountPlanes &counts,
+                    std::size_t window);
 
 } // namespace coruscant
 

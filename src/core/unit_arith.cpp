@@ -106,30 +106,23 @@ CoruscantUnit::reduce(const std::vector<BitVector> &rows,
     fatalIf(block_size == 0, "block size must be positive");
     std::size_t ws = stageWindow(rows, false, act, 0);
 
-    auto counts = dbc.transverseReadAll(&faults);
+    CountPlanes counts = dbc.transverseReadPlanes(&faults);
     chargeTrAll(act);
 
+    // Weight-2 carries land one wire up, weight-4 two wires up;
+    // carries may not cross a lane boundary (the controller masks
+    // bitlines at the cpim blocksize).
+    BitVector lane_start(dev.wiresPerDbc);
+    for (std::size_t w = 0; w < dev.wiresPerDbc; w += block_size)
+        lane_start.set(w, true);
     CsaRows out;
-    out.sum = BitVector(dev.wiresPerDbc);
-    out.carry = BitVector(dev.wiresPerDbc);
-    out.superCarry = BitVector(dev.wiresPerDbc);
+    out.sum = counts.plane(0);
+    out.carry = counts.plane(1).shiftedLeft(1) & ~lane_start;
+    out.superCarry =
+        has_super ? counts.plane(2).shiftedLeft(2)
+                        & ~(lane_start | lane_start.shiftedLeft(1))
+                  : BitVector(dev.wiresPerDbc);
     out.hasSuperCarry = has_super;
-
-    for (std::size_t w = 0; w < dev.wiresPerDbc; ++w) {
-        PimOutputs o = evalPimLogic(counts[w], dev.trd);
-        out.sum.set(w, o.sum);
-        // Weight-2 carry lands one wire up, weight-4 two wires up;
-        // carries may not cross a lane boundary (the controller masks
-        // bitlines at the cpim blocksize).
-        if (o.carry && w + 1 < dev.wiresPerDbc &&
-            (w + 1) / block_size == w / block_size) {
-            out.carry.set(w + 1, true);
-        }
-        if (has_super && o.superCarry && w + 2 < dev.wiresPerDbc &&
-            (w + 2) / block_size == w / block_size) {
-            out.superCarry.set(w + 2, true);
-        }
-    }
 
     // Write-back phases: S at the left port, C at the right port, C'
     // after a one-domain shift (paper: 4 cycles total per reduction).

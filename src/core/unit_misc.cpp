@@ -22,6 +22,19 @@
 
 namespace coruscant {
 
+namespace {
+
+/** @p row with every wire from @p n up cleared. */
+BitVector
+firstWires(const BitVector &row, std::size_t n)
+{
+    BitVector out(row.size());
+    out.insert(0, row.slice(0, n));
+    return out;
+}
+
+} // namespace
+
 BitVector
 CoruscantUnit::maxOfRows(const std::vector<BitVector> &candidates,
                          std::size_t word_bits, std::size_t active_wires,
@@ -79,11 +92,9 @@ CoruscantUnit::maxOfRows(const std::vector<BitVector> &candidates,
     // Survivors all equal the maximum (or everything is zero); a final
     // TR reads the max out as the per-wire OR, regardless of which
     // slot holds it.
-    auto counts = dbc.transverseReadAll(&faults);
+    BitVector result =
+        firstWires(dbc.transverseReadPlanes(&faults).atLeast(1), act);
     chargeTrAll(act);
-    BitVector result(dev.wiresPerDbc);
-    for (std::size_t w = 0; w < act; ++w)
-        result.set(w, counts[w] >= 1);
     chargeRowRead(act);
     return result;
 }
@@ -146,12 +157,9 @@ CoruscantUnit::nmrVote(const std::vector<BitVector> &replicas,
     // Replicas are outputs of prior PIM steps already resident in the
     // DBC; cost is one alignment shift, the TR, and the result write.
     chargeShifts(1, act);
-    auto counts = dbc.transverseReadAll(&faults);
+    BitVector result = firstWires(
+        dbc.transverseReadPlanes(&faults).atLeast(threshold), act);
     chargeTrAll(act);
-
-    BitVector result(dev.wiresPerDbc);
-    for (std::size_t w = 0; w < act; ++w)
-        result.set(w, counts[w] >= threshold);
     dbc.writeRowAtPort(Port::Left, result);
     chargeRowWrite(act);
     return result;

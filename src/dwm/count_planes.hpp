@@ -1,0 +1,77 @@
+/**
+ * @file
+ * Per-wire ones counts held as bit planes (a vertical counter).
+ *
+ * A transverse read counts, on every nanowire at once, the '1' domains
+ * of a run of rows.  Held wire by wire that is one small integer per
+ * wire; held as bit planes it is a handful of rows: bit w of plane k is
+ * bit k of wire w's count.  Adding a row to the planes is a half-adder
+ * chain over whole 64-bit words, so 64 wires are counted per
+ * instruction.  The planes are also what the PIM block decodes: plane
+ * 0 is S (= XOR), plane 1 is C, plane 2 is C' (DESIGN.md Sec. 3), and
+ * the thermometer levels (OR = count >= 1, AND = count >= window, the
+ * NMR threshold) are word-wide comparisons against a constant.
+ */
+
+#ifndef CORUSCANT_DWM_COUNT_PLANES_HPP
+#define CORUSCANT_DWM_COUNT_PLANES_HPP
+
+#include <cstddef>
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "util/bit_vector.hpp"
+
+namespace coruscant {
+
+/** Ones count of every wire over a run of rows, as bit planes. */
+class CountPlanes
+{
+  public:
+    /**
+     * Count the ones of @p rows wire by wire.  Yields
+     * ceil(log2(rows.size() + 1)) planes, enough for any count.
+     * @param width wires per row (every row must have this size)
+     */
+    CountPlanes(std::size_t width, std::span<const BitVector> rows);
+
+    /** Count of one wire. */
+    std::size_t count(std::size_t wire) const;
+
+    /** Overwrite one wire's count; panics if it needs more planes. */
+    void setCount(std::size_t wire, std::size_t value);
+
+    /** Plane @p k (bit k of every count); zero past the top plane. */
+    BitVector plane(std::size_t k) const;
+
+    /** Wires whose count is >= @p threshold. */
+    BitVector atLeast(std::size_t threshold) const;
+
+    /**
+     * Every wire's count as an integer of type @p T (std::uint8_t or
+     * std::uint16_t), truncated to its width.
+     */
+    template <typename T>
+    std::vector<T> counts() const;
+
+  private:
+    /** Word @p j of plane @p k. */
+    std::uint64_t &at(std::size_t k, std::size_t j)
+    {
+        return bits[k * numWords + j];
+    }
+    std::uint64_t at(std::size_t k, std::size_t j) const
+    {
+        return bits[k * numWords + j];
+    }
+
+    std::size_t wires;
+    std::size_t numWords;  ///< 64-bit words per plane
+    std::size_t numPlanes;
+    std::vector<std::uint64_t> bits; ///< plane-major, BitVector word layout
+};
+
+} // namespace coruscant
+
+#endif // CORUSCANT_DWM_COUNT_PLANES_HPP

@@ -156,49 +156,52 @@ DomainBlockCluster::transverseReadWire(std::size_t wire,
     return count;
 }
 
-std::vector<std::uint8_t>
-DomainBlockCluster::transverseReadAll(TrFaultModel *faults) const
+CountPlanes
+DomainBlockCluster::countRows(std::size_t lo, std::size_t hi) const
+{
+    return CountPlanes(dev.wiresPerDbc,
+                       std::span(physRows).subspan(lo, hi - lo));
+}
+
+CountPlanes
+DomainBlockCluster::transverseReadPlanes(TrFaultModel *faults) const
 {
     note(obs::Counter::TrPulses);
-    std::size_t lo = portPhysical(Port::Left);
-    std::size_t hi = portPhysical(Port::Right);
-    std::vector<std::uint8_t> counts(dev.wiresPerDbc, 0);
-    for (std::size_t i = lo; i <= hi; ++i) {
-        const BitVector &row = physRows[i];
-        for (std::size_t w = 0; w < dev.wiresPerDbc; ++w)
-            counts[w] += row.get(w) ? 1 : 0;
-    }
-    if (faults) {
-        for (auto &c : counts) {
-            auto observed =
-                static_cast<std::uint8_t>(faults->perturb(c, dev.trd));
-            if (observed != c)
+    CountPlanes counts =
+        countRows(portPhysical(Port::Left), portPhysical(Port::Right) + 1);
+    if (faults && faults->active()) {
+        for (std::size_t w = 0; w < dev.wiresPerDbc; ++w) {
+            std::size_t c = counts.count(w);
+            std::size_t observed = faults->perturb(c, dev.trd);
+            if (observed != c) {
                 note(obs::Counter::FaultsInjected);
-            c = observed;
+                counts.setCount(w, observed);
+            }
         }
     }
     return counts;
+}
+
+std::vector<std::uint8_t>
+DomainBlockCluster::transverseReadAll(TrFaultModel *faults) const
+{
+    return transverseReadPlanes(faults).counts<std::uint8_t>();
+}
+
+std::pair<std::size_t, std::size_t>
+DomainBlockCluster::outsideRange(Port side) const
+{
+    if (side == Port::Left)
+        return {0, portPhysical(Port::Left)};
+    return {portPhysical(Port::Right) + 1, physRows.size()};
 }
 
 std::vector<std::uint16_t>
 DomainBlockCluster::transverseReadOutsideAll(Port side) const
 {
     note(obs::Counter::TrPulses);
-    std::vector<std::uint16_t> counts(dev.wiresPerDbc, 0);
-    std::size_t lo, hi; // physical range [lo, hi)
-    if (side == Port::Left) {
-        lo = 0;
-        hi = portPhysical(Port::Left);
-    } else {
-        lo = portPhysical(Port::Right) + 1;
-        hi = physRows.size();
-    }
-    for (std::size_t i = lo; i < hi; ++i) {
-        const BitVector &row = physRows[i];
-        for (std::size_t w = 0; w < dev.wiresPerDbc; ++w)
-            counts[w] += row.get(w) ? 1 : 0;
-    }
-    return counts;
+    auto [lo, hi] = outsideRange(side);
+    return countRows(lo, hi).counts<std::uint16_t>();
 }
 
 std::size_t
@@ -206,14 +209,7 @@ DomainBlockCluster::transverseReadOutsideWire(std::size_t wire,
                                               Port side) const
 {
     note(obs::Counter::TrPulses);
-    std::size_t lo, hi; // physical range [lo, hi)
-    if (side == Port::Left) {
-        lo = 0;
-        hi = portPhysical(Port::Left);
-    } else {
-        lo = portPhysical(Port::Right) + 1;
-        hi = physRows.size();
-    }
+    auto [lo, hi] = outsideRange(side);
     std::size_t count = 0;
     for (std::size_t i = lo; i < hi; ++i)
         count += physRows[i].get(wire) ? 1 : 0;

@@ -10,17 +10,22 @@
  *
  * Representation: rows are stored as X-bit BitVectors indexed by
  * physical domain position, which makes row-wide operations (the common
- * case) cheap.  Per-wire column access supports the sequential carry
- * chain of multi-operand addition.  The representation is
- * property-tested against the explicit per-wire Nanowire model.
+ * case) cheap.  A transverse read of every wire is a vertical counter
+ * over the rows in range (CountPlanes), 64 wires per machine word.
+ * Per-wire column access supports the sequential carry chain of
+ * multi-operand addition.  The representation is property-tested
+ * against the explicit per-wire Nanowire model, whose bit-serial
+ * count transverseReadWire() mirrors.
  */
 
 #ifndef CORUSCANT_DWM_DBC_HPP
 #define CORUSCANT_DWM_DBC_HPP
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "dwm/count_planes.hpp"
 #include "dwm/device_params.hpp"
 #include "dwm/fault_model.hpp"
 #include "dwm/nanowire.hpp"
@@ -96,14 +101,21 @@ class DomainBlockCluster
     /**
      * Transverse read on a single wire: ones count over the TRD-domain
      * window between the ports (inclusive), optionally fault-perturbed.
+     * Bit-serial; it is also the reference the word-parallel reads
+     * are tested against.
      */
     std::size_t transverseReadWire(std::size_t wire,
                                    TrFaultModel *faults = nullptr) const;
 
     /**
      * Transverse read on every wire at once (each wire has its own
-     * sense circuit).  @return per-wire ones counts, size width().
+     * sense circuit), as count planes.  An active @p faults model
+     * perturbs the wires' counts in wire order 0..X-1, so it draws
+     * exactly as X calls of transverseReadWire() would.
      */
+    CountPlanes transverseReadPlanes(TrFaultModel *faults = nullptr) const;
+
+    /** transverseReadPlanes() as per-wire counts, size width(). */
     std::vector<std::uint8_t>
     transverseReadAll(TrFaultModel *faults = nullptr) const;
 
@@ -150,6 +162,12 @@ class DomainBlockCluster
   private:
     std::size_t portPhysical(Port port) const;
     std::size_t physicalIndex(std::size_t row) const;
+
+    /** Physical rows [first, last) of one outer segment. */
+    std::pair<std::size_t, std::size_t> outsideRange(Port side) const;
+
+    /** Per-wire ones counts over physical rows [lo, hi). */
+    CountPlanes countRows(std::size_t lo, std::size_t hi) const;
 
     void perturbShift(bool toward_left);
 

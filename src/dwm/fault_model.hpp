@@ -38,6 +38,9 @@ class TrFaultModel
         : faultProbability(probability), rng(seed)
     {}
 
+    /** Whether any TR can be perturbed (probability above zero). */
+    bool active() const { return faultProbability > 0.0; }
+
     /**
      * Possibly perturb a TR result.
      *
@@ -48,7 +51,7 @@ class TrFaultModel
     std::size_t
     perturb(std::size_t true_count, std::size_t window)
     {
-        if (faultProbability <= 0.0)
+        if (!active())
             return true_count;
         if (!rng.nextBool(faultProbability))
             return true_count;

@@ -1,9 +1,22 @@
 #include "util/bit_vector.hpp"
 
+#include <algorithm>
 #include <bit>
-#include <cassert>
+
+#include "util/logging.hpp"
 
 namespace coruscant {
+
+namespace {
+
+/** The low @p n bits set, 0 < n < 64. */
+constexpr std::uint64_t
+lowMask(std::size_t n)
+{
+    return (1ULL << n) - 1;
+}
+
+} // namespace
 
 BitVector::BitVector(std::size_t size, bool value)
     : numBits(size), words(wordCount(size), value ? ~0ULL : 0ULL)
@@ -148,7 +161,7 @@ BitVector::operator^(const BitVector &o) const
 BitVector &
 BitVector::operator&=(const BitVector &o)
 {
-    assert(numBits == o.numBits);
+    checkSameSize(o);
     for (std::size_t i = 0; i < words.size(); ++i)
         words[i] &= o.words[i];
     return *this;
@@ -157,7 +170,7 @@ BitVector::operator&=(const BitVector &o)
 BitVector &
 BitVector::operator|=(const BitVector &o)
 {
-    assert(numBits == o.numBits);
+    checkSameSize(o);
     for (std::size_t i = 0; i < words.size(); ++i)
         words[i] |= o.words[i];
     return *this;
@@ -166,7 +179,7 @@ BitVector::operator|=(const BitVector &o)
 BitVector &
 BitVector::operator^=(const BitVector &o)
 {
-    assert(numBits == o.numBits);
+    checkSameSize(o);
     for (std::size_t i = 0; i < words.size(); ++i)
         words[i] ^= o.words[i];
     return *this;
@@ -181,13 +194,10 @@ BitVector::operator==(const BitVector &o) const
 std::uint64_t
 BitVector::sliceUint64(std::size_t offset, std::size_t width) const
 {
-    assert(width <= 64);
-    assert(offset + width <= numBits);
-    std::uint64_t out = 0;
-    for (std::size_t i = 0; i < width; ++i)
-        if (get(offset + i))
-            out |= 1ULL << i;
-    return out;
+    panicIf(width > bitsPerWord, "BitVector::sliceUint64 width ", width,
+            " exceeds 64 bits");
+    checkRange("sliceUint64", offset, width);
+    return readBits(offset, width);
 }
 
 std::uint64_t
@@ -200,27 +210,34 @@ void
 BitVector::insertUint64(std::size_t offset, std::size_t width,
                         std::uint64_t value)
 {
-    assert(offset + width <= numBits);
-    for (std::size_t i = 0; i < width; ++i)
-        set(offset + i, (value >> i) & 1ULL);
+    panicIf(width > bitsPerWord, "BitVector::insertUint64 width ", width,
+            " exceeds 64 bits");
+    checkRange("insertUint64", offset, width);
+    writeBits(offset, width, value);
 }
 
 BitVector
 BitVector::slice(std::size_t offset, std::size_t width) const
 {
-    assert(offset + width <= numBits);
+    checkRange("slice", offset, width);
     BitVector out(width);
-    for (std::size_t i = 0; i < width; ++i)
-        out.set(i, get(offset + i));
+    for (std::size_t i = 0; i < out.words.size(); ++i) {
+        std::size_t done = i * bitsPerWord;
+        out.words[i] = readBits(offset + done,
+                                std::min(bitsPerWord, width - done));
+    }
     return out;
 }
 
 void
 BitVector::insert(std::size_t offset, const BitVector &src)
 {
-    assert(offset + src.size() <= numBits);
-    for (std::size_t i = 0; i < src.size(); ++i)
-        set(offset + i, src.get(i));
+    checkRange("insert", offset, src.numBits);
+    for (std::size_t i = 0; i < src.words.size(); ++i) {
+        std::size_t done = i * bitsPerWord;
+        writeBits(offset + done, std::min(bitsPerWord, src.numBits - done),
+                  src.words[i]);
+    }
 }
 
 std::string
@@ -238,7 +255,55 @@ BitVector::clearPadding()
 {
     std::size_t rem = numBits % bitsPerWord;
     if (rem != 0 && !words.empty())
-        words.back() &= (1ULL << rem) - 1;
+        words.back() &= lowMask(rem);
+}
+
+void
+BitVector::checkRange(const char *op, std::size_t offset,
+                      std::size_t width) const
+{
+    panicIf(offset > numBits || width > numBits - offset, "BitVector::",
+            op, " range [", offset, ", ", offset, " + ", width,
+            ") exceeds size ", numBits);
+}
+
+void
+BitVector::checkSameSize(const BitVector &o) const
+{
+    panicIf(numBits != o.numBits, "BitVector size mismatch: ", numBits,
+            " vs ", o.numBits);
+}
+
+std::uint64_t
+BitVector::readBits(std::size_t offset, std::size_t width) const
+{
+    if (width == 0)
+        return 0;
+    const std::size_t q = offset / bitsPerWord;
+    const std::size_t r = offset % bitsPerWord;
+    std::uint64_t v = words[q] >> r;
+    if (r != 0 && r + width > bitsPerWord)
+        v |= words[q + 1] << (bitsPerWord - r);
+    return width < bitsPerWord ? v & lowMask(width) : v;
+}
+
+void
+BitVector::writeBits(std::size_t offset, std::size_t width,
+                     std::uint64_t value)
+{
+    if (width == 0)
+        return;
+    const std::uint64_t mask =
+        width < bitsPerWord ? lowMask(width) : ~0ULL;
+    value &= mask;
+    const std::size_t q = offset / bitsPerWord;
+    const std::size_t r = offset % bitsPerWord;
+    words[q] = (words[q] & ~(mask << r)) | (value << r);
+    if (r != 0 && r + width > bitsPerWord) {
+        const std::size_t spill = bitsPerWord - r;
+        words[q + 1] =
+            (words[q + 1] & ~(mask >> spill)) | (value >> spill);
+    }
 }
 
 } // namespace coruscant

@@ -11,6 +11,7 @@
 #ifndef CORUSCANT_UTIL_BIT_VECTOR_HPP
 #define CORUSCANT_UTIL_BIT_VECTOR_HPP
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -22,8 +23,12 @@ namespace coruscant {
  * A fixed-size-after-construction vector of bits with value semantics.
  *
  * Bit index 0 is the least-significant bit when the vector is viewed as
- * an integer (e.g. by toUint64()).  All binary operators require equal
- * sizes and assert on mismatch.
+ * an integer (e.g. by toUint64()).  Storage is packed into 64-bit
+ * words (bit i in word i / 64 at position i % 64) whose bits past
+ * size() are always zero.  Range operations (slice, insert, the
+ * uint64 packing helpers) and the binary operators check their
+ * arguments and panic on a violation; the per-bit get/set only
+ * assert.
  */
 class BitVector
 {
@@ -88,26 +93,51 @@ class BitVector
     bool operator==(const BitVector &o) const;
     bool operator!=(const BitVector &o) const { return !(*this == o); }
 
+    /** Storage word @p i: bits [64*i, 64*i + 64), bit 0 lowest. */
+    std::uint64_t
+    word(std::size_t i) const
+    {
+        assert(i < words.size());
+        return words[i];
+    }
+
+    /** Overwrite storage word @p i; bits past size() are dropped. */
+    void
+    setWord(std::size_t i, std::uint64_t value)
+    {
+        assert(i < words.size());
+        words[i] = value;
+        if (i + 1 == words.size())
+            clearPadding();
+    }
+
     /**
      * Interpret bits [offset, offset+width) as an unsigned integer.
-     * @pre width <= 64 and offset+width <= size()
+     * Panics unless width <= 64 and offset+width <= size().
      */
     std::uint64_t sliceUint64(std::size_t offset, std::size_t width) const;
 
-    /** Interpret the whole vector (must be <= 64 bits) as unsigned. */
+    /** Interpret the whole vector as unsigned; panics past 64 bits. */
     std::uint64_t toUint64() const;
 
     /**
      * Write the low @p width bits of @p value into
-     * bits [offset, offset+width).
+     * bits [offset, offset+width).  Panics unless width <= 64 and
+     * offset+width <= size().
      */
     void insertUint64(std::size_t offset, std::size_t width,
                       std::uint64_t value);
 
-    /** Extract bits [offset, offset+width) as a new vector. */
+    /**
+     * Extract bits [offset, offset+width) as a new vector.  Panics
+     * unless offset+width <= size().
+     */
     BitVector slice(std::size_t offset, std::size_t width) const;
 
-    /** Overwrite bits [offset, offset+src.size()) with @p src. */
+    /**
+     * Overwrite bits [offset, offset+src.size()) with @p src.  Panics
+     * unless offset+src.size() <= size().
+     */
     void insert(std::size_t offset, const BitVector &src);
 
     /** Render as a '0'/'1' string, most-significant bit first. */
@@ -123,6 +153,20 @@ class BitVector
 
     /** Zero any bits in the final word beyond numBits. */
     void clearPadding();
+
+    /** Panic unless [offset, offset+width) lies inside the vector. */
+    void checkRange(const char *op, std::size_t offset,
+                    std::size_t width) const;
+
+    /** Panic unless @p o has the same size (binary operators). */
+    void checkSameSize(const BitVector &o) const;
+
+    /** Bits [offset, offset+width), width <= 64; unchecked. */
+    std::uint64_t readBits(std::size_t offset, std::size_t width) const;
+
+    /** Store the low @p width <= 64 bits of @p value; unchecked. */
+    void writeBits(std::size_t offset, std::size_t width,
+                   std::uint64_t value);
 
     std::size_t numBits = 0;
     std::vector<std::uint64_t> words;

@@ -6,10 +6,27 @@
 #include <gtest/gtest.h>
 
 #include "util/bit_vector.hpp"
+#include "util/logging.hpp"
 #include "util/rng.hpp"
 
 namespace coruscant {
 namespace {
+
+BitVector
+randomBits(Rng &rng, std::size_t size)
+{
+    BitVector v(size);
+    for (std::size_t i = 0; i < size; ++i)
+        v.set(i, rng.nextBool());
+    return v;
+}
+
+/** Whether the bits past size() are zero, seen through popcount. */
+bool
+paddingClear(const BitVector &v)
+{
+    return (~v).popcount() == v.size() - v.popcount();
+}
 
 TEST(BitVector, DefaultIsEmpty)
 {
@@ -140,6 +157,27 @@ TEST(BitVector, SliceAndInsert)
     EXPECT_EQ(w.toUint64(), 0xDEADBEEFu);
 }
 
+TEST(BitVector, RangeChecksPanicInEveryBuild)
+{
+    BitVector v(100);
+    EXPECT_THROW(v.slice(90, 11), PanicError);
+    EXPECT_THROW(v.slice(101, 0), PanicError);
+    EXPECT_THROW(v.slice(1, SIZE_MAX), PanicError); // offset+width wraps
+    EXPECT_THROW(v.insert(90, BitVector(11)), PanicError);
+    EXPECT_THROW(v.sliceUint64(40, 65), PanicError);
+    EXPECT_THROW(v.sliceUint64(90, 11), PanicError);
+    EXPECT_THROW(v.insertUint64(0, 65, 1), PanicError);
+    EXPECT_THROW(v.insertUint64(99, 2, 1), PanicError);
+    EXPECT_THROW(v.toUint64(), PanicError);
+    EXPECT_THROW(v &= BitVector(99), PanicError);
+    EXPECT_THROW(v |= BitVector(101), PanicError);
+    EXPECT_THROW(v ^ BitVector(64), PanicError);
+    // The boundaries themselves are in range.
+    EXPECT_EQ(v.slice(100, 0).size(), 0u);
+    EXPECT_EQ(v.sliceUint64(36, 64), 0u);
+    EXPECT_EQ(BitVector(64, true).toUint64(), ~0ULL);
+}
+
 TEST(BitVector, EqualityRequiresSameSize)
 {
     BitVector a(8), b(9);
@@ -155,6 +193,60 @@ TEST(BitVector, FillResetsAllBits)
     EXPECT_TRUE(v.all());
     v.fill(false);
     EXPECT_FALSE(v.any());
+}
+
+/**
+ * Property: the word-level range operations agree with a bit-by-bit
+ * reference at random offsets, for widths on and around the word
+ * boundaries, and never set a bit past size().
+ */
+TEST(BitVectorProperty, RangeOpsMatchBitByBit)
+{
+    Rng rng(11);
+    const std::size_t widths[] = {0, 1, 63, 64, 65, 511, 512};
+    for (std::size_t width : widths) {
+        for (int iter = 0; iter < 40; ++iter) {
+            std::size_t size = width + rng.nextBelow(200);
+            std::size_t off = rng.nextBelow(size - width + 1);
+            BitVector v = randomBits(rng, size);
+
+            BitVector s = v.slice(off, width);
+            ASSERT_EQ(s.size(), width);
+            for (std::size_t i = 0; i < width; ++i)
+                ASSERT_EQ(s.get(i), v.get(off + i))
+                    << "slice width " << width << " offset " << off;
+            EXPECT_EQ((~s).popcount(), width - s.popcount());
+
+            BitVector src = randomBits(rng, width);
+            BitVector ins = v;
+            ins.insert(off, src);
+            for (std::size_t i = 0; i < size; ++i) {
+                bool in_range = i >= off && i < off + width;
+                ASSERT_EQ(ins.get(i), in_range ? src.get(i - off) : v.get(i))
+                    << "insert width " << width << " offset " << off;
+            }
+            EXPECT_TRUE(paddingClear(ins));
+
+            if (width > 64)
+                continue;
+            std::uint64_t ref = 0;
+            for (std::size_t i = 0; i < width; ++i)
+                ref |= static_cast<std::uint64_t>(v.get(off + i)) << i;
+            EXPECT_EQ(v.sliceUint64(off, width), ref);
+
+            std::uint64_t value = rng.next(); // high bits must be ignored
+            BitVector packed = v;
+            packed.insertUint64(off, width, value);
+            for (std::size_t i = 0; i < size; ++i) {
+                bool in_range = i >= off && i < off + width;
+                ASSERT_EQ(packed.get(i),
+                          in_range ? ((value >> (i - off)) & 1) != 0
+                                   : v.get(i))
+                    << "insertUint64 width " << width << " offset " << off;
+            }
+            EXPECT_TRUE(paddingClear(packed));
+        }
+    }
 }
 
 /** Property: shifting left then right by n restores low bits. */

@@ -1,0 +1,290 @@
+/**
+ * @file
+ * Differential fuzz of the word-parallel transverse-read path against
+ * the bit-serial reference.
+ *
+ * The row-wide reads (DomainBlockCluster::transverseReadAll /
+ * transverseReadOutsideAll) count every wire at once with a vertical
+ * counter, and the CoruscantUnit operations decode their outputs
+ * word-wide from its bit planes.  The reference is one
+ * transverseReadWire() per wire followed by evalPimLogic() /
+ * selectBulkOp(), the sense-amplifier decode of a single wire.  Both
+ * sides read random rows at random shift offsets, for TRD 3..7 and
+ * widths around the 64-bit word size, with TR faults off and on; with
+ * faults on the two sides share a seed and must draw the same faults.
+ */
+
+#include <gtest/gtest.h>
+
+#include "core/coruscant_unit.hpp"
+#include "dwm/dbc.hpp"
+#include "util/rng.hpp"
+
+namespace coruscant {
+
+/** Reaches the unit's cluster so the fuzz can shift and observe it. */
+class CoruscantUnitTestPeer
+{
+  public:
+    static DomainBlockCluster &dbc(CoruscantUnit &u) { return u.dbc; }
+};
+
+namespace {
+
+constexpr std::size_t kTrds[] = {3, 4, 5, 6, 7};
+constexpr std::size_t kWidths[] = {8, 100, 512};
+constexpr double kFaultRates[] = {0.0, 0.05};
+constexpr std::uint64_t kFaultSeed = 99;
+
+DeviceParams
+params(std::size_t trd, std::size_t width)
+{
+    DeviceParams p = DeviceParams::withTrd(trd);
+    p.wiresPerDbc = width;
+    return p;
+}
+
+BitVector
+randomRow(Rng &rng, std::size_t width)
+{
+    BitVector row(width);
+    for (std::size_t w = 0; w < width; ++w)
+        row.set(w, rng.nextBool());
+    return row;
+}
+
+std::vector<BitVector>
+randomRows(Rng &rng, std::size_t n, std::size_t width)
+{
+    std::vector<BitVector> rows;
+    for (std::size_t i = 0; i < n; ++i)
+        rows.push_back(randomRow(rng, width));
+    return rows;
+}
+
+/** Shift @p dbc (fault-free) until its offset is @p target. */
+void
+shiftTo(DomainBlockCluster &dbc, int target)
+{
+    while (dbc.shiftOffset() < target)
+        dbc.shiftLeft();
+    while (dbc.shiftOffset() > target)
+        dbc.shiftRight();
+}
+
+/** A random offset within the cluster's shift range. */
+int
+randomOffset(Rng &rng, const DeviceParams &p)
+{
+    int lo = -static_cast<int>(p.rightOverhead());
+    int hi = static_cast<int>(p.leftOverhead());
+    return lo + static_cast<int>(rng.nextBelow(
+                    static_cast<std::uint64_t>(hi - lo + 1)));
+}
+
+/**
+ * The reference: an oracle cluster whose TR window holds @p window
+ * (top to bottom from the left port), read one wire at a time.
+ */
+class Oracle
+{
+  public:
+    Oracle(const DeviceParams &p, double fault_rate)
+        : dbc(p), faults(fault_rate, kFaultSeed)
+    {
+        dbc.attachMetrics(&metrics);
+    }
+
+    std::vector<std::size_t>
+    read(int offset, const std::vector<BitVector> &window)
+    {
+        shiftTo(dbc, offset);
+        std::size_t ws = dbc.rowAtPort(Port::Left);
+        for (std::size_t r = 0; r < window.size(); ++r)
+            dbc.pokeRow(ws + r, window[r]);
+        std::vector<std::size_t> counts;
+        for (std::size_t w = 0; w < dbc.width(); ++w)
+            counts.push_back(dbc.transverseReadWire(w, &faults));
+        return counts;
+    }
+
+    std::uint64_t injected() const { return faults.injectedFaults(); }
+
+    std::uint64_t
+    faultsCounted() const
+    {
+        return metrics.get(obs::Counter::FaultsInjected);
+    }
+
+  private:
+    DomainBlockCluster dbc;
+    TrFaultModel faults;
+    obs::ComponentMetrics metrics;
+};
+
+/** @p rows, then @p pad rows of @p pad_value, filling a TRD window. */
+std::vector<BitVector>
+windowOf(std::vector<BitVector> rows, std::size_t trd, std::size_t width,
+         bool pad_value = false)
+{
+    while (rows.size() < trd)
+        rows.emplace_back(width, pad_value);
+    return rows;
+}
+
+TEST(TrFuzz, RowWideReadsMatchPerWireReads)
+{
+    Rng rng(31);
+    for (double rate : kFaultRates) {
+        for (std::size_t trd : kTrds) {
+            for (std::size_t width : kWidths) {
+                SCOPED_TRACE(::testing::Message()
+                             << "rate " << rate << " trd " << trd
+                             << " width " << width);
+                DeviceParams p = params(trd, width);
+                DomainBlockCluster dbc(p);
+                obs::ComponentMetrics fast_m, ref_m;
+                TrFaultModel fast(rate, kFaultSeed), ref(rate, kFaultSeed);
+                for (int iter = 0; iter < 8; ++iter) {
+                    shiftTo(dbc, randomOffset(rng, p));
+                    for (std::size_t r = 0; r < dbc.rows(); ++r)
+                        dbc.pokeRow(r, randomRow(rng, width));
+
+                    dbc.attachMetrics(&fast_m);
+                    auto counts = dbc.transverseReadAll(&fast);
+                    auto left = dbc.transverseReadOutsideAll(Port::Left);
+                    auto right = dbc.transverseReadOutsideAll(Port::Right);
+                    dbc.attachMetrics(&ref_m);
+                    ASSERT_EQ(counts.size(), width);
+                    for (std::size_t w = 0; w < width; ++w) {
+                        ASSERT_EQ(counts[w], dbc.transverseReadWire(w, &ref))
+                            << "wire " << w;
+                        ASSERT_EQ(left[w], dbc.transverseReadOutsideWire(
+                                               w, Port::Left));
+                        ASSERT_EQ(right[w], dbc.transverseReadOutsideWire(
+                                                w, Port::Right));
+                    }
+                    EXPECT_EQ(fast.injectedFaults(), ref.injectedFaults());
+                    EXPECT_EQ(fast_m.get(obs::Counter::FaultsInjected),
+                              ref_m.get(obs::Counter::FaultsInjected));
+                }
+                if (rate > 0) {
+                    EXPECT_GT(fast.injectedFaults(), 0u);
+                }
+            }
+        }
+    }
+}
+
+TEST(TrFuzz, UnitOpsMatchPerWireDecode)
+{
+    const BulkOp ops[] = {BulkOp::And, BulkOp::Nand, BulkOp::Or,
+                          BulkOp::Nor, BulkOp::Xor,  BulkOp::Xnor,
+                          BulkOp::Not, BulkOp::Maj};
+    Rng rng(47);
+    for (double rate : kFaultRates) {
+        for (std::size_t trd : kTrds) {
+            for (std::size_t width : kWidths) {
+                SCOPED_TRACE(::testing::Message()
+                             << "rate " << rate << " trd " << trd
+                             << " width " << width);
+                DeviceParams p = params(trd, width);
+                CoruscantUnit unit(p, rate, kFaultSeed);
+                DomainBlockCluster &unit_dbc =
+                    CoruscantUnitTestPeer::dbc(unit);
+                obs::ComponentMetrics unit_m;
+                unit_dbc.attachMetrics(&unit_m);
+                Oracle oracle(p, rate);
+
+                // Unit and oracle see the same sequence of TRs, so
+                // their fault draws stay in step.
+                auto check_faults = [&] {
+                    EXPECT_EQ(unit.injectedFaults(), oracle.injected());
+                    EXPECT_EQ(unit_m.get(obs::Counter::FaultsInjected),
+                              oracle.faultsCounted());
+                };
+
+                for (int iter = 0; iter < 6; ++iter) {
+                    for (BulkOp op : ops) {
+                        std::size_t m =
+                            op == BulkOp::Not   ? 1
+                            : op == BulkOp::Maj ? trd
+                                                : 1 + rng.nextBelow(trd);
+                        auto operands = randomRows(rng, m, width);
+                        int off = randomOffset(rng, p);
+                        shiftTo(unit_dbc, off);
+                        BitVector got = unit.bulkBitwise(
+                            op, operands, 0, rng.nextBool(), rng.nextBool());
+                        bool pad_ones =
+                            op == BulkOp::And || op == BulkOp::Nand;
+                        auto t = oracle.read(
+                            off, windowOf(operands, trd, width, pad_ones));
+                        for (std::size_t w = 0; w < width; ++w)
+                            ASSERT_EQ(got.get(w),
+                                      selectBulkOp(op, evalPimLogic(t[w], trd)))
+                                << bulkOpName(op) << " wire " << w;
+                        check_faults();
+                    }
+
+                    for (std::size_t n : {3, 5, 7}) {
+                        if (n > trd)
+                            continue;
+                        auto replicas = randomRows(rng, n, width);
+                        std::size_t act = 1 + rng.nextBelow(width);
+                        int off = randomOffset(rng, p);
+                        shiftTo(unit_dbc, off);
+                        BitVector got = unit.nmrVote(replicas, act);
+                        std::vector<BitVector> window = replicas;
+                        std::size_t threshold = (n + 1) / 2;
+                        if (trd == 7) {
+                            for (std::size_t i = 0; i < (7 - n) / 2; ++i)
+                                window.emplace_back(width, true);
+                            threshold = 4;
+                        }
+                        auto t =
+                            oracle.read(off, windowOf(window, trd, width));
+                        for (std::size_t w = 0; w < width; ++w)
+                            ASSERT_EQ(got.get(w),
+                                      w < act && t[w] >= threshold)
+                                << "N = " << n << " wire " << w;
+                        check_faults();
+                    }
+
+                    const bool has_super = trd >= 5;
+                    std::size_t m =
+                        1 + rng.nextBelow(has_super ? trd : 3);
+                    const std::size_t blocks[] = {1, 2, 3, 5, 8, 16, width};
+                    std::size_t block = blocks[rng.nextBelow(7)];
+                    auto rows = randomRows(rng, m, width);
+                    int off = randomOffset(rng, p);
+                    shiftTo(unit_dbc, off);
+                    CsaRows got = unit.reduce(rows, block);
+                    auto t = oracle.read(off, windowOf(rows, trd, width));
+                    BitVector sum(width), carry(width), super_carry(width);
+                    for (std::size_t w = 0; w < width; ++w) {
+                        PimOutputs o = evalPimLogic(t[w], trd);
+                        sum.set(w, o.sum);
+                        if (o.carry && w + 1 < width &&
+                            (w + 1) / block == w / block)
+                            carry.set(w + 1, true);
+                        if (has_super && o.superCarry && w + 2 < width &&
+                            (w + 2) / block == w / block)
+                            super_carry.set(w + 2, true);
+                    }
+                    EXPECT_EQ(got.sum, sum) << "block " << block;
+                    EXPECT_EQ(got.carry, carry) << "block " << block;
+                    EXPECT_EQ(got.superCarry, super_carry)
+                        << "block " << block;
+                    EXPECT_EQ(got.hasSuperCarry, has_super);
+                    check_faults();
+                }
+                if (rate > 0) {
+                    EXPECT_GT(unit.injectedFaults(), 0u);
+                }
+            }
+        }
+    }
+}
+
+} // namespace
+} // namespace coruscant
