@@ -127,6 +127,62 @@ BM_MemoryReadLine(benchmark::State &state)
 }
 BENCHMARK(BM_MemoryReadLine);
 
+/**
+ * Memory for BM_MemoryWriteLine: plain (arg 0), or (arg 1) with SECDED
+ * check lanes and the per-access alignment guard, so every write
+ * encodes check bits and preserves the guard wire.
+ */
+MemoryConfig
+writeLineConfig(bool protected_line)
+{
+    MemoryConfig cfg;
+    if (protected_line) {
+        cfg.reliability.eccMode = EccMode::Secded;
+        cfg.reliability.guardPolicy = GuardPolicy::PerAccess;
+    }
+    return cfg;
+}
+
+void
+BM_MemoryWriteLine(benchmark::State &state)
+{
+    DwmMainMemory mem(writeLineConfig(state.range(0) != 0));
+    Rng rng(8);
+    std::vector<BitVector> lines;
+    for (int i = 0; i < 16; ++i)
+        lines.push_back(randomRow(rng, 512));
+    std::uint64_t addr = 0;
+    std::size_t i = 0;
+    for (auto _ : state) {
+        mem.writeLine(addr, lines[i]);
+        addr = (addr + 64) % (1 << 20);
+        i = (i + 1) % lines.size();
+    }
+}
+BENCHMARK(BM_MemoryWriteLine)->Arg(0)->Arg(1);
+
+void
+BM_SecdedCorrectLine(benchmark::State &state)
+{
+    // The (72, 64) line: eight words, one flipped bit in each, so
+    // every word takes the correction path.
+    LineSecded ecc(512, 64);
+    Rng rng(9);
+    BitVector line = randomRow(rng, 512);
+    BitVector check = ecc.encodeCheck(line);
+    for (std::size_t w = 0; w < ecc.words(); ++w) {
+        std::size_t bit = w * 64 + rng.nextBelow(64);
+        line.set(bit, !line.get(bit));
+    }
+    for (auto _ : state) {
+        BitVector d = line;
+        BitVector c = check;
+        benchmark::DoNotOptimize(ecc.correct(d, c));
+        benchmark::DoNotOptimize(d);
+    }
+}
+BENCHMARK(BM_SecdedCorrectLine);
+
 void
 BM_NmrVote(benchmark::State &state)
 {
@@ -212,6 +268,14 @@ emitObservability(const obs::OutputFiles &out)
         mem.writeLine(0, randomRow(rng, 512));
         mem.readLine(0);
         reg.mergePrefixed(mem_reg, "micro_ops/memory_read_line");
+    }
+    {
+        obs::MetricsRegistry mem_reg;
+        DwmMainMemory mem(writeLineConfig(true));
+        mem.attachObs(mem_reg, out.trace ? &trace : nullptr, tid++);
+        Rng rng(8);
+        mem.writeLine(0, randomRow(rng, 512));
+        reg.mergePrefixed(mem_reg, "micro_ops/memory_write_line");
     }
     {
         CoruscantUnit unit = unitFor("nmr_vote3", 7);

@@ -19,6 +19,8 @@ DwmMainMemory::DwmMainMemory(const MemoryConfig &config)
         // Check-bit lanes are extra nanowires of the same DBC: they
         // shift with the data under the shared controller signal and
         // come back in the same port access as the line they protect.
+        // Construction rejects a word width that is zero, wider than
+        // the code's masks, or leaves part of the line unprotected.
         ecc.emplace(cfg.device.wiresPerDbc, rel.eccWordBits);
         eccLanes = ecc->checkLanes();
         dbcParams.wiresPerDbc += eccLanes;

@@ -36,10 +36,11 @@ MemoryController::operandAddress(std::uint64_t src, std::size_t i) const
 {
     LineAddress loc = mem.addressMap().decode(src);
     loc.row += i;
-    fatalIf(loc.row >= mem.config().device.domainsPerWire,
-            "operand row ", i, " of src=", hexAddr(src),
-            " (DBC row ", loc.row, ") runs past the end of the DBC (",
-            mem.config().device.domainsPerWire, " rows)");
+    // Diagnostics are formatted only on failure: this runs per operand.
+    if (loc.row >= mem.config().device.domainsPerWire)
+        fatal("operand row ", i, " of src=", hexAddr(src), " (DBC row ",
+              loc.row, ") runs past the end of the DBC (",
+              mem.config().device.domainsPerWire, " rows)");
     return mem.addressMap().encode(loc);
 }
 
@@ -87,8 +88,8 @@ MemoryController::computeResult(const CpimInstruction &inst)
         break;
       }
       case CpimOp::Multiply:
-        fatalIf(ops.size() != 2, describe(inst),
-                ": mult takes exactly two operand rows");
+        if (ops.size() != 2)
+            fatal(describe(inst), ": mult takes exactly two operand rows");
         result = unit.multiply(ops[0], ops[1], inst.blockSize / 2);
         break;
       case CpimOp::Max:
@@ -139,7 +140,8 @@ ExecReport
 MemoryController::executeGuarded(const CpimInstruction &inst)
 {
     std::string err = inst.validate(mem.config().device.trd);
-    fatalIf(!err.empty(), describe(inst), ": ", err);
+    if (!err.empty())
+        fatal(describe(inst), ": ", err);
 
     ++executed;
     std::uint64_t cycles_before = mem.ledger().cycles();

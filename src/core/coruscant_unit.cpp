@@ -38,6 +38,15 @@ CoruscantUnit::resolveActive(std::size_t active_wires) const
     return active_wires;
 }
 
+BitVector
+CoruscantUnit::laneStarts(std::size_t block, std::size_t wires) const
+{
+    BitVector starts(dev.wiresPerDbc);
+    for (std::size_t w = 0; w < wires; w += block)
+        starts.set(w, true);
+    return starts;
+}
+
 // ---------------------------------------------------------------------
 // Charged device primitives
 // ---------------------------------------------------------------------

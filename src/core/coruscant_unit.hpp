@@ -354,6 +354,19 @@ class CoruscantUnit
 
     std::size_t resolveActive(std::size_t active_wires) const;
 
+    /** Row with wires 0, @p block, 2*@p block, ... below @p wires set. */
+    BitVector laneStarts(std::size_t block, std::size_t wires) const;
+
+    /**
+     * The carry chain shared by add() and addStepVoted(): stage the
+     * operands, then per bit position one lane-strided TR sensed
+     * @p samples times per lane (majority-voted when more than one)
+     * and one S/C/C' write.  Arguments are already validated.
+     */
+    BitVector carryChain(const std::vector<BitVector> &operands,
+                         std::size_t block_size, std::size_t act,
+                         std::size_t samples);
+
     /** Sum a list of operand rows with grouped additions. */
     BitVector addMany(std::vector<BitVector> rows, std::size_t block_size,
                       std::size_t active_wires);

@@ -41,7 +41,15 @@ CoruscantUnit::add(const std::vector<BitVector> &operands,
     fatalIf(block_size == 0, "block size must be positive");
     fatalIf(act % block_size != 0,
             "active wires must be a whole number of lanes");
+    return carryChain(operands, block_size, act, 1);
+}
 
+BitVector
+CoruscantUnit::carryChain(const std::vector<BitVector> &operands,
+                          std::size_t block_size, std::size_t act,
+                          std::size_t samples)
+{
+    const std::size_t m = operands.size();
     const bool compact = dev.trd < 5; // no super carry possible/needed
     const std::size_t interior_off = compact ? 0 : 1;
     std::size_t ws = stageWindow(operands, false, act, interior_off);
@@ -65,25 +73,37 @@ CoruscantUnit::add(const std::vector<BitVector> &operands,
     const bool has_super = !compact;
     const std::size_t lanes = act / block_size;
 
+    // Step k senses wire k of every lane at once; the outputs land on
+    // the lane wires (S), one wire up (C) and two wires up (C').  A
+    // lane's writes stay inside the lane, so no lane's sense sees
+    // another lane's writes from the same step.
+    BitVector wires = laneStarts(block_size, act);
     for (std::size_t k = 0; k < block_size; ++k) {
-        std::size_t bits_written = 0;
-        for (std::size_t lane = 0; lane < lanes; ++lane) {
-            std::size_t w = lane * block_size + k;
-            std::size_t t = dbc.transverseReadWire(w, &faults);
-            PimOutputs out = evalPimLogic(t, dev.trd);
-            dbc.pokeBit(s_row, w, out.sum);
-            ++bits_written;
-            if (k + 1 < block_size) {
-                dbc.pokeBit(c_row, w + 1, out.carry);
-                ++bits_written;
-            }
-            if (has_super && k + 2 < block_size) {
-                dbc.pokeBit(s_row, w + 2, out.superCarry);
-                ++bits_written;
-            }
+        CountPlanes t = dbc.transverseReadWires(wires, samples, &faults);
+        dbc.pokeMasked(s_row, wires, t.plane(0));
+        std::size_t bits_written = lanes;
+        if (k + 1 < block_size) {
+            dbc.pokeMasked(c_row, wires.shiftedLeft(1),
+                           t.plane(1).shiftedLeft(1));
+            bits_written += lanes;
         }
-        chargeTrAll(lanes);
+        if (has_super && k + 2 < block_size) {
+            dbc.pokeMasked(s_row, wires.shiftedLeft(2),
+                           t.plane(2).shiftedLeft(2));
+            bits_written += lanes;
+        }
+        for (std::size_t r = 0; r < samples; ++r)
+            chargeTrAll(lanes);
+        if (samples > 1) {
+            // One voting-logic cycle plus the parallel write.
+            double vote_pj =
+                static_cast<double>(lanes) * dev.pimLogicEnergyPj;
+            costs.charge("vote", 1, vote_pj);
+            if (metrics)
+                metrics->addEnergy(vote_pj);
+        }
         chargeRowWrite(bits_written);
+        wires = wires.shiftedLeft(1);
     }
 
     return dbc.peekRow(s_row);
@@ -112,9 +132,7 @@ CoruscantUnit::reduce(const std::vector<BitVector> &rows,
     // Weight-2 carries land one wire up, weight-4 two wires up;
     // carries may not cross a lane boundary (the controller masks
     // bitlines at the cpim blocksize).
-    BitVector lane_start(dev.wiresPerDbc);
-    for (std::size_t w = 0; w < dev.wiresPerDbc; w += block_size)
-        lane_start.set(w, true);
+    BitVector lane_start = laneStarts(block_size, dev.wiresPerDbc);
     CsaRows out;
     out.sum = counts.plane(0);
     out.carry = counts.plane(1).shiftedLeft(1) & ~lane_start;
@@ -189,64 +207,7 @@ CoruscantUnit::addStepVoted(const std::vector<BitVector> &operands,
             "operand count out of range for TRD = ", dev.trd);
     fatalIf(block_size == 0 || act % block_size != 0,
             "active wires must be a whole number of lanes");
-
-    const bool compact = dev.trd < 5;
-    const std::size_t interior_off = compact ? 0 : 1;
-    std::size_t ws = stageWindow(operands, false, act, interior_off);
-    if (compact) {
-        for (std::size_t i = 0; i < m; ++i) {
-            chargeRowWrite(act);
-            if (i + 1 < m)
-                chargeShifts(1, act);
-        }
-    } else {
-        for (std::size_t i = 0; i < dev.trd - 2; ++i) {
-            chargeRowWrite(act);
-            chargeShifts(1, act);
-        }
-    }
-
-    const std::size_t s_row = ws;
-    const std::size_t c_row = ws + dev.trd - 1;
-    const bool has_super = !compact;
-    const std::size_t lanes = act / block_size;
-
-    for (std::size_t k = 0; k < block_size; ++k) {
-        std::size_t bits_written = 0;
-        for (std::size_t lane = 0; lane < lanes; ++lane) {
-            std::size_t w = lane * block_size + k;
-            // N independent TR samples; majority per output bit.
-            std::size_t s_votes = 0, c_votes = 0, sc_votes = 0;
-            for (std::size_t r = 0; r < n; ++r) {
-                std::size_t t = dbc.transverseReadWire(w, &faults);
-                PimOutputs o = evalPimLogic(t, dev.trd);
-                s_votes += o.sum ? 1 : 0;
-                c_votes += o.carry ? 1 : 0;
-                sc_votes += o.superCarry ? 1 : 0;
-            }
-            std::size_t maj = (n + 1) / 2;
-            dbc.pokeBit(s_row, w, s_votes >= maj);
-            ++bits_written;
-            if (k + 1 < block_size) {
-                dbc.pokeBit(c_row, w + 1, c_votes >= maj);
-                ++bits_written;
-            }
-            if (has_super && k + 2 < block_size) {
-                dbc.pokeBit(s_row, w + 2, sc_votes >= maj);
-                ++bits_written;
-            }
-        }
-        for (std::size_t r = 0; r < n; ++r)
-            chargeTrAll(lanes);
-        // One voting-logic cycle plus the parallel write.
-        double vote_pj =
-            static_cast<double>(lanes) * dev.pimLogicEnergyPj;
-        costs.charge("vote", 1, vote_pj);
-        if (metrics)
-            metrics->addEnergy(vote_pj);
-        chargeRowWrite(bits_written);
-    }
-    return dbc.peekRow(s_row);
+    return carryChain(operands, block_size, act, n);
 }
 
 BitVector

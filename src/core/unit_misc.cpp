@@ -17,6 +17,8 @@
  * '0' rows; the C' (>= 4-of-7) output is then exactly the majority.
  */
 
+#include <algorithm>
+
 #include "core/coruscant_unit.hpp"
 #include "util/logging.hpp"
 
@@ -31,6 +33,22 @@ firstWires(const BitVector &row, std::size_t n)
     BitVector out(row.size());
     out.insert(0, row.slice(0, n));
     return out;
+}
+
+/**
+ * @p starts with every set wire spread over the @p width wires from it
+ * upward: lane-start bits become whole-lane masks.
+ */
+BitVector
+spreadOverLanes(BitVector starts, std::size_t width)
+{
+    // Each pass doubles the covered run without passing @p width.
+    for (std::size_t filled = 1; filled < width;) {
+        std::size_t step = std::min(filled, width - filled);
+        starts |= starts.shiftedLeft(step);
+        filled += step;
+    }
+    return starts;
 }
 
 } // namespace
@@ -57,13 +75,13 @@ CoruscantUnit::maxOfRows(const std::vector<BitVector> &candidates,
         chargeShifts(1, act);
     }
 
+    const BitVector lane_start = laneStarts(word_bits, act);
     for (std::size_t bit = word_bits; bit-- > 0;) {
-        // TR across the candidates' bits at this position, per lane.
-        std::vector<bool> any_one(lanes);
-        for (std::size_t lane = 0; lane < lanes; ++lane) {
-            std::size_t w = lane * word_bits + bit;
-            any_one[lane] = dbc.transverseReadWire(w, &faults) > 0;
-        }
+        // One lane-strided TR across the candidates' bits at this
+        // position: which lanes have some candidate with a '1'.
+        BitVector probe = lane_start.shiftedLeft(bit);
+        BitVector any_one =
+            dbc.transverseReadWires(probe, 1, &faults).atLeast(1) & probe;
         chargeTrAll(lanes);
 
         // Rotate all TRD window rows through the ports, eliminating
@@ -71,13 +89,9 @@ CoruscantUnit::maxOfRows(const std::vector<BitVector> &candidates,
         for (std::size_t rot = 0; rot < dev.trd; ++rot) {
             BitVector row = dbc.readRowAtPort(Port::Right);
             chargeRowRead(act);
-            for (std::size_t lane = 0; lane < lanes; ++lane) {
-                if (any_one[lane] && !row.get(lane * word_bits + bit)) {
-                    // Predicated row-buffer reset for this lane.
-                    for (std::size_t b = 0; b < word_bits; ++b)
-                        row.set(lane * word_bits + b, false);
-                }
-            }
+            // Predicated row-buffer reset of the eliminated lanes.
+            row &= ~spreadOverLanes((any_one & ~row).shiftedRight(bit),
+                                    word_bits);
             dbc.transverseWriteRow(row);
             if (use_tw) {
                 chargeTwRow(act);
@@ -113,13 +127,10 @@ CoruscantUnit::relu(const BitVector &row, std::size_t block_size,
 
     // Sign test on the MSB wires, then a predicated row refresh
     // (paper Sec. IV-C): 2 cycles.
-    BitVector result = row;
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-        if (row.get(lane * block_size + block_size - 1)) {
-            for (std::size_t b = 0; b < block_size; ++b)
-                result.set(lane * block_size + b, false);
-        }
-    }
+    const std::size_t msb = block_size - 1;
+    BitVector negative = row & laneStarts(block_size, act).shiftedLeft(msb);
+    BitVector result =
+        row & ~spreadOverLanes(negative.shiftedRight(msb), block_size);
     chargeTrAll(lanes);
     chargeRowWrite(act);
     std::size_t ws = dbc.rowAtPort(Port::Left);
@@ -138,22 +149,15 @@ CoruscantUnit::nmrVote(const std::vector<BitVector> &replicas,
             "N-modular redundancy supports N in {3, 5, 7}, got ", n);
     fatalIf(n > dev.trd, "N = ", n, " exceeds TRD = ", dev.trd);
 
-    std::vector<BitVector> rows = replicas;
-    std::size_t threshold;
-    if (dev.trd == 7) {
-        // Paper Fig. 7: (7-N)/2 preset '1' rows and '0' rows make the
-        // C' (>= 4 of 7) output the exact majority.
-        std::size_t ones_pad = (7 - n) / 2;
-        for (std::size_t i = 0; i < ones_pad; ++i)
-            rows.emplace_back(dev.wiresPerDbc, true);
-        threshold = 4;
-    } else {
-        // Smaller windows: zero padding and the thermometer level at
-        // the majority threshold.
-        threshold = (n + 1) / 2;
-    }
-
-    stageWindow(rows, false, act, 0);
+    // TRD = 7 (paper Fig. 7): (7-N)/2 preset '1' rows and as many '0'
+    // rows make the C' (>= 4 of 7) output the exact majority.  Smaller
+    // windows: zero padding and the thermometer level at the majority.
+    const bool fig7 = dev.trd == 7;
+    const std::size_t ones_pad = fig7 ? (7 - n) / 2 : 0;
+    const std::size_t threshold = fig7 ? 4 : (n + 1) / 2;
+    std::size_t ws = stageWindow(replicas, false, act, 0);
+    for (std::size_t i = 0; i < ones_pad; ++i)
+        dbc.pokeRow(ws + n + i, BitVector(dev.wiresPerDbc, true));
     // Replicas are outputs of prior PIM steps already resident in the
     // DBC; cost is one alignment shift, the TR, and the result write.
     chargeShifts(1, act);

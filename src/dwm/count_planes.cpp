@@ -10,23 +10,31 @@
 
 namespace coruscant {
 
-CountPlanes::CountPlanes(std::size_t width, std::span<const BitVector> rows)
+CountPlanes::CountPlanes(std::size_t width, std::size_t max_rows)
     : wires(width), numWords((width + 63) / 64),
-      numPlanes(std::bit_width(rows.size())), bits(numPlanes * numWords, 0)
+      numPlanes(std::bit_width(max_rows)), rowsLeft(max_rows)
 {
-    for (const BitVector &row : rows) {
-        panicIf(row.size() != width, "counted row width ", row.size(),
-                " != ", width);
-        for (std::size_t j = 0; j < numWords; ++j) {
-            // Half-adder chain; no carry leaves the top plane because
-            // no count can exceed rows.size() < 2^numPlanes.
-            std::uint64_t carry = row.word(j);
-            for (std::size_t k = 0; k < numPlanes; ++k) {
-                std::uint64_t &a = at(k, j);
-                std::uint64_t next = a & carry;
-                a ^= carry;
-                carry = next;
-            }
+    if (numPlanes * numWords > inlineWords)
+        heap.assign(numPlanes * numWords, 0);
+}
+
+void
+CountPlanes::add(const BitVector &row)
+{
+    panicIf(row.size() != wires, "counted row width ", row.size(),
+            " != ", wires);
+    panicIf(rowsLeft == 0, "row added past the counter's max_rows");
+    --rowsLeft;
+    std::uint64_t *planes = bits();
+    for (std::size_t j = 0; j < numWords; ++j) {
+        // Half-adder chain; no carry leaves the top plane because no
+        // count can exceed max_rows < 2^numPlanes.
+        std::uint64_t carry = row.word(j);
+        for (std::size_t k = 0; k < numPlanes; ++k) {
+            std::uint64_t &a = planes[k * numWords + j];
+            std::uint64_t next = a & carry;
+            a ^= carry;
+            carry = next;
         }
     }
 }

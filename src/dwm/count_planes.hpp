@@ -18,7 +18,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "util/bit_vector.hpp"
@@ -30,11 +29,20 @@ class CountPlanes
 {
   public:
     /**
-     * Count the ones of @p rows wire by wire.  Yields
-     * ceil(log2(rows.size() + 1)) planes, enough for any count.
-     * @param width wires per row (every row must have this size)
+     * All-zero counts over @p width wires, with room for up to
+     * @p max_rows added rows: ceil(log2(max_rows + 1)) planes.
      */
-    CountPlanes(std::size_t width, std::span<const BitVector> rows);
+    CountPlanes(std::size_t width, std::size_t max_rows);
+
+    /**
+     * Count the ones of @p row (size width) wire by wire; panics past
+     * max_rows rows.  Rows are added one at a time, so the counted
+     * run need not be contiguous in memory.
+     */
+    void add(const BitVector &row);
+
+    /** Number of planes: the bit width of the largest count. */
+    std::size_t planes() const { return numPlanes; }
 
     /** Count of one wire. */
     std::size_t count(std::size_t wire) const;
@@ -56,20 +64,37 @@ class CountPlanes
     std::vector<T> counts() const;
 
   private:
+    /**
+     * Plane words held inside the object: a TR window (TRD <= 7, three
+     * planes) over any row BitVector stores inline.
+     */
+    static constexpr std::size_t inlineWords = 3 * BitVector::inlineWords;
+
+    /** Plane words: the inline ones unless they did not fit. */
+    std::uint64_t *bits() { return heap.empty() ? local : heap.data(); }
+    const std::uint64_t *
+    bits() const
+    {
+        return heap.empty() ? local : heap.data();
+    }
+
     /** Word @p j of plane @p k. */
     std::uint64_t &at(std::size_t k, std::size_t j)
     {
-        return bits[k * numWords + j];
+        return bits()[k * numWords + j];
     }
     std::uint64_t at(std::size_t k, std::size_t j) const
     {
-        return bits[k * numWords + j];
+        return bits()[k * numWords + j];
     }
 
     std::size_t wires;
     std::size_t numWords;  ///< 64-bit words per plane
     std::size_t numPlanes;
-    std::vector<std::uint64_t> bits; ///< plane-major, BitVector word layout
+    std::size_t rowsLeft;  ///< rows add() still accepts
+    /** Plane-major, BitVector word layout; see bits(). */
+    std::uint64_t local[inlineWords] = {};
+    std::vector<std::uint64_t> heap;
 };
 
 } // namespace coruscant

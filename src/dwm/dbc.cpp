@@ -1,6 +1,7 @@
 #include "dwm/dbc.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/logging.hpp"
 
@@ -8,9 +9,13 @@ namespace coruscant {
 
 DomainBlockCluster::DomainBlockCluster(const DeviceParams &params)
     : dev(params),
-      physRows(params.totalDomains(), BitVector(params.wiresPerDbc))
+      ring(params.totalDomains(), BitVector(params.wiresPerDbc))
 {
     dev.validate();
+    leftOver = dev.leftOverhead();
+    rightOver = dev.rightOverhead();
+    leftPort = dev.leftPortRow();
+    rightPort = dev.rightPortRow();
 }
 
 void
@@ -49,36 +54,32 @@ DomainBlockCluster::perturbShift(bool toward_left)
 bool
 DomainBlockCluster::canShiftLeft() const
 {
-    return offset < static_cast<int>(dev.leftOverhead());
+    return offset < static_cast<int>(leftOver);
 }
 
 bool
 DomainBlockCluster::canShiftRight() const
 {
-    return offset > -static_cast<int>(dev.rightOverhead());
+    return offset > -static_cast<int>(rightOver);
 }
 
 std::size_t
 DomainBlockCluster::portPhysical(Port port) const
 {
-    std::size_t base = dev.leftOverhead();
-    return port == Port::Left ? base + dev.leftPortRow()
-                              : base + dev.rightPortRow();
+    return leftOver + basePortRow(port);
 }
 
 std::size_t
 DomainBlockCluster::physicalIndex(std::size_t row) const
 {
     panicIf(row >= dev.domainsPerWire, "row out of range");
-    return dev.leftOverhead() + row - offset;
+    return leftOver + row - offset;
 }
 
 std::size_t
 DomainBlockCluster::rowAtPort(Port port) const
 {
-    std::size_t base_row =
-        port == Port::Left ? dev.leftPortRow() : dev.rightPortRow();
-    return base_row + offset;
+    return basePortRow(port) + offset;
 }
 
 bool
@@ -86,11 +87,10 @@ DomainBlockCluster::canAlign(std::size_t row, Port port) const
 {
     if (row >= dev.domainsPerWire)
         return false;
-    std::size_t base_row =
-        port == Port::Left ? dev.leftPortRow() : dev.rightPortRow();
-    int needed = static_cast<int>(row) - static_cast<int>(base_row);
-    return needed >= -static_cast<int>(dev.rightOverhead()) &&
-           needed <= static_cast<int>(dev.leftOverhead());
+    int needed =
+        static_cast<int>(row) - static_cast<int>(basePortRow(port));
+    return needed >= -static_cast<int>(rightOver) &&
+           needed <= static_cast<int>(leftOver);
 }
 
 std::size_t
@@ -98,9 +98,8 @@ DomainBlockCluster::alignRowToPort(std::size_t row, Port port)
 {
     fatalIf(!canAlign(row, port), "row ", row,
             " cannot be aligned with the requested port");
-    std::size_t base_row =
-        port == Port::Left ? dev.leftPortRow() : dev.rightPortRow();
-    int needed = static_cast<int>(row) - static_cast<int>(base_row);
+    int needed =
+        static_cast<int>(row) - static_cast<int>(basePortRow(port));
     std::size_t shifts = 0;
     while (offset < needed) {
         shiftLeft();
@@ -125,7 +124,7 @@ BitVector
 DomainBlockCluster::readRowAtPort(Port port) const
 {
     note(obs::Counter::Reads);
-    return physRows[portPhysical(port)];
+    return physRow(portPhysical(port));
 }
 
 void
@@ -134,7 +133,16 @@ DomainBlockCluster::writeRowAtPort(Port port, const BitVector &row)
     fatalIf(row.size() != dev.wiresPerDbc,
             "row width ", row.size(), " != DBC width ", dev.wiresPerDbc);
     note(obs::Counter::Writes);
-    physRows[portPhysical(port)] = row;
+    physRow(portPhysical(port)) = row;
+}
+
+std::size_t
+DomainBlockCluster::sense(std::size_t c, TrFaultModel &faults) const
+{
+    std::size_t observed = faults.perturb(c, dev.trd);
+    if (observed != c)
+        note(obs::Counter::FaultsInjected);
+    return observed;
 }
 
 std::size_t
@@ -146,37 +154,74 @@ DomainBlockCluster::transverseReadWire(std::size_t wire,
     std::size_t hi = portPhysical(Port::Right);
     std::size_t count = 0;
     for (std::size_t i = lo; i <= hi; ++i)
-        count += physRows[i].get(wire) ? 1 : 0;
-    if (faults) {
-        std::size_t observed = faults->perturb(count, dev.trd);
-        if (observed != count)
-            note(obs::Counter::FaultsInjected);
-        return observed;
-    }
-    return count;
+        count += physRow(i).get(wire) ? 1 : 0;
+    return faults ? sense(count, *faults) : count;
 }
 
 CountPlanes
 DomainBlockCluster::countRows(std::size_t lo, std::size_t hi) const
 {
-    return CountPlanes(dev.wiresPerDbc,
-                       std::span(physRows).subspan(lo, hi - lo));
+    CountPlanes counts(dev.wiresPerDbc, hi - lo);
+    for (std::size_t i = lo; i < hi; ++i)
+        counts.add(physRow(i));
+    return counts;
+}
+
+CountPlanes
+DomainBlockCluster::windowCounts() const
+{
+    return countRows(portPhysical(Port::Left),
+                     portPhysical(Port::Right) + 1);
 }
 
 CountPlanes
 DomainBlockCluster::transverseReadPlanes(TrFaultModel *faults) const
 {
     note(obs::Counter::TrPulses);
-    CountPlanes counts =
-        countRows(portPhysical(Port::Left), portPhysical(Port::Right) + 1);
+    CountPlanes counts = windowCounts();
     if (faults && faults->active()) {
         for (std::size_t w = 0; w < dev.wiresPerDbc; ++w) {
             std::size_t c = counts.count(w);
-            std::size_t observed = faults->perturb(c, dev.trd);
-            if (observed != c) {
-                note(obs::Counter::FaultsInjected);
+            std::size_t observed = sense(c, *faults);
+            if (observed != c)
                 counts.setCount(w, observed);
+        }
+    }
+    return counts;
+}
+
+CountPlanes
+DomainBlockCluster::transverseReadWires(const BitVector &wires,
+                                        std::size_t samples,
+                                        TrFaultModel *faults) const
+{
+    panicIf(wires.size() != dev.wiresPerDbc, "sensed wire mask width ",
+            wires.size(), " != DBC width ", dev.wiresPerDbc);
+    panicIf(samples % 2 == 0, "a per-bit vote needs an odd number of ",
+            "samples, got ", samples);
+    note(obs::Counter::TrPulses, wires.popcount() * samples);
+    CountPlanes counts = windowCounts();
+    if (!faults || !faults->active())
+        return counts;
+    // Per-plane tally of the samples' bits; counts never exceed the
+    // window, so every sample fits the planes.
+    std::size_t ones[64] = {};
+    const std::size_t planes = counts.planes();
+    for (std::size_t j = 0; j < wires.numWords(); ++j) {
+        for (std::uint64_t m = wires.word(j); m != 0; m &= m - 1) {
+            std::size_t w = j * 64 + std::countr_zero(m);
+            std::size_t c = counts.count(w);
+            std::fill_n(ones, planes, 0);
+            for (std::size_t r = 0; r < samples; ++r) {
+                std::size_t observed = sense(c, *faults);
+                for (std::size_t k = 0; k < planes; ++k)
+                    ones[k] += (observed >> k) & 1;
             }
+            std::size_t voted = 0;
+            for (std::size_t k = 0; k < planes; ++k)
+                voted |= std::size_t{2 * ones[k] > samples} << k;
+            if (voted != c)
+                counts.setCount(w, voted);
         }
     }
     return counts;
@@ -193,7 +238,7 @@ DomainBlockCluster::outsideRange(Port side) const
 {
     if (side == Port::Left)
         return {0, portPhysical(Port::Left)};
-    return {portPhysical(Port::Right) + 1, physRows.size()};
+    return {portPhysical(Port::Right) + 1, ring.size()};
 }
 
 std::vector<std::uint16_t>
@@ -212,7 +257,7 @@ DomainBlockCluster::transverseReadOutsideWire(std::size_t wire,
     auto [lo, hi] = outsideRange(side);
     std::size_t count = 0;
     for (std::size_t i = lo; i < hi; ++i)
-        count += physRows[i].get(wire) ? 1 : 0;
+        count += physRow(i).get(wire) ? 1 : 0;
     return count;
 }
 
@@ -225,8 +270,8 @@ DomainBlockCluster::transverseWriteRow(const BitVector &row)
     std::size_t lo = portPhysical(Port::Left);
     std::size_t hi = portPhysical(Port::Right);
     for (std::size_t i = hi; i > lo; --i)
-        physRows[i] = physRows[i - 1];
-    physRows[lo] = row;
+        physRow(i) = physRow(i - 1);
+    physRow(lo) = row;
 }
 
 void
@@ -236,21 +281,23 @@ DomainBlockCluster::transverseWriteWire(std::size_t wire, bool value)
     std::size_t lo = portPhysical(Port::Left);
     std::size_t hi = portPhysical(Port::Right);
     for (std::size_t i = hi; i > lo; --i)
-        physRows[i].set(wire, physRows[i - 1].get(wire));
-    physRows[lo].set(wire, value);
+        physRow(i).set(wire, physRow(i - 1).get(wire));
+    physRow(lo).set(wire, value);
 }
 
 void
 DomainBlockCluster::injectShiftFault(bool toward_left)
 {
+    // Every domain moves one position; the ring turns instead, and
+    // the slot that wraps around becomes the blank domain entering at
+    // the far extremity.
+    const std::size_t last = ring.size() - 1;
     if (toward_left) {
-        std::rotate(physRows.begin(), physRows.begin() + 1,
-                    physRows.end());
-        physRows.back().fill(false);
+        head = head == last ? 0 : head + 1;
+        physRow(last).fill(false);
     } else {
-        std::rotate(physRows.begin(), physRows.end() - 1,
-                    physRows.end());
-        physRows.front().fill(false);
+        head = head == 0 ? last : head - 1;
+        physRow(0).fill(false);
     }
     // Deliberately no offset update: the controller's bookkeeping is
     // now wrong, which is exactly what a shifting fault means.
@@ -259,7 +306,7 @@ DomainBlockCluster::injectShiftFault(bool toward_left)
 BitVector
 DomainBlockCluster::peekRow(std::size_t row) const
 {
-    return physRows[physicalIndex(row)];
+    return physRow(physicalIndex(row));
 }
 
 void
@@ -267,19 +314,28 @@ DomainBlockCluster::pokeRow(std::size_t row, const BitVector &value)
 {
     fatalIf(value.size() != dev.wiresPerDbc,
             "row width ", value.size(), " != DBC width ", dev.wiresPerDbc);
-    physRows[physicalIndex(row)] = value;
+    physRow(physicalIndex(row)) = value;
+}
+
+void
+DomainBlockCluster::pokeMasked(std::size_t row, const BitVector &mask,
+                               const BitVector &value)
+{
+    BitVector &r = physRow(physicalIndex(row));
+    r &= ~mask;
+    r |= value & mask;
 }
 
 bool
 DomainBlockCluster::peekBit(std::size_t row, std::size_t wire) const
 {
-    return physRows[physicalIndex(row)].get(wire);
+    return physRow(physicalIndex(row)).get(wire);
 }
 
 void
 DomainBlockCluster::pokeBit(std::size_t row, std::size_t wire, bool value)
 {
-    physRows[physicalIndex(row)].set(wire, value);
+    physRow(physicalIndex(row)).set(wire, value);
 }
 
 } // namespace coruscant

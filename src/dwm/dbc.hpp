@@ -8,12 +8,15 @@
  * together; each wire has its own sense amplifier, so transverse reads
  * happen on all wires simultaneously.
  *
- * Representation: rows are stored as X-bit BitVectors indexed by
- * physical domain position, which makes row-wide operations (the common
- * case) cheap.  A transverse read of every wire is a vertical counter
- * over the rows in range (CountPlanes), 64 wires per machine word.
- * Per-wire column access supports the sequential carry chain of
- * multi-operand addition.  The representation is property-tested
+ * Representation: rows are stored as X-bit BitVectors by physical
+ * domain position, which makes row-wide operations (the common case)
+ * cheap.  The physical rows form a ring: moving every domain one
+ * position (a shift pulse) advances the ring's head and clears the
+ * row that entered at the far extremity, O(1) in the wire length.  A
+ * transverse read of every wire is a vertical counter over the rows
+ * in range (CountPlanes), 64 wires per machine word; the carry chain
+ * of multi-operand addition senses a lane-strided subset of wires
+ * from the same count.  The representation is property-tested
  * against the explicit per-wire Nanowire model, whose bit-serial
  * count transverseReadWire() mirrors.
  */
@@ -115,6 +118,22 @@ class DomainBlockCluster
      */
     CountPlanes transverseReadPlanes(TrFaultModel *faults = nullptr) const;
 
+    /**
+     * Transverse read sensed on the wires set in @p wires only (the
+     * lane-strided read of the addition carry chain).  The window is
+     * counted once; each selected wire is then sensed @p samples
+     * times, one TR pulse each, wire by wire in ascending order and
+     * sample-minor — the draw order of @p samples consecutive
+     * transverseReadWire() calls per wire.  Bit k of a selected wire's
+     * returned count is the majority of bit k over its samples (the
+     * per-output vote of step-voted addition; with one sample, the
+     * observed count).  Other wires hold their fault-free count.
+     * @param samples odd number of senses per selected wire
+     */
+    CountPlanes transverseReadWires(const BitVector &wires,
+                                    std::size_t samples = 1,
+                                    TrFaultModel *faults = nullptr) const;
+
     /** transverseReadPlanes() as per-wire counts, size width(). */
     std::vector<std::uint8_t>
     transverseReadAll(TrFaultModel *faults = nullptr) const;
@@ -156,12 +175,45 @@ class DomainBlockCluster
 
     BitVector peekRow(std::size_t row) const;
     void pokeRow(std::size_t row, const BitVector &value);
+    /** Overwrite the wires of @p row set in @p mask from @p value. */
+    void pokeMasked(std::size_t row, const BitVector &mask,
+                    const BitVector &value);
     bool peekBit(std::size_t row, std::size_t wire) const;
     void pokeBit(std::size_t row, std::size_t wire, bool value);
 
   private:
+    /** Data row under @p port at zero shift offset. */
+    std::size_t
+    basePortRow(Port port) const
+    {
+        return port == Port::Left ? leftPort : rightPort;
+    }
+
     std::size_t portPhysical(Port port) const;
     std::size_t physicalIndex(std::size_t row) const;
+
+    /** The row at physical position @p pos (< totalDomains()). */
+    BitVector &
+    physRow(std::size_t pos)
+    {
+        std::size_t i = head + pos;
+        return ring[i < ring.size() ? i : i - ring.size()];
+    }
+    const BitVector &
+    physRow(std::size_t pos) const
+    {
+        std::size_t i = head + pos;
+        return ring[i < ring.size() ? i : i - ring.size()];
+    }
+
+    /** Fault-free per-wire counts over the TR window. */
+    CountPlanes windowCounts() const;
+
+    /**
+     * Sense a wire whose fault-free count is @p c once through
+     * @p faults, noting an injected fault; returns the observed count.
+     */
+    std::size_t sense(std::size_t c, TrFaultModel &faults) const;
 
     /** Physical rows [first, last) of one outer segment. */
     std::pair<std::size_t, std::size_t> outsideRange(Port side) const;
@@ -173,14 +225,21 @@ class DomainBlockCluster
 
     /** Count one device primitive if a counter set is attached. */
     void
-    note(obs::Counter c) const
+    note(obs::Counter c, std::uint64_t n = 1) const
     {
         if (metrics)
-            metrics->add(c);
+            metrics->add(c, n);
     }
 
     DeviceParams dev;
-    std::vector<BitVector> physRows; ///< indexed by physical position
+    // dev's port geometry, cached: every access consults it.
+    std::size_t leftOver = 0;  ///< dev.leftOverhead()
+    std::size_t rightOver = 0; ///< dev.rightOverhead()
+    std::size_t leftPort = 0;  ///< dev.leftPortRow()
+    std::size_t rightPort = 0; ///< dev.rightPortRow()
+    /** Physical rows; position p is ring[(head + p) % ring.size()]. */
+    std::vector<BitVector> ring;
+    std::size_t head = 0;            ///< ring slot of physical position 0
     int offset = 0;                  ///< net left shifts applied
     ShiftFaultModel *shiftFaults = nullptr; ///< non-owning, optional
     obs::ComponentMetrics *metrics = nullptr; ///< non-owning, optional

@@ -1,111 +1,96 @@
 #include "reliability/ecc/secded.hpp"
 
+#include <array>
+#include <bit>
 #include <cassert>
+
+#include "util/logging.hpp"
 
 namespace coruscant {
 
 namespace {
 
-bool
-isPowerOfTwo(std::size_t v)
+/** Hamming check bits of a maxDataBits-wide word. */
+constexpr std::size_t maxHammingBits = 7;
+
+/**
+ * coverMask[k]: the data bits whose codeword position has bit k set.
+ * Data bit i sits at the i-th position (1-based) that is not a power
+ * of two, whatever the word width, so one table serves every code.
+ */
+constexpr std::array<std::uint64_t, maxHammingBits> coverMask = [] {
+    std::array<std::uint64_t, maxHammingBits> mask{};
+    std::size_t i = 0;
+    for (std::size_t pos = 1; i < SecdedCode::maxDataBits; ++pos) {
+        if (std::has_single_bit(pos))
+            continue; // a check-bit position
+        for (std::size_t k = 0; k < maxHammingBits; ++k)
+            if ((pos >> k) & 1)
+                mask[k] |= std::uint64_t{1} << i;
+        ++i;
+    }
+    return mask;
+}();
+
+/** Parity of the set bits of @p v. */
+constexpr std::uint64_t
+parity(std::uint64_t v)
 {
-    return v != 0 && (v & (v - 1)) == 0;
+    return static_cast<std::uint64_t>(std::popcount(v)) & 1;
 }
 
 } // namespace
 
 SecdedCode::SecdedCode(std::size_t data_bits) : dataBits_(data_bits)
 {
-    assert(data_bits >= 1);
+    fatalIf(data_bits == 0 || data_bits > maxDataBits,
+            "SECDED word width ", data_bits, " outside [1, ",
+            maxDataBits, "]");
     // Smallest r with 2^r >= data + r + 1 (positions 1..data+r, the
     // power-of-two ones reserved for checks).
     hammingBits_ = 0;
     while ((std::size_t{1} << hammingBits_) <
            data_bits + hammingBits_ + 1)
         ++hammingBits_;
+}
 
-    // Map flat data index -> 1-based codeword position (skipping the
-    // power-of-two check positions) and the inverse map position ->
-    // flat codeword index in our [data | checks | parity] layout.
-    std::size_t totalPositions = data_bits + hammingBits_;
-    posToFlat_.assign(totalPositions + 1, 0);
-    dataPos_.reserve(data_bits);
-    std::size_t nextData = 0;
-    std::size_t nextCheck = 0;
-    for (std::size_t pos = 1; pos <= totalPositions; ++pos) {
-        if (isPowerOfTwo(pos)) {
-            posToFlat_[pos] = data_bits + nextCheck++;
-        } else {
-            posToFlat_[pos] = nextData;
-            dataPos_.push_back(pos);
-            ++nextData;
-        }
-    }
-    assert(nextData == data_bits && nextCheck == hammingBits_);
+std::uint64_t
+SecdedCode::checkWord(std::uint64_t data) const
+{
+    assert(dataBits_ == 64 || (data >> dataBits_) == 0);
+    // Check bit 2^k is the parity of the data positions with bit k
+    // set, which zeroes the fault-free syndrome.
+    std::uint64_t check = 0;
+    for (std::size_t k = 0; k < hammingBits_; ++k)
+        check |= parity(data & coverMask[k]) << k;
+    // Overall parity covers data + hamming checks + itself -> even.
+    return check | (parity(data) ^ parity(check)) << hammingBits_;
 }
 
 BitVector
 SecdedCode::checkBitsFor(const BitVector &data) const
 {
     assert(data.size() == dataBits_);
-    // Syndrome-style accumulation: XOR the positions of all set data
-    // bits; bit k of the result is check bit 2^k before the check
-    // bits themselves are folded in — which is exactly the value each
-    // check bit must take to zero the fault-free syndrome.
-    std::size_t acc = 0;
-    std::size_t ones = 0;
-    for (std::size_t i = 0; i < dataBits_; ++i) {
-        if (data.get(i)) {
-            acc ^= dataPos_[i];
-            ++ones;
-        }
-    }
-    BitVector check(hammingBits_ + 1);
-    std::size_t checkOnes = 0;
-    for (std::size_t k = 0; k < hammingBits_; ++k) {
-        bool bit = (acc >> k) & 1u;
-        check.set(k, bit);
-        checkOnes += bit ? 1 : 0;
-    }
-    // Overall parity covers data + hamming checks + itself -> even.
-    check.set(hammingBits_, ((ones + checkOnes) & 1u) != 0);
-    return check;
+    return BitVector::fromUint64(checkBits(), checkWord(data.toUint64()));
 }
 
 BitVector
 SecdedCode::encode(const BitVector &data) const
 {
     BitVector code(codeBits());
-    for (std::size_t i = 0; i < dataBits_; ++i)
-        code.set(i, data.get(i));
-    BitVector check = checkBitsFor(data);
-    for (std::size_t k = 0; k < check.size(); ++k)
-        code.set(dataBits_ + k, check.get(k));
+    std::uint64_t word = data.toUint64();
+    code.insertUint64(0, dataBits_, word);
+    code.insertUint64(dataBits_, checkBits(), checkWord(word));
     return code;
 }
 
 SecdedCode::Decoded
-SecdedCode::decode(BitVector &data, BitVector &check) const
+SecdedCode::decodeWord(std::uint64_t &data, std::uint64_t &check) const
 {
-    assert(data.size() == dataBits_);
-    assert(check.size() == checkBits());
-
     std::size_t syndrome = 0;
-    std::size_t ones = 0;
-    for (std::size_t i = 0; i < dataBits_; ++i) {
-        if (data.get(i)) {
-            syndrome ^= dataPos_[i];
-            ++ones;
-        }
-    }
-    for (std::size_t k = 0; k < hammingBits_; ++k) {
-        if (check.get(k)) {
-            syndrome ^= std::size_t{1} << k;
-            ++ones;
-        }
-    }
-    bool parityOdd =
-        ((ones + (check.get(hammingBits_) ? 1 : 0)) & 1u) != 0;
+    for (std::size_t k = 0; k < hammingBits_; ++k)
+        syndrome |= (parity(data & coverMask[k]) ^ ((check >> k) & 1)) << k;
+    bool parityOdd = (parity(data) ^ parity(check)) != 0;
 
     Decoded out;
     if (syndrome == 0 && !parityOdd)
@@ -119,31 +104,63 @@ SecdedCode::decode(BitVector &data, BitVector &check) const
     }
     if (syndrome == 0) {
         // Only the overall parity bit flipped.
-        check.set(hammingBits_, !check.get(hammingBits_));
+        check ^= std::uint64_t{1} << hammingBits_;
         out.status = EccStatus::Corrected;
         out.correctedBit = dataBits_ + hammingBits_;
         return out;
     }
-    if (syndrome >= posToFlat_.size()) {
+    if (syndrome > dataBits_ + hammingBits_) {
         // Syndrome points outside the codeword: only reachable with
         // multiple flips whose positions XOR past the end.
         out.status = EccStatus::Uncorrectable;
         return out;
     }
-    std::size_t flat = posToFlat_[syndrome];
-    if (flat < dataBits_)
-        data.set(flat, !data.get(flat));
-    else
-        check.set(flat - dataBits_, !check.get(flat - dataBits_));
     out.status = EccStatus::Corrected;
-    out.correctedBit = flat;
+    if (std::has_single_bit(syndrome)) {
+        // Position 2^k holds check bit k.
+        std::size_t k = static_cast<std::size_t>(std::countr_zero(syndrome));
+        check ^= std::uint64_t{1} << k;
+        out.correctedBit = dataBits_ + k;
+    } else {
+        // Position p is preceded by bit_width(p) check positions.
+        std::size_t i =
+            syndrome - 1 - static_cast<std::size_t>(std::bit_width(syndrome));
+        data ^= std::uint64_t{1} << i;
+        out.correctedBit = i;
+    }
     return out;
+}
+
+SecdedCode::Decoded
+SecdedCode::decode(BitVector &data, BitVector &check) const
+{
+    assert(data.size() == dataBits_);
+    assert(check.size() == checkBits());
+    std::uint64_t d = data.toUint64();
+    std::uint64_t c = check.toUint64();
+    Decoded out = decodeWord(d, c);
+    if (out.status == EccStatus::Corrected) {
+        data.insertUint64(0, dataBits_, d);
+        check.insertUint64(0, checkBits(), c);
+    }
+    return out;
+}
+
+void
+LineSecded::checkGeometry(std::size_t line_bits, std::size_t word_bits)
+{
+    fatalIf(word_bits == 0 || word_bits > SecdedCode::maxDataBits,
+            "ECC word width ", word_bits, " outside [1, ",
+            SecdedCode::maxDataBits, "]");
+    fatalIf(line_bits % word_bits != 0, "ECC word width ", word_bits,
+            " does not divide the ", line_bits,
+            "-bit line; the remainder would be unprotected");
 }
 
 LineSecded::LineSecded(std::size_t line_bits, std::size_t word_bits)
     : lineBits_(line_bits), code_(word_bits)
 {
-    assert(word_bits >= 1 && line_bits % word_bits == 0);
+    checkGeometry(line_bits, word_bits);
 }
 
 BitVector
@@ -151,13 +168,11 @@ LineSecded::encodeCheck(const BitVector &line) const
 {
     assert(line.size() == lineBits_);
     BitVector lanes(checkLanes());
-    std::size_t cb = code_.checkBits();
-    for (std::size_t w = 0; w < words(); ++w) {
-        BitVector word = line.slice(w * wordBits(), wordBits());
-        BitVector check = code_.checkBitsFor(word);
-        for (std::size_t k = 0; k < cb; ++k)
-            lanes.set(w * cb + k, check.get(k));
-    }
+    const std::size_t wb = wordBits();
+    const std::size_t cb = code_.checkBits();
+    for (std::size_t w = 0; w < words(); ++w)
+        lanes.insertUint64(w * cb, cb,
+                           code_.checkWord(line.sliceUint64(w * wb, wb)));
     return lanes;
 }
 
@@ -167,11 +182,12 @@ LineSecded::correct(BitVector &line, BitVector &check) const
     assert(line.size() == lineBits_);
     assert(check.size() == checkLanes());
     Result res;
-    std::size_t cb = code_.checkBits();
+    const std::size_t wb = wordBits();
+    const std::size_t cb = code_.checkBits();
     for (std::size_t w = 0; w < words(); ++w) {
-        BitVector word = line.slice(w * wordBits(), wordBits());
-        BitVector wcheck = check.slice(w * cb, cb);
-        SecdedCode::Decoded d = code_.decode(word, wcheck);
+        std::uint64_t word = line.sliceUint64(w * wb, wb);
+        std::uint64_t wcheck = check.sliceUint64(w * cb, cb);
+        SecdedCode::Decoded d = code_.decodeWord(word, wcheck);
         if (d.status == EccStatus::Clean)
             continue;
         if (d.status == EccStatus::Uncorrectable) {
@@ -179,10 +195,10 @@ LineSecded::correct(BitVector &line, BitVector &check) const
             continue;
         }
         ++res.correctedWords;
-        for (std::size_t i = 0; i < wordBits(); ++i)
-            line.set(w * wordBits() + i, word.get(i));
-        for (std::size_t k = 0; k < cb; ++k)
-            check.set(w * cb + k, wcheck.get(k));
+        if (d.correctedBit < wb)
+            line.insertUint64(w * wb, wb, word);
+        else
+            check.insertUint64(w * cb, cb, wcheck);
     }
     return res;
 }

@@ -19,6 +19,13 @@
  *  - one extra overall-parity bit (position 0) covers the whole
  *    codeword and turns SEC into SECDED.
  *
+ * A data bit's position does not depend on the word width (data bit
+ * i sits at the i-th position that is not a power of two), so the
+ * positions covered by check bit k, restricted to data bits, form one
+ * fixed mask per k over a 64-bit word.  Check bits and syndromes are
+ * then parities of popcount(word & mask_k), and words up to
+ * maxDataBits wide are coded with no per-code tables.
+ *
  * Decoding: syndrome S = XOR of the indices of all set positions,
  * overall parity P of the stored codeword.
  *   S == 0, P even  -> clean
@@ -39,7 +46,6 @@
 #define CORUSCANT_RELIABILITY_ECC_SECDED_HPP
 
 #include <cstdint>
-#include <vector>
 
 #include "util/bit_vector.hpp"
 
@@ -57,7 +63,10 @@ enum class EccStatus : std::uint8_t
 class SecdedCode
 {
   public:
-    /** Build the code for @p data_bits-wide words (>= 1). */
+    /** Widest data word the check-bit masks cover. */
+    static constexpr std::size_t maxDataBits = 64;
+
+    /** Build the code for @p data_bits-wide words, 1..maxDataBits. */
     explicit SecdedCode(std::size_t data_bits);
 
     std::size_t dataBits() const { return dataBits_; }
@@ -78,6 +87,13 @@ class SecdedCode
 
     /** Just the checkBits() check-bit vector for @p data. */
     BitVector checkBitsFor(const BitVector &data) const;
+
+    /**
+     * checkBitsFor() on a packed word: @p data holds dataBits() bits
+     * (bit i = data bit i, higher bits zero); bit k of the result is
+     * check bit k.
+     */
+    std::uint64_t checkWord(std::uint64_t data) const;
 
     /** Outcome of decoding one codeword. */
     struct Decoded
@@ -100,11 +116,12 @@ class SecdedCode
      */
     Decoded decode(BitVector &data, BitVector &check) const;
 
+    /** decode() on packed words, laid out as for checkWord(). */
+    Decoded decodeWord(std::uint64_t &data, std::uint64_t &check) const;
+
   private:
     std::size_t dataBits_;
     std::size_t hammingBits_;
-    std::vector<std::size_t> dataPos_;  ///< flat data idx -> position
-    std::vector<std::size_t> posToFlat_; ///< position -> flat code idx
 };
 
 /**
@@ -124,6 +141,14 @@ class LineSecded
      * @param word_bits protected word width
      */
     LineSecded(std::size_t line_bits, std::size_t word_bits);
+
+    /**
+     * fatal() unless @p word_bits is a usable ECC word width for
+     * @p line_bits-bit lines: at least 1, at most
+     * SecdedCode::maxDataBits, and a divisor of the line (a remainder
+     * would be left unprotected).
+     */
+    static void checkGeometry(std::size_t line_bits, std::size_t word_bits);
 
     std::size_t lineBits() const { return lineBits_; }
     std::size_t wordBits() const { return code_.dataBits(); }

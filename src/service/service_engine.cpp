@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "controller/channel_timeline.hpp"
+#include "reliability/ecc/secded.hpp"
 #include "util/logging.hpp"
 
 namespace coruscant {
@@ -932,6 +933,12 @@ ServiceEngine::ServiceEngine(const ServiceConfig &cfg)
     fatalIf(cfg_.process == ArrivalProcess::ClosedLoop &&
                 cfg_.closedLoopWindow == 0,
             "closed loop needs a positive window");
+    if (cfg_.faults.dataFaultsEnabled()) {
+        // The per-channel data-fault samplers bucket flips into ECC
+        // words of this width.
+        LineSecded::checkGeometry(DeviceParams::withTrd(cfg_.trd).wiresPerDbc,
+                                  ReliabilityConfig{}.eccWordBits);
+    }
 }
 
 ServiceStats

@@ -18,18 +18,93 @@ lowMask(std::size_t n)
 
 } // namespace
 
-BitVector::BitVector(std::size_t size, bool value)
-    : numBits(size), words(wordCount(size), value ? ~0ULL : 0ULL)
+BitVector::BitVector(std::size_t size, bool value) : numBits(size)
 {
-    clearPadding();
+    reserveWords(numWords());
+    fill(value);
+}
+
+BitVector::BitVector(const BitVector &o)
+{
+    reserveWords(o.numWords());
+    copyWords(o);
+}
+
+BitVector::BitVector(BitVector &&o) noexcept
+{
+    if (o.onHeap())
+        steal(o);
+    else
+        copyWords(o);
+}
+
+BitVector &
+BitVector::operator=(const BitVector &o)
+{
+    if (this != &o) {
+        reserveWords(o.numWords());
+        copyWords(o);
+    }
+    return *this;
+}
+
+BitVector &
+BitVector::operator=(BitVector &&o) noexcept
+{
+    if (this == &o)
+        return *this;
+    if (o.onHeap()) {
+        release();
+        steal(o);
+    } else {
+        copyWords(o); // fits: every capacity is >= inlineWords
+    }
+    return *this;
+}
+
+void
+BitVector::reserveWords(std::size_t n)
+{
+    if (n <= capacity)
+        return;
+    release();
+    store = new std::uint64_t[n];
+    capacity = n;
+}
+
+void
+BitVector::release()
+{
+    if (onHeap())
+        delete[] store;
+    store = local;
+    capacity = inlineWords;
+}
+
+void
+BitVector::steal(BitVector &o)
+{
+    numBits = o.numBits;
+    capacity = o.capacity;
+    store = o.store;
+    o.numBits = 0;
+    o.capacity = inlineWords;
+    o.store = o.local;
+}
+
+void
+BitVector::copyWords(const BitVector &o)
+{
+    numBits = o.numBits;
+    std::copy_n(o.store, numWords(), store);
 }
 
 BitVector
 BitVector::fromUint64(std::size_t size, std::uint64_t bits)
 {
     BitVector v(size);
-    if (!v.words.empty()) {
-        v.words[0] = bits;
+    if (size > 0) {
+        v.store[0] = bits;
         v.clearPadding();
     }
     return v;
@@ -47,29 +122,10 @@ BitVector::fromString(const std::string &s)
     return v;
 }
 
-bool
-BitVector::get(std::size_t idx) const
-{
-    assert(idx < numBits);
-    return (words[idx / bitsPerWord] >> (idx % bitsPerWord)) & 1ULL;
-}
-
-void
-BitVector::set(std::size_t idx, bool value)
-{
-    assert(idx < numBits);
-    std::uint64_t mask = 1ULL << (idx % bitsPerWord);
-    if (value)
-        words[idx / bitsPerWord] |= mask;
-    else
-        words[idx / bitsPerWord] &= ~mask;
-}
-
 void
 BitVector::fill(bool value)
 {
-    for (auto &w : words)
-        w = value ? ~0ULL : 0ULL;
+    std::fill_n(store, numWords(), value ? ~0ULL : 0ULL);
     clearPadding();
 }
 
@@ -77,8 +133,8 @@ std::size_t
 BitVector::popcount() const
 {
     std::size_t n = 0;
-    for (auto w : words)
-        n += static_cast<std::size_t>(std::popcount(w));
+    for (std::size_t i = 0; i < numWords(); ++i)
+        n += static_cast<std::size_t>(std::popcount(store[i]));
     return n;
 }
 
@@ -90,14 +146,14 @@ BitVector::shiftedLeft(std::size_t n) const
         return out;
     const std::size_t word_shift = n / bitsPerWord;
     const std::size_t bit_shift = n % bitsPerWord;
-    for (std::size_t i = words.size(); i-- > 0;) {
+    for (std::size_t i = numWords(); i-- > 0;) {
         std::uint64_t w = 0;
         if (i >= word_shift) {
-            w = words[i - word_shift] << bit_shift;
+            w = store[i - word_shift] << bit_shift;
             if (bit_shift > 0 && i > word_shift)
-                w |= words[i - word_shift - 1] >> (bitsPerWord - bit_shift);
+                w |= store[i - word_shift - 1] >> (bitsPerWord - bit_shift);
         }
-        out.words[i] = w;
+        out.store[i] = w;
     }
     out.clearPadding();
     return out;
@@ -111,14 +167,15 @@ BitVector::shiftedRight(std::size_t n) const
         return out;
     const std::size_t word_shift = n / bitsPerWord;
     const std::size_t bit_shift = n % bitsPerWord;
-    for (std::size_t i = 0; i < words.size(); ++i) {
+    const std::size_t n_words = numWords();
+    for (std::size_t i = 0; i < n_words; ++i) {
         std::uint64_t w = 0;
-        if (i + word_shift < words.size()) {
-            w = words[i + word_shift] >> bit_shift;
-            if (bit_shift > 0 && i + word_shift + 1 < words.size())
-                w |= words[i + word_shift + 1] << (bitsPerWord - bit_shift);
+        if (i + word_shift < n_words) {
+            w = store[i + word_shift] >> bit_shift;
+            if (bit_shift > 0 && i + word_shift + 1 < n_words)
+                w |= store[i + word_shift + 1] << (bitsPerWord - bit_shift);
         }
-        out.words[i] = w;
+        out.store[i] = w;
     }
     out.clearPadding();
     return out;
@@ -128,8 +185,8 @@ BitVector
 BitVector::operator~() const
 {
     BitVector out(*this);
-    for (auto &w : out.words)
-        w = ~w;
+    for (std::size_t i = 0; i < numWords(); ++i)
+        out.store[i] = ~out.store[i];
     out.clearPadding();
     return out;
 }
@@ -162,8 +219,8 @@ BitVector &
 BitVector::operator&=(const BitVector &o)
 {
     checkSameSize(o);
-    for (std::size_t i = 0; i < words.size(); ++i)
-        words[i] &= o.words[i];
+    for (std::size_t i = 0; i < numWords(); ++i)
+        store[i] &= o.store[i];
     return *this;
 }
 
@@ -171,8 +228,8 @@ BitVector &
 BitVector::operator|=(const BitVector &o)
 {
     checkSameSize(o);
-    for (std::size_t i = 0; i < words.size(); ++i)
-        words[i] |= o.words[i];
+    for (std::size_t i = 0; i < numWords(); ++i)
+        store[i] |= o.store[i];
     return *this;
 }
 
@@ -180,15 +237,16 @@ BitVector &
 BitVector::operator^=(const BitVector &o)
 {
     checkSameSize(o);
-    for (std::size_t i = 0; i < words.size(); ++i)
-        words[i] ^= o.words[i];
+    for (std::size_t i = 0; i < numWords(); ++i)
+        store[i] ^= o.store[i];
     return *this;
 }
 
 bool
 BitVector::operator==(const BitVector &o) const
 {
-    return numBits == o.numBits && words == o.words;
+    return numBits == o.numBits &&
+           std::equal(store, store + numWords(), o.store);
 }
 
 std::uint64_t
@@ -221,9 +279,9 @@ BitVector::slice(std::size_t offset, std::size_t width) const
 {
     checkRange("slice", offset, width);
     BitVector out(width);
-    for (std::size_t i = 0; i < out.words.size(); ++i) {
+    for (std::size_t i = 0; i < out.numWords(); ++i) {
         std::size_t done = i * bitsPerWord;
-        out.words[i] = readBits(offset + done,
+        out.store[i] = readBits(offset + done,
                                 std::min(bitsPerWord, width - done));
     }
     return out;
@@ -233,10 +291,10 @@ void
 BitVector::insert(std::size_t offset, const BitVector &src)
 {
     checkRange("insert", offset, src.numBits);
-    for (std::size_t i = 0; i < src.words.size(); ++i) {
+    for (std::size_t i = 0; i < src.numWords(); ++i) {
         std::size_t done = i * bitsPerWord;
         writeBits(offset + done, std::min(bitsPerWord, src.numBits - done),
-                  src.words[i]);
+                  src.store[i]);
     }
 }
 
@@ -254,8 +312,8 @@ void
 BitVector::clearPadding()
 {
     std::size_t rem = numBits % bitsPerWord;
-    if (rem != 0 && !words.empty())
-        words.back() &= lowMask(rem);
+    if (rem != 0)
+        store[numBits / bitsPerWord] &= lowMask(rem);
 }
 
 void
@@ -281,9 +339,9 @@ BitVector::readBits(std::size_t offset, std::size_t width) const
         return 0;
     const std::size_t q = offset / bitsPerWord;
     const std::size_t r = offset % bitsPerWord;
-    std::uint64_t v = words[q] >> r;
+    std::uint64_t v = store[q] >> r;
     if (r != 0 && r + width > bitsPerWord)
-        v |= words[q + 1] << (bitsPerWord - r);
+        v |= store[q + 1] << (bitsPerWord - r);
     return width < bitsPerWord ? v & lowMask(width) : v;
 }
 
@@ -298,11 +356,11 @@ BitVector::writeBits(std::size_t offset, std::size_t width,
     value &= mask;
     const std::size_t q = offset / bitsPerWord;
     const std::size_t r = offset % bitsPerWord;
-    words[q] = (words[q] & ~(mask << r)) | (value << r);
+    store[q] = (store[q] & ~(mask << r)) | (value << r);
     if (r != 0 && r + width > bitsPerWord) {
         const std::size_t spill = bitsPerWord - r;
-        words[q + 1] =
-            (words[q + 1] & ~(mask >> spill)) | (value >> spill);
+        store[q + 1] =
+            (store[q + 1] & ~(mask >> spill)) | (value >> spill);
     }
 }
 

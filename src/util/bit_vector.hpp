@@ -15,7 +15,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace coruscant {
 
@@ -25,19 +24,38 @@ namespace coruscant {
  * Bit index 0 is the least-significant bit when the vector is viewed as
  * an integer (e.g. by toUint64()).  Storage is packed into 64-bit
  * words (bit i in word i / 64 at position i % 64) whose bits past
- * size() are always zero.  Range operations (slice, insert, the
- * uint64 packing helpers) and the binary operators check their
- * arguments and panic on a violation; the per-bit get/set only
- * assert.
+ * size() are always zero.  Up to inlineBits bits the words live
+ * inside the object, so row-sized vectors never touch the heap;
+ * longer vectors allocate, and a copy moves only the live words.
+ * Range operations (slice, insert, the uint64 packing helpers) and
+ * the binary operators check their arguments and panic on a
+ * violation; the per-bit get/set only assert.
  */
 class BitVector
 {
+    static constexpr std::size_t bitsPerWord = 64;
+
   public:
+    /**
+     * Words stored inside the object: a 512-wire row plus 64 SECDED
+     * check lanes and the alignment-guard wire (577 bits) fits.
+     */
+    static constexpr std::size_t inlineWords = 10;
+
+    /** Longest vector that needs no heap allocation. */
+    static constexpr std::size_t inlineBits = inlineWords * bitsPerWord;
+
     /** Construct an empty (size 0) vector. */
     BitVector() = default;
 
     /** Construct @p size bits, all initialized to @p value. */
     explicit BitVector(std::size_t size, bool value = false);
+
+    BitVector(const BitVector &o);
+    BitVector(BitVector &&o) noexcept;
+    BitVector &operator=(const BitVector &o);
+    BitVector &operator=(BitVector &&o) noexcept;
+    ~BitVector() { release(); }
 
     /**
      * Build a vector from the low @p size bits of @p bits.
@@ -56,10 +74,26 @@ class BitVector
     bool empty() const { return numBits == 0; }
 
     /** Read the bit at @p idx. */
-    bool get(std::size_t idx) const;
+    bool
+    get(std::size_t idx) const
+    {
+        assert(idx < numBits);
+        return (store[idx / bitsPerWord] >> (idx % bitsPerWord)) & 1ULL;
+    }
 
-    /** Set the bit at @p idx to @p value. */
-    void set(std::size_t idx, bool value);
+    /**
+     * Set the bit at @p idx to @p value.  Branch-free on purpose:
+     * callers feed it random bits (bitmap synthesis), where a branch
+     * on @p value would mispredict half the time.
+     */
+    void
+    set(std::size_t idx, bool value)
+    {
+        assert(idx < numBits);
+        const std::size_t bit = idx % bitsPerWord;
+        std::uint64_t &w = store[idx / bitsPerWord];
+        w = (w & ~(1ULL << bit)) | (static_cast<std::uint64_t>(value) << bit);
+    }
 
     /** Set all bits to @p value. */
     void fill(bool value);
@@ -97,19 +131,22 @@ class BitVector
     std::uint64_t
     word(std::size_t i) const
     {
-        assert(i < words.size());
-        return words[i];
+        assert(i < numWords());
+        return store[i];
     }
 
     /** Overwrite storage word @p i; bits past size() are dropped. */
     void
     setWord(std::size_t i, std::uint64_t value)
     {
-        assert(i < words.size());
-        words[i] = value;
-        if (i + 1 == words.size())
+        assert(i < numWords());
+        store[i] = value;
+        if (i + 1 == numWords())
             clearPadding();
     }
+
+    /** Storage words: (size() + 63) / 64. */
+    std::size_t numWords() const { return wordCount(numBits); }
 
     /**
      * Interpret bits [offset, offset+width) as an unsigned integer.
@@ -144,12 +181,28 @@ class BitVector
     std::string toString() const;
 
   private:
-    static constexpr std::size_t bitsPerWord = 64;
-
     static std::size_t wordCount(std::size_t bits)
     {
         return (bits + bitsPerWord - 1) / bitsPerWord;
     }
+
+    /** Whether the words live in a heap block. */
+    bool onHeap() const { return store != local; }
+
+    /** Make room for @p n words; contents are unspecified after. */
+    void reserveWords(std::size_t n);
+
+    /** Free a heap block and fall back to the inline words. */
+    void release();
+
+    /** Take @p o's size and live words (room already reserved). */
+    void copyWords(const BitVector &o);
+
+    /**
+     * Take over @p o's heap block (this holds none), leaving @p o
+     * empty and inline.
+     */
+    void steal(BitVector &o);
 
     /** Zero any bits in the final word beyond numBits. */
     void clearPadding();
@@ -169,7 +222,14 @@ class BitVector
                    std::uint64_t value);
 
     std::size_t numBits = 0;
-    std::vector<std::uint64_t> words;
+    std::size_t capacity = inlineWords; ///< words available at store
+    std::uint64_t *store = local;       ///< local or a heap block
+    /**
+     * Inline words.  Left uninitialized on purpose (row temporaries
+     * are built constantly): only the first numWords() are ever read,
+     * and every constructor and assignment writes those.
+     */
+    std::uint64_t local[inlineWords];
 };
 
 } // namespace coruscant

@@ -15,6 +15,7 @@
 #ifndef CORUSCANT_UTIL_STATS_HPP
 #define CORUSCANT_UTIL_STATS_HPP
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <map>
@@ -140,16 +141,31 @@ class LatencyHistogram
 class CostLedger
 {
   public:
-    /** Charge @p cycles cycles and @p energy_pj picojoules to @p what. */
+    /** Per-category entry. */
+    struct Entry
+    {
+        std::uint64_t cycles = 0;
+        double energyPj = 0;
+        std::uint64_t count = 0;
+    };
+
+    /**
+     * Charge @p cycles cycles and @p energy_pj picojoules to @p what,
+     * a category name with static storage duration (a string
+     * literal): repeat charges find the category by pointer, without
+     * building or comparing strings.
+     */
+    void
+    charge(const char *what, std::uint64_t cycles, double energy_pj)
+    {
+        add(cache_.find(what, byCategory_), cycles, energy_pj);
+    }
+
+    /** charge() for a category name built at run time. */
     void
     charge(const std::string &what, std::uint64_t cycles, double energy_pj)
     {
-        totalCycles_ += cycles;
-        totalEnergyPj_ += energy_pj;
-        auto &e = byCategory_[what];
-        e.cycles += cycles;
-        e.energyPj += energy_pj;
-        e.count += 1;
+        add(byCategory_[what], cycles, energy_pj);
     }
 
     /** Merge another ledger's totals into this one. */
@@ -172,18 +188,11 @@ class CostLedger
         totalCycles_ = 0;
         totalEnergyPj_ = 0;
         byCategory_.clear();
+        cache_.clear();
     }
 
     std::uint64_t cycles() const { return totalCycles_; }
     double energyPj() const { return totalEnergyPj_; }
-
-    /** Per-category entry. */
-    struct Entry
-    {
-        std::uint64_t cycles = 0;
-        double energyPj = 0;
-        std::uint64_t count = 0;
-    };
 
     const std::map<std::string, Entry> &byCategory() const
     {
@@ -194,9 +203,75 @@ class CostLedger
     std::string summary() const;
 
   private:
+    /**
+     * byCategory_ entries of the last few literal names charged.  Map
+     * nodes never move, so the pointers stay valid until reset(); a
+     * copied or moved ledger starts (and a moved-from one restarts)
+     * with an empty cache, as its pointers name the other map.
+     */
+    class EntryCache
+    {
+      public:
+        EntryCache() = default;
+        EntryCache(const EntryCache &) {}
+        EntryCache(EntryCache &&o) noexcept { o.clear(); }
+        EntryCache &
+        operator=(const EntryCache &)
+        {
+            clear();
+            return *this;
+        }
+        EntryCache &
+        operator=(EntryCache &&o) noexcept
+        {
+            clear();
+            o.clear();
+            return *this;
+        }
+
+        /** The entry of @p what, inserted into @p map if new. */
+        Entry &
+        find(const char *what, std::map<std::string, Entry> &map)
+        {
+            for (std::size_t i = 0; i < used; ++i)
+                if (keys[i] == what)
+                    return *entries[i];
+            Entry &e = map[what];
+            std::size_t slot = used < slots ? used++ : next++ % slots;
+            keys[slot] = what;
+            entries[slot] = &e;
+            return e;
+        }
+
+        void
+        clear()
+        {
+            used = 0;
+            next = 0;
+        }
+
+      private:
+        static constexpr std::size_t slots = 8;
+        std::array<const char *, slots> keys{};
+        std::array<Entry *, slots> entries{};
+        std::size_t used = 0; ///< filled slots
+        std::size_t next = 0; ///< round-robin victim once full
+    };
+
+    void
+    add(Entry &e, std::uint64_t cycles, double energy_pj)
+    {
+        totalCycles_ += cycles;
+        totalEnergyPj_ += energy_pj;
+        e.cycles += cycles;
+        e.energyPj += energy_pj;
+        e.count += 1;
+    }
+
     std::uint64_t totalCycles_ = 0;
     double totalEnergyPj_ = 0;
     std::map<std::string, Entry> byCategory_;
+    EntryCache cache_;
 };
 
 } // namespace coruscant

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "util/bit_vector.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -281,6 +284,110 @@ TEST(BitVectorProperty, PopcountXorIdentity)
         }
         EXPECT_EQ((a ^ b).popcount(),
                   a.popcount() + b.popcount() - 2 * (a & b).popcount());
+    }
+}
+
+/** Sizes around the inline/heap storage boundary. */
+constexpr std::size_t kStorageSizes[] = {
+    577, BitVector::inlineBits, BitVector::inlineBits + 1,
+    std::size_t{4} << 20};
+
+/** @p v's storage words, for comparisons that skip ==. */
+std::vector<std::uint64_t>
+bitsOf(const BitVector &v)
+{
+    std::vector<std::uint64_t> out(v.numWords());
+    for (std::size_t i = 0; i < out.size(); ++i)
+        out[i] = v.word(i);
+    return out;
+}
+
+/** @p size random bits, a word at a time (cheap at 4 Mi bits). */
+BitVector
+randomWords(Rng &rng, std::size_t size)
+{
+    BitVector v(size);
+    for (std::size_t i = 0; i < v.numWords(); ++i)
+        v.setWord(i, rng.next());
+    return v;
+}
+
+TEST(BitVectorStorage, InlineCapacityCoversAGuardedSecdedRow)
+{
+    // 512 data wires + 64 SECDED check lanes + 1 guard wire.
+    EXPECT_GE(BitVector::inlineBits, 577u);
+}
+
+TEST(BitVectorStorage, CopyAndMoveAcrossTheInlineBoundary)
+{
+    Rng rng(0x577);
+    for (std::size_t from : kStorageSizes) {
+        for (std::size_t to : kStorageSizes) {
+            SCOPED_TRACE(::testing::Message() << from << " -> " << to);
+            const BitVector src = randomWords(rng, from);
+            const std::vector<std::uint64_t> want = bitsOf(src);
+
+            BitVector copy(src);
+            EXPECT_EQ(bitsOf(copy), want);
+
+            BitVector assigned = randomWords(rng, to);
+            assigned = src;
+            EXPECT_EQ(assigned.size(), from);
+            EXPECT_EQ(bitsOf(assigned), want);
+            EXPECT_TRUE(paddingClear(assigned));
+
+            BitVector moved_from(src);
+            BitVector moved(std::move(moved_from));
+            EXPECT_EQ(bitsOf(moved), want);
+
+            BitVector move_assigned = randomWords(rng, to);
+            BitVector tmp(src);
+            move_assigned = std::move(tmp);
+            EXPECT_EQ(move_assigned.size(), from);
+            EXPECT_EQ(bitsOf(move_assigned), want);
+            EXPECT_TRUE(paddingClear(move_assigned));
+
+            // Moved-from vectors stay usable.
+            moved_from = src;
+            EXPECT_EQ(bitsOf(moved_from), want);
+            tmp = BitVector(to, true);
+            EXPECT_EQ(tmp.popcount(), to);
+
+            // Growing or shrinking a reused vector keeps it independent.
+            assigned.set(0, !assigned.get(0));
+            EXPECT_EQ(bitsOf(src), want);
+        }
+    }
+}
+
+TEST(BitVectorStorage, SelfAssignmentKeepsContents)
+{
+    Rng rng(0x5e1f);
+    for (std::size_t size : kStorageSizes) {
+        BitVector v = randomWords(rng, size);
+        const std::vector<std::uint64_t> want = bitsOf(v);
+        BitVector &alias = v;
+        v = alias;
+        EXPECT_EQ(bitsOf(v), want) << size;
+        v = std::move(alias);
+        EXPECT_EQ(bitsOf(v), want) << size;
+    }
+}
+
+TEST(BitVectorStorage, WordOpsAcrossTheInlineBoundary)
+{
+    Rng rng(0xb0d);
+    for (std::size_t size : kStorageSizes) {
+        BitVector a = randomWords(rng, size), b = randomWords(rng, size);
+        BitVector x = a ^ b;
+        std::size_t diff = 0;
+        for (std::size_t i = 0; i < size; ++i)
+            diff += a.get(i) != b.get(i);
+        EXPECT_EQ(x.popcount(), diff) << size;
+        EXPECT_TRUE(paddingClear(a));
+        EXPECT_TRUE(paddingClear(~x));
+        EXPECT_EQ(a.shiftedLeft(size - 1).popcount(), a.get(0) ? 1u : 0u);
+        EXPECT_EQ(a.slice(size - 65, 65), a.shiftedRight(size - 65).slice(0, 65));
     }
 }
 

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "dwm/dbc.hpp"
 #include "dwm/nanowire.hpp"
 #include "util/rng.hpp"
@@ -178,6 +181,185 @@ TEST(DbcProperty, EquivalentToNanowireArray)
         for (std::size_t w = 0; w < wires; ++w)
             ASSERT_EQ(dbc.peekBit(r, w), ref[w].peekRow(r))
                 << "row " << r << " wire " << w;
+}
+
+/**
+ * The cluster as a flat array of physical rows moved with std::rotate
+ * on every pulse: the representation the ring replaces, kept here as
+ * the reference for it.
+ */
+class RotateModel
+{
+  public:
+    explicit RotateModel(const DeviceParams &params)
+        : p(params), phys(params.totalDomains(), BitVector(params.wiresPerDbc))
+    {
+    }
+
+    /** One physical move of every domain (a pulse or a fault). */
+    void
+    move(bool toward_left)
+    {
+        if (toward_left) {
+            std::rotate(phys.begin(), phys.begin() + 1, phys.end());
+            phys.back().fill(false);
+        } else {
+            std::rotate(phys.begin(), phys.end() - 1, phys.end());
+            phys.front().fill(false);
+        }
+    }
+
+    /** A controller pulse whose outcome @p faults decides. */
+    void
+    pulse(bool toward_left, ShiftFaultModel &faults)
+    {
+        offset += toward_left ? 1 : -1;
+        ShiftOutcome o = faults.sample();
+        if (o != ShiftOutcome::UnderShift)
+            move(toward_left);
+        if (o == ShiftOutcome::OverShift)
+            move(toward_left);
+    }
+
+    BitVector &row(std::size_t r) { return phys[p.leftOverhead() + r - offset]; }
+
+    std::size_t
+    port(Port side) const
+    {
+        return p.leftOverhead() +
+               (side == Port::Left ? p.leftPortRow() : p.rightPortRow());
+    }
+
+    /** Ones of @p wire over physical rows [lo, hi). */
+    std::size_t
+    count(std::size_t wire, std::size_t lo, std::size_t hi) const
+    {
+        std::size_t c = 0;
+        for (std::size_t i = lo; i < hi; ++i)
+            c += phys[i].get(wire);
+        return c;
+    }
+
+    DeviceParams p;
+    std::vector<BitVector> phys;
+    int offset = 0;
+};
+
+BitVector
+randomRowOf(Rng &rng, std::size_t wires)
+{
+    BitVector v(wires);
+    for (std::size_t w = 0; w < wires; ++w)
+        v.set(w, rng.nextBool());
+    return v;
+}
+
+/** Every observable of @p d against the model. */
+void
+expectMatches(const DomainBlockCluster &d, const RotateModel &m)
+{
+    const std::size_t wires = d.width();
+    auto window = d.transverseReadAll();
+    auto left = d.transverseReadOutsideAll(Port::Left);
+    auto right = d.transverseReadOutsideAll(Port::Right);
+    const std::size_t lo = m.port(Port::Left);
+    const std::size_t hi = m.port(Port::Right);
+    for (std::size_t w = 0; w < wires; ++w) {
+        ASSERT_EQ(window[w], m.count(w, lo, hi + 1)) << "wire " << w;
+        ASSERT_EQ(d.transverseReadWire(w), window[w]) << "wire " << w;
+        ASSERT_EQ(left[w], m.count(w, 0, lo)) << "wire " << w;
+        ASSERT_EQ(right[w], m.count(w, hi + 1, m.phys.size()))
+            << "wire " << w;
+    }
+    for (std::size_t r = 0; r < d.rows(); ++r)
+        ASSERT_EQ(d.peekRow(r), m.phys[m.p.leftOverhead() + r - m.offset])
+            << "row " << r;
+    EXPECT_EQ(d.readRowAtPort(Port::Left), m.phys[lo]);
+    EXPECT_EQ(d.readRowAtPort(Port::Right), m.phys[hi]);
+}
+
+TEST(DbcProperty, RingMatchesRotatedRows)
+{
+    Rng rng(0x51f7);
+    for (std::size_t trd : {3u, 5u, 7u}) {
+        for (std::size_t wires : {8u, 73u, 577u}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "trd " << trd << " wires " << wires);
+            DeviceParams p = params(wires, trd);
+            DomainBlockCluster d(p);
+            RotateModel m(p);
+            // Identical fault streams: both sides see the same
+            // over- and under-shifts.
+            ShiftFaultModel faults(0.2, 7), model_faults(0.2, 7);
+            d.attachShiftFaults(&faults);
+            for (int step = 0; step < 400; ++step) {
+                switch (rng.nextBelow(8)) {
+                  case 0:
+                    if (d.canShiftLeft()) {
+                        d.shiftLeft();
+                        m.pulse(true, model_faults);
+                    }
+                    break;
+                  case 1:
+                    if (d.canShiftRight()) {
+                        d.shiftRight();
+                        m.pulse(false, model_faults);
+                    }
+                    break;
+                  case 2: {
+                    bool left = rng.nextBool();
+                    d.injectShiftFault(left);
+                    m.move(left);
+                    break;
+                  }
+                  case 3: {
+                    std::size_t r = rng.nextBelow(d.rows());
+                    BitVector v = randomRowOf(rng, wires);
+                    d.pokeRow(r, v);
+                    m.row(r) = v;
+                    break;
+                  }
+                  case 4: {
+                    std::size_t r = rng.nextBelow(d.rows());
+                    std::size_t w = rng.nextBelow(wires);
+                    bool v = rng.nextBool();
+                    d.pokeBit(r, w, v);
+                    m.row(r).set(w, v);
+                    break;
+                  }
+                  case 5: {
+                    BitVector v = randomRowOf(rng, wires);
+                    d.transverseWriteRow(v);
+                    const std::size_t lo = m.port(Port::Left);
+                    for (std::size_t i = m.port(Port::Right); i > lo; --i)
+                        m.phys[i] = m.phys[i - 1];
+                    m.phys[lo] = v;
+                    break;
+                  }
+                  case 6: {
+                    Port side = rng.nextBool() ? Port::Left : Port::Right;
+                    BitVector v = randomRowOf(rng, wires);
+                    d.writeRowAtPort(side, v);
+                    m.phys[m.port(side)] = v;
+                    break;
+                  }
+                  default: {
+                    std::size_t r = rng.nextBelow(d.rows());
+                    BitVector mask = randomRowOf(rng, wires);
+                    BitVector v = randomRowOf(rng, wires);
+                    d.pokeMasked(r, mask, v);
+                    m.row(r) = (m.row(r) & ~mask) | (v & mask);
+                    break;
+                  }
+                }
+                ASSERT_EQ(d.shiftOffset(), m.offset);
+                expectMatches(d, m);
+                if (HasFatalFailure())
+                    return;
+            }
+            EXPECT_GT(faults.injectedFaults(), 0u);
+        }
+    }
 }
 
 } // namespace

@@ -16,7 +16,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "arch/dwm_memory.hpp"
 #include "reliability/ecc/secded.hpp"
+#include "util/logging.hpp"
 #include "util/rng.hpp"
 
 namespace coruscant {
@@ -39,6 +41,15 @@ flipCodeBit(BitVector &data, BitVector &check, std::size_t pos)
         data.set(pos, !data.get(pos));
     else
         check.set(pos - data.size(), !check.get(pos - data.size()));
+}
+
+BitVector
+randomBitsOf(Rng &rng, std::size_t bits)
+{
+    BitVector v(bits);
+    for (std::size_t i = 0; i < bits; ++i)
+        v.set(i, rng.nextBool());
+    return v;
 }
 
 /** Data patterns that stress the parity structure of a @p bits code. */
@@ -248,6 +259,193 @@ TEST(Secded, LineRoundTripAndPerWordCorrection)
         // The singly-hit word is restored.
         EXPECT_EQ(d.slice(6 * 64, 64), stored.slice(6 * 64, 64));
     }
+}
+
+/**
+ * The extended Hamming code spelled out bit by bit: explicit
+ * position tables, one BitVector access per codeword bit.  The
+ * popcount/mask implementation must agree with it on every input.
+ */
+class BitSerialSecded
+{
+  public:
+    explicit BitSerialSecded(std::size_t data_bits) : dataBits(data_bits)
+    {
+        while ((std::size_t{1} << hamming) < data_bits + hamming + 1)
+            ++hamming;
+        posToFlat.assign(data_bits + hamming + 1, 0);
+        std::size_t next_data = 0, next_check = 0;
+        for (std::size_t pos = 1; pos <= data_bits + hamming; ++pos) {
+            if ((pos & (pos - 1)) == 0) {
+                posToFlat[pos] = data_bits + next_check++;
+            } else {
+                posToFlat[pos] = next_data++;
+                dataPos.push_back(pos);
+            }
+        }
+    }
+
+    BitVector
+    check(const BitVector &data) const
+    {
+        std::size_t acc = 0, ones = 0;
+        for (std::size_t i = 0; i < dataBits; ++i) {
+            if (data.get(i)) {
+                acc ^= dataPos[i];
+                ++ones;
+            }
+        }
+        BitVector c(hamming + 1);
+        for (std::size_t k = 0; k < hamming; ++k) {
+            c.set(k, (acc >> k) & 1);
+            ones += (acc >> k) & 1;
+        }
+        c.set(hamming, ones & 1);
+        return c;
+    }
+
+    SecdedCode::Decoded
+    decode(BitVector &data, BitVector &c) const
+    {
+        std::size_t syndrome = 0, ones = 0;
+        for (std::size_t i = 0; i < dataBits; ++i) {
+            if (data.get(i)) {
+                syndrome ^= dataPos[i];
+                ++ones;
+            }
+        }
+        for (std::size_t k = 0; k <= hamming; ++k) {
+            if (c.get(k)) {
+                if (k < hamming)
+                    syndrome ^= std::size_t{1} << k;
+                ++ones;
+            }
+        }
+        bool odd = ones & 1;
+        SecdedCode::Decoded out;
+        if (syndrome == 0 && !odd)
+            return out;
+        if (!odd || syndrome >= posToFlat.size()) {
+            out.status = EccStatus::Uncorrectable;
+            return out;
+        }
+        std::size_t flat =
+            syndrome == 0 ? dataBits + hamming : posToFlat[syndrome];
+        flipCodeBit(data, c, flat);
+        out.status = EccStatus::Corrected;
+        out.correctedBit = flat;
+        return out;
+    }
+
+  private:
+    std::size_t dataBits;
+    std::size_t hamming = 0;
+    std::vector<std::size_t> dataPos;   ///< data idx -> position
+    std::vector<std::size_t> posToFlat; ///< position -> flat idx
+};
+
+/** Decode copies of (@p data, @p check) both ways; all must agree. */
+void
+expectSameDecode(const SecdedCode &code, const BitSerialSecded &ref,
+                 const BitVector &data, const BitVector &check)
+{
+    BitVector d = data, c = check, rd = data, rc = check;
+    SecdedCode::Decoded got = code.decode(d, c);
+    SecdedCode::Decoded want = ref.decode(rd, rc);
+    ASSERT_EQ(got.status, want.status);
+    if (want.status == EccStatus::Corrected) {
+        ASSERT_EQ(got.correctedBit, want.correctedBit);
+    }
+    ASSERT_EQ(d, rd);
+    ASSERT_EQ(c, rc);
+}
+
+constexpr std::size_t kDiffWidths[] = {1, 8, 57, 64};
+
+TEST(Secded, WordPathMatchesBitSerialOnEverySingleAndDoubleFlip)
+{
+    for (std::size_t bits : kDiffWidths) {
+        SCOPED_TRACE(::testing::Message() << bits << "-bit code");
+        SecdedCode code(bits);
+        BitSerialSecded ref(bits);
+        for (const BitVector &data : patternsFor(bits)) {
+            BitVector check = code.checkBitsFor(data);
+            ASSERT_EQ(check, ref.check(data));
+            BitVector encoded = code.encode(data);
+            ASSERT_EQ(encoded.slice(0, bits), data);
+            ASSERT_EQ(encoded.slice(bits, code.checkBits()), check);
+            for (std::size_t a = 0; a < code.codeBits(); ++a) {
+                BitVector d = data, c = check;
+                flipCodeBit(d, c, a);
+                expectSameDecode(code, ref, d, c);
+                for (std::size_t b = a + 1; b < code.codeBits(); ++b) {
+                    BitVector dd = d, cc = c;
+                    flipCodeBit(dd, cc, b);
+                    expectSameDecode(code, ref, dd, cc);
+                }
+            }
+        }
+    }
+}
+
+TEST(Secded, LineWordPathMatchesBitSerialOnRandomLines)
+{
+    Rng rng(0xd1ffecc);
+    for (std::size_t bits : kDiffWidths) {
+        SCOPED_TRACE(::testing::Message() << bits << "-bit words");
+        LineSecded line(bits * 9, bits);
+        BitSerialSecded ref(bits);
+        const std::size_t cb = line.code().checkBits();
+        for (int trial = 0; trial < 200; ++trial) {
+            BitVector stored = randomBitsOf(rng, line.lineBits());
+            BitVector check = line.encodeCheck(stored);
+            // Zero to three random flips per word, data or check.
+            for (std::size_t w = 0; w < line.words(); ++w) {
+                for (std::size_t f = rng.nextBelow(4); f > 0; --f) {
+                    std::size_t pos = rng.nextBelow(bits + cb);
+                    if (pos < bits)
+                        stored.set(w * bits + pos,
+                                   !stored.get(w * bits + pos));
+                    else
+                        check.set(w * cb + pos - bits,
+                                  !check.get(w * cb + pos - bits));
+                }
+            }
+            BitVector d = stored, c = check;
+            LineSecded::Result got = line.correct(d, c);
+            LineSecded::Result want;
+            for (std::size_t w = 0; w < line.words(); ++w) {
+                BitVector wd = stored.slice(w * bits, bits);
+                BitVector wc = check.slice(w * cb, cb);
+                EccStatus st = ref.decode(wd, wc).status;
+                want.correctedWords += st == EccStatus::Corrected;
+                want.uncorrectableWords += st == EccStatus::Uncorrectable;
+                ASSERT_EQ(d.slice(w * bits, bits), wd) << "word " << w;
+                ASSERT_EQ(c.slice(w * cb, cb), wc) << "word " << w;
+            }
+            EXPECT_EQ(got.correctedWords, want.correctedWords);
+            EXPECT_EQ(got.uncorrectableWords, want.uncorrectableWords);
+        }
+    }
+}
+
+TEST(Secded, UnusableWordWidthsAreFatal)
+{
+    EXPECT_THROW(SecdedCode(0), FatalError);
+    EXPECT_THROW(SecdedCode(SecdedCode::maxDataBits + 1), FatalError);
+    EXPECT_THROW(LineSecded(512, 48), FatalError); // 512 % 48 != 0
+    EXPECT_NO_THROW(LineSecded(512, 64));
+
+    for (std::size_t width : {0u, 48u, 128u}) {
+        MemoryConfig cfg;
+        cfg.reliability.eccMode = EccMode::Secded;
+        cfg.reliability.eccWordBits = width;
+        EXPECT_THROW(DwmMainMemory mem(cfg), FatalError)
+            << "ECC word width " << width;
+    }
+    MemoryConfig cfg;
+    cfg.reliability.eccMode = EccMode::Secded;
+    EXPECT_NO_THROW(DwmMainMemory mem(cfg));
 }
 
 } // namespace

@@ -12,9 +12,17 @@
  * sides read random rows at random shift offsets, for TRD 3..7 and
  * widths around the 64-bit word size, with TR faults off and on; with
  * faults on the two sides share a seed and must draw the same faults.
+ *
+ * The carry chain of add()/addStepVoted() and the bit loop of
+ * maxOfRows() sense a lane-strided subset of wires per step; their
+ * reference is the bit-serial algorithm (one transverseReadWire() per
+ * lane and bit position, one pokeBit() per output) replayed on a
+ * cluster of its own.
  */
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "core/coruscant_unit.hpp"
 #include "dwm/dbc.hpp"
@@ -277,6 +285,180 @@ TEST(TrFuzz, UnitOpsMatchPerWireDecode)
                         << "block " << block;
                     EXPECT_EQ(got.hasSuperCarry, has_super);
                     check_faults();
+                }
+                if (rate > 0) {
+                    EXPECT_GT(unit.injectedFaults(), 0u);
+                }
+            }
+        }
+    }
+}
+
+/**
+ * Bit-serial add / step-voted add / max on a cluster of its own: one
+ * transverseReadWire() per lane and bit position and one pokeBit() or
+ * row.set() per output bit, in lane order.
+ */
+class SerialUnit
+{
+  public:
+    SerialUnit(const DeviceParams &p, double fault_rate)
+        : dev(p), dbc(p), faults(fault_rate, kFaultSeed)
+    {
+        dbc.attachMetrics(&metrics);
+    }
+
+    BitVector
+    add(int offset, const std::vector<BitVector> &operands,
+        std::size_t block, std::size_t act, std::size_t samples)
+    {
+        const bool has_super = dev.trd >= 5;
+        std::size_t ws = stage(offset, operands, has_super ? 1 : 0);
+        const std::size_t s_row = ws, c_row = ws + dev.trd - 1;
+        const std::size_t maj = (samples + 1) / 2;
+        for (std::size_t k = 0; k < block; ++k) {
+            for (std::size_t lane = 0; lane < act / block; ++lane) {
+                std::size_t w = lane * block + k;
+                std::size_t s = 0, c = 0, sc = 0;
+                for (std::size_t r = 0; r < samples; ++r) {
+                    PimOutputs o = evalPimLogic(
+                        dbc.transverseReadWire(w, &faults), dev.trd);
+                    s += o.sum;
+                    c += o.carry;
+                    sc += o.superCarry;
+                }
+                dbc.pokeBit(s_row, w, s >= maj);
+                if (k + 1 < block)
+                    dbc.pokeBit(c_row, w + 1, c >= maj);
+                if (has_super && k + 2 < block)
+                    dbc.pokeBit(s_row, w + 2, sc >= maj);
+            }
+        }
+        return dbc.peekRow(s_row);
+    }
+
+    BitVector
+    maxOf(int offset, const std::vector<BitVector> &candidates,
+          std::size_t word_bits, std::size_t act)
+    {
+        stage(offset, candidates, 0);
+        const std::size_t lanes = act / word_bits;
+        for (std::size_t bit = word_bits; bit-- > 0;) {
+            std::vector<bool> any_one(lanes);
+            for (std::size_t lane = 0; lane < lanes; ++lane)
+                any_one[lane] = dbc.transverseReadWire(
+                                    lane * word_bits + bit, &faults) > 0;
+            for (std::size_t rot = 0; rot < dev.trd; ++rot) {
+                BitVector row = dbc.readRowAtPort(Port::Right);
+                for (std::size_t lane = 0; lane < lanes; ++lane)
+                    if (any_one[lane] && !row.get(lane * word_bits + bit))
+                        for (std::size_t b = 0; b < word_bits; ++b)
+                            row.set(lane * word_bits + b, false);
+                dbc.transverseWriteRow(row);
+            }
+        }
+        // The final OR read is the row-wide TR, checked wire by wire
+        // in RowWideReadsMatchPerWireReads.
+        BitVector all = dbc.transverseReadPlanes(&faults).atLeast(1);
+        BitVector out(dbc.width());
+        for (std::size_t w = 0; w < act; ++w)
+            out.set(w, all.get(w));
+        return out;
+    }
+
+    DeviceParams dev;
+    DomainBlockCluster dbc;
+    TrFaultModel faults;
+    obs::ComponentMetrics metrics;
+
+  private:
+    /** Zero the window at @p offset, lay @p rows from slot @p first. */
+    std::size_t
+    stage(int offset, const std::vector<BitVector> &rows, std::size_t first)
+    {
+        shiftTo(dbc, offset);
+        std::size_t ws = dbc.rowAtPort(Port::Left);
+        for (std::size_t r = 0; r < dev.trd; ++r)
+            dbc.pokeRow(ws + r, BitVector(dbc.width()));
+        for (std::size_t i = 0; i < rows.size(); ++i)
+            dbc.pokeRow(ws + first + i, rows[i]);
+        return ws;
+    }
+};
+
+TEST(TrFuzz, CarryChainAndMaxMatchBitSerial)
+{
+    Rng rng(83);
+    const std::size_t blocks[] = {1, 2, 3, 5, 8, 16};
+    for (double rate : kFaultRates) {
+        for (std::size_t trd : kTrds) {
+            for (std::size_t width : kWidths) {
+                SCOPED_TRACE(::testing::Message()
+                             << "rate " << rate << " trd " << trd
+                             << " width " << width);
+                DeviceParams p = params(trd, width);
+                CoruscantUnit unit(p, rate, kFaultSeed);
+                DomainBlockCluster &unit_dbc =
+                    CoruscantUnitTestPeer::dbc(unit);
+                obs::ComponentMetrics unit_m;
+                unit_dbc.attachMetrics(&unit_m);
+                SerialUnit ref(p, rate);
+
+                for (int iter = 0; iter < 24; ++iter) {
+                    std::size_t block = blocks[rng.nextBelow(6)];
+                    while (block > width)
+                        block = blocks[rng.nextBelow(6)];
+                    std::size_t act =
+                        block * (1 + rng.nextBelow(width / block));
+                    int off = randomOffset(rng, p);
+                    shiftTo(unit_dbc, off);
+                    BitVector got, want;
+                    std::string what;
+                    switch (rng.nextBelow(3)) {
+                      case 0: {
+                        auto ops = randomRows(
+                            rng, 1 + rng.nextBelow(p.maxAddOperands()),
+                            width);
+                        got = unit.add(ops, block, act);
+                        want = ref.add(off, ops, block, act, 1);
+                        what = "add";
+                        break;
+                      }
+                      case 1: {
+                        const std::size_t votes[] = {3, 5, 7};
+                        std::size_t n = votes[rng.nextBelow(3)];
+                        auto ops = randomRows(
+                            rng, 1 + rng.nextBelow(p.maxAddOperands()),
+                            width);
+                        got = unit.addStepVoted(ops, block, n, act);
+                        want = ref.add(off, ops, block, act, n);
+                        what = "addStepVoted N = " + std::to_string(n);
+                        break;
+                      }
+                      default: {
+                        auto cands =
+                            randomRows(rng, 1 + rng.nextBelow(trd), width);
+                        got = unit.maxOfRows(cands, block, act,
+                                             rng.nextBool());
+                        want = ref.maxOf(off, cands, block, act);
+                        what = "maxOfRows";
+                        break;
+                      }
+                    }
+                    SCOPED_TRACE(::testing::Message()
+                                 << what << " block " << block << " act "
+                                 << act);
+                    ASSERT_EQ(got, want);
+                    // Every row the chain wrote, not just the result.
+                    for (std::size_t r = 0; r < p.domainsPerWire; ++r)
+                        ASSERT_EQ(unit_dbc.peekRow(r), ref.dbc.peekRow(r))
+                            << "row " << r;
+                    ASSERT_EQ(unit.injectedFaults(),
+                              ref.faults.injectedFaults());
+                    ASSERT_EQ(unit_m.get(obs::Counter::FaultsInjected),
+                              ref.metrics.get(obs::Counter::FaultsInjected));
+                    ASSERT_EQ(unit_m.get(obs::Counter::TrPulses),
+                              ref.metrics.get(obs::Counter::TrPulses));
                 }
                 if (rate > 0) {
                     EXPECT_GT(unit.injectedFaults(), 0u);
