@@ -32,6 +32,13 @@ RetryLadder::RetryLadder(std::size_t max_retries,
             "retryBackoffCycles <= 2^32)");
 }
 
+void
+checkPimNmr(std::size_t n)
+{
+    fatalIf(!pimNmrValid(n), "pimNmr must be ", kPimNmrArities, " (got ",
+            n, ")");
+}
+
 LineAddress
 AddressMap::decode(std::uint64_t byte_addr) const
 {

@@ -16,6 +16,7 @@
 #include <span>
 
 #include "arch/timing.hpp"
+#include "dwm/data_fault.hpp"
 #include "dwm/device_params.hpp"
 
 namespace coruscant {
@@ -86,7 +87,7 @@ enumTokens(EccMode)
 const char *eccModeName(EccMode mode);
 
 /**
- * Limits of every retry ladder (ReliabilityConfig, ServiceFaultConfig):
+ * Limits of every retry ladder (ReliabilityConfig, FaultConfig):
  * rung k waits `backoff << k`, so an in-range ladder charges fewer
  * than 2^49 cycles and never shifts by 64 bits or more.
  */
@@ -133,28 +134,48 @@ class RetryLadder : public RetryLadderLimits
     std::uint64_t backoffCycles_;
 };
 
-/**
- * Data-domain fault rates (content, not alignment), shared by the
- * memory (ReliabilityConfig) and the service (ServiceFaultConfig).
- */
-struct DataFaultRates
+/** NMR arities a PIM op may run at: 1 (no voting), 3, 5 or 7. */
+inline constexpr const char *kPimNmrArities = "1, 3, 5 or 7";
+
+/** Whether @p n is one of kPimNmrArities. */
+constexpr bool
+pimNmrValid(std::size_t n)
 {
-    /** Per-bit transient flip probability per line access. */
-    double dataFaultRate = 0.0;
+    return n % 2 == 1 && n <= 7;
+}
 
-    /** Fraction of domains manufactured stuck-at. */
-    double stuckAtFraction = 0.0;
+/** Throws FatalError unless @p n is one of kPimNmrArities. */
+void checkPimNmr(std::size_t n);
 
-    /** Per-bit retention decay rate per idle cycle. */
-    double retentionRatePerCycle = 0.0;
+/**
+ * The fault knobs of a fault-injecting run, declared once:
+ * ServiceFaultConfig and ControllerCampaignConfig build on it, and
+ * `coruscant_cli campaign` and `serve` bind its flags through one
+ * option fragment.  (ReliabilityConfig, the memory's view, keeps its
+ * own spellings guardPolicy/eccMode.)
+ */
+struct FaultConfig : RetryLadderLimits, DataFaultRates
+{
+    /** Probability that a single shift pulse over-/under-shifts. */
+    double shiftFaultRate = 0.0;
 
-    /** Whether any data-domain fault source is active. */
-    bool
-    dataFaultsEnabled() const
-    {
-        return dataFaultRate > 0.0 || stuckAtFraction > 0.0 ||
-               retentionRatePerCycle > 0.0;
-    }
+    /** Fraction of shift faults that are over-shifts (symmetric). */
+    static constexpr double overShiftFraction = 0.5;
+
+    /** Alignment-check cadence. */
+    GuardPolicy policy = GuardPolicy::PerAccess;
+
+    /** Retry-ladder depth (<= kMaxRetries). */
+    std::size_t maxRetries = 2;
+
+    /** Content protection of lines on the port path (TRs bypass it). */
+    EccMode ecc = EccMode::None;
+
+    /**
+     * NMR arity of PIM ops under data faults (ECC cannot cover
+     * in-situ compute), one of kPimNmrArities.  1 = no voting.
+     */
+    std::size_t pimNmr = 1;
 };
 
 /** Shift-fault injection and guarded-execution configuration. */
@@ -163,9 +184,6 @@ struct ReliabilityConfig : RetryLadderLimits, DataFaultRates
     /** Probability that a single shift pulse over-/under-shifts. */
     double shiftFaultRate = 0.0;
 
-    /** Fraction of shift faults that are over-shifts. */
-    double overShiftFraction = 0.5;
-
     /** RNG seed for the shift-fault injector. */
     std::uint64_t shiftFaultSeed = 1;
 
@@ -173,7 +191,7 @@ struct ReliabilityConfig : RetryLadderLimits, DataFaultRates
     GuardPolicy guardPolicy = GuardPolicy::None;
 
     /** Accesses between sweeps under GuardPolicy::PeriodicScrub. */
-    std::size_t scrubInterval = 256;
+    static constexpr std::size_t scrubInterval = 256;
 
     /** Retry-ladder depth for guarded cpim execution (<= kMaxRetries). */
     std::size_t maxRetries = 2;
@@ -202,13 +220,10 @@ struct ReliabilityConfig : RetryLadderLimits, DataFaultRates
     /** Content protection for stored lines. */
     EccMode eccMode = EccMode::None;
 
-    /** Protected word width for EccMode::Secded ((72,64) default). */
-    std::size_t eccWordBits = 64;
+    /** Protected word width under EccMode::Secded: (72,64) SECDED. */
+    static constexpr std::size_t eccWordBits = 64;
 
-    /**
-     * NMR replication factor for PIM ops when data faults are enabled
-     * (ECC cannot cover in-situ compute).  1 = no voting.
-     */
+    /** NMR arity of PIM ops under data faults (see FaultConfig). */
     std::size_t pimNmr = 1;
 
     bool guarded() const { return guardPolicy != GuardPolicy::None; }

@@ -15,6 +15,7 @@ DwmMainMemory::DwmMainMemory(const MemoryConfig &config)
 {
     cfg.device.validate();
     const ReliabilityConfig &rel = cfg.reliability;
+    checkPimNmr(rel.pimNmr);
     if (rel.eccEnabled()) {
         // Check-bit lanes are extra nanowires of the same DBC: they
         // shift with the data under the shared controller signal and
@@ -34,16 +35,11 @@ DwmMainMemory::DwmMainMemory(const MemoryConfig &config)
     if (rel.shiftFaultRate > 0.0) {
         shiftInjector = std::make_unique<ShiftFaultModel>(
             rel.shiftFaultRate, rel.shiftFaultSeed,
-            rel.overShiftFraction);
+            FaultConfig::overShiftFraction);
     }
-    if (rel.dataFaultsEnabled()) {
-        DataFaultConfig dfc;
-        dfc.transientFlipRate = rel.dataFaultRate;
-        dfc.stuckAtFraction = rel.stuckAtFraction;
-        dfc.retentionRatePerCycle = rel.retentionRatePerCycle;
-        dfc.seed = rel.dataFaultSeed;
-        dataInjector = std::make_unique<DataFaultModel>(dfc);
-    }
+    if (rel.dataFaultsEnabled())
+        dataInjector =
+            std::make_unique<DataFaultModel>(rel, rel.dataFaultSeed);
 }
 
 void
@@ -75,8 +71,7 @@ DwmMainMemory::materialize(std::uint64_t physical_id,
     MemDbc &state = *it->second;
     state.logicalId = logical_id;
     state.physicalId = physical_id;
-    if (dataInjector &&
-        dataInjector->config().retentionRatePerCycle > 0.0) {
+    if (cfg.reliability.retentionRatePerCycle > 0.0) {
         // The retention clock starts when the cluster first holds data.
         state.rowRefreshCycle.assign(cfg.device.domainsPerWire,
                                      costs.cycles());
@@ -240,15 +235,13 @@ DwmMainMemory::tickAccess()
 {
     ++accesses;
     const ReliabilityConfig &rel = cfg.reliability;
-    bool scrub_tick =
-        rel.scrubInterval > 0 && accesses % rel.scrubInterval == 0;
+    bool scrub_tick = accesses % rel.scrubInterval == 0;
     if (rel.guardPolicy == GuardPolicy::PeriodicScrub && scrub_tick)
         scrubAll();
     // Retention decay accumulates silently between touches; with ECC
     // on, the same cadence sweeps stored lines so single-bit decay is
     // rewritten before a second flip turns the word into a DUE.
-    if (scrub_tick && ecc && dataInjector &&
-        dataInjector->config().retentionRatePerCycle > 0.0)
+    if (scrub_tick && ecc && rel.retentionRatePerCycle > 0.0)
         scrubEcc();
 }
 
@@ -438,7 +431,7 @@ DwmMainMemory::readLine(std::uint64_t byte_addr)
 void
 DwmMainMemory::applyRetention(MemDbc &state, std::size_t row)
 {
-    if (dataInjector->config().retentionRatePerCycle <= 0.0)
+    if (cfg.reliability.retentionRatePerCycle <= 0.0)
         return;
     std::uint64_t now = costs.cycles();
     std::uint64_t &stamp = state.rowRefreshCycle[row];
@@ -567,7 +560,7 @@ DwmMainMemory::writeLine(std::uint64_t byte_addr, const BitVector &data)
         if (flips > 0)
             padded.insert(0, payload);
         noteDataFaults("data_fault", flips);
-        if (dataInjector->config().retentionRatePerCycle > 0.0)
+        if (cfg.reliability.retentionRatePerCycle > 0.0)
             state.rowRefreshCycle[loc.row] = costs.cycles();
     }
     if (guard) {

@@ -123,8 +123,6 @@ MemoryController::computeOnce(const CpimInstruction &inst)
                inst.op != CpimOp::Copy;
     BitVector result;
     if (nmr) {
-        fatalIf(rel.pimNmr != 3 && rel.pimNmr != 5 && rel.pimNmr != 7,
-                "pimNmr must be 1, 3, 5, or 7 (got ", rel.pimNmr, ")");
         LineAddress src = mem.addressMap().decode(inst.src);
         CoruscantUnit &unit = mem.pimUnit(src.bank, src.subarray);
         result = unit.nmrExecute(rel.pimNmr,

@@ -38,22 +38,27 @@
 
 namespace coruscant {
 
-/** Knobs for the data-domain fault model. */
-struct DataFaultConfig
+/**
+ * Data-domain fault rates (content, not alignment): the model's knobs,
+ * shared by the memory (ReliabilityConfig) and every fault-injecting
+ * run (FaultConfig).
+ */
+struct DataFaultRates
 {
     /** Per-bit transient flip probability per line access. */
-    double transientFlipRate = 0.0;
+    double dataFaultRate = 0.0;
+
     /** Fraction of domains manufactured stuck-at (sticky sites). */
     double stuckAtFraction = 0.0;
-    /** Per-bit per-cycle retention decay rate lambda. */
-    double retentionRatePerCycle = 0.0;
-    /** Seed; same seed => same fault sites at any thread count. */
-    std::uint64_t seed = 0x00d47afau;
 
+    /** Per-bit retention decay rate lambda per idle cycle. */
+    double retentionRatePerCycle = 0.0;
+
+    /** Whether any data-domain fault source is active. */
     bool
-    enabled() const
+    dataFaultsEnabled() const
     {
-        return transientFlipRate > 0.0 || stuckAtFraction > 0.0 ||
+        return dataFaultRate > 0.0 || stuckAtFraction > 0.0 ||
                retentionRatePerCycle > 0.0;
     }
 };
@@ -67,22 +72,21 @@ class DataFaultModel
   public:
     DataFaultModel() = default;
 
-    explicit DataFaultModel(const DataFaultConfig &cfg)
-        : cfg_(cfg), rng_(cfg.seed)
+    /** Same @p seed => same fault sites at any thread count. */
+    DataFaultModel(const DataFaultRates &rates, std::uint64_t seed)
+        : rates_(rates), seed_(seed), rng_(seed)
     {}
 
-    bool enabled() const { return cfg_.enabled(); }
-    const DataFaultConfig &config() const { return cfg_; }
+    bool enabled() const { return rates_.dataFaultsEnabled(); }
 
     /**
      * Transient disturbance of one accessed row: flips each bit with
-     * transientFlipRate.  Returns the number of flips.
+     * dataFaultRate.  Returns the number of flips.
      */
     std::uint64_t
     perturbTransient(BitVector &row)
     {
-        std::uint64_t flips =
-            flipBernoulli(row, cfg_.transientFlipRate);
+        std::uint64_t flips = flipBernoulli(row, rates_.dataFaultRate);
         transientFlips_ += flips;
         return flips;
     }
@@ -97,7 +101,7 @@ class DataFaultModel
     applyStuckAt(BitVector &row, std::uint64_t dbc_id,
                  std::uint32_t row_index)
     {
-        if (cfg_.stuckAtFraction <= 0.0)
+        if (rates_.stuckAtFraction <= 0.0)
             return 0;
         std::uint64_t changed = 0;
         for (std::size_t wire = 0; wire < row.size(); ++wire) {
@@ -119,7 +123,7 @@ class DataFaultModel
     hasStuckSite(std::uint64_t dbc_id, std::uint32_t row_index,
                  std::size_t wires) const
     {
-        if (cfg_.stuckAtFraction <= 0.0)
+        if (rates_.stuckAtFraction <= 0.0)
             return false;
         for (std::size_t wire = 0; wire < wires; ++wire)
             if (stuckSite(siteHash(dbc_id, row_index, wire)))
@@ -144,9 +148,9 @@ class DataFaultModel
     double
     retentionFlipProbability(std::uint64_t elapsed_cycles) const
     {
-        if (cfg_.retentionRatePerCycle <= 0.0 || elapsed_cycles == 0)
+        if (rates_.retentionRatePerCycle <= 0.0 || elapsed_cycles == 0)
             return 0.0;
-        return 1.0 - std::exp(-cfg_.retentionRatePerCycle *
+        return 1.0 - std::exp(-rates_.retentionRatePerCycle *
                               static_cast<double>(elapsed_cycles));
     }
 
@@ -175,7 +179,7 @@ class DataFaultModel
     stuckSite(std::uint64_t h) const
     {
         return static_cast<double>(h >> 11) * 0x1.0p-53 <
-               cfg_.stuckAtFraction;
+               rates_.stuckAtFraction;
     }
 
     /** Stateless per-site hash (SplitMix64 finalizer over the key). */
@@ -183,7 +187,7 @@ class DataFaultModel
     siteHash(std::uint64_t dbc_id, std::uint32_t row_index,
              std::size_t wire) const
     {
-        std::uint64_t z = cfg_.seed ^
+        std::uint64_t z = seed_ ^
                           (dbc_id * 0x9e3779b97f4a7c15ULL) ^
                           ((static_cast<std::uint64_t>(row_index)
                             << 32) |
@@ -194,7 +198,8 @@ class DataFaultModel
         return z ^ (z >> 31);
     }
 
-    DataFaultConfig cfg_;
+    DataFaultRates rates_;
+    std::uint64_t seed_ = 0;
     Rng rng_;
     std::uint64_t transientFlips_ = 0;
     std::uint64_t stuckAtActivations_ = 0;

@@ -146,21 +146,13 @@ SecdedCode::decode(BitVector &data, BitVector &check) const
     return out;
 }
 
-void
-LineSecded::checkGeometry(std::size_t line_bits, std::size_t word_bits)
-{
-    fatalIf(word_bits == 0 || word_bits > SecdedCode::maxDataBits,
-            "ECC word width ", word_bits, " outside [1, ",
-            SecdedCode::maxDataBits, "]");
-    fatalIf(line_bits % word_bits != 0, "ECC word width ", word_bits,
-            " does not divide the ", line_bits,
-            "-bit line; the remainder would be unprotected");
-}
-
 LineSecded::LineSecded(std::size_t line_bits, std::size_t word_bits)
     : lineBits_(line_bits), code_(word_bits)
 {
-    checkGeometry(line_bits, word_bits);
+    // code_ has rejected a word width outside [1, maxDataBits].
+    fatalIf(line_bits % word_bits != 0, "ECC word width ", word_bits,
+            " does not divide the ", line_bits,
+            "-bit line; the remainder would be unprotected");
 }
 
 BitVector

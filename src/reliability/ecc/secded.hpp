@@ -137,18 +137,14 @@ class LineSecded
 {
   public:
     /**
-     * @param line_bits data bits per line (multiple of @p word_bits)
+     * fatal() unless @p word_bits is at least 1, at most
+     * SecdedCode::maxDataBits, and a divisor of @p line_bits (a
+     * remainder would be left unprotected).
+     *
+     * @param line_bits data bits per line
      * @param word_bits protected word width
      */
     LineSecded(std::size_t line_bits, std::size_t word_bits);
-
-    /**
-     * fatal() unless @p word_bits is a usable ECC word width for
-     * @p line_bits-bit lines: at least 1, at most
-     * SecdedCode::maxDataBits, and a divisor of the line (a remainder
-     * would be left unprotected).
-     */
-    static void checkGeometry(std::size_t line_bits, std::size_t word_bits);
 
     std::size_t lineBits() const { return lineBits_; }
     std::size_t wordBits() const { return code_.dataBits(); }

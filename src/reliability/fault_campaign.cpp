@@ -140,18 +140,16 @@ FaultCampaign::controllerCampaign(const ControllerCampaignConfig &ccfg)
     mcfg.dbcsPerTile = 2;
     mcfg.pimDbcsPerSubarray = 1;
     mcfg.device.wiresPerDbc = 64;
-    mcfg.reliability.shiftFaultRate = ccfg.shiftFaultRate;
-    mcfg.reliability.shiftFaultSeed = ccfg.seed;
-    mcfg.reliability.guardPolicy = ccfg.policy;
-    mcfg.reliability.maxRetries = ccfg.maxRetries;
-    mcfg.reliability.retireThreshold = ccfg.retireThreshold;
-    mcfg.reliability.dataFaultRate = ccfg.dataFaultRate;
-    mcfg.reliability.stuckAtFraction = ccfg.stuckAtFraction;
-    mcfg.reliability.retentionRatePerCycle =
-        ccfg.retentionRatePerCycle;
-    mcfg.reliability.dataFaultSeed = ccfg.seed ^ 0xda7af17u;
-    mcfg.reliability.eccMode = ccfg.ecc;
-    mcfg.reliability.pimNmr = ccfg.pimNmr;
+    ReliabilityConfig &rel = mcfg.reliability;
+    static_cast<DataFaultRates &>(rel) = ccfg;
+    rel.shiftFaultRate = ccfg.shiftFaultRate;
+    rel.shiftFaultSeed = ccfg.seed;
+    rel.guardPolicy = ccfg.policy;
+    rel.maxRetries = ccfg.maxRetries;
+    rel.retireThreshold = ccfg.retireThreshold;
+    rel.dataFaultSeed = ccfg.seed ^ 0xda7af17u;
+    rel.eccMode = ccfg.ecc;
+    rel.pimNmr = ccfg.pimNmr;
 
     DwmMainMemory mem(mcfg);
     MemoryController ctrl(mem);

@@ -41,25 +41,18 @@ struct CampaignResult
 /**
  * Configuration of an end-to-end controller campaign: cpim packed
  * additions executed through the full memory + controller stack with
- * shifting faults injected at @ref shiftFaultRate per pulse.
+ * shifting faults injected at @ref shiftFaultRate per pulse (1e-3
+ * unless set) and data faults at the DataFaultRates.
  */
-struct ControllerCampaignConfig
+struct ControllerCampaignConfig : FaultConfig
 {
-    double shiftFaultRate = 1e-3;
-    GuardPolicy policy = GuardPolicy::PerAccess;
+    ControllerCampaignConfig() { shiftFaultRate = 1e-3; }
+
     std::uint64_t trials = 500;
     std::uint64_t seed = 1;
-    std::size_t operands = 5;       ///< rows summed per cpim add
-    std::size_t blockSize = 8;      ///< packed-lane width
-    std::size_t maxRetries = 2;
+    static constexpr std::size_t operands = 5;  ///< rows summed per cpim add
+    static constexpr std::size_t blockSize = 8; ///< packed-lane width
     std::uint64_t retireThreshold = 0; ///< 0 disables DBC retirement
-
-    // Data-domain fault axis (ISSUE 5): content faults + protection.
-    double dataFaultRate = 0.0;     ///< per-bit transient flip / access
-    double stuckAtFraction = 0.0;   ///< fraction of domains stuck-at
-    double retentionRatePerCycle = 0.0; ///< per-bit per-cycle decay
-    EccMode ecc = EccMode::None;    ///< line protection
-    std::size_t pimNmr = 1;         ///< PIM replication (1/3/5/7)
 
     /**
      * Optional observability (non-owning): when set, the campaign's

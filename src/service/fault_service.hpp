@@ -10,8 +10,8 @@
  *  - RequestOutcome: every request completes with a typed verdict
  *    (clean / corrected / detected-uncorrectable / silent corruption /
  *    rejected), the serving-side mirror of the campaign taxonomy;
- *  - ServiceFaultConfig: per-run fault rate (optionally a chaos ramp
- *    that changes the rate mid-run), guard policy, retry ladder, and
+ *  - ServiceFaultConfig: the shared FaultConfig knobs plus a chaos
+ *    ramp that changes the rate mid-run, the retry backoff, and
  *    DBC-health/circuit-breaker knobs;
  *  - GuardServiceCosts: check/correct/reset/retire latencies measured
  *    through the real DwmMainMemory + AlignmentGuard (costs are not
@@ -64,26 +64,18 @@ struct FaultRampStep
     double rate = 0.0;
 };
 
-/** Reliability configuration of one service run. */
-struct ServiceFaultConfig : RetryLadderLimits, DataFaultRates
+/**
+ * Reliability configuration of one service run: the shared fault knobs
+ * (FaultConfig) plus the chaos ramp, the retry backoff and the
+ * DBC-health/circuit-breaker knobs.
+ */
+struct ServiceFaultConfig : FaultConfig
 {
-    /** Probability a single shift pulse over-/under-shifts. */
-    double shiftFaultRate = 0.0;
-
-    /** Fraction of faults that are over-shifts. */
-    double overShiftFraction = 0.5;
-
     /**
      * Chaos schedule: when non-empty, overrides shiftFaultRate with a
      * piecewise-constant rate over the run (steps sorted by cycle).
      */
     std::vector<FaultRampStep> ramp;
-
-    /** Alignment-check cadence applied to dispatched units. */
-    GuardPolicy policy = GuardPolicy::PerAccess;
-
-    /** Bounded per-request retry ladder depth. */
-    std::size_t maxRetries = 2;
 
     /** First retry waits this long; doubles per further attempt. */
     std::uint64_t retryBackoffCycles = 64;
@@ -105,14 +97,6 @@ struct ServiceFaultConfig : RetryLadderLimits, DataFaultRates
 
     /** Cycles between scrub sweeps under GuardPolicy::PeriodicScrub. */
     std::uint64_t scrubIntervalCycles = 4096;
-
-    // --- Data-domain fault protection (rates: DataFaultRates) --------
-
-    /** SECDED line protection on the port path (TRs bypass it). */
-    EccMode ecc = EccMode::None;
-
-    /** PIM replication factor (1/3/5/7) under data faults. */
-    std::size_t pimNmr = 1;
 
     /** Whether the fault pipeline is active for a run. */
     bool

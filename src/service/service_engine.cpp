@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "controller/channel_timeline.hpp"
-#include "reliability/ecc/secded.hpp"
 #include "util/logging.hpp"
 
 namespace coruscant {
@@ -138,6 +137,9 @@ ServiceStats::report() const
 
 namespace {
 
+/** Cycles a rejected closed-loop client waits before it re-arrives. */
+constexpr std::uint64_t kClosedLoopRejectWait = 256;
+
 WorkloadConfig
 workloadConfigOf(const ServiceConfig &cfg, std::size_t max_add)
 {
@@ -213,7 +215,7 @@ class ChannelSim
                     cfg.faults,
                     channelSeed(cfg.seed ^ 0x00ecc5eedull, channel),
                     DeviceParams::withTrd(cfg.trd).wiresPerDbc,
-                    ReliabilityConfig{}.eccWordBits);
+                    ReliabilityConfig::eccWordBits);
                 lastTouch_.assign(
                     static_cast<std::size_t>(cfg.banksPerChannel) *
                         cfg.dbcGroupsPerBank,
@@ -849,8 +851,6 @@ class ChannelSim
     {
         for (std::uint32_t i = 0; i < cfg_.closedLoopWindow; ++i)
             slots_.push(0);
-        const std::uint64_t backoff =
-            std::max<std::uint64_t>(1, cfg_.retryBackoffCycles);
         while (true) {
             std::uint64_t slot_at = slots_.empty() ? ~0ull
                                                    : slots_.top();
@@ -878,7 +878,7 @@ class ChannelSim
             if (admit(r, arrival))
                 handleAdmitted(r);
             else
-                slots_.push(arrival + backoff);
+                slots_.push(arrival + kClosedLoopRejectWait);
         }
     }
 
@@ -933,12 +933,7 @@ ServiceEngine::ServiceEngine(const ServiceConfig &cfg)
     fatalIf(cfg_.process == ArrivalProcess::ClosedLoop &&
                 cfg_.closedLoopWindow == 0,
             "closed loop needs a positive window");
-    if (cfg_.faults.dataFaultsEnabled()) {
-        // The per-channel data-fault samplers bucket flips into ECC
-        // words of this width.
-        LineSecded::checkGeometry(DeviceParams::withTrd(cfg_.trd).wiresPerDbc,
-                                  ReliabilityConfig{}.eccWordBits);
-    }
+    checkPimNmr(cfg_.faults.pimNmr);
 }
 
 ServiceStats

@@ -59,7 +59,7 @@ struct ServiceConfig
 
     WorkloadMix mix = WorkloadMix::pimServing();
     ArrivalProcess process = ArrivalProcess::Poisson;
-    double ratePerKcycle = 8.0;   ///< offered load per channel
+    double ratePerKcycle = 8.0;   ///< per channel; see WorkloadConfig
     std::uint64_t durationCycles = 100000;
     double burstFactor = 4.0;
     double burstFraction = 0.2;
@@ -70,7 +70,6 @@ struct ServiceConfig
 
     std::size_t queueCapacity = 64;  ///< per class per channel; 0 = inf
     std::uint32_t closedLoopWindow = 8; ///< clients per channel
-    std::uint64_t retryBackoffCycles = 256; ///< closed-loop reject wait
 
     bool collectMetrics = false; ///< fill ServiceStats::metrics
     bool collectTrace = false;   ///< fill ServiceStats::trace

@@ -111,9 +111,12 @@ WorkloadGenerator::WorkloadGenerator(const WorkloadConfig &cfg,
 {
     fatalIf(cfg_.banks == 0, "workload needs at least one bank");
     fatalIf(cfg_.dbcGroups == 0, "workload needs a DBC group");
-    fatalIf(cfg_.ratePerKcycle <= 0 &&
-                cfg_.process != ArrivalProcess::ClosedLoop,
-            "open-loop workload needs a positive rate");
+    fatalIf(cfg_.process != ArrivalProcess::ClosedLoop &&
+                !(cfg_.ratePerKcycle > 0 &&
+                  cfg_.ratePerKcycle <= WorkloadConfig::kMaxRatePerKcycle),
+            "open-loop workload rate must be in (0, ",
+            WorkloadConfig::kMaxRatePerKcycle, "] per kcycle (got ",
+            cfg_.ratePerKcycle, ")");
     double total = 0;
     for (std::size_t c = 0; c < kRequestClasses; ++c) {
         total += cfg_.mix.weight[c];

@@ -78,6 +78,14 @@ struct WorkloadConfig
     WorkloadMix mix = WorkloadMix::pimServing();
     ArrivalProcess process = ArrivalProcess::Poisson;
     double ratePerKcycle = 8.0;   ///< offered requests per 1000 cycles
+
+    /**
+     * Highest open-loop rate: one arrival per cycle on average, the
+     * most one channel's command bus (one command per cycle) issues.
+     * Beyond it the mean gap underflows the arrival clock's precision.
+     */
+    static constexpr double kMaxRatePerKcycle = 1000.0;
+
     std::uint64_t durationCycles = 100000; ///< arrivals beyond stop
     std::uint32_t banks = 16;     ///< banks per channel
     std::uint32_t dbcGroups = 4;  ///< alignment groups per bank

@@ -397,6 +397,13 @@ TEST(CliProcess, UsageErrorsExitTwo)
     EXPECT_EQ(cliExit("serve --channels 4294967297 --duration 2000"), 2);
     EXPECT_EQ(cliExit("serve --spares 4294967297 --pshift 1e-3"), 2);
     EXPECT_EQ(cliExit("cnn --network vgg"), 2);
+    // Open-loop rates in (0, 1000] per kcycle only: beyond one arrival
+    // per cycle the arrival clock stalls and the run never ends.
+    EXPECT_EQ(cliExit("serve --rate inf"), 2);
+    EXPECT_EQ(cliExit("serve --rate 1e300"), 2);
+    EXPECT_EQ(cliExit("serve --rate 1000.5"), 2);
+    EXPECT_EQ(cliExit("serve --rate -5"), 2);
+    EXPECT_EQ(cliExit("serve --rate 0"), 2);
 }
 
 TEST(CliProcess, DataFaultFlagValidationExitsTwo)

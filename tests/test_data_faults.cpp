@@ -46,9 +46,9 @@ TEST(DataFaultModel, DisabledModelIsInert)
 
 TEST(DataFaultModel, TransientRateBoundaries)
 {
-    DataFaultConfig cfg;
-    cfg.transientFlipRate = 1.0;
-    DataFaultModel m(cfg);
+    DataFaultRates rates;
+    rates.dataFaultRate = 1.0;
+    DataFaultModel m(rates, 1);
     BitVector row(64);
     row.set(3, true);
     BitVector before = row;
@@ -59,11 +59,10 @@ TEST(DataFaultModel, TransientRateBoundaries)
 
 TEST(DataFaultModel, SameSeedSameFaultStream)
 {
-    DataFaultConfig cfg;
-    cfg.transientFlipRate = 0.01;
-    cfg.retentionRatePerCycle = 1e-6;
-    cfg.seed = 99;
-    DataFaultModel a(cfg), b(cfg);
+    DataFaultRates rates;
+    rates.dataFaultRate = 0.01;
+    rates.retentionRatePerCycle = 1e-6;
+    DataFaultModel a(rates, 99), b(rates, 99);
     Rng content(42);
     for (int i = 0; i < 50; ++i) {
         BitVector row = randomRow(content, 512);
@@ -79,10 +78,9 @@ TEST(DataFaultModel, SameSeedSameFaultStream)
 
 TEST(DataFaultModel, StuckAtMapIsStationary)
 {
-    DataFaultConfig cfg;
-    cfg.stuckAtFraction = 0.05;
-    cfg.seed = 7;
-    DataFaultModel a(cfg);
+    DataFaultRates rates;
+    rates.stuckAtFraction = 0.05;
+    DataFaultModel a(rates, 7);
 
     // Forcing all-zero and all-one rows exposes every stuck site: a
     // site changes exactly one of the two, and the union of forced
@@ -99,7 +97,7 @@ TEST(DataFaultModel, StuckAtMapIsStationary)
     // again in a different order — forces the identical pattern:
     // membership and polarity come from a stateless hash, not the
     // sampling stream.
-    DataFaultModel b(cfg);
+    DataFaultModel b(rates, 7);
     BitVector o2 = ones, z2 = zeros;
     EXPECT_EQ(b.applyStuckAt(o2, 11, 3), co);
     EXPECT_EQ(b.applyStuckAt(z2, 11, 3), cz);
@@ -124,9 +122,9 @@ TEST(DataFaultModel, StuckAtMapIsStationary)
 
 TEST(DataFaultModel, RetentionIsMonotoneInIdleTime)
 {
-    DataFaultConfig cfg;
-    cfg.retentionRatePerCycle = 1e-6;
-    DataFaultModel m(cfg);
+    DataFaultRates rates;
+    rates.retentionRatePerCycle = 1e-6;
+    DataFaultModel m(rates, 1);
     double prev = 0.0;
     for (std::uint64_t t : {0ull, 100ull, 10000ull, 1000000ull,
                             100000000ull}) {
@@ -146,10 +144,9 @@ TEST(DataFaultModel, RetentionIsMonotoneInIdleTime)
 
 TEST(DataFaultModel, GeometricSamplerMatchesBernoulliRate)
 {
-    DataFaultConfig cfg;
-    cfg.transientFlipRate = 0.02;
-    cfg.seed = 1234;
-    DataFaultModel m(cfg);
+    DataFaultRates rates;
+    rates.dataFaultRate = 0.02;
+    DataFaultModel m(rates, 1234);
     std::uint64_t flips = 0;
     const std::uint64_t rows = 2000, bits = 512;
     BitVector row(bits);

@@ -305,6 +305,19 @@ TEST(FaultPipeline, RetryLadderBeyondItsLimitsDoesNotBuild)
     EXPECT_THROW(DwmMainMemory{cfg}, FatalError);
 }
 
+TEST(FaultPipeline, PimNmrOutsideOneThreeFiveSevenDoesNotBuild)
+{
+    // Checked at construction, not when the first PIM op votes.
+    for (std::size_t n : {0u, 2u, 4u, 9u}) {
+        MemoryConfig cfg = smallConfig(GuardPolicy::PerCpim);
+        cfg.reliability.pimNmr = n;
+        EXPECT_THROW(DwmMainMemory{cfg}, FatalError) << n;
+    }
+    MemoryConfig cfg = smallConfig(GuardPolicy::PerCpim);
+    cfg.reliability.pimNmr = 5;
+    EXPECT_NO_THROW(DwmMainMemory{cfg});
+}
+
 TEST(FaultPipeline, RetryLadderAtItsLimitsRunsAGuardedCampaign)
 {
     // The deepest, slowest ladder the config accepts, under a heavy

@@ -55,12 +55,14 @@ struct Invocation
     }
 };
 
-/** The data-fault/ECC options campaign and serve share. */
-template <typename FaultFields>
+/** The fault options campaign and serve share, bound to one FaultConfig. */
 Options
-dataFaultOptions(FaultFields &f)
+faultOptions(FaultConfig &f)
 {
     return {
+        opt("pshift", f.shiftFaultRate, "shift-fault probability per pulse",
+            0.0, 1.0),
+        opt("policy", f.policy, "alignment-check cadence"),
         opt("pdata", f.dataFaultRate,
             "per-bit transient flip probability per line access", 0.0, 1.0),
         opt("pstuck", f.stuckAtFraction, "fraction of domains stuck-at",
@@ -68,9 +70,8 @@ dataFaultOptions(FaultFields &f)
         opt("retention", f.retentionRatePerCycle,
             "per-bit retention decay rate per cycle", 0.0, HUGE_VAL),
         opt("ecc", f.ecc, "line protection"),
-        opt("nmr", f.pimNmr, "NMR arity of PIM ops",
-            [](std::size_t n) { return n % 2 == 1 && n <= 7; },
-            "1, 3, 5 or 7"),
+        opt("nmr", f.pimNmr, "NMR arity of PIM ops", pimNmrValid,
+            kPimNmrArities),
     };
 }
 
@@ -264,15 +265,12 @@ cmdCampaign(const Invocation &in)
     obs::OutputFiles out;
     if (!in.accept(
             Options{
-                opt("pshift", cfg.shiftFaultRate,
-                    "shift-fault probability per pulse", 0.0, 1.0),
                 opt("trials", cfg.trials, "guarded cpim additions"),
                 opt("seed", cfg.seed, "RNG seed"),
                 opt("retire", cfg.retireThreshold,
                     "corrected faults that retire a DBC (0 = never)"),
-                opt("policy", cfg.policy, "alignment-check cadence"),
             } +
-            dataFaultOptions(cfg) + out.options()))
+            faultOptions(cfg) + out.options()))
         return 0;
     obs::MetricsRegistry reg;
     obs::TraceSink trace;
@@ -302,8 +300,7 @@ cmdCampaign(const Invocation &in)
     row("guard checks", res.guardChecks);
     row("corrective pulses", res.correctivePulses);
     row("retired DBCs", res.retiredDbcs);
-    if (cfg.dataFaultRate > 0.0 || cfg.stuckAtFraction > 0.0 ||
-        cfg.retentionRatePerCycle > 0.0 || cfg.ecc != EccMode::None) {
+    if (cfg.dataFaultsEnabled() || cfg.ecc != EccMode::None) {
         row("data faults injected", res.dataFaultsInjected);
         row("ecc corrections", res.eccCorrections);
         row("ecc detected DUE", res.eccDue);
@@ -338,8 +335,13 @@ cmdServe(const Invocation &in)
                 opt("groups", cfg.dbcGroupsPerBank, "DBC groups per bank"),
                 opt("trd", cfg.trd, "transverse-read distance"),
                 opt("seed", cfg.seed, "RNG seed"),
-                opt("rate", cfg.ratePerKcycle,
-                    "offered load per channel (requests/kcycle)"),
+                opt(
+                    "rate", cfg.ratePerKcycle,
+                    "offered load per channel (requests/kcycle)",
+                    [](double r) {
+                        return r > 0 && r <= WorkloadConfig::kMaxRatePerKcycle;
+                    },
+                    "in (0, 1000]"),
                 opt("duration", cfg.durationCycles, "arrival window (cycles)"),
                 opt("window", cfg.batchWindowCycles,
                     "TR-gang batching window (cycles)"),
@@ -351,9 +353,6 @@ cmdServe(const Invocation &in)
                 opt("batch", cfg.batching, "TR-gang batching"),
                 mix,
                 opt("process", cfg.process, "arrival process"),
-                opt("pshift", faults.shiftFaultRate,
-                    "shift-fault probability per pulse", 0.0, 1.0),
-                opt("policy", faults.policy, "alignment-check cadence"),
                 opt("chaos", chaos, "ramp --pshift through a mid-run storm"),
                 opt("retries", faults.maxRetries, "retry ladder depth",
                     std::size_t{0}, faults.kMaxRetries),
@@ -373,7 +372,7 @@ cmdServe(const Invocation &in)
                 opt("scrub-interval", faults.scrubIntervalCycles,
                     "cycles between scrub sweeps"),
             } +
-            dataFaultOptions(faults) + out.options()))
+            faultOptions(faults) + out.options()))
         return 0;
     if (chaos) {
         // Chaos mode: ramp the fault rate through a mid-run storm.
