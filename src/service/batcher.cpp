@@ -101,17 +101,4 @@ GangBatcher::flushGroup(std::uint32_t bank, std::uint32_t group,
     return out;
 }
 
-std::vector<TrGang>
-GangBatcher::flushAll(std::uint64_t now)
-{
-    std::vector<TrGang> out;
-    for (auto it = open_.begin(); it != open_.end();) {
-        std::uint64_t key = it->first;
-        OpenGang g = std::move(it->second);
-        it = open_.erase(it);
-        out.push_back(close(key, std::move(g), false, now));
-    }
-    return out;
-}
-
 } // namespace coruscant

@@ -93,9 +93,6 @@ class GangBatcher
     /** Close and return every gang whose deadline is <= @p now. */
     std::vector<TrGang> flushDue(std::uint64_t now);
 
-    /** Close and return all open gangs (end of run). */
-    std::vector<TrGang> flushAll(std::uint64_t now);
-
     /**
      * Close and return the open gang bound to (@p bank, @p group), if
      * any.  Used when the group's circuit breaker opens mid-window:

@@ -333,4 +333,14 @@ DbcHealthTracker::misalign(std::uint32_t bank, std::uint32_t group)
     return groups_[slot(bank, group)].misalign;
 }
 
+std::uint64_t
+DbcHealthTracker::touch(std::uint32_t bank, std::uint32_t group,
+                        std::uint64_t cycle)
+{
+    std::uint64_t &last = groups_[slot(bank, group)].lastTouch;
+    std::uint64_t idle = cycle - std::min(cycle, last);
+    last = cycle;
+    return idle;
+}
+
 } // namespace coruscant

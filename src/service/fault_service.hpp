@@ -310,6 +310,13 @@ class DbcHealthTracker
      */
     int &misalign(std::uint32_t bank, std::uint32_t group);
 
+    /**
+     * Cycles (bank, group) sat idle before @p cycle (its retention
+     * exposure); restarts its retention clock at @p cycle.
+     */
+    std::uint64_t touch(std::uint32_t bank, std::uint32_t group,
+                        std::uint64_t cycle);
+
     std::uint64_t breakerTrips() const { return breakerTrips_; }
     std::uint64_t retiredGroups() const { return retired_; }
     std::uint64_t deadGroups() const { return dead_; }
@@ -335,6 +342,7 @@ class DbcHealthTracker
         std::uint32_t trips = 0;
         bool dead = false;
         int misalign = 0;
+        std::uint64_t lastTouch = 0; ///< retention clock
     };
 
     /** Index of (@p bank, @p group) in groups_. */
