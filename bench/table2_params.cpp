@@ -5,6 +5,8 @@
  */
 
 #include "arch/config.hpp"
+#include "arch/timing.hpp"
+#include "baselines/cpu_system.hpp"
 #include "bench_util.hpp"
 
 using namespace coruscant;
@@ -23,12 +25,12 @@ main()
                static_cast<double>(cfg.tilesPerSubarray), 16);
     bench::row("DBCs per tile (15 + 1-PIM)",
                static_cast<double>(cfg.dbcsPerTile), 16);
-    bench::row("Memory cycle (ns)", cfg.bus.cycleNs, 1.25);
-    bench::row("Bus speed (MHz)", 1000.0 / cfg.bus.cycleNs / 0.8, 1000);
+    bench::row("Memory cycle (ns)", BusConfig::cycleNs, 1.25);
+    bench::row("Bus speed (MHz)", 1000.0 / BusConfig::cycleNs / 0.8, 1000);
 
     bench::subheader("timing (cycles)");
     auto dram = DdrTiming::dram();
-    auto dwm = cfg.dwmTiming;
+    auto dwm = DdrTiming::dwm();
     std::printf("  DRAM tRAS-tRCD-tRP-tCAS-tWR : %u-%u-%u-%u-%u "
                 "(paper: 20-8-8-8-8)\n",
                 dram.tRas, dram.tRcd, dram.tRp, dram.tCas, dram.tWr);
@@ -37,9 +39,9 @@ main()
                 dwm.tRas, dwm.tRcd, dwm.tCas, dwm.tWr);
 
     bench::subheader("energy constants (paper Table II)");
-    bench::row("add 32-bit CPU (pJ/op)", 111.0, 111.0);
-    bench::row("mult 32-bit CPU (pJ/op)", 164.0, 164.0);
-    bench::row("E_trans (pJ/Byte)", 1250.0, 1250.0);
+    bench::row("add 32-bit CPU (pJ/op)", CpuEnergy::add32Pj, 111.0);
+    bench::row("mult 32-bit CPU (pJ/op)", CpuEnergy::mul32Pj, 164.0);
+    bench::row("E_trans (pJ/Byte)", CpuEnergy::transferPjPerByte, 1250.0);
 
     bench::subheader("derived PIM geometry");
     bench::rowPlain("total DBCs", static_cast<double>(cfg.totalDbcs()));

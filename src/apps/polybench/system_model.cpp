@@ -3,43 +3,71 @@
 #include <algorithm>
 #include <cmath>
 
+#include "arch/timing.hpp"
 #include "baselines/cpu_system.hpp"
+#include "controller/queue_model.hpp"
 
 namespace coruscant {
 
-PolybenchSystemModel::PolybenchSystemModel(const MemoryConfig &config,
-                                           const SystemModelParams &params)
-    : cfg(config), p(params), cost(config.device.trd)
-{}
+namespace {
+
+// Calibration constants of the system model.
+// CPU side:
+constexpr double cacheHitFraction = 0.87; ///< accesses served on chip
+constexpr double cacheLatency = 8.0;      ///< cycles for a cache hit
+constexpr double memoryLevelParallelism = 5.5; ///< outstanding misses
+constexpr double controllerOverhead = 16.0; ///< per-miss queue/bus cycles
+/** Fraction of accesses with no spatial locality (strided operand
+ *  walks): these move a whole 64 B line per element. */
+constexpr double strideFraction = 0.30;
+
+// PIM side:
+constexpr std::size_t dataBits = 32; ///< lane width for polybench data
+/** Address-bearing commands per PIM-tile operation (16 lanes x one DBC
+ *  row per tile): each lane op needs ACT+CAS pairs for two operand
+ *  copies, the compute trigger, and the write-back. */
+constexpr std::uint64_t issueCmdsPerTileOp = 128;
+/** Operand/result rows marshaled per operation through the subarray
+ *  row buffer. */
+constexpr std::size_t marshaledRows = 3;
+
+/**
+ * Lines @p accesses move: unit-stride accesses amortize 16 elements
+ * per 64 B line; strided accesses move a line per element.
+ */
+double
+streamedLines(double accesses)
+{
+    constexpr double elements_per_line =
+        BusConfig::lineBytes / (dataBits / 8);
+    return accesses * ((1.0 - strideFraction) / elements_per_line
+                       + strideFraction);
+}
 
 std::uint64_t
-PolybenchSystemModel::cpuLatency(const OpRecorder &trace,
-                                 const DdrTiming &timing) const
+cpuLatency(const OpRecorder &trace, const DdrTiming &timing)
 {
     double accesses =
         static_cast<double>(trace.loads + trace.stores);
     if (accesses == 0)
         return 0;
-    // Effective lines: unit-stride accesses amortize 16 elements per
-    // 64 B line; strided accesses move a line per element.
-    double elements_per_line = 64.0 / 4.0;
-    double lines = accesses * ((1.0 - p.strideFraction)
-                               / elements_per_line
-                               + p.strideFraction);
+    double lines = streamedLines(accesses);
     double t_mem =
-        static_cast<double>(timing.readCycles(p.cpuDwmAvgShift)) +
-        p.controllerOverhead;
-    double per_access = p.cacheHitFraction * p.cacheLatency +
-                        (1.0 - p.cacheHitFraction) * t_mem;
+        static_cast<double>(timing.readCycles(kCpuDwmAvgShift)) +
+        controllerOverhead;
+    double per_access = cacheHitFraction * cacheLatency +
+                        (1.0 - cacheHitFraction) * t_mem;
     // Latency-bound: bounded miss overlap.  Bandwidth-bound: miss
     // traffic on the 16 B/cycle data bus.
     double latency_bound =
-        accesses * per_access / p.memoryLevelParallelism;
-    double bus_bound =
-        lines * (1.0 - p.cacheHitFraction) * 4.0; // 4 cycles per line
+        accesses * per_access / memoryLevelParallelism;
+    double bus_bound = lines * (1.0 - cacheHitFraction)
+                       * static_cast<double>(BusConfig::lineBurstCycles());
     return static_cast<std::uint64_t>(
         std::llround(std::max(latency_bound, bus_bound)));
 }
+
+} // namespace
 
 PolybenchResult
 PolybenchSystemModel::evaluate(const KernelRun &run) const
@@ -55,17 +83,17 @@ PolybenchSystemModel::evaluate(const KernelRun &run) const
     // PIM latency: lane-pack the adds and multiplies, dispatch over the
     // PIM tiles in high-throughput mode.
     // ------------------------------------------------------------------
-    std::size_t add_lanes = cfg.device.wiresPerDbc / p.dataBits;
-    std::size_t mul_lanes = cfg.device.wiresPerDbc / (2 * p.dataBits);
+    std::size_t add_lanes = cfg.device.wiresPerDbc / dataBits;
+    std::size_t mul_lanes = cfg.device.wiresPerDbc / (2 * dataBits);
     std::uint64_t add_ops = (t.adds + add_lanes - 1) / add_lanes;
     std::uint64_t mul_ops = (t.muls + mul_lanes - 1) / mul_lanes;
 
-    OpCost add_cost = cost.add(2, p.dataBits);
-    OpCost mul_cost = cost.multiply(p.dataBits);
+    OpCost add_cost = cost.add(2, dataBits);
+    OpCost mul_cost = cost.multiply(dataBits);
     // Operand marshaling through the subarray row buffer.
     std::uint64_t marshal =
-        static_cast<std::uint64_t>(p.marshaledRows) *
-        (cfg.dwmTiming.readCycles(1) + cfg.dwmTiming.writeCycles(1));
+        static_cast<std::uint64_t>(marshaledRows) *
+        (DdrTiming::dwm().readCycles(1) + DdrTiming::dwm().writeCycles(1));
 
     std::size_t pim_tiles =
         cfg.banks * cfg.subarraysPerBank; // one PIM tile per subarray
@@ -77,13 +105,11 @@ PolybenchSystemModel::evaluate(const KernelRun &run) const
     std::uint64_t mul_tile_ops =
         (mul_ops + cfg.pimDbcsPerSubarray - 1) / cfg.pimDbcsPerSubarray;
     CommandQueueModel q2(pim_tiles);
-    auto sa = q2.runUniform(
-        add_tile_ops, add_cost.cycles + marshal,
-        static_cast<std::uint64_t>(std::llround(p.issueCmdsPerTileOp)));
+    auto sa = q2.runUniform(add_tile_ops, add_cost.cycles + marshal,
+                            issueCmdsPerTileOp);
     CommandQueueModel q3(pim_tiles);
-    auto sm = q3.runUniform(
-        mul_tile_ops, mul_cost.cycles + marshal,
-        static_cast<std::uint64_t>(std::llround(p.issueCmdsPerTileOp)));
+    auto sm = q3.runUniform(mul_tile_ops, mul_cost.cycles + marshal,
+                            issueCmdsPerTileOp);
     res.pimCycles = sa.makespanCycles + sm.makespanCycles;
     double issue_total = static_cast<double>(sa.issueCycles
                                              + sm.issueCycles);
@@ -99,8 +125,7 @@ PolybenchSystemModel::evaluate(const KernelRun &run) const
     // ------------------------------------------------------------------
     CpuSystem cpu(DdrTiming::dwm());
     double accesses = static_cast<double>(t.loads + t.stores);
-    double lines = accesses * ((1.0 - p.strideFraction) / 16.0
-                               + p.strideFraction);
+    double lines = streamedLines(accesses);
     AccessSummary s;
     s.linesRead = static_cast<std::uint64_t>(
         lines * static_cast<double>(t.loads) / accesses);
@@ -111,7 +136,7 @@ PolybenchSystemModel::evaluate(const KernelRun &run) const
     res.cpuEnergyPj = cpu.energyPj(s);
 
     double marshal_energy =
-        static_cast<double>(p.marshaledRows) * 512.0 *
+        static_cast<double>(marshaledRows) * 512.0 *
         (cfg.device.readEnergyPj + cfg.device.writeEnergyPj);
     res.pimEnergyPj =
         static_cast<double>(add_ops)

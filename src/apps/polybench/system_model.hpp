@@ -16,8 +16,9 @@
  *     the address-bearing commands — the paper's "high throughput
  *     mode", whose queuing delay dominates (~80%) the PIM runtime.
  *
- * Modeling constants below are documented calibration points; the
- * relative results across kernels are emergent from the traces.
+ * The modeling constants (system_model.cpp) are documented calibration
+ * points; the relative results across kernels are emergent from the
+ * traces.
  */
 
 #ifndef CORUSCANT_APPS_POLYBENCH_SYSTEM_MODEL_HPP
@@ -25,34 +26,9 @@
 
 #include "apps/polybench/kernels.hpp"
 #include "arch/config.hpp"
-#include "controller/queue_model.hpp"
 #include "core/op_cost.hpp"
 
 namespace coruscant {
-
-/** Calibration constants for the system model. */
-struct SystemModelParams
-{
-    // CPU side -------------------------------------------------------
-    double cacheHitFraction = 0.87; ///< accesses served on chip
-    double cacheLatency = 8.0;      ///< cycles for a cache hit
-    double memoryLevelParallelism = 5.5; ///< sustained outstanding misses
-    double controllerOverhead = 16.0; ///< per-miss queue/bus overhead
-    unsigned cpuDwmAvgShift = 4;    ///< average S for CPU-side accesses
-    /** Fraction of accesses with no spatial locality (strided operand
-     *  walks): these move a whole 64 B line per element. */
-    double strideFraction = 0.30;
-
-    // PIM side -------------------------------------------------------
-    std::size_t dataBits = 32;      ///< lane width for polybench data
-    /** Address-bearing commands per PIM-tile operation (16 lanes x
-     *  one DBC row per tile): each lane op needs ACT+CAS pairs for two
-     *  operand copies, the compute trigger, and the write-back. */
-    double issueCmdsPerTileOp = 128.0;
-    /** Operand/result rows marshaled per operation through the
-     *  subarray row buffer. */
-    std::size_t marshaledRows = 3;
-};
 
 /** Per-kernel results for Fig. 10 / Fig. 11. */
 struct PolybenchResult
@@ -86,29 +62,19 @@ struct PolybenchResult
     }
 };
 
-/** Evaluates kernel traces on the three systems. */
+/** Evaluates kernel traces on the three systems of the paper's memory. */
 class PolybenchSystemModel
 {
   public:
-    explicit PolybenchSystemModel(
-        const MemoryConfig &cfg = MemoryConfig{},
-        const SystemModelParams &params = SystemModelParams{});
-
     PolybenchResult evaluate(const KernelRun &run) const;
 
     /** Evaluate all kernels plus the geometric means. */
     std::vector<PolybenchResult>
     evaluateAll(const std::vector<KernelRun> &runs) const;
 
-    const SystemModelParams &params() const { return p; }
-
   private:
-    std::uint64_t cpuLatency(const OpRecorder &trace,
-                             const DdrTiming &timing) const;
-
     MemoryConfig cfg;
-    SystemModelParams p;
-    CoruscantCostModel cost;
+    CoruscantCostModel cost{cfg.device.trd};
 };
 
 } // namespace coruscant

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <span>
 
-#include "arch/timing.hpp"
 #include "dwm/data_fault.hpp"
 #include "dwm/device_params.hpp"
 
@@ -245,8 +244,6 @@ struct MemoryConfig
     std::size_t pimDbcsPerSubarray = 16; ///< one PIM tile's worth
 
     DeviceParams device = DeviceParams::coruscantDefault();
-    DdrTiming dwmTiming = DdrTiming::dwm();
-    BusConfig bus;
 
     /** Bits stored per DBC. */
     std::size_t

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "arch/timing.hpp"
 #include "util/logging.hpp"
 
 namespace coruscant {
@@ -398,7 +399,7 @@ DwmMainMemory::readLine(std::uint64_t byte_addr)
     if (dataInjector)
         applyRetention(state, loc.row);
     DomainBlockCluster &dbc = state.dbc;
-    chargeAccess("read", cfg.dwmTiming.readCycles(shifts),
+    chargeAccess("read", DdrTiming::dwm().readCycles(shifts),
                  cfg.device.readEnergyPj, shifts, obs::Counter::Reads);
     // After alignment the row sits under one of the ports.
     Port port = dbc.rowAtPort(Port::Left) == loc.row ? Port::Left
@@ -538,7 +539,7 @@ DwmMainMemory::writeLine(std::uint64_t byte_addr, const BitVector &data)
     unsigned shifts = 0;
     MemDbc &state = alignChecked(loc, shifts);
     DomainBlockCluster &dbc = state.dbc;
-    chargeAccess("write", cfg.dwmTiming.writeCycles(shifts),
+    chargeAccess("write", DdrTiming::dwm().writeCycles(shifts),
                  cfg.device.writeEnergyPj, shifts, obs::Counter::Writes);
     Port port = dbc.rowAtPort(Port::Left) == loc.row ? Port::Left
                                                      : Port::Right;
@@ -582,7 +583,7 @@ DwmMainMemory::copyLine(std::uint64_t src_addr, std::uint64_t dst_addr)
     LineAddress dst = amap.decode(dst_addr);
     BitVector line = readLine(src_addr);
     if (src.bank != dst.bank || src.subarray != dst.subarray) {
-        costs.charge("interlink", cfg.bus.lineBurstCycles(),
+        costs.charge("interlink", BusConfig::lineBurstCycles(),
                      64.0 * 2.0); // internal link energy per byte x2
         if (memMetrics)
             memMetrics->addEnergy(64.0 * 2.0);

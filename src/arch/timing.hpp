@@ -11,6 +11,7 @@
 #ifndef CORUSCANT_ARCH_TIMING_HPP
 #define CORUSCANT_ARCH_TIMING_HPP
 
+#include <cstddef>
 #include <cstdint>
 
 namespace coruscant {
@@ -57,13 +58,13 @@ struct DdrTiming
 /** System-level interface constants (paper Table II). */
 struct BusConfig
 {
-    double cycleNs = 1.25;        ///< memory cycle (DDR3-1600)
-    std::size_t busBytesPerCycle = 16; ///< 64-bit DDR: 16 B per cycle
-    std::size_t lineBytes = 64;   ///< cache-line transfer granularity
+    static constexpr double cycleNs = 1.25; ///< memory cycle (DDR3-1600)
+    static constexpr std::size_t busBytesPerCycle = 16; ///< 16 B per cycle
+    static constexpr std::size_t lineBytes = 64; ///< cache-line transfer
 
     /** Bus cycles to move one cache line. */
-    std::size_t
-    lineBurstCycles() const
+    static constexpr std::size_t
+    lineBurstCycles()
     {
         return lineBytes / busBytesPerCycle;
     }

@@ -22,10 +22,16 @@ namespace coruscant {
 /** Energy constants from paper Table II. */
 struct CpuEnergy
 {
-    double transferPjPerByte = 1250.0;
-    double add32Pj = 111.0;
-    double mul32Pj = 164.0;
+    static constexpr double transferPjPerByte = 1250.0;
+    static constexpr double add32Pj = 111.0;
+    static constexpr double mul32Pj = 164.0;
 };
+
+/**
+ * Average DW shift per CPU-side DWM access: sequential streams keep
+ * the ports near the data.
+ */
+inline constexpr unsigned kCpuDwmAvgShift = 4;
 
 /** Streamed access trace summary. */
 struct AccessSummary
@@ -41,15 +47,10 @@ class CpuSystem
 {
   public:
     /**
-     * @param timing memory-technology timing (DdrTiming::dram()/dwm())
-     * @param banks bank-level parallelism (paper: 32)
-     * @param avg_shift average DW shift per DWM access (ignored for
-     *        DRAM); sequential streams keep ports near the data
+     * @param timing memory-technology timing (DdrTiming::dram()/dwm());
+     *        a DWM access shifts kCpuDwmAvgShift domains
      */
-    CpuSystem(DdrTiming timing, std::size_t banks = 32,
-              unsigned avg_shift = 4)
-        : timing_(timing), banks_(banks), avgShift(avg_shift)
-    {}
+    explicit CpuSystem(DdrTiming timing) : timing_(timing) {}
 
     /**
      * Memory-system makespan for an access stream, in memory cycles.
@@ -64,7 +65,7 @@ class CpuSystem
     double
     latencyNs(const AccessSummary &s) const
     {
-        return static_cast<double>(latencyCycles(s)) * bus.cycleNs;
+        return static_cast<double>(latencyCycles(s)) * BusConfig::cycleNs;
     }
 
     /** Data-movement plus ALU energy, in pJ. */
@@ -73,11 +74,10 @@ class CpuSystem
     const DdrTiming &timing() const { return timing_; }
 
   private:
+    /** Bank-level parallelism (paper: 32 banks). */
+    static constexpr std::size_t kBanks = 32;
+
     DdrTiming timing_;
-    std::size_t banks_;
-    unsigned avgShift;
-    BusConfig bus;
-    CpuEnergy energy;
 };
 
 /**

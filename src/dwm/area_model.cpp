@@ -1,8 +1,6 @@
 #include "dwm/area_model.hpp"
 
-#include <algorithm>
-
-#include "util/logging.hpp"
+#include "dwm/device_params.hpp"
 
 namespace coruscant {
 
@@ -41,6 +39,11 @@ PimFeatureSet::mulAdd5Bbo()
 
 namespace {
 
+constexpr double featureUm = 32.0 / 1000.0; // F = 32 nm
+constexpr std::size_t wires = DeviceParams{}.wiresPerDbc; // X
+constexpr std::size_t domains = DeviceParams::domainsPerWire; // Y
+constexpr std::size_t tilesPerSubarray = 16; // tiles sharing one PIM tile
+
 constexpr double peripheryPerDbcUm2 = 20.0;
 constexpr double carryLogicUm2 = 0.02;        // C computation per wire
 constexpr double superCarryLogicUm2 = 0.05;   // C' computation per wire
@@ -60,23 +63,14 @@ senseUpgradeUm2(std::size_t trd)
 
 } // namespace
 
-AreaModel::AreaModel(double feature_size_nm, std::size_t wires_per_dbc,
-                     std::size_t domains_per_wire,
-                     std::size_t tiles_per_subarray)
-    : featureUm(feature_size_nm / 1000.0), wires(wires_per_dbc),
-      domains(domains_per_wire), tilesPerSubarray(tiles_per_subarray)
-{
-    fatalIf(tiles_per_subarray == 0, "need at least one tile");
-}
-
 double
-AreaModel::cellAreaUm2() const
+AreaModel::cellAreaUm2()
 {
     return 2.0 * featureUm * featureUm; // DWM: 2 F^2 per domain
 }
 
 std::size_t
-AreaModel::baselineOverheadDomains() const
+AreaModel::baselineOverheadDomains()
 {
     // Two ports at the optimal quarter positions: every data row is
     // within Y/4 of a port, so Y/2 overhead domains suffice
@@ -85,7 +79,7 @@ AreaModel::baselineOverheadDomains() const
 }
 
 std::size_t
-AreaModel::pimOverheadDomains(std::size_t trd) const
+AreaModel::pimOverheadDomains(std::size_t trd)
 {
     // Ports moved to TR spacing: overhead grows to Y - TRD
     // (25 for Y = 32, TRD = 7, matching the paper).
@@ -93,7 +87,7 @@ AreaModel::pimOverheadDomains(std::size_t trd) const
 }
 
 double
-AreaModel::baselineDbcAreaUm2() const
+AreaModel::baselineDbcAreaUm2()
 {
     double cells = static_cast<double>(
                        wires * (domains + baselineOverheadDomains())) *
@@ -102,7 +96,7 @@ AreaModel::baselineDbcAreaUm2() const
 }
 
 double
-AreaModel::pimExtraAreaUm2(const PimFeatureSet &f) const
+AreaModel::pimExtraAreaUm2(const PimFeatureSet &f)
 {
     std::size_t extra_domains =
         pimOverheadDomains(f.trd) > baselineOverheadDomains()
@@ -124,7 +118,7 @@ AreaModel::pimExtraAreaUm2(const PimFeatureSet &f) const
 }
 
 double
-AreaModel::memoryOverheadFraction(const PimFeatureSet &f) const
+AreaModel::memoryOverheadFraction(const PimFeatureSet &f)
 {
     // One PIM tile per subarray of `tilesPerSubarray` tiles; every DBC
     // in the PIM tile carries the extension, so the fraction of DBCs

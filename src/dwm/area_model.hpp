@@ -41,35 +41,28 @@ struct PimFeatureSet
     static PimFeatureSet mulAdd5Bbo(); ///< + bulk-bitwise ops
 };
 
-/** Area accounting for DWM with CORUSCANT extensions. */
+/**
+ * Area accounting for DWM with CORUSCANT extensions, at the paper's
+ * geometry: F = 32 nm, X = 512 wires of Y = DeviceParams::domainsPerWire
+ * domains, 16 tiles per subarray sharing one PIM tile.
+ */
 class AreaModel
 {
   public:
-    /**
-     * @param feature_size_nm lithographic F (paper scales to 32 nm)
-     * @param wires_per_dbc X
-     * @param domains_per_wire Y
-     * @param tiles_per_subarray tiles sharing one PIM tile
-     */
-    AreaModel(double feature_size_nm = 32.0,
-              std::size_t wires_per_dbc = 512,
-              std::size_t domains_per_wire = 32,
-              std::size_t tiles_per_subarray = 16);
-
     /** Cell area in um^2 (DWM: 2 F^2 per domain). */
-    double cellAreaUm2() const;
+    static double cellAreaUm2();
 
     /** Baseline DBC area (two optimally placed ports), um^2. */
-    double baselineDbcAreaUm2() const;
+    static double baselineDbcAreaUm2();
 
     /** Extra area a PIM-enabled DBC adds over the baseline, um^2. */
-    double pimExtraAreaUm2(const PimFeatureSet &f) const;
+    static double pimExtraAreaUm2(const PimFeatureSet &f);
 
     /**
      * Fractional overhead of PIM-enabling one tile per subarray
      * (paper Table I row "Area Overhead 1-PIM").
      */
-    double memoryOverheadFraction(const PimFeatureSet &f) const;
+    static double memoryOverheadFraction(const PimFeatureSet &f);
 
     /**
      * Standalone processing-element area for Table III.
@@ -81,16 +74,10 @@ class AreaModel
                             bool multiply);
 
     /** Overhead domains per wire for ports at TR spacing. */
-    std::size_t pimOverheadDomains(std::size_t trd) const;
+    static std::size_t pimOverheadDomains(std::size_t trd);
 
     /** Overhead domains per wire with two optimally spaced ports. */
-    std::size_t baselineOverheadDomains() const;
-
-  private:
-    double featureUm;
-    std::size_t wires;
-    std::size_t domains;
-    std::size_t tilesPerSubarray;
+    static std::size_t baselineOverheadDomains();
 };
 
 } // namespace coruscant

@@ -89,11 +89,9 @@ void
 DeviceParams::validate() const
 {
     fatalIf(wiresPerDbc == 0, "DBC must have at least one nanowire");
-    fatalIf(domainsPerWire == 0, "nanowire must store at least one row");
     fatalIf(trd == 0, "TRD must be positive");
     fatalIf(trd > domainsPerWire,
             "TRD (", trd, ") exceeds data domains (", domainsPerWire, ")");
-    fatalIf(cycleNs <= 0, "cycle time must be positive");
 }
 
 } // namespace coruscant

@@ -29,27 +29,27 @@ namespace coruscant {
 struct DeviceParams
 {
     // ------------------------------------------------------------------
-    // Geometry
+    // Geometry.  Only the wire count and TRD vary between
+    // configurations; every other constant is the paper's (DESIGN.md
+    // "Model constants").
     // ------------------------------------------------------------------
     /** Nanowires ganged in a domain-block cluster (bits per row). */
     std::size_t wiresPerDbc = 512;
 
     /** Data domains per nanowire (distinct row addresses), Y. */
-    std::size_t domainsPerWire = 32;
+    static constexpr std::size_t domainsPerWire = 32;
 
     /** Maximum transverse read distance (domains per TR), TRD. */
     std::size_t trd = 7;
 
     // ------------------------------------------------------------------
-    // Latency (cycles; 1 cycle = cycleNs nanoseconds)
+    // Latency (cycles; the paper's 1 ns DBC-level cycle)
     // ------------------------------------------------------------------
-    double cycleNs = 1.0;       ///< DBC-level cycle time (paper: 1 ns)
-
-    unsigned shiftCycles = 1;   ///< one-domain DW shift of the cluster
-    unsigned readCycles = 1;    ///< access-port read of one row
-    unsigned writeCycles = 1;   ///< access-port (shift-based) write
-    unsigned trCycles = 1;      ///< transverse read across the window
-    unsigned twCycles = 1;      ///< transverse write + segmented shift
+    static constexpr unsigned shiftCycles = 1; ///< one-domain shift
+    static constexpr unsigned readCycles = 1;  ///< access-port row read
+    static constexpr unsigned writeCycles = 1; ///< access-port row write
+    static constexpr unsigned trCycles = 1;    ///< transverse read
+    static constexpr unsigned twCycles = 1;    ///< transverse write
 
     // ------------------------------------------------------------------
     // Energy (pJ).  Row-level primitives touch `wiresPerDbc` wires; the
@@ -58,11 +58,13 @@ struct DeviceParams
     // write, the Table III composites for 2-op add (TRD = 3, 10.15 pJ)
     // and 5-op add (TRD = 7, 22.14 pJ) pin the remaining constants.
     // ------------------------------------------------------------------
-    double writeEnergyPj = 0.1;   ///< per bit written at a port
-    double readEnergyPj = 0.05;   ///< per bit read at a port
-    double shiftEnergyPj = 0.02;  ///< per wire per one-domain shift
-    double pimLogicEnergyPj = 0.35; ///< PIM block evaluation per wire
-    double twEnergyPj = 0.14;     ///< transverse write per wire
+    static constexpr double writeEnergyPj = 0.1;  ///< per bit written
+    static constexpr double readEnergyPj = 0.05;  ///< per bit read
+    static constexpr double shiftEnergyPj = 0.02; ///< per wire per shift
+    static constexpr double pimLogicEnergyPj = 0.35; ///< PIM block/wire
+    static constexpr double twEnergyPj = 0.14;    ///< TW per wire
+
+    static_assert(domainsPerWire > 0, "a nanowire stores at least one row");
 
     /** TR energy per wire as a function of the window length. */
     double trEnergyPj(std::size_t window) const;

@@ -2,6 +2,7 @@
 
 #include "arch/timing.hpp"
 #include "core/op_cost.hpp"
+#include "dwm/device_params.hpp"
 #include "util/logging.hpp"
 
 namespace coruscant {
@@ -37,9 +38,11 @@ ServiceCostTable::build(std::size_t trd)
     // Plain line traffic: paper Table II DWM timing with an average
     // shift distance of a quarter of the wire (random row targets).
     const DdrTiming dwm = DdrTiming::dwm();
-    const unsigned avg_shift = 8; // domainsPerWire / 4
-    t.readLine_ = {1, dwm.readCycles(avg_shift), 0.05 * 512};
-    t.writeLine_ = {1, dwm.writeCycles(avg_shift), 0.1 * 512};
+    const unsigned avg_shift = DeviceParams::domainsPerWire / 4;
+    t.readLine_ = {1, dwm.readCycles(avg_shift),
+                   DeviceParams::readEnergyPj * 512};
+    t.writeLine_ = {1, dwm.writeCycles(avg_shift),
+                    DeviceParams::writeEnergyPj * 512};
     t.readPrims_ = {avg_shift, 0, 0, 1, 0};
     t.writePrims_ = {avg_shift, 0, 0, 0, 1};
 

@@ -91,7 +91,7 @@ struct WorkloadConfig
     std::uint32_t dbcGroups = 4;  ///< alignment groups per bank
     double burstFactor = 4.0;     ///< on-state rate multiplier
     double burstFraction = 0.2;   ///< long-run fraction of time on
-    double meanBurstCycles = 2000; ///< mean on-state dwell
+    static constexpr double meanBurstCycles = 2000; ///< mean on dwell
     std::size_t maxAddOperands = 5; ///< size-dist cap for MultiOpAdd
 
     /**

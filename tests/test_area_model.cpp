@@ -57,7 +57,7 @@ TEST(AreaModel, PaperOverheadDomains)
 
 TEST(AreaModel, CellAreaIsTwoFSquared)
 {
-    AreaModel model(32.0);
+    AreaModel model;
     EXPECT_NEAR(model.cellAreaUm2(), 2 * 0.032 * 0.032, 1e-12);
 }
 

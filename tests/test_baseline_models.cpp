@@ -121,7 +121,7 @@ TEST(CpuSystem, DwmFasterThanDramForSameTrace)
     // Paper Fig. 10: "DRAM actually is slower than the DWM memory."
     AccessSummary s{100000, 50000, 10000, 10000};
     CpuSystem dram(DdrTiming::dram());
-    CpuSystem dwm(DdrTiming::dwm(), 32, /*avg_shift=*/4);
+    CpuSystem dwm(DdrTiming::dwm());
     EXPECT_LE(dwm.latencyCycles(s), dram.latencyCycles(s));
 }
 

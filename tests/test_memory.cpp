@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "arch/dwm_memory.hpp"
+#include "arch/timing.hpp"
 #include "controller/queue_model.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -82,7 +83,6 @@ TEST(DwmMemory, SparseFootprint)
 TEST(DwmMemory, AccessChargesShiftAwareTiming)
 {
     DwmMainMemory mem;
-    auto &cfg = mem.config();
     // First access to row 0 must shift from the initial port position.
     mem.readLine(0);
     auto first = mem.ledger().cycles();
@@ -91,8 +91,7 @@ TEST(DwmMemory, AccessChargesShiftAwareTiming)
     mem.resetCosts();
     mem.readLine(0);
     EXPECT_LT(mem.ledger().cycles(), first);
-    EXPECT_EQ(mem.ledger().cycles(),
-              cfg.dwmTiming.readCycles(0));
+    EXPECT_EQ(mem.ledger().cycles(), DdrTiming::dwm().readCycles(0));
 }
 
 TEST(DwmMemory, CopyLineMovesData)
