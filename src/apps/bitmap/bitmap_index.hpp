@@ -35,7 +35,7 @@ struct BitmapDatabase
     BitVector male;
     std::vector<BitVector> activeWeek; ///< [week] -> activity bitmap
 
-    /** Deterministic synthetic database. */
+    /** Deterministic synthetic database; throws FatalError on 0 users. */
     static BitmapDatabase synthesize(std::size_t users,
                                      std::size_t weeks,
                                      std::uint64_t seed = 1);

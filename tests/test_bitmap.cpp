@@ -101,6 +101,13 @@ TEST(BitmapQueryEdge, RejectsTooManyOperandsForTrd)
     EXPECT_EQ(eng.runCoruscant(2, 3).matches, eng.goldenCount(2));
 }
 
+TEST(BitmapQueryEdge, RejectsAnEmptyDatabase)
+{
+    // Zero users would give zero row chunks, and the DRAM and
+    // CORUSCANT chunk loops divide by the chunks in flight.
+    EXPECT_THROW(BitmapDatabase::synthesize(0, 4), FatalError);
+}
+
 TEST(BitmapQueryEdge, NonMultipleOfRowUsers)
 {
     auto db = BitmapDatabase::synthesize(1000, 3, 5);
