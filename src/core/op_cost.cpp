@@ -1,5 +1,7 @@
 #include "core/op_cost.hpp"
 
+#include <algorithm>
+
 namespace coruscant {
 
 namespace {
@@ -141,7 +143,10 @@ CoruscantCostModel::reduce() const
         CoruscantUnit unit(paramsFor(trd_, 512));
         obs::ComponentMetrics m;
         unit.attachMetrics(&m);
-        std::vector<BitVector> rows(trd_, BitVector(512, true));
+        // Without the super-carry output (TRD < 5) the unit reduces at
+        // most 3 rows (3->2).
+        std::size_t n = trd_ >= 5 ? trd_ : std::min<std::size_t>(trd_, 3);
+        std::vector<BitVector> rows(n, BitVector(512, true));
         unit.reduce(rows, 512);
         return fromRun(unit, m);
     });

@@ -64,7 +64,10 @@ class CoruscantCostModel
     /** m-operand bulk-bitwise op over a full 512-bit row. */
     OpCost bulkBitwise(std::size_t operands) const;
 
-    /** One 7->3 (or 3->2) reduction over a full row. */
+    /**
+     * One reduction over a full row of as many rows as the unit
+     * reduces: TRD->3 with the super-carry (TRD >= 5), else 3->2.
+     */
     OpCost reduce() const;
 
     /** Max of m `bits`-bit candidates (one lane). */

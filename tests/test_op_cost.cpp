@@ -28,6 +28,15 @@ TEST(OpCost, ReductionIsFourCycles)
     EXPECT_EQ(CoruscantCostModel(3).reduce().cycles, 3u);
 }
 
+TEST(OpCost, ReductionBuildsAtEveryTrd)
+{
+    // Below TRD 5 there is no super-carry output, so the unit reduces
+    // at most 3 rows; TRD 4 must not stage 4.
+    for (std::size_t trd = 2; trd <= 8; ++trd)
+        EXPECT_NO_THROW(CoruscantCostModel(trd).reduce()) << trd;
+    EXPECT_EQ(CoruscantCostModel(4).reduce().cycles, 3u);
+}
+
 TEST(OpCost, AddScalesLinearlyInBlockSize)
 {
     CoruscantCostModel c7(7);

@@ -377,6 +377,19 @@ TEST(ServiceEngine, GangsNeverExceedTrdOperands)
                   .completed);
 }
 
+TEST(ServiceEngine, RunsAtEveryTrd)
+{
+    // The cost table builds at every TRD the CLI accepts, TRD 4 (no
+    // super-carry, 3-row reduction) included.
+    for (std::size_t trd : {2u, 3u, 4u, 5u, 6u, 7u, 32u}) {
+        ServiceConfig cfg = smallConfig();
+        cfg.trd = trd;
+        ServiceStats s = runService(cfg);
+        EXPECT_GT(s.completed, 0u) << trd;
+        EXPECT_EQ(s.admitted, s.completed) << trd;
+    }
+}
+
 TEST(ServiceEngine, BatchingSustainsHigherThroughputUnderLoad)
 {
     // The tentpole claim at one load point: bulk-heavy overload,
