@@ -33,7 +33,8 @@ struct ServiceBench
     options()
     {
         return {opt("duration", cfg.durationCycles, "arrival window (cycles)"),
-                opt("channels", cfg.channels, "memory channels")};
+                opt("channels", cfg.channels, "memory channels", atLeastOne,
+                    ">= 1")};
     }
 };
 

@@ -11,17 +11,6 @@ PimCnnExecutor::PimCnnExecutor(const DeviceParams &params)
 {}
 
 std::uint64_t
-PimCnnExecutor::pimMultiplyU8(std::uint64_t a, std::uint64_t b)
-{
-    fatalIf(a > 0xFF || b > 0xFF, "magnitude exceeds 8 bits");
-    BitVector ar(unit.width()), br(unit.width());
-    ar.insertUint64(0, 16, a);
-    br.insertUint64(0, 16, b);
-    auto prod = unit.multiply(ar, br, 8, MulStrategy::OptimizedCsa, 16);
-    return prod.sliceUint64(0, 16);
-}
-
-std::uint64_t
 PimCnnExecutor::pimSumU32(const std::vector<std::uint64_t> &values)
 {
     if (values.empty())
@@ -194,77 +183,6 @@ PimCnnExecutor::maxPool(const IntTensor &input, std::size_t k)
             const auto &win = windows[base + l];
             out.at(win.i, win.j, win.c) =
                 static_cast<std::int32_t>(best[l]);
-        }
-    }
-    return out;
-}
-
-IntTensor
-PimCnnExecutor::avgPool(const IntTensor &input, std::size_t k)
-{
-    fatalIf(k == 0 || input.h % k != 0 || input.w % k != 0,
-            "pool window must tile the input");
-    fatalIf((k & (k - 1)) != 0,
-            "average pooling divides by shifting: k must be a power "
-            "of two");
-    unsigned shift = 0;
-    for (std::size_t v = k * k; v > 1; v >>= 1)
-        ++shift;
-
-    const std::size_t lane_w = 32;
-    const std::size_t lanes = unit.width() / lane_w;
-    IntTensor out(input.h / k, input.w / k, input.c);
-
-    // Batch `lanes` windows per addition round.
-    struct Slot
-    {
-        std::size_t i, j, c;
-    };
-    std::vector<Slot> slots;
-    for (std::size_t i = 0; i < out.h; ++i)
-        for (std::size_t j = 0; j < out.w; ++j)
-            for (std::size_t c = 0; c < input.c; ++c)
-                slots.push_back({i, j, c});
-
-    const std::size_t depth = k * k;
-    const std::size_t arity = unit.params().maxAddOperands();
-    for (std::size_t base = 0; base < slots.size(); base += lanes) {
-        std::size_t m = std::min(lanes, slots.size() - base);
-        // Accumulate the k^2 addends in groups of the adder arity.
-        std::vector<std::uint64_t> acc(m, 0);
-        bool have = false;
-        std::size_t d = 0;
-        while (d < depth) {
-            std::vector<BitVector> rows;
-            if (have) {
-                BitVector carry(unit.width());
-                for (std::size_t l = 0; l < m; ++l)
-                    carry.insertUint64(l * lane_w, lane_w, acc[l]);
-                rows.push_back(std::move(carry));
-            }
-            while (rows.size() < arity && d < depth) {
-                BitVector row(unit.width());
-                for (std::size_t l = 0; l < m; ++l) {
-                    const auto &s = slots[base + l];
-                    std::int32_t v = input.at(s.i * k + d / k,
-                                              s.j * k + d % k, s.c);
-                    fatalIf(v < 0, "average pooling expects "
-                                   "non-negative activations");
-                    row.insertUint64(l * lane_w, lane_w,
-                                     static_cast<std::uint32_t>(v));
-                }
-                rows.push_back(std::move(row));
-                ++d;
-            }
-            auto sum = unit.add(rows, lane_w);
-            for (std::size_t l = 0; l < m; ++l)
-                acc[l] = sum.sliceUint64(l * lane_w, lane_w);
-            have = true;
-        }
-        for (std::size_t l = 0; l < m; ++l) {
-            const auto &s = slots[base + l];
-            out.at(s.i, s.j, s.c) =
-                static_cast<std::int32_t>(acc[l] >> shift);
         }
     }
     return out;

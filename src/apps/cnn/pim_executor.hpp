@@ -76,13 +76,6 @@ class PimCnnExecutor
     /** kxk max pooling with stride k (each channel independently). */
     IntTensor maxPool(const IntTensor &input, std::size_t k);
 
-    /**
-     * kxk average pooling with stride k: window sums via multi-operand
-     * PIM additions, then a logical right shift for the division
-     * (k must be a power of two so k^2 divides by shifting).
-     */
-    IntTensor avgPool(const IntTensor &input, std::size_t k);
-
     /** Fully connected: out[o] = sum_i w[o][i]*x[i] + b[o]. */
     std::vector<std::int32_t>
     fullyConnected(const std::vector<std::int8_t> &x,
@@ -99,9 +92,6 @@ class PimCnnExecutor
     const CostLedger &ledger() const { return unit.ledger(); }
 
   private:
-    /** Unsigned PIM multiply helper on magnitudes < 2^8. */
-    std::uint64_t pimMultiplyU8(std::uint64_t a, std::uint64_t b);
-
     /** Sum a list of uint32 magnitudes via PIM multi-operand adds. */
     std::uint64_t pimSumU32(const std::vector<std::uint64_t> &values);
 

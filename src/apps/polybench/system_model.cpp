@@ -148,15 +148,4 @@ PolybenchSystemModel::evaluate(const KernelRun &run) const
     return res;
 }
 
-std::vector<PolybenchResult>
-PolybenchSystemModel::evaluateAll(
-    const std::vector<KernelRun> &runs) const
-{
-    std::vector<PolybenchResult> out;
-    out.reserve(runs.size());
-    for (const auto &run : runs)
-        out.push_back(evaluate(run));
-    return out;
-}
-
 } // namespace coruscant

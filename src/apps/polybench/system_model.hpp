@@ -68,10 +68,6 @@ class PolybenchSystemModel
   public:
     PolybenchResult evaluate(const KernelRun &run) const;
 
-    /** Evaluate all kernels plus the geometric means. */
-    std::vector<PolybenchResult>
-    evaluateAll(const std::vector<KernelRun> &runs) const;
-
   private:
     MemoryConfig cfg;
     CoruscantCostModel cost{cfg.device.trd};

@@ -122,35 +122,6 @@ CoruscantUnit::stageWindow(const std::vector<BitVector> &interior_rows,
     return ws;
 }
 
-std::vector<std::uint16_t>
-CoruscantUnit::segmentedPopcount()
-{
-    OpSpan span(*this, "segmented_popcount");
-    std::size_t act = dev.wiresPerDbc;
-    auto window = dbc.transverseReadAll(&faults);
-    chargeTrAll(act);
-    auto left = dbc.transverseReadOutsideAll(Port::Left);
-    auto right = dbc.transverseReadOutsideAll(Port::Right);
-    // Both outer segments share one TR cycle (disjoint current paths;
-    // paper Fig. 3's simultaneous red arrows).  Energy scales with the
-    // longer segment.
-    std::size_t longest = std::max(dev.leftOverhead()
-                                       + dev.leftPortRow(),
-                                   dev.totalDomains()
-                                       - dev.leftOverhead()
-                                       - dev.rightPortRow() - 1);
-    double outer_pj = static_cast<double>(act)
-                      * (dev.trEnergyPj(longest) + dev.pimLogicEnergyPj);
-    costs.charge("tr", dev.trCycles, outer_pj);
-    noteCost(obs::Counter::TrPulses, 1, outer_pj);
-    std::vector<std::uint16_t> totals(act, 0);
-    for (std::size_t w = 0; w < act; ++w) {
-        totals[w] = static_cast<std::uint16_t>(
-            left[w] + window[w] + right[w]);
-    }
-    return totals;
-}
-
 // ---------------------------------------------------------------------
 // Bulk-bitwise operations
 // ---------------------------------------------------------------------

@@ -152,14 +152,6 @@ class CoruscantUnit
                           std::size_t active_wires = 0,
                           bool write_back = false, bool use_tw = false);
 
-    /**
-     * Per-wire ones count over the whole DBC using segmented
-     * transverse reads (paper Fig. 3): one TR covers the window, a
-     * second TR covers both outer segments in parallel (disjoint
-     * current paths).  Two TR cycles regardless of Y.
-     */
-    std::vector<std::uint16_t> segmentedPopcount();
-
     // ------------------------------------------------------------------
     // Multi-operand addition (Sec. III-C)
     // ------------------------------------------------------------------

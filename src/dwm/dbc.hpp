@@ -31,12 +31,14 @@
 #include "dwm/count_planes.hpp"
 #include "dwm/device_params.hpp"
 #include "dwm/fault_model.hpp"
-#include "dwm/nanowire.hpp"
 #include "dwm/shift_fault.hpp"
 #include "obs/metrics.hpp"
 #include "util/bit_vector.hpp"
 
 namespace coruscant {
+
+/** The two access ports of a PIM-enabled nanowire. */
+enum class Port { Left, Right };
 
 /** X nanowires x Y data rows with a shared shift offset. */
 class DomainBlockCluster

@@ -12,8 +12,11 @@ std::string
 joinTokens(std::span<const char *const> tokens)
 {
     std::string out;
-    for (const char *t : tokens)
-        out += (out.empty() ? "" : "|") + std::string(t);
+    for (const char *t : tokens) {
+        if (!out.empty())
+            out += '|';
+        out += t;
+    }
     return out;
 }
 

@@ -178,6 +178,9 @@ opt(const char *name, T &field, const std::string &help,
         "in [" + detail::show(lo) + ", " + detail::show(hi) + "]");
 }
 
+/** Predicate of the count options that must be positive. */
+inline constexpr auto atLeastOne = [](const auto &n) { return n >= 1; };
+
 /**
  * Parse @p args (the tokens after the command name) into the fields
  * bound by @p options.  Returns the diagnostic for the first offending

@@ -419,6 +419,10 @@ TEST(CliProcess, UsageErrorsExitTwo)
     EXPECT_EQ(cliExit("ops --bits 33"), 2);
     EXPECT_EQ(cliExit("serve --trd 1"), 2);
     EXPECT_EQ(cliExit("serve --trd 33"), 2);
+    // A zero-sized topology has nothing to serve on.
+    EXPECT_EQ(cliExit("serve --channels 0"), 2);
+    EXPECT_EQ(cliExit("serve --banks 0"), 2);
+    EXPECT_EQ(cliExit("serve --groups 0"), 2);
 }
 
 TEST(CliProcess, DataFaultFlagValidationExitsTwo)

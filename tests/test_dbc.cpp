@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "dwm/dbc.hpp"
-#include "dwm/nanowire.hpp"
+#include "oracle/nanowire.hpp"
 #include "util/rng.hpp"
 
 namespace coruscant {

@@ -1,16 +1,11 @@
 /**
  * @file
- * Extension features: segmented transverse read (paper Fig. 3), the
- * Pinatubo NVM baseline, and average pooling.
+ * Segmented transverse read (paper Fig. 3) on the per-wire oracle.
  */
 
 #include <gtest/gtest.h>
 
-#include "apps/cnn/pim_executor.hpp"
-#include "baselines/pinatubo.hpp"
-#include "core/coruscant_unit.hpp"
-#include "dwm/nanowire.hpp"
-#include "util/logging.hpp"
+#include "oracle/nanowire.hpp"
 #include "util/rng.hpp"
 
 namespace coruscant {
@@ -50,133 +45,6 @@ TEST(SegmentedTr, OutsideCountsMatchDirectCount)
     EXPECT_EQ(w.transverseReadOutside(Port::Left), ws);
     EXPECT_EQ(w.transverseReadOutside(Port::Right), 0u);
     EXPECT_EQ(w.transverseRead(), 0u);
-}
-
-TEST(SegmentedTr, DbcSegmentedPopcountIsTwoTrCycles)
-{
-    DeviceParams p = DeviceParams::withTrd(7);
-    p.wiresPerDbc = 32;
-    CoruscantUnit unit(p);
-    Rng rng(9);
-    std::vector<std::size_t> expected(32, 0);
-    for (std::size_t r = 0; r < p.domainsPerWire; ++r) {
-        BitVector row(32);
-        for (std::size_t w = 0; w < 32; ++w) {
-            bool b = rng.nextBool();
-            row.set(w, b);
-            expected[w] += b ? 1 : 0;
-        }
-        unit.loadRow(r, row);
-    }
-    unit.resetCosts();
-    auto counts = unit.segmentedPopcount();
-    EXPECT_EQ(unit.ledger().cycles(), 2u);
-    for (std::size_t w = 0; w < 32; ++w)
-        EXPECT_EQ(counts[w], expected[w]) << "wire " << w;
-}
-
-TEST(Pinatubo, FunctionalOps)
-{
-    PinatuboUnit unit(64);
-    Rng rng(5);
-    std::vector<BitVector> ops;
-    for (int i = 0; i < 4; ++i) {
-        BitVector row(64);
-        for (std::size_t w = 0; w < 64; ++w)
-            row.set(w, rng.nextBool());
-        ops.push_back(std::move(row));
-    }
-    BitVector and_all = ops[0] & ops[1] & ops[2] & ops[3];
-    BitVector or_all = ops[0] | ops[1] | ops[2] | ops[3];
-    EXPECT_EQ(unit.bulk(BulkOp::And, ops), and_all);
-    EXPECT_EQ(unit.bulk(BulkOp::Or, ops), or_all);
-    EXPECT_EQ(unit.bulk(BulkOp::Nand, ops), ~and_all);
-    EXPECT_EQ(unit.bulk(BulkOp::Xor, {ops[0], ops[1]}),
-              ops[0] ^ ops[1]);
-}
-
-TEST(Pinatubo, WriteEnergyDominates)
-{
-    // The paper's criticism: PCM write energy (29.7 pJ/bit) dwarfs
-    // the sensing energy.
-    PinatuboUnit unit(512);
-    std::vector<BitVector> ops(2, BitVector(512, true));
-    unit.resetCosts();
-    unit.bulk(BulkOp::And, ops);
-    auto &by = unit.ledger().byCategory();
-    EXPECT_GT(by.at("write").energyPj, 10 * by.at("sense").energyPj);
-}
-
-TEST(Pinatubo, ChainingWearsTheArray)
-{
-    // k operands with a 2-row sense need k-1 intermediate write-backs:
-    // the endurance pressure CORUSCANT avoids.
-    PinatuboUnit unit(64, 2);
-    std::vector<BitVector> ops(5, BitVector(64, true));
-    unit.bulk(BulkOp::And, ops);
-    EXPECT_EQ(unit.resultRowWrites(), 4u);
-    // CORUSCANT: zero intermediate writes for the same operation.
-    DeviceParams p = DeviceParams::withTrd(7);
-    p.wiresPerDbc = 64;
-    CoruscantUnit cor(p);
-    cor.bulkBitwise(BulkOp::And, ops);
-    // (one TR; nothing rewritten)
-    EXPECT_EQ(cor.ledger().byCategory().count("tw"), 0u);
-}
-
-TEST(Pinatubo, CoruscantFasterForMultiOperand)
-{
-    PinatuboUnit pin(512);
-    DeviceParams p = DeviceParams::withTrd(7);
-    CoruscantUnit cor(p);
-    std::vector<BitVector> ops(5, BitVector(512, true));
-    pin.resetCosts();
-    pin.bulk(BulkOp::And, ops);
-    cor.resetCosts();
-    cor.bulkBitwise(BulkOp::And, ops);
-    EXPECT_LT(cor.ledger().cycles(), pin.ledger().cycles());
-}
-
-TEST(AvgPool, MatchesReference)
-{
-    PimCnnExecutor exec;
-    Rng rng(31);
-    IntTensor input(8, 8, 2);
-    for (auto &v : input.data)
-        v = static_cast<std::int32_t>(rng.nextBelow(4096));
-    auto out = exec.avgPool(input, 2);
-    ASSERT_EQ(out.h, 4u);
-    for (std::size_t i = 0; i < 4; ++i) {
-        for (std::size_t j = 0; j < 4; ++j) {
-            for (std::size_t c = 0; c < 2; ++c) {
-                std::int32_t sum = 0;
-                for (std::size_t pi = 0; pi < 2; ++pi)
-                    for (std::size_t pj = 0; pj < 2; ++pj)
-                        sum += input.at(2 * i + pi, 2 * j + pj, c);
-                EXPECT_EQ(out.at(i, j, c), sum / 4);
-            }
-        }
-    }
-}
-
-TEST(AvgPool, FourByFourWindow)
-{
-    PimCnnExecutor exec;
-    IntTensor input(4, 4, 1);
-    std::int32_t sum = 0;
-    for (std::size_t i = 0; i < input.size(); ++i) {
-        input.data[i] = static_cast<std::int32_t>(i * 3 + 1);
-        sum += input.data[i];
-    }
-    auto out = exec.avgPool(input, 4);
-    EXPECT_EQ(out.at(0, 0, 0), sum / 16);
-}
-
-TEST(AvgPool, RejectsNonPowerOfTwo)
-{
-    PimCnnExecutor exec;
-    IntTensor input(9, 9, 1);
-    EXPECT_THROW(exec.avgPool(input, 3), FatalError);
 }
 
 } // namespace

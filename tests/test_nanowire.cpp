@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "dwm/nanowire.hpp"
+#include "oracle/nanowire.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 

@@ -8,8 +8,8 @@
 
 #include "dwm/alignment_guard.hpp"
 #include "dwm/dbc.hpp"
-#include "dwm/nanowire.hpp"
 #include "dwm/shift_fault.hpp"
+#include "oracle/nanowire.hpp"
 
 namespace coruscant {
 namespace {

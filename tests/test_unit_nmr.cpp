@@ -68,7 +68,9 @@ TEST_P(NmrSweep, MajorityCorruptionWins)
 INSTANTIATE_TEST_SUITE_P(AllRedundancyLevels, NmrSweep,
                          ::testing::Values(3u, 5u, 7u),
                          [](const ::testing::TestParamInfo<std::size_t> &i) {
-                             return "N" + std::to_string(i.param);
+                             std::string name = "N";
+                             name += std::to_string(i.param);
+                             return name;
                          });
 
 TEST(UnitNmr, WorksAtSmallTrd)

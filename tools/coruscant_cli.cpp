@@ -55,13 +55,6 @@ struct Invocation
     }
 };
 
-/** Predicate of the count options that must be positive. */
-bool
-atLeastOne(const std::size_t &n)
-{
-    return n >= 1;
-}
-
 /** The fault options campaign and serve share, bound to one FaultConfig. */
 Options
 faultOptions(FaultConfig &f)
@@ -341,10 +334,13 @@ cmdServe(const Invocation &in)
                }};
     if (!in.accept(
             Options{
-                opt("channels", cfg.channels, "memory channels"),
+                opt("channels", cfg.channels, "memory channels", atLeastOne,
+                    ">= 1"),
                 opt("threads", cfg.threads, "worker threads (0 = all cores)"),
-                opt("banks", cfg.banksPerChannel, "banks per channel"),
-                opt("groups", cfg.dbcGroupsPerBank, "DBC groups per bank"),
+                opt("banks", cfg.banksPerChannel, "banks per channel",
+                    atLeastOne, ">= 1"),
+                opt("groups", cfg.dbcGroupsPerBank, "DBC groups per bank",
+                    atLeastOne, ">= 1"),
                 opt("trd", cfg.trd, "transverse-read distance",
                     std::size_t{2}, DeviceParams::domainsPerWire),
                 opt("seed", cfg.seed, "RNG seed"),
