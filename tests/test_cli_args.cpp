@@ -423,6 +423,8 @@ TEST(CliProcess, UsageErrorsExitTwo)
     EXPECT_EQ(cliExit("serve --channels 0"), 2);
     EXPECT_EQ(cliExit("serve --banks 0"), 2);
     EXPECT_EQ(cliExit("serve --groups 0"), 2);
+    // A closed loop with no clients never issues a request.
+    EXPECT_EQ(cliExit("serve --process closed --clients 0"), 2);
 }
 
 TEST(CliProcess, DataFaultFlagValidationExitsTwo)

@@ -358,7 +358,7 @@ cmdServe(const Invocation &in)
                     "queue depth per class per channel (0 = unbounded)"),
                 opt("hot", cfg.bulkHotGroups, "hot bulk accumulator groups"),
                 opt("clients", cfg.closedLoopWindow,
-                    "closed-loop clients per channel"),
+                    "closed-loop clients per channel", atLeastOne, ">= 1"),
                 opt("batch", cfg.batching, "TR-gang batching"),
                 mix,
                 opt("process", cfg.process, "arrival process"),
