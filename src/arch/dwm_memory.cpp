@@ -129,7 +129,7 @@ DwmMainMemory::guardMaintain(MemDbc &state, GuardReport *report)
     ++guardChecks_;
     double guard_pj = static_cast<double>(r.guardTrs)
                       * cfg.device.trEnergyPj(cfg.device.trd);
-    costs.charge("guard", r.guardTrs * cfg.device.trCycles, guard_pj);
+    costs.charge(Cost::Guard, r.guardTrs * cfg.device.trCycles, guard_pj);
     if (guardMetrics) {
         guardMetrics->add(obs::Counter::TrPulses, r.guardTrs);
         guardMetrics->addEnergy(guard_pj);
@@ -139,7 +139,7 @@ DwmMainMemory::guardMaintain(MemDbc &state, GuardReport *report)
         double fix_pj = static_cast<double>(fix_shifts)
                         * static_cast<double>(dbcParams.wiresPerDbc)
                         * cfg.device.shiftEnergyPj;
-        costs.charge("guard_fix", fix_shifts * cfg.device.shiftCycles,
+        costs.charge(Cost::GuardFix, fix_shifts * cfg.device.shiftCycles,
                      fix_pj);
         if (guardMetrics) {
             guardMetrics->add(obs::Counter::Shifts, fix_shifts);
@@ -170,7 +170,7 @@ DwmMainMemory::guardMaintain(MemDbc &state, GuardReport *report)
         double reset_pj = static_cast<double>(rows)
                           * (cfg.device.shiftEnergyPj
                              + cfg.device.writeEnergyPj);
-        costs.charge("guard_reset",
+        costs.charge(Cost::GuardReset,
                      rows * (cfg.device.shiftCycles
                              + cfg.device.writeCycles),
                      reset_pj);
@@ -221,7 +221,7 @@ DwmMainMemory::retire(MemDbc &state)
                        * static_cast<double>(dbcParams.wiresPerDbc)
                        * (cfg.device.readEnergyPj
                           + cfg.device.writeEnergyPj);
-    costs.charge("retire",
+    costs.charge(Cost::Retire,
                  rows * (cfg.device.readCycles + cfg.device.writeCycles),
                  retire_pj);
     if (guardMetrics)
@@ -346,7 +346,7 @@ DwmMainMemory::scrubEcc()
             static_cast<double>(rewritten) *
                 static_cast<double>(payload_wires) *
                 cfg.device.writeEnergyPj;
-        costs.charge("ecc_scrub",
+        costs.charge(Cost::EccScrub,
                      rows * cfg.device.readCycles +
                          rewritten * cfg.device.writeCycles,
                      sweep_pj);
@@ -399,7 +399,7 @@ DwmMainMemory::readLine(std::uint64_t byte_addr)
     if (dataInjector)
         applyRetention(state, loc.row);
     DomainBlockCluster &dbc = state.dbc;
-    chargeAccess("read", DdrTiming::dwm().readCycles(shifts),
+    chargeAccess(Cost::Read, DdrTiming::dwm().readCycles(shifts),
                  cfg.device.readEnergyPj, shifts, obs::Counter::Reads);
     // After alignment the row sits under one of the ports.
     Port port = dbc.rowAtPort(Port::Left) == loc.row ? Port::Left
@@ -465,7 +465,7 @@ DwmMainMemory::noteDataFaults(const char *name, std::uint64_t faults)
 }
 
 void
-DwmMainMemory::chargeAccess(const char *category, std::uint64_t cycles,
+DwmMainMemory::chargeAccess(Cost category, std::uint64_t cycles,
                             double port_pj, unsigned shifts,
                             obs::Counter kind)
 {
@@ -482,7 +482,7 @@ DwmMainMemory::chargeAccess(const char *category, std::uint64_t cycles,
             static_cast<double>(eccLanes) *
             (port_pj +
              static_cast<double>(shifts) * cfg.device.shiftEnergyPj);
-        costs.charge("ecc", 0, ecc_pj);
+        costs.charge(Cost::Ecc, 0, ecc_pj);
         if (eccMetrics)
             eccMetrics->addEnergy(ecc_pj);
     }
@@ -539,7 +539,7 @@ DwmMainMemory::writeLine(std::uint64_t byte_addr, const BitVector &data)
     unsigned shifts = 0;
     MemDbc &state = alignChecked(loc, shifts);
     DomainBlockCluster &dbc = state.dbc;
-    chargeAccess("write", DdrTiming::dwm().writeCycles(shifts),
+    chargeAccess(Cost::Write, DdrTiming::dwm().writeCycles(shifts),
                  cfg.device.writeEnergyPj, shifts, obs::Counter::Writes);
     Port port = dbc.rowAtPort(Port::Left) == loc.row ? Port::Left
                                                      : Port::Right;
@@ -570,26 +570,6 @@ DwmMainMemory::writeLine(std::uint64_t byte_addr, const BitVector &data)
                    guard->patternBit(loc.row));
     }
     dbc.writeRowAtPort(port, padded);
-}
-
-void
-DwmMainMemory::copyLine(std::uint64_t src_addr, std::uint64_t dst_addr)
-{
-    // Data movement within the memory (paper Sec. III-A): copies
-    // within a subarray ride the local row buffer; crossing a
-    // subarray or bank uses the hierarchical row-buffer path, which
-    // occupies the internal bus for a line burst.
-    LineAddress src = amap.decode(src_addr);
-    LineAddress dst = amap.decode(dst_addr);
-    BitVector line = readLine(src_addr);
-    if (src.bank != dst.bank || src.subarray != dst.subarray) {
-        costs.charge("interlink", BusConfig::lineBurstCycles(),
-                     64.0 * 2.0); // internal link energy per byte x2
-        if (memMetrics)
-            memMetrics->addEnergy(64.0 * 2.0);
-    }
-    writeLine(dst_addr, line);
-    costs.charge("rowclone", 0, 0); // marker for reporting
 }
 
 void

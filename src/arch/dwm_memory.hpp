@@ -116,13 +116,6 @@ class DwmMainMemory
     void writeLine(std::uint64_t byte_addr, const BitVector &data);
 
     /**
-     * In-memory row copy between two locations in the same subarray
-     * via the shared row buffer (RowClone-style; paper Sec. III-A):
-     * one read plus one write, no bus transfer.
-     */
-    void copyLine(std::uint64_t src_addr, std::uint64_t dst_addr);
-
-    /**
      * PIM unit serving a location's subarray.  Lazily materialized;
      * each subarray has `pimDbcsPerSubarray` PIM DBCs, selected by
      * @p pim_index.
@@ -241,7 +234,7 @@ class DwmMainMemory
     chargeRetryBackoff(std::uint64_t cycles)
     {
         if (cycles > 0)
-            costs.charge("retry_backoff", cycles, 0.0);
+            costs.charge(Cost::RetryBackoff, cycles, 0.0);
     }
 
     /** Total DW shift steps performed by accesses so far. */
@@ -297,7 +290,7 @@ class DwmMainMemory
                       Visit &&visit);
 
     /** Charge one line access (data and ECC lanes); count @p kind. */
-    void chargeAccess(const char *category, std::uint64_t cycles,
+    void chargeAccess(Cost category, std::uint64_t cycles,
                       double port_pj, unsigned shifts,
                       obs::Counter kind);
 

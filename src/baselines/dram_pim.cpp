@@ -17,14 +17,14 @@ constexpr double activationEnergyPj = 909.0;
 void
 DramPimUnit::chargeAap()
 {
-    costs.charge("aap", 2u * timing.tRas + timing.tRp,
+    costs.charge(Cost::Aap, 2u * timing.tRas + timing.tRp,
                  2.0 * activationEnergyPj);
 }
 
 void
 DramPimUnit::chargeAp()
 {
-    costs.charge("ap", timing.tRas + timing.tRp, activationEnergyPj);
+    costs.charge(Cost::Ap, timing.tRas + timing.tRp, activationEnergyPj);
 }
 
 BitVector

@@ -56,7 +56,7 @@ CoruscantUnit::chargeTrAll(std::size_t active_wires)
 {
     double pj = static_cast<double>(active_wires)
                 * (dev.trEnergyPj(dev.trd) + dev.pimLogicEnergyPj);
-    costs.charge("tr", dev.trCycles, pj);
+    costs.charge(Cost::Tr, dev.trCycles, pj);
     noteCost(obs::Counter::TrPulses, 1, pj);
 }
 
@@ -64,7 +64,7 @@ void
 CoruscantUnit::chargeRowWrite(std::size_t active_wires)
 {
     double pj = static_cast<double>(active_wires) * dev.writeEnergyPj;
-    costs.charge("write", dev.writeCycles, pj);
+    costs.charge(Cost::Write, dev.writeCycles, pj);
     noteCost(obs::Counter::Writes, 1, pj);
 }
 
@@ -72,7 +72,7 @@ void
 CoruscantUnit::chargeRowRead(std::size_t active_wires)
 {
     double pj = static_cast<double>(active_wires) * dev.readEnergyPj;
-    costs.charge("read", dev.readCycles, pj);
+    costs.charge(Cost::Read, dev.readCycles, pj);
     noteCost(obs::Counter::Reads, 1, pj);
 }
 
@@ -83,7 +83,7 @@ CoruscantUnit::chargeShifts(std::size_t steps, std::size_t active_wires)
         return;
     double pj = static_cast<double>(steps)
                 * static_cast<double>(active_wires) * dev.shiftEnergyPj;
-    costs.charge("shift", steps * dev.shiftCycles, pj);
+    costs.charge(Cost::Shift, steps * dev.shiftCycles, pj);
     noteCost(obs::Counter::Shifts, steps, pj);
 }
 
@@ -91,7 +91,7 @@ void
 CoruscantUnit::chargeTwRow(std::size_t active_wires)
 {
     double pj = static_cast<double>(active_wires) * dev.twEnergyPj;
-    costs.charge("tw", dev.twCycles, pj);
+    costs.charge(Cost::Tw, dev.twCycles, pj);
     noteCost(obs::Counter::TwPulses, 1, pj);
 }
 

@@ -98,7 +98,7 @@ CoruscantUnit::carryChain(const std::vector<BitVector> &operands,
             // One voting-logic cycle plus the parallel write.
             double vote_pj =
                 static_cast<double>(lanes) * dev.pimLogicEnergyPj;
-            costs.charge("vote", 1, vote_pj);
+            costs.charge(Cost::Vote, 1, vote_pj);
             if (metrics)
                 metrics->addEnergy(vote_pj);
         }

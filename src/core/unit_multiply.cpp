@@ -35,7 +35,7 @@ CoruscantUnit::chargeCopy(std::size_t active_wires)
     // Fused shifted read/write through the inter-wire brown path.
     double pj = static_cast<double>(active_wires)
                 * (dev.readEnergyPj + dev.writeEnergyPj);
-    costs.charge("copy", dev.readCycles, pj);
+    costs.charge(Cost::Copy, dev.readCycles, pj);
     if (metrics) {
         metrics->add(obs::Counter::Reads);
         metrics->add(obs::Counter::Writes);

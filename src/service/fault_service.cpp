@@ -50,19 +50,6 @@ ServiceFaultConfig::chaosRamp(double base, std::uint64_t duration)
             {3 * (duration / 4), base}};
 }
 
-namespace {
-
-/** What @p mem's ledger holds under category @p what. */
-CostLedger::Entry
-charged(const DwmMainMemory &mem, const char *what)
-{
-    auto it = mem.ledger().byCategory().find(what);
-    return it == mem.ledger().byCategory().end() ? CostLedger::Entry{}
-                                                 : it->second;
-}
-
-} // namespace
-
 GuardServiceCosts
 GuardServiceCosts::measure()
 {
@@ -81,6 +68,7 @@ GuardServiceCosts::measure()
     mc.reliability.spareDbcs = 1;
 
     DwmMainMemory mem(mc);
+    const CostLedger &costs = mem.ledger();
     mem.writeLine(0, BitVector(mc.device.wiresPerDbc));
 
     GuardServiceCosts out;
@@ -90,21 +78,22 @@ GuardServiceCosts::measure()
     panicIf(!clean.checked || clean.misaligned,
             "guard cost measurement: clean check misbehaved");
     out.checkCycles =
-        static_cast<std::uint32_t>(charged(mem, "guard").cycles);
-    out.checkEnergyPj = charged(mem, "guard").energyPj;
+        static_cast<std::uint32_t>(costs.entry(Cost::Guard).cycles);
+    out.checkEnergyPj = costs.entry(Cost::Guard).energyPj;
 
     mem.injectShiftFaultAt(0, true);
     mem.resetCosts();
     GuardReport fixed = mem.checkLine(0);
     panicIf(!fixed.corrected,
             "guard cost measurement: injected misalignment not corrected");
-    out.correctCycles = static_cast<std::uint32_t>(
-        charged(mem, "guard").cycles + charged(mem, "guard_fix").cycles);
-    out.correctEnergyPj =
-        charged(mem, "guard").energyPj + charged(mem, "guard_fix").energyPj;
+    out.correctCycles =
+        static_cast<std::uint32_t>(costs.entry(Cost::Guard).cycles +
+                                   costs.entry(Cost::GuardFix).cycles);
+    out.correctEnergyPj = costs.entry(Cost::Guard).energyPj +
+                          costs.entry(Cost::GuardFix).energyPj;
     out.retireCycles =
-        static_cast<std::uint32_t>(charged(mem, "retire").cycles);
-    out.retireEnergyPj = charged(mem, "retire").energyPj;
+        static_cast<std::uint32_t>(costs.entry(Cost::Retire).cycles);
+    out.retireEnergyPj = costs.entry(Cost::Retire).energyPj;
     panicIf(out.retireCycles == 0,
             "guard cost measurement: retirement did not trigger");
 
@@ -126,19 +115,20 @@ GuardServiceCosts::measure()
     emc.reliability = ReliabilityConfig{};
     emc.reliability.eccMode = EccMode::Secded;
     DwmMainMemory emem(emc);
+    const CostLedger &ecosts = emem.ledger();
     BitVector line(emc.device.wiresPerDbc);
     emem.writeLine(0, line);
     emem.resetCosts();
     emem.readLine(0);
-    out.eccReadEnergyPj = charged(emem, "ecc").energyPj;
+    out.eccReadEnergyPj = ecosts.entry(Cost::Ecc).energyPj;
     emem.resetCosts();
     emem.writeLine(0, line);
-    out.eccWriteEnergyPj = charged(emem, "ecc").energyPj;
+    out.eccWriteEnergyPj = ecosts.entry(Cost::Ecc).energyPj;
     emem.resetCosts();
     emem.scrubEcc();
     out.eccScrubGroupCycles =
-        static_cast<std::uint32_t>(charged(emem, "ecc_scrub").cycles);
-    out.eccScrubGroupEnergyPj = charged(emem, "ecc_scrub").energyPj;
+        static_cast<std::uint32_t>(ecosts.entry(Cost::EccScrub).cycles);
+    out.eccScrubGroupEnergyPj = ecosts.entry(Cost::EccScrub).energyPj;
     panicIf(out.eccReadEnergyPj <= 0.0 || out.eccScrubGroupCycles == 0,
             "ECC cost measurement: SECDED charges did not register");
     return out;

@@ -60,9 +60,13 @@ CostLedger::summary() const
     std::ostringstream os;
     os << "total: " << totalCycles_ << " cycles, " << totalEnergyPj_
        << " pJ\n";
-    for (const auto &[k, v] : byCategory_) {
-        os << "  " << k << ": " << v.count << " ops, " << v.cycles
-           << " cycles, " << v.energyPj << " pJ\n";
+    for (std::size_t i = 0; i < kCostCategories; ++i) {
+        const Entry &e = entries_[i];
+        if (e.count == 0)
+            continue;
+        os << "  " << costName(static_cast<Cost>(i)) << ": " << e.count
+           << " ops, " << e.cycles << " cycles, " << e.energyPj
+           << " pJ\n";
     }
     return os.str();
 }

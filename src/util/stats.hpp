@@ -3,7 +3,7 @@
  * Cycle and energy accounting for the simulators.
  *
  * Every modeled component charges its primitive operations to a
- * CostLedger.  Ledgers are cheap value types that can be merged, so a
+ * CostLedger, each to one category of the closed set Cost, so a
  * composite operation's cost is the sum of its primitives' costs.
  *
  * LatencyHistogram is the companion for distributions: a log-bucketed
@@ -18,7 +18,6 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -135,6 +134,46 @@ class LatencyHistogram
 };
 
 /**
+ * The closed set of cost categories.  Declared in the byte order of
+ * their names (costName), so CostLedger::summary() lists them sorted.
+ */
+enum class Cost : std::uint8_t
+{
+    Aap,          ///< DRAM triple-row activation (Ambit/ELP2IM)
+    Ap,           ///< DRAM activate-precharge
+    Copy,         ///< multiplier's partial-product row copy
+    Ecc,          ///< SECDED check lanes of a line access
+    EccScrub,     ///< SECDED scrub sweep of a DBC
+    Guard,        ///< alignment-guard check TRs
+    GuardFix,     ///< corrective shifts after a misalignment
+    GuardReset,   ///< guard-track rewrite of a damaged or lost DBC
+    Read,         ///< line or row read
+    Retire,       ///< migration of a worn DBC to a spare
+    RetryBackoff, ///< retry-ladder wait between re-executions
+    Shift,        ///< DW shift steps
+    Tr,           ///< transverse read
+    Tw,           ///< transverse write
+    Vote,         ///< NMR majority vote
+    Write,        ///< line or row write
+};
+
+inline constexpr std::size_t kCostCategories =
+    static_cast<std::size_t>(Cost::Write) + 1;
+
+/** The category's name as summary() prints it. */
+constexpr const char *
+costName(Cost c)
+{
+    constexpr const char *names[] = {
+        "aap",         "ap",     "copy",          "ecc",
+        "ecc_scrub",   "guard",  "guard_fix",     "guard_reset",
+        "read",        "retire", "retry_backoff", "shift",
+        "tr",          "tw",     "vote",          "write"};
+    static_assert(std::size(names) == kCostCategories);
+    return names[static_cast<std::size_t>(c)];
+}
+
+/**
  * Accumulates cycles and energy (picojoules), with per-category
  * breakdowns for reporting.
  */
@@ -149,129 +188,40 @@ class CostLedger
         std::uint64_t count = 0;
     };
 
-    /**
-     * Charge @p cycles cycles and @p energy_pj picojoules to @p what,
-     * a category name with static storage duration (a string
-     * literal): repeat charges find the category by pointer, without
-     * building or comparing strings.
-     */
+    /** Charge @p cycles cycles and @p energy_pj picojoules to @p what. */
     void
-    charge(const char *what, std::uint64_t cycles, double energy_pj)
-    {
-        add(cache_.find(what, byCategory_), cycles, energy_pj);
-    }
-
-    /** charge() for a category name built at run time. */
-    void
-    charge(const std::string &what, std::uint64_t cycles, double energy_pj)
-    {
-        add(byCategory_[what], cycles, energy_pj);
-    }
-
-    /** Merge another ledger's totals into this one. */
-    void
-    merge(const CostLedger &o)
-    {
-        totalCycles_ += o.totalCycles_;
-        totalEnergyPj_ += o.totalEnergyPj_;
-        for (const auto &[k, v] : o.byCategory_) {
-            auto &e = byCategory_[k];
-            e.cycles += v.cycles;
-            e.energyPj += v.energyPj;
-            e.count += v.count;
-        }
-    }
-
-    void
-    reset()
-    {
-        totalCycles_ = 0;
-        totalEnergyPj_ = 0;
-        byCategory_.clear();
-        cache_.clear();
-    }
-
-    std::uint64_t cycles() const { return totalCycles_; }
-    double energyPj() const { return totalEnergyPj_; }
-
-    const std::map<std::string, Entry> &byCategory() const
-    {
-        return byCategory_;
-    }
-
-    /** Human-readable multi-line summary. */
-    std::string summary() const;
-
-  private:
-    /**
-     * byCategory_ entries of the last few literal names charged.  Map
-     * nodes never move, so the pointers stay valid until reset(); a
-     * copied or moved ledger starts (and a moved-from one restarts)
-     * with an empty cache, as its pointers name the other map.
-     */
-    class EntryCache
-    {
-      public:
-        EntryCache() = default;
-        EntryCache(const EntryCache &) {}
-        EntryCache(EntryCache &&o) noexcept { o.clear(); }
-        EntryCache &
-        operator=(const EntryCache &)
-        {
-            clear();
-            return *this;
-        }
-        EntryCache &
-        operator=(EntryCache &&o) noexcept
-        {
-            clear();
-            o.clear();
-            return *this;
-        }
-
-        /** The entry of @p what, inserted into @p map if new. */
-        Entry &
-        find(const char *what, std::map<std::string, Entry> &map)
-        {
-            for (std::size_t i = 0; i < used; ++i)
-                if (keys[i] == what)
-                    return *entries[i];
-            Entry &e = map[what];
-            std::size_t slot = used < slots ? used++ : next++ % slots;
-            keys[slot] = what;
-            entries[slot] = &e;
-            return e;
-        }
-
-        void
-        clear()
-        {
-            used = 0;
-            next = 0;
-        }
-
-      private:
-        static constexpr std::size_t slots = 8;
-        std::array<const char *, slots> keys{};
-        std::array<Entry *, slots> entries{};
-        std::size_t used = 0; ///< filled slots
-        std::size_t next = 0; ///< round-robin victim once full
-    };
-
-    void
-    add(Entry &e, std::uint64_t cycles, double energy_pj)
+    charge(Cost what, std::uint64_t cycles, double energy_pj)
     {
         totalCycles_ += cycles;
         totalEnergyPj_ += energy_pj;
+        Entry &e = entries_[static_cast<std::size_t>(what)];
         e.cycles += cycles;
         e.energyPj += energy_pj;
         e.count += 1;
     }
 
+    void reset() { *this = CostLedger(); }
+
+    std::uint64_t cycles() const { return totalCycles_; }
+    double energyPj() const { return totalEnergyPj_; }
+
+    /** What has been charged to @p what (all zero if nothing). */
+    const Entry &
+    entry(Cost what) const
+    {
+        return entries_[static_cast<std::size_t>(what)];
+    }
+
+    /**
+     * Human-readable multi-line summary: the totals, then each
+     * category charged at least once, in enum order.
+     */
+    std::string summary() const;
+
+  private:
     std::uint64_t totalCycles_ = 0;
     double totalEnergyPj_ = 0;
-    std::map<std::string, Entry> byCategory_;
-    EntryCache cache_;
+    std::array<Entry, kCostCategories> entries_{};
 };
 
 } // namespace coruscant

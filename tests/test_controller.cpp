@@ -198,12 +198,12 @@ TEST_F(ControllerEndToEnd, ChargesMemoryAndPimCosts)
     inst.dst = 0x2000000;
     ctrl.execute(inst);
     // Memory charged: 2 operand reads + 1 result write.
-    EXPECT_EQ(mem.ledger().byCategory().at("read").count, 2u);
-    EXPECT_EQ(mem.ledger().byCategory().at("write").count, 1u);
+    EXPECT_EQ(mem.ledger().entry(Cost::Read).count, 2u);
+    EXPECT_EQ(mem.ledger().entry(Cost::Write).count, 1u);
     // PIM unit charged the TR.
     auto src_loc = mem.addressMap().decode(src);
     auto &unit = mem.pimUnit(src_loc.bank, src_loc.subarray);
-    EXPECT_GE(unit.ledger().byCategory().at("tr").count, 1u);
+    EXPECT_GE(unit.ledger().entry(Cost::Tr).count, 1u);
 }
 
 } // namespace

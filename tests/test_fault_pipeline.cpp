@@ -107,11 +107,11 @@ TEST(FaultPipeline, CheckLineReportsAndChargesGuardWork)
     EXPECT_TRUE(rep.misaligned);
     EXPECT_TRUE(rep.corrected);
     EXPECT_FALSE(rep.uncorrectable);
-    const auto &by = mem.ledger().byCategory();
-    ASSERT_TRUE(by.count("guard"));
-    ASSERT_TRUE(by.count("guard_fix"));
-    EXPECT_GT(by.at("guard").cycles, 0u);
-    EXPECT_GT(by.at("guard_fix").cycles, 0u);
+    const auto &by = mem.ledger();
+    ASSERT_NE(by.entry(Cost::Guard).count, 0u);
+    ASSERT_NE(by.entry(Cost::GuardFix).count, 0u);
+    EXPECT_GT(by.entry(Cost::Guard).cycles, 0u);
+    EXPECT_GT(by.entry(Cost::GuardFix).cycles, 0u);
 }
 
 TEST(FaultPipeline, GuardedCpimCorrectsPreExistingMisalignment)
@@ -174,7 +174,7 @@ TEST(FaultPipeline, WornDbcIsRetiredAndRemapped)
         EXPECT_EQ(mem.readLine(0), data) << "round " << i;
     }
     EXPECT_GE(mem.retiredDbcs(), 1u);
-    ASSERT_TRUE(mem.ledger().byCategory().count("retire"));
+    ASSERT_NE(mem.ledger().entry(Cost::Retire).count, 0u);
     // The logical address transparently follows the remap.
     EXPECT_EQ(mem.readLine(0), data);
     mem.writeLine(0, BitVector(64));
@@ -263,10 +263,10 @@ TEST(FaultPipeline, RetryBackoffIsChargedExponentially)
     }
     EXPECT_EQ(retries, (std::vector<unsigned>{0, 0, 0, 0, 1, 0, 0, 2, 0, 1,
                                               2, 0}));
-    const auto &by = mem.ledger().byCategory();
-    ASSERT_TRUE(by.count("retry_backoff"));
+    const auto &by = mem.ledger();
+    ASSERT_NE(by.entry(Cost::RetryBackoff).count, 0u);
     EXPECT_EQ(expected_wait, 512u);
-    EXPECT_EQ(by.at("retry_backoff").cycles, expected_wait);
+    EXPECT_EQ(by.entry(Cost::RetryBackoff).cycles, expected_wait);
 }
 
 TEST(FaultPipeline, ZeroBackoffPreservesPreBackoffLedger)
@@ -289,7 +289,7 @@ TEST(FaultPipeline, ZeroBackoffPreservesPreBackoffLedger)
     inst.blockSize = 8;
     for (int i = 0; i < 50; ++i)
         (void)ctrl.executeGuarded(inst);
-    EXPECT_EQ(mem.ledger().byCategory().count("retry_backoff"), 0u);
+    EXPECT_EQ(mem.ledger().entry(Cost::RetryBackoff).count, 0u);
 }
 
 TEST(FaultPipeline, RetryLadderBeyondItsLimitsDoesNotBuild)
@@ -346,7 +346,7 @@ TEST(FaultPipeline, RetryLadderAtItsLimitsRunsAGuardedCampaign)
     EXPECT_GT(deepest, 4u);
     EXPECT_LE(deepest, ReliabilityConfig::kMaxRetries);
     std::uint64_t charged =
-        mem.ledger().byCategory().at("retry_backoff").cycles;
+        mem.ledger().entry(Cost::RetryBackoff).cycles;
     EXPECT_GE(charged, (1ull << 32) * ((1ull << deepest) - 1));
     EXPECT_EQ(charged % (1ull << 32), 0u);
 }

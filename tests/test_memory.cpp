@@ -94,16 +94,6 @@ TEST(DwmMemory, AccessChargesShiftAwareTiming)
     EXPECT_EQ(mem.ledger().cycles(), DdrTiming::dwm().readCycles(0));
 }
 
-TEST(DwmMemory, CopyLineMovesData)
-{
-    DwmMainMemory mem;
-    BitVector line(512);
-    line.set(13, true);
-    mem.writeLine(128, line);
-    mem.copyLine(128, 1 << 20);
-    EXPECT_EQ(mem.readLine(1 << 20), line);
-}
-
 TEST(DwmMemory, PimUnitIsPerSubarrayAndPersistent)
 {
     DwmMainMemory mem;

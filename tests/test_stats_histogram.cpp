@@ -2,15 +2,15 @@
  * @file
  * LatencyHistogram: bucketing accuracy, quantile bounds, and the
  * merge identity the sharded service engine depends on.  CostLedger:
- * literal-name charges agree with string-name charges through copies,
- * moves and resets.
+ * copies, moves and resets keep ledgers apart, and the summary lists
+ * the charged categories in name order.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -162,78 +162,65 @@ TEST(LatencyHistogram, HugeValuesDoNotOverflow)
     EXPECT_GE(h.percentile(0.25), 1ull << 62);
 }
 
-/** (count, cycles, energy) of every category, for comparisons. */
-std::vector<std::string>
-entriesOf(const CostLedger &l)
-{
-    std::vector<std::string> out;
-    for (const auto &[k, e] : l.byCategory())
-        out.push_back(k + ":" + std::to_string(e.count) + ":" +
-                      std::to_string(e.cycles) + ":" +
-                      std::to_string(e.energyPj));
-    return out;
-}
-
-TEST(CostLedger, LiteralChargesMatchStringCharges)
-{
-    // More categories than the literal cache holds, charged in a
-    // pattern that evicts and revisits entries.
-    const char *names[] = {"tr",    "write", "read",  "shift", "tw",
-                           "copy",  "vote",  "guard", "ecc",   "retire",
-                           "scrub", "fix"};
-    CostLedger lit, str;
-    Rng rng(0x1ed9e7);
-    for (int i = 0; i < 2000; ++i) {
-        const char *name = names[rng.nextBelow(std::size(names))];
-        std::uint64_t cycles = rng.nextBelow(100);
-        double pj = static_cast<double>(rng.nextBelow(1000)) / 8.0;
-        lit.charge(name, cycles, pj);
-        str.charge(std::string(name), cycles, pj);
-    }
-    EXPECT_EQ(entriesOf(lit), entriesOf(str));
-    EXPECT_EQ(lit.cycles(), str.cycles());
-    EXPECT_EQ(lit.energyPj(), str.energyPj());
-    EXPECT_EQ(lit.summary(), str.summary());
-}
-
 TEST(CostLedger, CopiesMovesAndResetsKeepLedgersApart)
 {
     CostLedger a;
-    a.charge("tr", 1, 1.0);
-    a.charge("write", 2, 2.0);
+    a.charge(Cost::Tr, 1, 1.0);
+    a.charge(Cost::Write, 2, 2.0);
 
     CostLedger b = a; // copy: b's charges must not land in a
-    b.charge("tr", 10, 10.0);
-    EXPECT_EQ(a.byCategory().at("tr").cycles, 1u);
-    EXPECT_EQ(b.byCategory().at("tr").cycles, 11u);
+    b.charge(Cost::Tr, 10, 10.0);
+    EXPECT_EQ(a.entry(Cost::Tr).cycles, 1u);
+    EXPECT_EQ(b.entry(Cost::Tr).cycles, 11u);
 
     CostLedger c;
-    c.charge("tr", 5, 5.0);
+    c.charge(Cost::Tr, 5, 5.0);
     c = a; // copy-assign over a ledger with cached entries
-    c.charge("tr", 100, 0.0);
-    EXPECT_EQ(a.byCategory().at("tr").cycles, 1u);
-    EXPECT_EQ(c.byCategory().at("tr").cycles, 101u);
+    c.charge(Cost::Tr, 100, 0.0);
+    EXPECT_EQ(a.entry(Cost::Tr).cycles, 1u);
+    EXPECT_EQ(c.entry(Cost::Tr).cycles, 101u);
 
     CostLedger d = std::move(c);
-    d.charge("tr", 1000, 0.0);
-    EXPECT_EQ(d.byCategory().at("tr").cycles, 1101u);
+    d.charge(Cost::Tr, 1000, 0.0);
+    EXPECT_EQ(d.entry(Cost::Tr).cycles, 1101u);
     c = CostLedger(); // the moved-from ledger is reusable
-    c.charge("tr", 7, 0.0);
-    EXPECT_EQ(c.byCategory().at("tr").cycles, 7u);
-    EXPECT_EQ(d.byCategory().at("tr").cycles, 1101u);
+    c.charge(Cost::Tr, 7, 0.0);
+    EXPECT_EQ(c.entry(Cost::Tr).cycles, 7u);
+    EXPECT_EQ(d.entry(Cost::Tr).cycles, 1101u);
 
     CostLedger e;
-    e.charge("write", 3, 0.0);
+    e.charge(Cost::Write, 3, 0.0);
     e = std::move(d);
-    e.charge("write", 4, 0.0);
-    EXPECT_EQ(e.byCategory().at("write").cycles, 6u);
+    e.charge(Cost::Write, 4, 0.0);
+    EXPECT_EQ(e.entry(Cost::Write).cycles, 6u);
 
     a.reset();
-    EXPECT_TRUE(a.byCategory().empty());
-    a.charge("tr", 2, 0.0);
-    EXPECT_EQ(a.byCategory().at("tr").cycles, 2u);
-    EXPECT_EQ(a.byCategory().at("tr").count, 1u);
+    EXPECT_EQ(a.entry(Cost::Tr).count, 0u);
+    EXPECT_EQ(a.entry(Cost::Write).count, 0u);
+    a.charge(Cost::Tr, 2, 0.0);
+    EXPECT_EQ(a.entry(Cost::Tr).cycles, 2u);
+    EXPECT_EQ(a.entry(Cost::Tr).count, 1u);
     EXPECT_EQ(a.cycles(), 2u);
+}
+
+TEST(CostLedger, SummaryListsChargedCategoriesInNameOrder)
+{
+    // Enum order is name order, so summary() prints the categories
+    // sorted by name.
+    for (std::size_t i = 1; i < kCostCategories; ++i)
+        EXPECT_LT(std::strcmp(costName(static_cast<Cost>(i - 1)),
+                              costName(static_cast<Cost>(i))),
+                  0)
+            << costName(static_cast<Cost>(i));
+
+    // Only charged categories are listed, a zero-cycle charge too.
+    CostLedger l;
+    l.charge(Cost::Write, 2, 1.5);
+    l.charge(Cost::Ecc, 0, 0.0);
+    l.charge(Cost::Write, 3, 0.5);
+    EXPECT_EQ(l.summary(), "total: 5 cycles, 2 pJ\n"
+                           "  ecc: 1 ops, 0 cycles, 0 pJ\n"
+                           "  write: 2 ops, 5 cycles, 2 pJ\n");
 }
 
 } // namespace

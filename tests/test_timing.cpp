@@ -1,11 +1,10 @@
 /**
  * @file
- * DDR timing helpers and in-memory copy-path charging.
+ * DDR timing helpers.
  */
 
 #include <gtest/gtest.h>
 
-#include "arch/dwm_memory.hpp"
 #include "arch/timing.hpp"
 
 namespace coruscant {
@@ -40,41 +39,6 @@ TEST(DdrTiming, BusBurst)
 {
     BusConfig bus;
     EXPECT_EQ(bus.lineBurstCycles(), 4u); // 64 B at 16 B/cycle
-}
-
-TEST(CopyPath, IntraSubarrayCopyAvoidsTheLink)
-{
-    DwmMainMemory mem;
-    // Two rows of the same DBC (same bank/subarray): addresses differ
-    // only in the row field.
-    auto loc = mem.addressMap().decode(0x1000);
-    auto dst = loc;
-    dst.row = loc.row + 1;
-    std::uint64_t src_addr = mem.addressMap().encode(loc);
-    std::uint64_t dst_addr = mem.addressMap().encode(dst);
-    BitVector line(512);
-    line.set(7, true);
-    mem.writeLine(src_addr, line);
-    mem.resetCosts();
-    mem.copyLine(src_addr, dst_addr);
-    EXPECT_EQ(mem.ledger().byCategory().count("interlink"), 0u);
-    EXPECT_EQ(mem.readLine(dst_addr), line);
-}
-
-TEST(CopyPath, CrossBankCopyChargesTheLink)
-{
-    DwmMainMemory mem;
-    // Consecutive lines interleave across banks (bank-first).
-    BitVector line(512);
-    line.set(100, true);
-    mem.writeLine(0, line);
-    mem.resetCosts();
-    mem.copyLine(0, 64); // next line = next bank
-    ASSERT_EQ(mem.ledger().byCategory().count("interlink"), 1u);
-    BusConfig bus;
-    EXPECT_EQ(mem.ledger().byCategory().at("interlink").cycles,
-              bus.lineBurstCycles());
-    EXPECT_EQ(mem.readLine(64), line);
 }
 
 } // namespace

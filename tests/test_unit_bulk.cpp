@@ -125,9 +125,9 @@ TEST(UnitBulk, SingleTrRegardlessOfOperandCount)
     std::vector<BitVector> ops(7, BitVector(64, true));
     unit.resetCosts();
     unit.bulkBitwise(BulkOp::And, ops);
-    auto &by = unit.ledger().byCategory();
-    ASSERT_TRUE(by.count("tr"));
-    EXPECT_EQ(by.at("tr").count, 1u);
+    auto &by = unit.ledger();
+    ASSERT_NE(by.entry(Cost::Tr).count, 0u);
+    EXPECT_EQ(by.entry(Cost::Tr).count, 1u);
 }
 
 TEST(UnitBulk, WriteBackStoresResult)

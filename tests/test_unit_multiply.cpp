@@ -174,7 +174,7 @@ TEST(UnitMultiply, ConstantPowerOfTwoNeedsNoAddition)
     auto p = unit.multiplyByConstant(a, 8, 8, 16);
     EXPECT_EQ(p.sliceUint64(0, 16), 77u * 8u);
     // Shift-only: no TR should have been issued.
-    EXPECT_EQ(unit.ledger().byCategory().count("tr"), 0u);
+    EXPECT_EQ(unit.ledger().entry(Cost::Tr).count, 0u);
 }
 
 TEST(UnitMultiply, ConstantCheaperThanArbitraryForSparseConstants)
