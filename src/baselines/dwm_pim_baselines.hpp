@@ -16,15 +16,13 @@
  * Neither design's RTL is available; the paper compares against their
  * published 8-bit operation costs (Table III).  These models carry
  * bit-serial cost formulas whose per-bit constants are calibrated to
- * reproduce the published 8-bit values exactly, and both compute real
- * results so they can stand in as functional baselines.
+ * reproduce the published 8-bit values exactly.
  */
 
 #ifndef CORUSCANT_BASELINES_DWM_PIM_BASELINES_HPP
 #define CORUSCANT_BASELINES_DWM_PIM_BASELINES_HPP
 
 #include <cstdint>
-#include <vector>
 
 #include "core/op_cost.hpp"
 
@@ -37,7 +35,7 @@ enum class ComposeMode
     LatencyOptimized, ///< replicated adders in a tree
 };
 
-/** Cost/functional model of one prior DWM PIM design. */
+/** Cost model of one prior DWM PIM design. */
 class DwmPimBaseline
 {
   public:
@@ -91,27 +89,6 @@ class DwmPimBaseline
     /** Processing-element area for Table III. */
     double areaUm2(std::size_t operands, bool multiply,
                    ComposeMode mode = ComposeMode::AreaOptimized) const;
-
-    // Functional execution (bit-exact; the devices compute normal
-    // binary arithmetic, only slower).
-    std::uint64_t
-    execAdd(const std::vector<std::uint64_t> &ops, std::size_t bits) const
-    {
-        std::uint64_t mask =
-            bits >= 64 ? ~0ULL : ((1ULL << bits) - 1);
-        std::uint64_t s = 0;
-        for (auto v : ops)
-            s += v & mask;
-        return s & mask;
-    }
-
-    std::uint64_t
-    execMultiply(std::uint64_t a, std::uint64_t b, std::size_t bits) const
-    {
-        std::uint64_t mask =
-            bits >= 32 ? ~0ULL : ((1ULL << (2 * bits)) - 1);
-        return (a * b) & mask;
-    }
 
   private:
     Calibration cal;

@@ -275,17 +275,6 @@ DomainBlockCluster::transverseWriteRow(const BitVector &row)
 }
 
 void
-DomainBlockCluster::transverseWriteWire(std::size_t wire, bool value)
-{
-    note(obs::Counter::TwPulses);
-    std::size_t lo = portPhysical(Port::Left);
-    std::size_t hi = portPhysical(Port::Right);
-    for (std::size_t i = hi; i > lo; --i)
-        physRow(i).set(wire, physRow(i - 1).get(wire));
-    physRow(lo).set(wire, value);
-}
-
-void
 DomainBlockCluster::injectShiftFault(bool toward_left)
 {
     // Every domain moves one position; the ring turns instead, and

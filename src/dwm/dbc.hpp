@@ -161,9 +161,6 @@ class DomainBlockCluster
      */
     void transverseWriteRow(const BitVector &row);
 
-    /** Single-wire transverse write (predicated max-function steps). */
-    void transverseWriteWire(std::size_t wire, bool value);
-
     // --- Backdoor (data load / verification; no device semantics) ---------
 
     /**

@@ -101,33 +101,6 @@ FaultCampaign::multiplyCampaign(std::size_t trd, std::size_t bits,
     return res;
 }
 
-CampaignResult
-FaultCampaign::nmrAddCampaign(std::size_t trd, std::size_t n,
-                              std::size_t bits, double p_fault,
-                              std::uint64_t trials, std::uint64_t seed)
-{
-    CampaignResult res;
-    res.trials = trials;
-    res.analyticalRate =
-        TrErrorModel(trd, p_fault).nmrAddError(n, bits);
-    CoruscantUnit unit(paramsFor(trd, bits), p_fault, seed);
-    Rng rng(seed * 27644437 + 11);
-    std::uint64_t mask = bits >= 64 ? ~0ULL : ((1ULL << bits) - 1);
-    for (std::uint64_t t = 0; t < trials; ++t) {
-        std::uint64_t a = rng.next() & mask;
-        std::uint64_t b = rng.next() & mask;
-        auto voted = unit.nmrExecute(n, [&] {
-            return unit.add({BitVector::fromUint64(bits, a),
-                             BitVector::fromUint64(bits, b)},
-                            bits, bits);
-        });
-        if (voted.slice(0, bits).toUint64() != ((a + b) & mask))
-            ++res.errors;
-    }
-    res.injectedFaults = unit.injectedFaults();
-    return res;
-}
-
 ControllerCampaignResult
 FaultCampaign::controllerCampaign(const ControllerCampaignConfig &ccfg)
 {

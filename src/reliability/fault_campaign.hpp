@@ -133,13 +133,6 @@ class FaultCampaign
                                            std::uint64_t trials,
                                            std::uint64_t seed = 1);
 
-    /** N-modular-redundant additions under injected faults. */
-    static CampaignResult nmrAddCampaign(std::size_t trd, std::size_t n,
-                                         std::size_t bits,
-                                         double p_fault,
-                                         std::uint64_t trials,
-                                         std::uint64_t seed = 1);
-
     /**
      * End-to-end controller campaign: each trial stages random operand
      * rows through DwmMainMemory::writeLine, executes a cpim packed

@@ -54,14 +54,6 @@ TEST(BaselineAreas, TableIIIValues)
     EXPECT_NEAR(spim.areaUm2(2, true), 16.8, 1e-9);
 }
 
-TEST(BaselineModels, FunctionalExecution)
-{
-    auto m = DwmPimBaseline::spim();
-    EXPECT_EQ(m.execAdd({200, 100}, 8), (200u + 100u) & 0xFF);
-    EXPECT_EQ(m.execAdd({1, 2, 3, 4, 5}, 8), 15u);
-    EXPECT_EQ(m.execMultiply(200, 100, 8), 20000u);
-}
-
 TEST(PaperClaims, CoruscantSpeedupsOverSpim)
 {
     // Paper Sec. V-B: CORUSCANT is 1.9x / 9.4x / 6.9x / 2.3x faster

@@ -87,16 +87,6 @@ TEST(Dbc, TransverseWriteRowSegmentShift)
     EXPECT_EQ(d.peekRow(ws + 2), b); // c pushed out
 }
 
-TEST(Dbc, TransverseWriteWireTouchesOneWire)
-{
-    DomainBlockCluster d(params(4, 3));
-    std::size_t ws = d.rowAtPort(Port::Left);
-    d.pokeRow(ws, BitVector::fromUint64(4, 0b1111));
-    d.transverseWriteWire(2, false);
-    EXPECT_EQ(d.peekRow(ws).toUint64(), 0b1011u);
-    EXPECT_EQ(d.peekRow(ws + 1).toUint64(), 0b0100u); // old bit moved up
-}
-
 /**
  * Property: a DBC behaves exactly like an array of independent
  * nanowires driven in lockstep, for a random sequence of operations.

@@ -123,13 +123,5 @@ TEST(FaultCampaign, MultiplyWorseThanAdd)
     EXPECT_GT(mul.empiricalRate(), add.empiricalRate());
 }
 
-TEST(FaultCampaign, TmrSuppressesErrors)
-{
-    auto raw = FaultCampaign::addCampaign(7, 8, 2e-3, 8000, 21);
-    auto tmr = FaultCampaign::nmrAddCampaign(7, 3, 8, 2e-3, 8000, 21);
-    EXPECT_GT(raw.errors, 20u);
-    EXPECT_LT(tmr.empiricalRate(), raw.empiricalRate() / 10.0);
-}
-
 } // namespace
 } // namespace coruscant
