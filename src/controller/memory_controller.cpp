@@ -51,8 +51,8 @@ MemoryController::computeResult(const CpimInstruction &inst)
     CoruscantUnit &unit = mem.pimUnit(src.bank, src.subarray);
 
     // Gather operand rows (charges DWM access timing per row).
-    std::vector<BitVector> ops;
-    ops.reserve(inst.operands);
+    std::vector<BitVector> &ops = operandRows;
+    ops.clear();
     for (std::size_t i = 0; i < inst.operands; ++i)
         ops.push_back(mem.readLine(operandAddress(inst.src, i)));
 
@@ -125,8 +125,10 @@ MemoryController::computeOnce(const CpimInstruction &inst)
     if (nmr) {
         LineAddress src = mem.addressMap().decode(inst.src);
         CoruscantUnit &unit = mem.pimUnit(src.bank, src.subarray);
-        result = unit.nmrExecute(rel.pimNmr,
-                                 [&] { return computeResult(inst); });
+        replicaRows.clear();
+        for (std::size_t i = 0; i < rel.pimNmr; ++i)
+            replicaRows.push_back(computeResult(inst));
+        result = unit.nmrVote(replicaRows);
     } else {
         result = computeResult(inst);
     }

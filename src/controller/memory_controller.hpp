@@ -43,6 +43,7 @@
 #define CORUSCANT_CONTROLLER_MEMORY_CONTROLLER_HPP
 
 #include <cstdint>
+#include <vector>
 
 #include "arch/dwm_memory.hpp"
 #include "controller/cpim_isa.hpp"
@@ -142,6 +143,9 @@ class MemoryController
     std::uint64_t executed = 0;
     std::uint64_t retried = 0;
     std::uint64_t spareExhaustedCount = 0;
+    // Per-cpim scratch rows, kept so their storage outlives the cpim.
+    std::vector<BitVector> operandRows; ///< computeResult's operands
+    std::vector<BitVector> replicaRows; ///< computeOnce's NMR replicas
 };
 
 } // namespace coruscant

@@ -79,19 +79,12 @@ CoruscantUnit::carryChain(const std::vector<BitVector> &operands,
     // another lane's writes from the same step.
     BitVector wires = laneStarts(block_size, act);
     for (std::size_t k = 0; k < block_size; ++k) {
-        CountPlanes t = dbc.transverseReadWires(wires, samples, &faults);
-        dbc.pokeMasked(s_row, wires, t.plane(0));
-        std::size_t bits_written = lanes;
-        if (k + 1 < block_size) {
-            dbc.pokeMasked(c_row, wires.shiftedLeft(1),
-                           t.plane(1).shiftedLeft(1));
-            bits_written += lanes;
-        }
-        if (has_super && k + 2 < block_size) {
-            dbc.pokeMasked(s_row, wires.shiftedLeft(2),
-                           t.plane(2).shiftedLeft(2));
-            bits_written += lanes;
-        }
+        const bool write_c = k + 1 < block_size;
+        const bool write_cp = has_super && k + 2 < block_size;
+        dbc.carryStep(wires, samples, &faults, s_row, c_row, write_c,
+                      write_cp);
+        std::size_t bits_written =
+            lanes * (1 + std::size_t{write_c} + std::size_t{write_cp});
         for (std::size_t r = 0; r < samples; ++r)
             chargeTrAll(lanes);
         if (samples > 1) {

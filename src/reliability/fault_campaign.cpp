@@ -1,5 +1,7 @@
 #include "reliability/fault_campaign.hpp"
 
+#include <algorithm>
+
 #include "arch/dwm_memory.hpp"
 #include "controller/memory_controller.hpp"
 #include "core/coruscant_unit.hpp"
@@ -143,6 +145,7 @@ FaultCampaign::controllerCampaign(const ControllerCampaignConfig &ccfg)
 
     ControllerCampaignResult res;
     res.trials = ccfg.trials;
+    std::vector<std::uint64_t> golden(lanes);
     for (std::uint64_t t = 0; t < ccfg.trials; ++t) {
         // Operands occupy consecutive rows of one random DBC; the
         // destination row sits just past them so ladder re-reads never
@@ -155,7 +158,7 @@ FaultCampaign::controllerCampaign(const ControllerCampaignConfig &ccfg)
         loc.dbc = rng.next() % mcfg.dbcsPerTile;
         loc.row = rng.next() % (rows - ccfg.operands);
 
-        std::vector<std::uint64_t> golden(lanes, 0);
+        std::fill(golden.begin(), golden.end(), 0);
         std::uint64_t src = 0;
         for (std::size_t i = 0; i < ccfg.operands; ++i) {
             BitVector row(wires);
