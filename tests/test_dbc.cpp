@@ -283,7 +283,7 @@ TEST(DbcProperty, RingMatchesRotatedRows)
             ShiftFaultModel faults(0.2, 7), model_faults(0.2, 7);
             d.attachShiftFaults(&faults);
             for (int step = 0; step < 400; ++step) {
-                switch (rng.nextBelow(8)) {
+                switch (rng.nextBelow(7)) {
                   case 0:
                     if (d.canShiftLeft()) {
                         d.shiftLeft();
@@ -326,19 +326,11 @@ TEST(DbcProperty, RingMatchesRotatedRows)
                     m.phys[lo] = v;
                     break;
                   }
-                  case 6: {
+                  default: {
                     Port side = rng.nextBool() ? Port::Left : Port::Right;
                     BitVector v = randomRowOf(rng, wires);
                     d.writeRowAtPort(side, v);
                     m.phys[m.port(side)] = v;
-                    break;
-                  }
-                  default: {
-                    std::size_t r = rng.nextBelow(d.rows());
-                    BitVector mask = randomRowOf(rng, wires);
-                    BitVector v = randomRowOf(rng, wires);
-                    d.pokeMasked(r, mask, v);
-                    m.row(r) = (m.row(r) & ~mask) | (v & mask);
                     break;
                   }
                 }
