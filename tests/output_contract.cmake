@@ -177,6 +177,10 @@ usage_error(serve --channels 0)
 usage_error(serve --banks 0)
 usage_error(serve --groups 0)
 usage_error(serve --process closed --clients 0)
+usage_error(campaign --trials 0)
+usage_error(reliability --trd 2)
+usage_error(reliability --trd 33)
+usage_error(reliability --pfault 2)
 usage_error(serve --bogus 1)
 
 get_property(lines GLOBAL PROPERTY contract_lines)

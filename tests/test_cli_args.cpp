@@ -425,6 +425,14 @@ TEST(CliProcess, UsageErrorsExitTwo)
     EXPECT_EQ(cliExit("serve --groups 0"), 2);
     // A closed loop with no clients never issues a request.
     EXPECT_EQ(cliExit("serve --process closed --clients 0"), 2);
+    // Zero trials report a coverage over nothing.
+    EXPECT_EQ(cliExit("campaign --trials 0"), 2);
+    // No device has these TR windows, and a probability lies in [0, 1].
+    EXPECT_EQ(cliExit("reliability --trd 0"), 2);
+    EXPECT_EQ(cliExit("reliability --trd 2"), 2);
+    EXPECT_EQ(cliExit("reliability --trd 33"), 2);
+    EXPECT_EQ(cliExit("reliability --trd 1000"), 2);
+    EXPECT_EQ(cliExit("reliability --pfault 2"), 2);
 }
 
 TEST(CliProcess, DataFaultFlagValidationExitsTwo)

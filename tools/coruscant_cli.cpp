@@ -245,8 +245,9 @@ cmdReliability(const Invocation &in)
 {
     std::size_t trd = 7;
     double p = 1e-6;
-    if (!in.accept({opt("trd", trd, "transverse-read distance"),
-                    opt("pfault", p, "TR fault probability")}))
+    if (!in.accept({opt("trd", trd, "transverse-read distance",
+                        std::size_t{3}, DeviceParams::domainsPerWire),
+                    opt("pfault", p, "TR fault probability", 0.0, 1.0)}))
         return 0;
     TrErrorModel m(trd, p);
     std::printf("error rates (TRD=%zu, p_TR=%g):\n", trd, p);
@@ -270,7 +271,8 @@ cmdCampaign(const Invocation &in)
     obs::OutputFiles out;
     if (!in.accept(
             Options{
-                opt("trials", cfg.trials, "guarded cpim additions"),
+                opt("trials", cfg.trials, "guarded cpim additions",
+                    atLeastOne, ">= 1"),
                 opt("seed", cfg.seed, "RNG seed"),
                 opt("retire", cfg.retireThreshold,
                     "corrected faults that retire a DBC (0 = never)"),
