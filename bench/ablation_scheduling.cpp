@@ -50,8 +50,8 @@ report(const char *name, const SimStats &s)
     std::printf("  %-12s makespan %9llu  avg-lat %9.0f  max-lat %9llu"
                 "  bus %4.0f%%  banks %4.0f%%\n",
                 name, static_cast<unsigned long long>(s.makespan),
-                s.avgLatency,
-                static_cast<unsigned long long>(s.maxLatency),
+                s.latency.mean(),
+                static_cast<unsigned long long>(s.latency.max()),
                 100 * s.busUtilization, 100 * s.bankUtilization);
 }
 

@@ -104,12 +104,10 @@ PolybenchSystemModel::evaluate(const KernelRun &run) const
         (add_ops + cfg.pimDbcsPerSubarray - 1) / cfg.pimDbcsPerSubarray;
     std::uint64_t mul_tile_ops =
         (mul_ops + cfg.pimDbcsPerSubarray - 1) / cfg.pimDbcsPerSubarray;
-    CommandQueueModel q2(pim_tiles);
-    auto sa = q2.runUniform(add_tile_ops, add_cost.cycles + marshal,
-                            issueCmdsPerTileOp);
-    CommandQueueModel q3(pim_tiles);
-    auto sm = q3.runUniform(mul_tile_ops, mul_cost.cycles + marshal,
-                            issueCmdsPerTileOp);
+    auto sa = runUniform(pim_tiles, add_tile_ops, add_cost.cycles + marshal,
+                         issueCmdsPerTileOp);
+    auto sm = runUniform(pim_tiles, mul_tile_ops, mul_cost.cycles + marshal,
+                         issueCmdsPerTileOp);
     res.pimCycles = sa.makespanCycles + sm.makespanCycles;
     double issue_total = static_cast<double>(sa.issueCycles
                                              + sm.issueCycles);

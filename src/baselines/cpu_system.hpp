@@ -61,13 +61,6 @@ class CpuSystem
      */
     std::uint64_t latencyCycles(const AccessSummary &s) const;
 
-    /** Same in nanoseconds (paper: 1.25 ns memory cycle). */
-    double
-    latencyNs(const AccessSummary &s) const
-    {
-        return static_cast<double>(latencyCycles(s)) * BusConfig::cycleNs;
-    }
-
     /** Data-movement plus ALU energy, in pJ. */
     double energyPj(const AccessSummary &s) const;
 

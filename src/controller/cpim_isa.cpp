@@ -1,7 +1,5 @@
 #include "controller/cpim_isa.hpp"
 
-#include <bit>
-
 #include "util/logging.hpp"
 
 namespace coruscant {
@@ -66,27 +64,6 @@ CpimInstruction::validate(std::size_t trd) const
         return "vote requires N in {3,5,7}";
     }
     return "";
-}
-
-std::uint32_t
-CpimInstruction::packControl() const
-{
-    auto log2_block = static_cast<std::uint32_t>(
-        std::countr_zero(static_cast<std::uint32_t>(blockSize)));
-    return (static_cast<std::uint32_t>(op) & 0xF) |
-           ((static_cast<std::uint32_t>(operands) & 0x7) << 4) |
-           ((log2_block & 0xF) << 7);
-}
-
-CpimInstruction
-CpimInstruction::unpackControl(std::uint32_t word)
-{
-    CpimInstruction inst;
-    inst.op = static_cast<CpimOp>(word & 0xF);
-    inst.operands = static_cast<std::uint8_t>((word >> 4) & 0x7);
-    inst.blockSize =
-        static_cast<std::uint16_t>(1u << ((word >> 7) & 0xF));
-    return inst;
 }
 
 } // namespace coruscant

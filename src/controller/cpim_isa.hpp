@@ -11,8 +11,9 @@
  * access port; op selects the PIM operation; blocksize in
  * {8,16,32,64,128,256,512} tells the controller where to mask the
  * bitlines that form carry chains.  This module defines the
- * instruction, its operation encoding, and a packed 64-bit binary
- * encode/decode pair for ISA-level tests.
+ * instruction, its operations and its validation against the ISA
+ * limits; the controller takes it as a struct, with no packed binary
+ * encoding.
  */
 
 #ifndef CORUSCANT_CONTROLLER_CPIM_ISA_HPP
@@ -58,16 +59,6 @@ struct CpimInstruction
 
     /** Validate against the ISA limits; returns an error or "". */
     std::string validate(std::size_t trd) const;
-
-    /**
-     * Pack into the 64-bit control word handed to the controller
-     * (op:4 | operands:3 | log2(blockSize):4 plus the row coordinates;
-     * addresses travel on the address bus and are not packed here).
-     */
-    std::uint32_t packControl() const;
-
-    /** Inverse of packControl for the fields it carries. */
-    static CpimInstruction unpackControl(std::uint32_t word);
 };
 
 } // namespace coruscant

@@ -10,8 +10,7 @@ namespace coruscant {
 
 SimStats
 EventSimulator::run(std::vector<SimRequest> requests,
-                    SchedulePolicy policy, obs::TraceSink *trace,
-                    std::uint32_t pid) const
+                    SchedulePolicy policy) const
 {
     SimStats stats;
     stats.requests = requests.size();
@@ -26,28 +25,11 @@ EventSimulator::run(std::vector<SimRequest> requests,
         fatalIf(r.bank >= numBanks, "bank out of range");
 
     ChannelTimeline timeline(numBanks);
-    // Queue-depth tracking: dispatch start times are monotone (each
-    // dispatch advances the bus past its start), so a single pointer
-    // over the arrival-sorted requests counts arrivals <= now.
-    std::size_t arrived = 0, dispatched = 0;
-
     auto dispatch = [&](const SimRequest &r) {
-        auto [start, completion] = timeline.issue(
-            r.arrival, r.bank, r.issueCmds, r.serviceCycles);
-        std::uint64_t latency = completion - r.arrival;
-        stats.latency.record(latency);
-        if (trace && trace->on()) {
-            trace->span("request", "memchan", start,
-                        r.issueCmds + r.serviceCycles, pid,
-                        static_cast<std::uint32_t>(r.bank), "latency",
-                        static_cast<double>(latency));
-            while (arrived < requests.size() &&
-                   requests[arrived].arrival <= start)
-                ++arrived;
-            ++dispatched;
-            trace->counter("queue_depth", start, pid,
-                           static_cast<double>(arrived - dispatched));
-        }
+        std::uint64_t completion =
+            timeline.issue(r.arrival, r.bank, r.issueCmds, r.serviceCycles)
+                .second;
+        stats.latency.record(completion - r.arrival);
     };
 
     if (policy == SchedulePolicy::InOrder) {
@@ -83,8 +65,6 @@ EventSimulator::run(std::vector<SimRequest> requests,
         }
     }
 
-    stats.avgLatency = stats.latency.mean();
-    stats.maxLatency = stats.latency.max();
     stats.makespan = timeline.makespan();
     stats.busUtilization = timeline.busUtilization();
     stats.bankUtilization = timeline.bankUtilization();

@@ -2,7 +2,7 @@
  * @file
  * Discrete-event memory-channel simulator.
  *
- * A finer-grained companion to the closed-form CommandQueueModel: each
+ * A finer-grained companion to the closed-form runUniform(): each
  * request arrives at a cycle, needs command-bus slots to issue (the
  * shared per-channel bus serializes at one command per memory cycle),
  * and then occupies its bank for a service time.  Banks work in
@@ -18,9 +18,9 @@
  * Both policies issue through ChannelTimeline, the bus/bank kernel the
  * service engine's dispatch shares; they differ only in which pending
  * request they issue next.  Used by the scheduling ablation.  The
- * closed-form CommandQueueModel stays a separate model: its bus runs
- * ahead of busy banks instead of stalling behind them, and polybench
- * and trace replay are defined by it (the difference is pinned in
+ * closed-form runUniform() stays a separate model: its bus runs ahead
+ * of busy banks instead of stalling behind them, and polybench is
+ * defined by it (the difference is pinned in
  * tests/test_queue_cross_check.cpp).
  */
 
@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "obs/trace_sink.hpp"
 #include "util/stats.hpp"
 
 namespace coruscant {
@@ -55,12 +54,10 @@ enum class SchedulePolicy
 struct SimStats
 {
     std::uint64_t makespan = 0;      ///< last completion cycle
-    double avgLatency = 0.0;         ///< mean (completion - arrival)
-    std::uint64_t maxLatency = 0;
     double busUtilization = 0.0;     ///< issued cmds / makespan
     double bankUtilization = 0.0;    ///< busy cycles / (makespan*banks)
     std::uint64_t requests = 0;
-    LatencyHistogram latency;        ///< full latency distribution
+    LatencyHistogram latency;        ///< completion - arrival, per request
 };
 
 /** Event-driven channel simulation. */
@@ -73,13 +70,10 @@ class EventSimulator
 
     /**
      * Run @p requests (any order; sorted internally by arrival) under
-     * @p policy.  When @p trace is given, every dispatched request
-     * emits a complete span on row (@p pid, bank) and the pending
-     * queue depth is sampled as a counter track at each dispatch.
+     * @p policy.
      */
-    SimStats run(std::vector<SimRequest> requests, SchedulePolicy policy,
-                 obs::TraceSink *trace = nullptr,
-                 std::uint32_t pid = 0) const;
+    SimStats run(std::vector<SimRequest> requests,
+                 SchedulePolicy policy) const;
 
   private:
     std::size_t numBanks;

@@ -2,55 +2,25 @@
 
 #include <algorithm>
 
-#include "util/logging.hpp"
-
 namespace coruscant {
 
 QueueResult
-CommandQueueModel::run(const std::vector<QueueItem> &items)
-{
-    std::fill(servers.begin(), servers.end(), 0);
-    QueueResult res;
-    std::uint64_t issue_clock = 0;
-    for (const auto &item : items) {
-        panicIf(item.server >= servers.size(), "server out of range");
-        issue_clock += item.issueCmds;
-        res.issueCycles += item.issueCmds;
-        std::uint64_t start = std::max(issue_clock,
-                                       servers[item.server]);
-        std::uint64_t end = start + item.busyCycles;
-        servers[item.server] = end;
-        res.busyCycles += item.busyCycles;
-        res.makespanCycles = std::max(res.makespanCycles, end);
-    }
-    if (res.makespanCycles > 0) {
-        res.issueBoundFraction =
-            static_cast<double>(
-                std::min(res.issueCycles, res.makespanCycles)) /
-            static_cast<double>(res.makespanCycles);
-    }
-    return res;
-}
-
-QueueResult
-CommandQueueModel::runUniform(std::uint64_t count,
-                              std::uint64_t busy_cycles,
-                              std::uint64_t issue_cmds)
+runUniform(std::size_t servers, std::uint64_t count,
+           std::uint64_t busy_cycles, std::uint64_t issue_cmds)
 {
     QueueResult res;
     if (count == 0)
         return res;
-    std::uint64_t n_servers = servers.size();
     res.issueCycles = count * issue_cmds;
     res.busyCycles = count * busy_cycles;
     // Round-robin: item i goes to server i % n.  Each server's items
     // are spaced n*issue_cmds apart on the bus; if that spacing covers
     // busy_cycles, the schedule is purely issue-bound, else each
     // server serializes its own items.
-    std::uint64_t per_server = (count + n_servers - 1) / n_servers;
+    std::uint64_t per_server = (count + servers - 1) / servers;
     std::uint64_t issue_bound = count * issue_cmds + busy_cycles;
     std::uint64_t server_bound =
-        std::min<std::uint64_t>(count, n_servers) * issue_cmds +
+        std::min<std::uint64_t>(count, servers) * issue_cmds +
         per_server * busy_cycles;
     res.makespanCycles = std::max(issue_bound, server_bound);
     res.issueBoundFraction =

@@ -2,31 +2,23 @@
  * @file
  * Command-issue / bank-occupancy queueing model.
  *
- * System-level experiments (Polybench, bitmap indices, CNNs) are
- * makespan problems: a single per-channel command bus issues commands
- * in order at one per memory cycle, while banks/subarrays execute
- * their operations concurrently.  The paper's "high throughput mode"
- * dispatches instructions to the ranks consecutively, circularly
- * (Sec. V-C); with thousands of subarrays, the command bus is the
- * usual bottleneck and execution overlaps behind it — the queuing
- * delay the paper reports as ~80% of PIM runtime.
+ * System-level experiments (Polybench) are makespan problems: a single
+ * per-channel command bus issues commands in order at one per memory
+ * cycle, while banks/subarrays execute their operations concurrently.
+ * The paper's "high throughput mode" dispatches instructions to the
+ * ranks consecutively, circularly (Sec. V-C); with thousands of
+ * subarrays, the command bus is the usual bottleneck and execution
+ * overlaps behind it — the queuing delay the paper reports as ~80% of
+ * PIM runtime.
  */
 
 #ifndef CORUSCANT_CONTROLLER_QUEUE_MODEL_HPP
 #define CORUSCANT_CONTROLLER_QUEUE_MODEL_HPP
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace coruscant {
-
-/** One unit of work bound to a specific server (bank or subarray). */
-struct QueueItem
-{
-    std::size_t server;       ///< executing bank/subarray id
-    std::uint64_t busyCycles; ///< how long the server is occupied
-    std::uint64_t issueCmds;  ///< command-bus cycles to launch it
-};
 
 /** Result of a makespan computation. */
 struct QueueResult
@@ -39,31 +31,13 @@ struct QueueResult
 };
 
 /**
- * Greedy in-order dispatch: items are issued in sequence over the
- * command bus; each starts on its server once both the bus has issued
- * it and the server is free.
+ * Closed-form makespan of @p count identical items round-robined over
+ * @p servers, each issued in order over the command bus and started on
+ * its server once both the bus has issued it and the server is free
+ * (the bulk-dispatch case; avoids materializing millions of items).
  */
-class CommandQueueModel
-{
-  public:
-    explicit CommandQueueModel(std::size_t num_servers)
-        : servers(num_servers, 0)
-    {}
-
-    /** Dispatch @p items in order; returns the schedule statistics. */
-    QueueResult run(const std::vector<QueueItem> &items);
-
-    /**
-     * Closed-form fast path for @p count identical items round-robined
-     * over all servers (the common bulk-dispatch case; avoids
-     * materializing millions of QueueItems).
-     */
-    QueueResult runUniform(std::uint64_t count, std::uint64_t busy_cycles,
-                           std::uint64_t issue_cmds);
-
-  private:
-    std::vector<std::uint64_t> servers; ///< next-free time per server
-};
+QueueResult runUniform(std::size_t servers, std::uint64_t count,
+                       std::uint64_t busy_cycles, std::uint64_t issue_cmds);
 
 } // namespace coruscant
 

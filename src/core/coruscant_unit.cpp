@@ -16,12 +16,6 @@ CoruscantUnit::CoruscantUnit(const DeviceParams &params,
     dev.validate();
 }
 
-void
-CoruscantUnit::loadRow(std::size_t row, const BitVector &value)
-{
-    dbc.pokeRow(row, value);
-}
-
 BitVector
 CoruscantUnit::peekRow(std::size_t row) const
 {

@@ -121,9 +121,8 @@ class CoruscantUnit
     }
 
     // ------------------------------------------------------------------
-    // Backdoor data staging (tests and data load; charges nothing)
+    // Backdoor row read (tests and verification; charges nothing)
     // ------------------------------------------------------------------
-    void loadRow(std::size_t row, const BitVector &value);
     BitVector peekRow(std::size_t row) const;
 
     // ------------------------------------------------------------------

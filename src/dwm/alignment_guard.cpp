@@ -180,10 +180,4 @@ AlignmentGuard::correct(DomainBlockCluster &dbc) const
     return r;
 }
 
-bool
-AlignmentGuard::checkAndCorrect(DomainBlockCluster &dbc) const
-{
-    return correct(dbc).aligned;
-}
-
 } // namespace coruscant

@@ -46,7 +46,7 @@ enum class AlignmentStatus
 };
 
 /**
- * Detailed outcome of one checkAndCorrect pass, so the memory
+ * Detailed outcome of one correct() pass, so the memory
  * controller can charge the guard TRs and the corrective pulses to
  * its cost ledger.
  */
@@ -105,9 +105,6 @@ class AlignmentGuard
      * (aligned = false), though the guess ladder may still recover it.
      */
     GuardCorrection correct(DomainBlockCluster &dbc) const;
-
-    /** Convenience wrapper: @return correct(dbc).aligned. */
-    bool checkAndCorrect(DomainBlockCluster &dbc) const;
 
   private:
     /**

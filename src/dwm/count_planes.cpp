@@ -98,15 +98,14 @@ CountPlanes::atLeast(std::size_t threshold) const
     return out;
 }
 
-template <typename T>
-std::vector<T>
+std::vector<std::uint8_t>
 CountPlanes::counts() const
 {
     static_assert(std::endian::native == std::endian::little,
                   "lanes are stored by copying a 64-bit word");
     // Decode a group of wires per step: spread[x] holds bit i of x in
-    // lane i of a 64-bit word of T-sized lanes.
-    constexpr std::size_t lane_bits = sizeof(T) * 8;
+    // lane i of a 64-bit word of byte lanes.
+    constexpr std::size_t lane_bits = 8;
     constexpr std::size_t lanes = 64 / lane_bits;
     static constexpr auto spread = [] {
         std::array<std::uint64_t, std::size_t{1} << lanes> t{};
@@ -116,9 +115,10 @@ CountPlanes::counts() const
                         << (i * lane_bits);
         return t;
     }();
-    // Counts wider than T keep their low bits.
+    // Counts wider than a byte keep their low bits.
     const std::size_t n = std::min(numPlanes, lane_bits);
-    std::vector<T> out(wires + lanes - 1); // room for a whole last group
+    // Room for a whole last group.
+    std::vector<std::uint8_t> out(wires + lanes - 1);
     for (std::size_t lo = 0; lo < wires; lo += lanes) {
         std::uint64_t v = 0;
         for (std::size_t k = 0; k < n; ++k)
@@ -129,9 +129,5 @@ CountPlanes::counts() const
     out.resize(wires);
     return out;
 }
-
-template std::vector<std::uint8_t> CountPlanes::counts<std::uint8_t>() const;
-template std::vector<std::uint16_t>
-CountPlanes::counts<std::uint16_t>() const;
 
 } // namespace coruscant

@@ -56,12 +56,8 @@ class CountPlanes
     /** Wires whose count is >= @p threshold. */
     BitVector atLeast(std::size_t threshold) const;
 
-    /**
-     * Every wire's count as an integer of type @p T (std::uint8_t or
-     * std::uint16_t), truncated to its width.
-     */
-    template <typename T>
-    std::vector<T> counts() const;
+    /** Every wire's count, truncated to 8 bits. */
+    std::vector<std::uint8_t> counts() const;
 
   private:
     /**

@@ -88,9 +88,6 @@ class DomainBlockCluster
     /** Align @p row with @p port; returns shifts performed. */
     std::size_t alignRowToPort(std::size_t row, Port port);
 
-    /** Align the TR window with rows [row, row+TRD); returns shifts. */
-    std::size_t alignWindowStart(std::size_t row);
-
     /** First data row currently inside the TR window. */
     std::size_t windowStartRow() const { return rowAtPort(Port::Left); }
 
@@ -160,15 +157,10 @@ class DomainBlockCluster
     transverseReadAll(TrFaultModel *faults = nullptr) const;
 
     /**
-     * Segmented transverse read (paper Fig. 3) on every wire: ones
-     * counts of the region between an extremity and the nearer port,
-     * exclusive of the port domain.  Both outer segments can be read
-     * in the same cycle as their current paths are disjoint.
+     * Segmented transverse read (paper Fig. 3) of one outer segment on
+     * one wire: the ones count of the region between an extremity and
+     * the nearer port, exclusive of the port domain.
      */
-    std::vector<std::uint16_t>
-    transverseReadOutsideAll(Port side) const;
-
-    /** Segmented transverse read of one outer segment on one wire. */
     std::size_t transverseReadOutsideWire(std::size_t wire,
                                           Port side) const;
 
@@ -247,9 +239,6 @@ class DomainBlockCluster
 
     /** Physical rows [first, last) of one outer segment. */
     std::pair<std::size_t, std::size_t> outsideRange(Port side) const;
-
-    /** Per-wire ones counts over physical rows [lo, hi). */
-    CountPlanes countRows(std::size_t lo, std::size_t hi) const;
 
     void perturbShift(bool toward_left);
 

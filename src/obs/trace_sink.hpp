@@ -5,10 +5,10 @@
  * Emits the JSON object format of the Trace Event specification, which
  * chrome://tracing and Perfetto both load directly: complete spans
  * (ph "X") for CPIM operations, gang dispatches, and guard scrubs;
- * counter tracks (ph "C") for queue depths; and metadata events
- * (ph "M") naming the process/thread rows.  Timestamps are modeled
- * cycles used as the spec's microsecond field — a trace viewer's
- * "1 µs" is one simulated memory cycle.
+ * instant events (ph "i"); and metadata events (ph "M") naming the
+ * process/thread rows.  Timestamps are modeled cycles used as the
+ * spec's microsecond field — a trace viewer's "1 µs" is one simulated
+ * memory cycle.
  *
  * The sink is disabled by default and every recording call starts
  * with an inline `enabled` check, so a null/disabled sink costs one
@@ -31,7 +31,7 @@ namespace coruscant::obs {
 /** One buffered trace event (internal representation). */
 struct TraceEvent
 {
-    char phase = 'X';     ///< 'X' span, 'C' counter, 'i' instant, 'M' meta
+    char phase = 'X';     ///< 'X' span, 'i' instant, 'M' meta
     std::string name;
     std::string cat;
     std::uint64_t ts = 0;  ///< modeled cycles
@@ -63,16 +63,6 @@ class TraceSink
         push({'X', name, cat, ts, dur, pid, tid, arg_key, arg_value});
     }
 
-    /** Counter sample: one track per (@p pid, @p name). */
-    void
-    counter(const char *name, std::uint64_t ts, std::uint32_t pid,
-            double value)
-    {
-        if (!enabled_)
-            return;
-        push({'C', name, "counter", ts, 0, pid, 0, "value", value});
-    }
-
     /** Instantaneous event (a vertical tick in the viewer). */
     void
     instant(const char *name, const char *cat, std::uint64_t ts,
@@ -101,7 +91,6 @@ class TraceSink
 
     std::size_t events() const { return events_.size(); }
     const std::vector<TraceEvent> &buffered() const { return events_; }
-    void clear() { events_.clear(); }
 
     /** Write the Trace Event JSON object format to @p os. */
     void writeJson(std::ostream &os) const;

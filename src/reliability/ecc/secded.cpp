@@ -67,23 +67,6 @@ SecdedCode::checkWord(std::uint64_t data) const
     return check | (parity(data) ^ parity(check)) << hammingBits_;
 }
 
-BitVector
-SecdedCode::checkBitsFor(const BitVector &data) const
-{
-    assert(data.size() == dataBits_);
-    return BitVector::fromUint64(checkBits(), checkWord(data.toUint64()));
-}
-
-BitVector
-SecdedCode::encode(const BitVector &data) const
-{
-    BitVector code(codeBits());
-    std::uint64_t word = data.toUint64();
-    code.insertUint64(0, dataBits_, word);
-    code.insertUint64(dataBits_, checkBits(), checkWord(word));
-    return code;
-}
-
 SecdedCode::Decoded
 SecdedCode::decodeWord(std::uint64_t &data, std::uint64_t &check) const
 {
@@ -127,21 +110,6 @@ SecdedCode::decodeWord(std::uint64_t &data, std::uint64_t &check) const
             syndrome - 1 - static_cast<std::size_t>(std::bit_width(syndrome));
         data ^= std::uint64_t{1} << i;
         out.correctedBit = i;
-    }
-    return out;
-}
-
-SecdedCode::Decoded
-SecdedCode::decode(BitVector &data, BitVector &check) const
-{
-    assert(data.size() == dataBits_);
-    assert(check.size() == checkBits());
-    std::uint64_t d = data.toUint64();
-    std::uint64_t c = check.toUint64();
-    Decoded out = decodeWord(d, c);
-    if (out.status == EccStatus::Corrected) {
-        data.insertUint64(0, dataBits_, d);
-        check.insertUint64(0, checkBits(), c);
     }
     return out;
 }

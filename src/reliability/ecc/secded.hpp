@@ -78,20 +78,11 @@ class SecdedCode
     std::size_t codeBits() const { return dataBits_ + checkBits(); }
 
     /**
-     * Encode @p data (size dataBits()) into a codeword laid out as
-     * [data | hamming checks | overall parity] — data bits keep their
-     * positions, so a fault-free codeword's data slice is the word
-     * itself and the check lanes can live in separate nanowires.
-     */
-    BitVector encode(const BitVector &data) const;
-
-    /** Just the checkBits() check-bit vector for @p data. */
-    BitVector checkBitsFor(const BitVector &data) const;
-
-    /**
-     * checkBitsFor() on a packed word: @p data holds dataBits() bits
-     * (bit i = data bit i, higher bits zero); bit k of the result is
-     * check bit k.
+     * The checkBits() check bits of a packed word: @p data holds
+     * dataBits() bits (bit i = data bit i, higher bits zero); bit k of
+     * the result is check bit k.  A codeword is [data | hamming checks
+     * | overall parity]: data bits keep their positions, so the check
+     * bits can live in separate nanowires.
      */
     std::uint64_t checkWord(std::uint64_t data) const;
 
@@ -108,15 +99,12 @@ class SecdedCode
     };
 
     /**
-     * Decode in place: @p data (size dataBits()) and @p check (size
-     * checkBits()) as read from the array.  A single-bit error is
-     * flipped back (in whichever of the two vectors it lies);
-     * a double-bit error leaves both untouched and reports
-     * Uncorrectable — SECDED never miscorrects a double error.
+     * Decode in place: packed @p data and @p check words, laid out as
+     * for checkWord(), as read from the array.  A single-bit error is
+     * flipped back (in whichever of the two words it lies); a
+     * double-bit error leaves both untouched and reports Uncorrectable
+     * — SECDED never miscorrects a double error.
      */
-    Decoded decode(BitVector &data, BitVector &check) const;
-
-    /** decode() on packed words, laid out as for checkWord(). */
     Decoded decodeWord(std::uint64_t &data, std::uint64_t &check) const;
 
   private:

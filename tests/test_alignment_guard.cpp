@@ -39,7 +39,7 @@ TEST(AlignmentGuard, AlignedClusterChecksClean)
     AlignmentGuard g(params());
     g.install(dbc);
     for (std::size_t ws : {2u, 5u, 10u, 18u}) {
-        dbc.alignWindowStart(ws);
+        dbc.alignRowToPort(ws, Port::Left);
         EXPECT_EQ(g.check(dbc), AlignmentStatus::Aligned) << ws;
     }
 }
@@ -50,7 +50,7 @@ TEST(AlignmentGuard, DetectsInjectedFaultDirection)
         DomainBlockCluster dbc(params());
         AlignmentGuard g(params());
         g.install(dbc);
-        dbc.alignWindowStart(3); // monotone ramp region
+        dbc.alignRowToPort(3, Port::Left); // monotone ramp region
         dbc.injectShiftFault(toward_left);
         auto status = g.check(dbc);
         if (toward_left) {
@@ -76,10 +76,10 @@ TEST(AlignmentGuard, CorrectionRestoresData)
             snapshot.push_back(b);
         }
     }
-    dbc.alignWindowStart(4);
+    dbc.alignRowToPort(4, Port::Left);
     dbc.injectShiftFault(true);
     ASSERT_NE(g.check(dbc), AlignmentStatus::Aligned);
-    ASSERT_TRUE(g.checkAndCorrect(dbc));
+    ASSERT_TRUE(g.correct(dbc).aligned);
     // Data rows intact after the corrective pulse.
     std::size_t i = 0;
     for (std::size_t r = 0; r < 32; ++r)
@@ -93,7 +93,7 @@ TEST(AlignmentGuard, PeakPositionsAreAmbiguous)
     DomainBlockCluster dbc(params());
     AlignmentGuard g(params());
     g.install(dbc);
-    dbc.alignWindowStart(7); // trough of the ramp: both neighbors +1
+    dbc.alignRowToPort(7, Port::Left); // trough of the ramp: both neighbors +1
     dbc.injectShiftFault(true);
     EXPECT_EQ(g.check(dbc), AlignmentStatus::Unknown);
 }
@@ -132,7 +132,7 @@ TEST(AlignmentGuard, CorrectsEverySinglePositionMisalignment)
             DomainBlockCluster dbc(p);
             AlignmentGuard g(p);
             g.install(dbc);
-            dbc.alignWindowStart(ws);
+            dbc.alignRowToPort(ws, Port::Left);
             dbc.injectShiftFault(toward_left);
             GuardCorrection r = g.correct(dbc);
             EXPECT_TRUE(r.aligned)
@@ -166,7 +166,7 @@ TEST(AlignmentGuard, CorrectionPreservesSurvivingData)
                     dbc.pokeBit(r, w, b);
                     snapshot.push_back(b);
                 }
-            dbc.alignWindowStart(ws);
+            dbc.alignRowToPort(ws, Port::Left);
             dbc.injectShiftFault(toward_left);
             ASSERT_TRUE(g.correct(dbc).aligned)
                 << "ws=" << ws << " left=" << toward_left;
@@ -200,13 +200,13 @@ TEST(AlignmentGuard, EdgeAliasResolvedBySegmentedOuterRead)
     DomainBlockCluster dbc(p);
     AlignmentGuard g(p);
     g.install(dbc);
-    dbc.alignWindowStart(last);
+    dbc.alignRowToPort(last, Port::Left);
     std::size_t window_before = dbc.transverseReadWire(g.guardWire());
     dbc.injectShiftFault(true);
     EXPECT_EQ(dbc.transverseReadWire(g.guardWire()), window_before)
         << "window count alone must alias aligned here";
     EXPECT_EQ(g.check(dbc), AlignmentStatus::OffByPlusOne);
-    EXPECT_TRUE(g.checkAndCorrect(dbc));
+    EXPECT_TRUE(g.correct(dbc).aligned);
 }
 
 TEST(AlignmentGuard, WorksAtSmallTrd)
@@ -214,10 +214,10 @@ TEST(AlignmentGuard, WorksAtSmallTrd)
     DomainBlockCluster dbc(params(3, 4));
     AlignmentGuard g(params(3, 4));
     g.install(dbc);
-    dbc.alignWindowStart(4);
+    dbc.alignRowToPort(4, Port::Left);
     dbc.injectShiftFault(false);
     EXPECT_EQ(g.check(dbc), AlignmentStatus::OffByMinusOne);
-    EXPECT_TRUE(g.checkAndCorrect(dbc));
+    EXPECT_TRUE(g.correct(dbc).aligned);
 }
 
 } // namespace

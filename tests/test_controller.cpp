@@ -12,24 +12,6 @@
 namespace coruscant {
 namespace {
 
-TEST(CpimIsa, ControlWordRoundTrip)
-{
-    for (auto op : {CpimOp::And, CpimOp::Add, CpimOp::Multiply,
-                    CpimOp::Max, CpimOp::Vote, CpimOp::Copy}) {
-        for (std::uint16_t block : {8, 16, 64, 512}) {
-            CpimInstruction inst;
-            inst.op = op;
-            inst.operands = 5;
-            inst.blockSize = block;
-            auto round = CpimInstruction::unpackControl(
-                inst.packControl());
-            EXPECT_EQ(round.op, op);
-            EXPECT_EQ(round.operands, 5);
-            EXPECT_EQ(round.blockSize, block);
-        }
-    }
-}
-
 TEST(CpimIsa, ValidationRules)
 {
     CpimInstruction inst;

@@ -250,15 +250,16 @@ expectMatches(const DomainBlockCluster &d, const RotateModel &m)
 {
     const std::size_t wires = d.width();
     auto window = d.transverseReadAll();
-    auto left = d.transverseReadOutsideAll(Port::Left);
-    auto right = d.transverseReadOutsideAll(Port::Right);
     const std::size_t lo = m.port(Port::Left);
     const std::size_t hi = m.port(Port::Right);
     for (std::size_t w = 0; w < wires; ++w) {
         ASSERT_EQ(window[w], m.count(w, lo, hi + 1)) << "wire " << w;
         ASSERT_EQ(d.transverseReadWire(w), window[w]) << "wire " << w;
-        ASSERT_EQ(left[w], m.count(w, 0, lo)) << "wire " << w;
-        ASSERT_EQ(right[w], m.count(w, hi + 1, m.phys.size()))
+        ASSERT_EQ(d.transverseReadOutsideWire(w, Port::Left),
+                  m.count(w, 0, lo))
+            << "wire " << w;
+        ASSERT_EQ(d.transverseReadOutsideWire(w, Port::Right),
+                  m.count(w, hi + 1, m.phys.size()))
             << "wire " << w;
     }
     for (std::size_t r = 0; r < d.rows(); ++r)

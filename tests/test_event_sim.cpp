@@ -20,7 +20,7 @@ TEST(EventSim, EmptyAndSingle)
     EXPECT_EQ(sim.run({}, SchedulePolicy::InOrder).makespan, 0u);
     auto s = sim.run({{10, 2, 3, 50}}, SchedulePolicy::InOrder);
     EXPECT_EQ(s.makespan, 63u);
-    EXPECT_EQ(s.maxLatency, 53u);
+    EXPECT_EQ(s.latency.max(), 53u);
 }
 
 TEST(EventSim, ParallelBanksOverlap)
@@ -56,7 +56,7 @@ TEST(EventSim, ReorderBreaksHeadOfLineBlocking)
     EventSimulator sim(2);
     auto in_order = sim.run(reqs, SchedulePolicy::InOrder);
     auto reorder = sim.run(reqs, SchedulePolicy::BankReorder);
-    EXPECT_LT(reorder.avgLatency, in_order.avgLatency / 3);
+    EXPECT_LT(reorder.latency.mean(), in_order.latency.mean() / 3);
     EXPECT_LE(reorder.makespan, in_order.makespan);
 }
 
@@ -83,8 +83,7 @@ TEST(EventSim, MatchesClosedFormOnUniformLoad)
                         static_cast<std::uint32_t>(busy)});
     EventSimulator sim(banks);
     auto des = sim.run(reqs, SchedulePolicy::BankReorder);
-    CommandQueueModel cq(banks);
-    auto cf = cq.runUniform(count, busy, cmds);
+    auto cf = runUniform(banks, count, busy, cmds);
     double ratio = static_cast<double>(des.makespan) /
                    static_cast<double>(cf.makespanCycles);
     EXPECT_GT(ratio, 0.9);
@@ -96,7 +95,7 @@ TEST(EventSim, ArrivalTimesRespected)
     EventSimulator sim(2);
     auto s = sim.run({{1000, 0, 1, 10}}, SchedulePolicy::InOrder);
     EXPECT_EQ(s.makespan, 1011u);
-    EXPECT_EQ(s.maxLatency, 11u);
+    EXPECT_EQ(s.latency.max(), 11u);
 }
 
 TEST(EventSim, UtilizationBounds)
@@ -116,7 +115,7 @@ TEST(EventSim, UtilizationBounds)
         EXPECT_GT(s.makespan, 0u);
         EXPECT_LE(s.busUtilization, 1.0);
         EXPECT_LE(s.bankUtilization, 1.0);
-        EXPECT_GE(s.avgLatency, 1.0);
+        EXPECT_GE(s.latency.mean(), 1.0);
     }
 }
 

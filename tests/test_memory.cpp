@@ -7,7 +7,7 @@
 
 #include "arch/dwm_memory.hpp"
 #include "arch/timing.hpp"
-#include "controller/queue_model.hpp"
+#include "oracle/greedy_queue.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 
@@ -107,37 +107,33 @@ TEST(DwmMemory, PimUnitIsPerSubarrayAndPersistent)
 
 TEST(QueueModel, SingleItem)
 {
-    CommandQueueModel q(4);
-    auto r = q.run({{0, 100, 2}});
+    auto r = runGreedy(4, {{0, 100, 2}});
     EXPECT_EQ(r.makespanCycles, 102u);
 }
 
 TEST(QueueModel, ParallelServersOverlap)
 {
-    CommandQueueModel q(4);
     std::vector<QueueItem> items;
     for (std::size_t i = 0; i < 4; ++i)
         items.push_back({i, 100, 1});
-    auto r = q.run(items);
+    auto r = runGreedy(4, items);
     // Issue 4 commands, all four run concurrently.
     EXPECT_EQ(r.makespanCycles, 104u);
 }
 
 TEST(QueueModel, SameServerSerializes)
 {
-    CommandQueueModel q(4);
     std::vector<QueueItem> items(4, QueueItem{0, 100, 1});
-    auto r = q.run(items);
+    auto r = runGreedy(4, items);
     EXPECT_EQ(r.makespanCycles, 401u);
 }
 
 TEST(QueueModel, IssueBoundWhenCommandsDominate)
 {
-    CommandQueueModel q(1000);
     std::vector<QueueItem> items;
     for (std::size_t i = 0; i < 1000; ++i)
         items.push_back({i, 5, 4});
-    auto r = q.run(items);
+    auto r = runGreedy(1000, items);
     EXPECT_EQ(r.makespanCycles, 4005u);
     EXPECT_GT(r.issueBoundFraction, 0.9);
 }
@@ -148,14 +144,12 @@ TEST(QueueModel, UniformMatchesExplicitDispatch)
          std::vector<std::tuple<std::uint64_t, std::uint64_t,
                                 std::uint64_t>>{
              {100, 50, 2}, {7, 1000, 1}, {5000, 3, 4}, {64, 64, 8}}) {
-        CommandQueueModel explicit_q(64);
         std::vector<QueueItem> items;
         for (std::uint64_t i = 0; i < count; ++i)
             items.push_back({static_cast<std::size_t>(i % 64), busy,
                              cmds});
-        auto a = explicit_q.run(items);
-        CommandQueueModel uniform_q(64);
-        auto b = uniform_q.runUniform(count, busy, cmds);
+        auto a = runGreedy(64, items);
+        auto b = runUniform(64, count, busy, cmds);
         // The closed form is an upper-bound approximation; it must be
         // within a few percent of the exact schedule.
         EXPECT_GE(b.makespanCycles * 21 / 20 + 1, a.makespanCycles);

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "arch/dwm_memory.hpp"
-#include "controller/event_sim.hpp"
 #include "controller/memory_controller.hpp"
 #include "core/coruscant_unit.hpp"
 #include "dwm/dbc.hpp"
@@ -122,7 +121,6 @@ TEST(Trace, DisabledSinkRecordsNothing)
 {
     TraceSink t;
     t.span("op", "cat", 0, 10, 0, 0);
-    t.counter("depth", 5, 0, 3.0);
     t.instant("tick", "cat", 7, 0, 0);
     t.processName(0, "p");
     EXPECT_FALSE(t.on());
@@ -135,8 +133,7 @@ TEST(Trace, EnabledSinkBuffersAndSerializes)
     t.enable();
     t.processName(1, "channel 1");
     t.span("gang", "dispatch", 100, 40, 1, 3, "members", 5.0);
-    t.counter("queue_depth", 100, 1, 2.0);
-    ASSERT_EQ(t.events(), 3u);
+    ASSERT_EQ(t.events(), 2u);
     std::string json = t.toJson();
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
@@ -288,30 +285,6 @@ TEST(ObsWiring, ControllerCountsRequestsAndEmitsSpans)
     const ComponentMetrics *pim = reg.find("memory/pim");
     ASSERT_NE(pim, nullptr);
     EXPECT_GT(pim->get(Counter::TrPulses), 0u);
-}
-
-TEST(ObsWiring, EventSimEmitsRequestSpansAndQueueDepth)
-{
-    std::vector<SimRequest> reqs;
-    for (std::uint64_t i = 0; i < 6; ++i)
-        reqs.push_back({i, i % 2, 1, 20});
-    EventSimulator sim(2);
-    TraceSink trace;
-    trace.enable();
-    SimStats stats =
-        sim.run(reqs, SchedulePolicy::BankReorder, &trace, 9);
-    EXPECT_EQ(stats.requests, 6u);
-    std::size_t spans = 0, counters = 0;
-    for (const auto &e : trace.buffered()) {
-        if (e.phase == 'X' && e.name == "request") {
-            ++spans;
-            EXPECT_EQ(e.pid, 9u);
-        }
-        if (e.phase == 'C' && e.name == "queue_depth")
-            ++counters;
-    }
-    EXPECT_EQ(spans, 6u);
-    EXPECT_EQ(counters, 6u);
 }
 
 TEST(ObsWiring, CampaignExportsComponentActivity)

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/pim_logic.hpp"
+#include "oracle/pim_decode.hpp"
 
 namespace coruscant {
 namespace {

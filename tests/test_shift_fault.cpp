@@ -60,7 +60,7 @@ TEST(ShiftFaultModel, CertainOverShiftMisalignsCluster)
     DomainBlockCluster dbc(params());
     AlignmentGuard g(params());
     g.install(dbc);
-    dbc.alignWindowStart(3);
+    dbc.alignRowToPort(3, Port::Left);
     ASSERT_EQ(g.check(dbc), AlignmentStatus::Aligned);
     ShiftFaultModel always(1.0, 1, /*over_fraction=*/1.0);
     dbc.attachShiftFaults(&always);
@@ -68,7 +68,7 @@ TEST(ShiftFaultModel, CertainOverShiftMisalignsCluster)
     EXPECT_EQ(always.injectedFaults(), 1u);
     EXPECT_NE(g.check(dbc), AlignmentStatus::Aligned);
     dbc.attachShiftFaults(nullptr);
-    EXPECT_TRUE(g.checkAndCorrect(dbc));
+    EXPECT_TRUE(g.correct(dbc).aligned);
 }
 
 TEST(ShiftFaultModel, CertainUnderShiftMisalignsCluster)
@@ -76,14 +76,14 @@ TEST(ShiftFaultModel, CertainUnderShiftMisalignsCluster)
     DomainBlockCluster dbc(params());
     AlignmentGuard g(params());
     g.install(dbc);
-    dbc.alignWindowStart(3);
+    dbc.alignRowToPort(3, Port::Left);
     ShiftFaultModel always(1.0, 1, /*over_fraction=*/0.0);
     dbc.attachShiftFaults(&always);
     dbc.shiftRight();
     EXPECT_EQ(always.underShifts(), 1u);
     EXPECT_NE(g.check(dbc), AlignmentStatus::Aligned);
     dbc.attachShiftFaults(nullptr);
-    EXPECT_TRUE(g.checkAndCorrect(dbc));
+    EXPECT_TRUE(g.correct(dbc).aligned);
 }
 
 TEST(ShiftFaultModel, NanowireShiftsSampleTheModel)
