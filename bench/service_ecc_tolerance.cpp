@@ -68,10 +68,12 @@ main(int argc, char **argv)
     std::optional<EccMode> ecc_only;
     std::optional<double> pdata_only;
     parseOrExit({argv + 1, argv + argc},
-                Options{opt("pdata", pdata_only, "run this rate only"),
+                Options{opt("pdata", pdata_only, "run this rate only",
+                            probabilityValid, kProbabilityRange),
                         opt("ecc", ecc_only, "run this protection mode only"),
                         opt("retention", faults.retentionRatePerCycle,
-                            "per-bit retention decay rate per cycle")} +
+                            "per-bit retention decay rate per cycle",
+                            decayRateValid, kDecayRateRange)} +
                     run.options());
     std::vector<EccMode> modes = {EccMode::None, EccMode::Secded};
     std::vector<double> rates = {0.0, 1e-7, 1e-6, 1e-5};

@@ -67,7 +67,8 @@ main(int argc, char **argv)
     std::optional<GuardPolicy> policy;
     std::optional<double> pshift;
     parseOrExit({argv + 1, argv + argc},
-                Options{opt("pshift", pshift, "run this shift-fault rate only"),
+                Options{opt("pshift", pshift, "run this shift-fault rate only",
+                            probabilityValid, kProbabilityRange),
                         opt("policy", policy, "run this guard policy only")} +
                     run.options());
     std::vector<GuardPolicy> policies = {

@@ -76,7 +76,9 @@ main(int argc, char **argv)
     std::optional<double> only_rate;
     obs::OutputFiles out;
     parseOrExit({argv + 1, argv + argc},
-                Options{opt("rate", only_rate, "run this load point only")} +
+                Options{opt("rate", only_rate, "run this load point only",
+                            WorkloadConfig::rateValid,
+                            WorkloadConfig::kRateRange)} +
                     run.options() + out.options());
     std::vector<double> rates = {50, 100, 200, 300, 400, 600, 800};
     if (only_rate)

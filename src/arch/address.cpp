@@ -33,10 +33,12 @@ RetryLadder::RetryLadder(std::size_t max_retries,
 }
 
 void
-checkPimNmr(std::size_t n)
+checkPimNmr(std::size_t n, std::size_t trd)
 {
     fatalIf(!pimNmrValid(n), "pimNmr must be ", kPimNmrArities, " (got ",
             n, ")");
+    fatalIf(n > trd, "pimNmr ", n, " exceeds TRD = ", trd,
+            ": a vote senses every replica in one TR window");
 }
 
 LineAddress

@@ -133,6 +133,29 @@ class RetryLadder : public RetryLadderLimits
     std::uint64_t backoffCycles_;
 };
 
+/**
+ * The range of a fault-probability flag (--pshift, --pdata, --pstuck,
+ * --pfault), named once for every command that binds one.
+ */
+inline constexpr const char *kProbabilityRange = "in [0, 1]";
+
+/** Whether @p p lies in kProbabilityRange. */
+constexpr bool
+probabilityValid(double p)
+{
+    return p >= 0.0 && p <= 1.0;
+}
+
+/** The range of a decay-rate flag (--retention): any rate >= 0. */
+inline constexpr const char *kDecayRateRange = "in [0, inf]";
+
+/** Whether @p r lies in kDecayRateRange. */
+constexpr bool
+decayRateValid(double r)
+{
+    return r >= 0.0;
+}
+
 /** NMR arities a PIM op may run at: 1 (no voting), 3, 5 or 7. */
 inline constexpr const char *kPimNmrArities = "1, 3, 5 or 7";
 
@@ -143,8 +166,11 @@ pimNmrValid(std::size_t n)
     return n % 2 == 1 && n <= 7;
 }
 
-/** Throws FatalError unless @p n is one of kPimNmrArities. */
-void checkPimNmr(std::size_t n);
+/**
+ * Throws FatalError unless @p n is one of kPimNmrArities and at most
+ * @p trd: a vote senses all N replicas in one TR window.
+ */
+void checkPimNmr(std::size_t n, std::size_t trd);
 
 /**
  * The fault knobs of a fault-injecting run, declared once:

@@ -16,7 +16,7 @@ DwmMainMemory::DwmMainMemory(const MemoryConfig &config)
 {
     cfg.device.validate();
     const ReliabilityConfig &rel = cfg.reliability;
-    checkPimNmr(rel.pimNmr);
+    checkPimNmr(rel.pimNmr, cfg.device.trd);
     if (rel.eccEnabled()) {
         // Check-bit lanes are extra nanowires of the same DBC: they
         // shift with the data under the shared controller signal and

@@ -885,7 +885,7 @@ ServiceEngine::ServiceEngine(const ServiceConfig &cfg)
     fatalIf(cfg_.process == ArrivalProcess::ClosedLoop &&
                 cfg_.closedLoopWindow == 0,
             "closed loop needs a positive window");
-    checkPimNmr(cfg_.faults.pimNmr);
+    checkPimNmr(cfg_.faults.pimNmr, cfg_.trd);
 }
 
 ServiceStats

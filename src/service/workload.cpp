@@ -112,8 +112,7 @@ WorkloadGenerator::WorkloadGenerator(const WorkloadConfig &cfg,
     fatalIf(cfg_.banks == 0, "workload needs at least one bank");
     fatalIf(cfg_.dbcGroups == 0, "workload needs a DBC group");
     fatalIf(cfg_.process != ArrivalProcess::ClosedLoop &&
-                !(cfg_.ratePerKcycle > 0 &&
-                  cfg_.ratePerKcycle <= WorkloadConfig::kMaxRatePerKcycle),
+                !WorkloadConfig::rateValid(cfg_.ratePerKcycle),
             "open-loop workload rate must be in (0, ",
             WorkloadConfig::kMaxRatePerKcycle, "] per kcycle (got ",
             cfg_.ratePerKcycle, ")");

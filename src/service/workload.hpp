@@ -86,6 +86,16 @@ struct WorkloadConfig
      */
     static constexpr double kMaxRatePerKcycle = 1000.0;
 
+    /** The open-loop rates a generator accepts, as a flag states them. */
+    static constexpr const char *kRateRange = "in (0, 1000]";
+
+    /** Whether @p r lies in (0, kMaxRatePerKcycle]. */
+    static constexpr bool
+    rateValid(double r)
+    {
+        return r > 0 && r <= kMaxRatePerKcycle;
+    }
+
     std::uint64_t durationCycles = 100000; ///< arrivals beyond stop
     std::uint32_t banks = 16;     ///< banks per channel
     std::uint32_t dbcGroups = 4;  ///< alignment groups per bank

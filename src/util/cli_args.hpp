@@ -29,6 +29,7 @@
 #include <span>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace coruscant {
@@ -70,6 +71,10 @@ inline constexpr bool kOptional<std::optional<T>> = true;
 
 template <typename T>
 inline constexpr bool kEnumerated = std::is_enum_v<T> || std::same_as<T, bool>;
+
+/** What a range check sees: the field, or the value an optional holds. */
+template <typename T>
+using Value = typename decltype(std::optional(std::declval<T>()))::value_type;
 
 std::string joinTokens(std::span<const char *const> tokens);
 
@@ -144,20 +149,22 @@ opt(const char *name, T &field, std::string help)
 }
 
 /**
- * Option accepting only values for which @p ok holds; @p expected
- * names them, in help and in the diagnostic.
+ * Option accepting only values for which @p ok holds (for a
+ * std::optional field, the value it would hold); @p expected names
+ * them, in help and in the diagnostic.
  */
 template <typename T>
 Option
 opt(const char *name, T &field, const std::string &help,
-    std::type_identity_t<std::function<bool(const T &)>> ok,
+    std::function<bool(const detail::Value<T> &)> ok,
     const std::string &expected)
 {
     Option o = opt(name, field, help + " (" + expected + ")");
     o.set = [&field, ok, expected](const std::string &text) {
         T v = field;
         std::string why = detail::parse(text, v);
-        if (why.empty() && !ok(v))
+        // *std::optional(v) is the value, plain or optional field alike.
+        if (why.empty() && !ok(*std::optional(v)))
             why = "expected " + expected;
         if (why.empty())
             field = v;
@@ -170,11 +177,11 @@ opt(const char *name, T &field, const std::string &help,
 template <typename T>
 Option
 opt(const char *name, T &field, const std::string &help,
-    std::type_identity_t<T> lo, std::type_identity_t<T> hi)
+    detail::Value<T> lo, detail::Value<T> hi)
 {
     return opt(
         name, field, help,
-        [lo, hi](const T &v) { return lo <= v && v <= hi; },
+        [lo, hi](const detail::Value<T> &v) { return lo <= v && v <= hi; },
         "in [" + detail::show(lo) + ", " + detail::show(hi) + "]");
 }
 

@@ -86,13 +86,15 @@ function(contract program)
     set_property(GLOBAL APPEND PROPERTY contract_lines ${first})
 endfunction()
 
-# A usage error: exit code 2, nothing hashed.
-function(usage_error)
-    execute_process(COMMAND "${CLI}" ${ARGN}
+# A usage error of @p program (the CLI or a bench): exit code 2,
+# nothing hashed.
+function(usage_error program)
+    execute_process(COMMAND "${program}" ${ARGN}
         WORKING_DIRECTORY "${WORK_DIR}"
         OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE rc)
     if(NOT rc STREQUAL "2")
-        string(REPLACE ";" " " label "${ARGN}")
+        get_filename_component(name "${program}" NAME)
+        string(REPLACE ";" " " label "${name} ${ARGN}")
         fail("usage error exited ${rc}, want 2: ${label}")
     endif()
 endfunction()
@@ -168,20 +170,24 @@ contract("${BENCH_DIR}/service_ecc_tolerance" ARGS --duration 20000
     --channels 2)
 
 # ci.yml: usage errors exit 2.
-usage_error(serve --rate inf)
-usage_error(serve --nmr 2)
-usage_error(bitmap --users 0)
-usage_error(polybench --size 0)
-usage_error(ops --trd 2)
-usage_error(serve --channels 0)
-usage_error(serve --banks 0)
-usage_error(serve --groups 0)
-usage_error(serve --process closed --clients 0)
-usage_error(campaign --trials 0)
-usage_error(reliability --trd 2)
-usage_error(reliability --trd 33)
-usage_error(reliability --pfault 2)
-usage_error(serve --bogus 1)
+usage_error("${CLI}" serve --rate inf)
+usage_error("${CLI}" serve --nmr 2)
+usage_error("${CLI}" bitmap --users 0)
+usage_error("${CLI}" polybench --size 0)
+usage_error("${CLI}" ops --trd 2)
+usage_error("${CLI}" serve --channels 0)
+usage_error("${CLI}" serve --banks 0)
+usage_error("${CLI}" serve --groups 0)
+usage_error("${CLI}" serve --process closed --clients 0)
+usage_error("${CLI}" campaign --trials 0)
+usage_error("${CLI}" reliability --trd 2)
+usage_error("${CLI}" reliability --trd 33)
+usage_error("${CLI}" reliability --pfault 2)
+usage_error("${CLI}" serve --bogus 1)
+usage_error("${CLI}" serve --nmr 5 --trd 3)
+usage_error("${BENCH_DIR}/service_tail_latency" --rate 0)
+usage_error("${BENCH_DIR}/service_fault_tolerance" --pshift 2)
+usage_error("${BENCH_DIR}/service_ecc_tolerance" --pdata 2)
 
 get_property(lines GLOBAL PROPERTY contract_lines)
 get_property(failures GLOBAL PROPERTY contract_failures)

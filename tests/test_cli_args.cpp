@@ -242,14 +242,27 @@ TEST(CliArgs, HelpPrintsEachDefaultFromItsField)
 
 #ifdef CORUSCANT_CLI_PATH
 
+/** Exit code of @p program run with @p args. */
+int
+exitOf(const std::string &program, const std::string &args)
+{
+    std::string cmd = program + " " + args + " >/dev/null 2>&1";
+    int status = std::system(cmd.c_str());
+    return WEXITSTATUS(status);
+}
+
 /** Exit code of the real CLI binary run with @p args. */
 int
 cliExit(const std::string &args)
 {
-    std::string cmd = std::string(CORUSCANT_CLI_PATH) + " " + args +
-                      " >/dev/null 2>&1";
-    int status = std::system(cmd.c_str());
-    return WEXITSTATUS(status);
+    return exitOf(CORUSCANT_CLI_PATH, args);
+}
+
+/** Exit code of the bench binary @p bench run with @p args. */
+int
+benchExit(const std::string &bench, const std::string &args)
+{
+    return exitOf(std::string(CORUSCANT_BENCH_DIR) + "/" + bench, args);
 }
 
 /** Stdout of the real CLI binary run with @p args. */
@@ -433,6 +446,22 @@ TEST(CliProcess, UsageErrorsExitTwo)
     EXPECT_EQ(cliExit("reliability --trd 33"), 2);
     EXPECT_EQ(cliExit("reliability --trd 1000"), 2);
     EXPECT_EQ(cliExit("reliability --pfault 2"), 2);
+    // A vote senses all N replicas in one TR window, so N <= TRD.
+    EXPECT_EQ(cliExit("serve --nmr 5 --trd 3 --pdata 1e-4 --ecc secded "
+                      "--duration 2000"),
+              2);
+    EXPECT_EQ(cliExit("serve --nmr 7 --trd 5 --duration 2000"), 2);
+    // The service benches bind the CLI's ranges to their own flags.
+    for (const char *rate : {"0", "inf", "-5", "1000.5"})
+        EXPECT_EQ(benchExit("service_tail_latency",
+                            std::string("--rate ") + rate),
+                  2)
+            << rate;
+    EXPECT_EQ(benchExit("service_fault_tolerance", "--pshift 2"), 2);
+    EXPECT_EQ(benchExit("service_fault_tolerance", "--pshift -1"), 2);
+    EXPECT_EQ(benchExit("service_ecc_tolerance", "--pdata 2"), 2);
+    EXPECT_EQ(benchExit("service_ecc_tolerance", "--pdata -0.1"), 2);
+    EXPECT_EQ(benchExit("service_ecc_tolerance", "--retention -1"), 2);
 }
 
 TEST(CliProcess, DataFaultFlagValidationExitsTwo)

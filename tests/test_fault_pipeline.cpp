@@ -316,6 +316,11 @@ TEST(FaultPipeline, PimNmrOutsideOneThreeFiveSevenDoesNotBuild)
     MemoryConfig cfg = smallConfig(GuardPolicy::PerCpim);
     cfg.reliability.pimNmr = 5;
     EXPECT_NO_THROW(DwmMainMemory{cfg});
+    // A vote senses all N replicas in one TR window: N <= TRD.
+    cfg.device.trd = 3;
+    EXPECT_THROW(DwmMainMemory{cfg}, FatalError);
+    cfg.reliability.pimNmr = 3;
+    EXPECT_NO_THROW(DwmMainMemory{cfg});
 }
 
 TEST(FaultPipeline, RetryLadderAtItsLimitsRunsAGuardedCampaign)

@@ -593,6 +593,16 @@ TEST(ServiceEngine, RejectsBadConfigs)
     cfg = smallConfig();
     cfg.faults.pimNmr = 2;
     EXPECT_THROW(ServiceEngine{cfg}, FatalError);
+    // A vote senses all N replicas in one TR window: N <= TRD.
+    cfg = smallConfig();
+    cfg.trd = 3;
+    cfg.faults.pimNmr = 5;
+    EXPECT_THROW(ServiceEngine{cfg}, FatalError);
+    cfg.faults.pimNmr = 3;
+    EXPECT_NO_THROW(ServiceEngine{cfg});
+    cfg.trd = 5;
+    cfg.faults.pimNmr = 7;
+    EXPECT_THROW(ServiceEngine{cfg}, FatalError);
 }
 
 TEST(ServiceEngine, RetryLadderAtTheLimitIsNotTruncated)

@@ -11,8 +11,8 @@
  * Exit codes: 0 success, 1 runtime error, 2 usage error.
  */
 
-#include <cmath>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -55,23 +55,27 @@ struct Invocation
     }
 };
 
-/** The fault options campaign and serve share, bound to one FaultConfig. */
+/**
+ * The fault options campaign and serve share, bound to one FaultConfig;
+ * @p nmr_help says what else limits --nmr.
+ */
 Options
-faultOptions(FaultConfig &f)
+faultOptions(FaultConfig &f, const std::string &nmr_help)
 {
     return {
         opt("pshift", f.shiftFaultRate, "shift-fault probability per pulse",
-            0.0, 1.0),
+            probabilityValid, kProbabilityRange),
         opt("policy", f.policy, "alignment-check cadence"),
         opt("pdata", f.dataFaultRate,
-            "per-bit transient flip probability per line access", 0.0, 1.0),
+            "per-bit transient flip probability per line access",
+            probabilityValid, kProbabilityRange),
         opt("pstuck", f.stuckAtFraction, "fraction of domains stuck-at",
-            0.0, 1.0),
+            probabilityValid, kProbabilityRange),
         opt("retention", f.retentionRatePerCycle,
-            "per-bit retention decay rate per cycle", 0.0, HUGE_VAL),
+            "per-bit retention decay rate per cycle", decayRateValid,
+            kDecayRateRange),
         opt("ecc", f.ecc, "line protection"),
-        opt("nmr", f.pimNmr, "NMR arity of PIM ops", pimNmrValid,
-            kPimNmrArities),
+        opt("nmr", f.pimNmr, nmr_help, pimNmrValid, kPimNmrArities),
     };
 }
 
@@ -247,7 +251,8 @@ cmdReliability(const Invocation &in)
     double p = 1e-6;
     if (!in.accept({opt("trd", trd, "transverse-read distance",
                         std::size_t{3}, DeviceParams::domainsPerWire),
-                    opt("pfault", p, "TR fault probability", 0.0, 1.0)}))
+                    opt("pfault", p, "TR fault probability",
+                        probabilityValid, kProbabilityRange)}))
         return 0;
     TrErrorModel m(trd, p);
     std::printf("error rates (TRD=%zu, p_TR=%g):\n", trd, p);
@@ -277,7 +282,7 @@ cmdCampaign(const Invocation &in)
                 opt("retire", cfg.retireThreshold,
                     "corrected faults that retire a DBC (0 = never)"),
             } +
-            faultOptions(cfg) + out.options()))
+            faultOptions(cfg, "NMR arity of PIM ops") + out.options()))
         return 0;
     obs::MetricsRegistry reg;
     obs::TraceSink trace;
@@ -346,13 +351,9 @@ cmdServe(const Invocation &in)
                 opt("trd", cfg.trd, "transverse-read distance",
                     std::size_t{2}, DeviceParams::domainsPerWire),
                 opt("seed", cfg.seed, "RNG seed"),
-                opt(
-                    "rate", cfg.ratePerKcycle,
+                opt("rate", cfg.ratePerKcycle,
                     "offered load per channel (requests/kcycle)",
-                    [](double r) {
-                        return r > 0 && r <= WorkloadConfig::kMaxRatePerKcycle;
-                    },
-                    "in (0, 1000]"),
+                    WorkloadConfig::rateValid, WorkloadConfig::kRateRange),
                 opt("duration", cfg.durationCycles, "arrival window (cycles)"),
                 opt("window", cfg.batchWindowCycles,
                     "TR-gang batching window (cycles)"),
@@ -381,9 +382,10 @@ cmdServe(const Invocation &in)
                 opt("spares", faults.sparesPerChannel,
                     "spare DBC groups per channel"),
                 opt("scrub-interval", faults.scrubIntervalCycles,
-                    "cycles between scrub sweeps"),
+                    "cycles between scrub sweeps (0 = never)"),
             } +
-            faultOptions(faults) + out.options()))
+            faultOptions(faults, "NMR arity of PIM ops (<= --trd)") +
+            out.options()))
         return 0;
     if (chaos) {
         // Chaos mode: ramp the fault rate through a mid-run storm.
@@ -395,6 +397,15 @@ cmdServe(const Invocation &in)
     }
     cfg.collectMetrics = out.metricsJson.has_value();
     cfg.collectTrace = out.trace.has_value();
+    // The engine checks the options against each other (--nmr against
+    // --trd); a combination it rejects is a usage error.
+    std::optional<ServiceEngine> engine;
+    try {
+        engine.emplace(cfg);
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 2;
+    }
     std::printf("serve: channels=%u threads=%u banks=%u process=%s "
                 "rate=%.3g/kcycle duration=%llu seed=%llu batch=%s "
                 "mix=%s\n",
@@ -419,7 +430,7 @@ cmdServe(const Invocation &in)
                     faults.dataFaultRate, faults.stuckAtFraction,
                     faults.retentionRatePerCycle,
                     eccModeName(faults.ecc), faults.pimNmr);
-    ServiceStats stats = runService(cfg);
+    ServiceStats stats = engine->run();
     std::printf("%s", stats.report().c_str());
     return out.write(stats.metrics, stats.trace) ? 0 : 1;
 }
