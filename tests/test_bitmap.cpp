@@ -116,5 +116,27 @@ TEST(BitmapQueryEdge, NonMultipleOfRowUsers)
     EXPECT_EQ(eng.runAmbit(3).matches, eng.goldenCount(3));
 }
 
+TEST(BitmapQueryEdge, RaggedUserCountsMatchGolden)
+{
+    // User counts on either side of a word, a 512-bit DBC row and a
+    // 65536-bit DRAM row, so the last chunk of every technique is
+    // full, one bit long or ends in a partial word; w = 6 fills the
+    // whole TRD-7 window.
+    for (std::size_t users : {1, 63, 64, 65, 511, 512, 513, 65535, 65536,
+                              65537}) {
+        auto db = BitmapDatabase::synthesize(users, 6, 3);
+        BitmapQueryEngine eng(db);
+        for (std::size_t w = 1; w <= 6; ++w) {
+            SCOPED_TRACE(::testing::Message()
+                         << "users " << users << " w " << w);
+            const std::uint64_t golden = eng.goldenCount(w);
+            EXPECT_EQ(eng.runCpuDram(w).matches, golden);
+            EXPECT_EQ(eng.runAmbit(w).matches, golden);
+            EXPECT_EQ(eng.runElp2im(w).matches, golden);
+            EXPECT_EQ(eng.runCoruscant(w).matches, golden);
+        }
+    }
+}
+
 } // namespace
 } // namespace coruscant

@@ -24,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <string>
 
 #include "core/coruscant_unit.hpp"
@@ -188,6 +189,78 @@ TEST(TrFuzz, RowWideReadsMatchPerWireReads)
                     EXPECT_EQ(fast_m.get(obs::Counter::FaultsInjected),
                               ref_m.get(obs::Counter::FaultsInjected));
                 }
+                if (rate > 0) {
+                    EXPECT_GT(fast.injectedFaults(), 0u);
+                }
+            }
+        }
+    }
+}
+
+TEST(TrFuzz, WideWindowCountsMatchPerWireReads)
+{
+    // Windows of 8 to 32 rows need 4 to 6 count planes.  Shift faults
+    // turn the ring under the window (injectShiftFault), so every
+    // other read finds it straddling the ring's wrap: its rows sit at
+    // both ends of the ring storage.
+    constexpr std::size_t widths[] = {8, 100, 512, 700};
+    Rng rng(53);
+    for (double rate : kFaultRates) {
+        for (std::size_t trd : {8u, 16u, 32u}) {
+            for (std::size_t width : widths) {
+                SCOPED_TRACE(::testing::Message()
+                             << "rate " << rate << " trd " << trd
+                             << " width " << width);
+                DeviceParams p = params(trd, width);
+                DomainBlockCluster dbc(p);
+                obs::ComponentMetrics fast_m, ref_m;
+                TrFaultModel fast(rate, kFaultSeed), ref(rate, kFaultSeed);
+                // Ring slot of physical position 0, and the window's
+                // first and last physical positions.
+                const std::size_t ring = p.totalDomains();
+                const std::size_t lo = p.leftOverhead() + p.leftPortRow();
+                const std::size_t hi = p.leftOverhead() + p.rightPortRow();
+                std::size_t head = 0;
+                int straddled = 0;
+                for (int iter = 0; iter < 8; ++iter) {
+                    const int from = dbc.shiftOffset();
+                    const int off = randomOffset(rng, p);
+                    shiftTo(dbc, off);
+                    head = (head + ring + off - from) % ring;
+                    // Odd reads: any head.  Even reads: a head that
+                    // wraps the window, head + lo < ring <= head + hi.
+                    const std::size_t target =
+                        iter % 2 ? rng.nextBelow(ring)
+                                 : ring - hi + rng.nextBelow(hi - lo);
+                    for (; head != target; head = (head + 1) % ring)
+                        dbc.injectShiftFault(true);
+                    straddled += head + lo < ring && ring <= head + hi;
+                    for (std::size_t r = 0; r < dbc.rows(); ++r)
+                        dbc.pokeRow(r, randomRow(rng, width));
+
+                    // Each row-wide read draws its faults in wire
+                    // order, as one pass of per-wire reads does.
+                    dbc.attachMetrics(&fast_m);
+                    CountPlanes planes = dbc.transverseReadPlanes(&fast);
+                    dbc.attachMetrics(&ref_m);
+                    ASSERT_EQ(planes.planes(),
+                              static_cast<std::size_t>(std::bit_width(trd)));
+                    for (std::size_t w = 0; w < width; ++w)
+                        ASSERT_EQ(planes.count(w),
+                                  dbc.transverseReadWire(w, &ref))
+                            << "wire " << w;
+                    dbc.attachMetrics(&fast_m);
+                    auto counts = dbc.transverseReadAll(&fast);
+                    dbc.attachMetrics(&ref_m);
+                    ASSERT_EQ(counts.size(), width);
+                    for (std::size_t w = 0; w < width; ++w)
+                        ASSERT_EQ(counts[w], dbc.transverseReadWire(w, &ref))
+                            << "wire " << w;
+                    EXPECT_EQ(fast.injectedFaults(), ref.injectedFaults());
+                    EXPECT_EQ(fast_m.get(obs::Counter::FaultsInjected),
+                              ref_m.get(obs::Counter::FaultsInjected));
+                }
+                EXPECT_GE(straddled, 4);
                 if (rate > 0) {
                     EXPECT_GT(fast.injectedFaults(), 0u);
                 }
