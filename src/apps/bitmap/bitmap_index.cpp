@@ -14,6 +14,8 @@ namespace {
 
 constexpr std::size_t dramRowBits = 65536; ///< 8 KiB DRAM row
 constexpr std::size_t dwmRowBits = 512;    ///< one DBC row
+static_assert(dramRowBits % 64 == 0 && dwmRowBits % 64 == 0,
+              "row chunks start on BitVector word boundaries");
 /** Subarrays available to spread chunks over (32 banks x 64). */
 constexpr std::size_t numSubarrays = 2048;
 
@@ -92,6 +94,37 @@ BitmapQueryEngine::runCpuDram(std::size_t weeks) const
 
 namespace {
 
+/**
+ * Load into each of @p rows the chunk of its operand in @p ops that
+ * starts at bit @p lo, a multiple of 64, by whole words.  Words past
+ * the bitmap's end are zeroed; a partial last word needs no mask,
+ * since a BitVector keeps the bits past its size zero.
+ */
+void
+loadChunk(std::vector<BitVector> &rows,
+          const std::vector<const BitVector *> &ops, std::size_t lo)
+{
+    const std::size_t first = lo / 64;
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        const BitVector &op = *ops[i];
+        BitVector &row = rows[i];
+        const std::size_t words = row.numWords();
+        const std::size_t live = std::min(words, op.numWords() - first);
+        for (std::size_t j = 0; j < live; ++j)
+            row.setWord(j, op.word(first + j));
+        for (std::size_t j = live; j < words; ++j)
+            row.setWord(j, 0);
+    }
+}
+
+/** Survivors among the first @p width bits of a chunk's @p result. */
+std::uint64_t
+survivors(const BitVector &result, std::size_t width)
+{
+    return width == result.size() ? result.popcount()
+                                  : result.slice(0, width).popcount();
+}
+
 /** Run a DRAM PIM unit over all row-sized chunks of the query. */
 BitmapQueryResult
 runDramPim(DramPimUnit &unit, const std::string &name,
@@ -100,19 +133,15 @@ runDramPim(DramPimUnit &unit, const std::string &name,
     std::size_t chunks = (users + dramRowBits - 1) / dramRowBits;
     std::uint64_t matches = 0;
     std::uint64_t chunk_cycles = 0;
+    std::vector<BitVector> rows(ops.size(), BitVector(dramRowBits));
     for (std::size_t c = 0; c < chunks; ++c) {
         std::size_t lo = c * dramRowBits;
         std::size_t width = std::min(dramRowBits, users - lo);
-        std::vector<BitVector> rows;
-        for (const auto *op : ops) {
-            BitVector padded(dramRowBits);
-            padded.insert(0, op->slice(lo, width));
-            rows.push_back(std::move(padded));
-        }
+        loadChunk(rows, ops, lo);
         unit.resetCosts();
         BitVector result = unit.bulkMulti(BulkOp::And, rows);
         chunk_cycles = unit.ledger().cycles(); // identical per chunk
-        matches += result.slice(0, width).popcount();
+        matches += survivors(result, width);
     }
     // Chunk groups are colocated per subarray and the identical
     // command sequence is broadcast: chunks execute concurrently, so
@@ -153,17 +182,13 @@ BitmapQueryEngine::runCoruscant(std::size_t weeks,
 
     std::size_t chunks = (db.users + dwmRowBits - 1) / dwmRowBits;
     std::uint64_t matches = 0;
+    std::vector<BitVector> rows(ops.size(), BitVector(dwmRowBits));
     for (std::size_t c = 0; c < chunks; ++c) {
         std::size_t lo = c * dwmRowBits;
         std::size_t width = std::min(dwmRowBits, db.users - lo);
-        std::vector<BitVector> rows;
-        for (const auto *op : ops) {
-            BitVector padded(dwmRowBits);
-            padded.insert(0, op->slice(lo, width));
-            rows.push_back(std::move(padded));
-        }
+        loadChunk(rows, ops, lo);
         BitVector result = unit.bulkBitwise(BulkOp::And, rows);
-        matches += result.slice(0, width).popcount();
+        matches += survivors(result, width);
     }
     // The bitmaps live in consecutive rows of every PIM DBC (male at
     // window row 0, week b at row b, per Fig. 7's preset layout), so

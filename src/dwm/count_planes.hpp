@@ -18,6 +18,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/bit_vector.hpp"
@@ -29,17 +30,26 @@ class CountPlanes
 {
   public:
     /**
+     * Most planes a counter holds: counts up to 63, past the longest
+     * TR window (a whole 32-domain wire).
+     */
+    static constexpr std::size_t maxPlanes = 6;
+
+    /**
      * All-zero counts over @p width wires, with room for up to
-     * @p max_rows added rows: ceil(log2(max_rows + 1)) planes.
+     * @p max_rows added rows: ceil(log2(max_rows + 1)) planes.  Panics
+     * past maxPlanes planes.
      */
     CountPlanes(std::size_t width, std::size_t max_rows);
 
     /**
-     * Count the ones of @p row (size width) wire by wire; panics past
-     * max_rows rows.  Rows are added one at a time, so the counted
-     * run need not be contiguous in memory.
+     * Count the ones of @p rows (each of size width) wire by wire;
+     * panics past max_rows rows in all.  One word-major pass: for each
+     * word, every row's word ripples into that word's planes, held in
+     * registers, which are then stored once.  The rows are gathered by
+     * pointer, so the counted run need not be contiguous in memory.
      */
-    void add(const BitVector &row);
+    void addRows(std::span<const BitVector *const> rows);
 
     /** Number of planes: the bit width of the largest count. */
     std::size_t planes() const { return numPlanes; }
@@ -87,7 +97,7 @@ class CountPlanes
     std::size_t wires;
     std::size_t numWords;  ///< 64-bit words per plane
     std::size_t numPlanes;
-    std::size_t rowsLeft;  ///< rows add() still accepts
+    std::size_t rowsLeft;  ///< rows addRows() still accepts
     /** Plane-major, BitVector word layout; see bits(). */
     std::uint64_t local[inlineWords] = {};
     std::vector<std::uint64_t> heap;

@@ -1,7 +1,9 @@
 #include "dwm/dbc.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <span>
 
 #include "util/logging.hpp"
 
@@ -178,13 +180,18 @@ DomainBlockCluster::transverseReadWire(std::size_t wire,
 CountPlanes
 DomainBlockCluster::windowCounts() const
 {
-    // Take the bounds once: add() writes memory that may alias this
-    // cluster, so a bound in the loop condition is recomputed per row.
+    static_assert(std::bit_width(DeviceParams::domainsPerWire) <=
+                      CountPlanes::maxPlanes,
+                  "a whole-wire window fits the count planes");
+    // The window's rows, gathered through physRow(): a window that
+    // straddles the ring's wrap sits at both ends of `ring`.
     const std::size_t lo = portPhysical(Port::Left);
-    const std::size_t hi = portPhysical(Port::Right) + 1;
-    CountPlanes counts(dev.wiresPerDbc, hi - lo);
-    for (std::size_t i = lo; i < hi; ++i)
-        counts.add(physRow(i));
+    const std::size_t n = portPhysical(Port::Right) + 1 - lo;
+    std::array<const BitVector *, DeviceParams::domainsPerWire> rows;
+    for (std::size_t i = 0; i < n; ++i)
+        rows[i] = &physRow(lo + i);
+    CountPlanes counts(dev.wiresPerDbc, n);
+    counts.addRows(std::span(rows.data(), n));
     return counts;
 }
 

@@ -14,9 +14,10 @@
  * position (a shift pulse) advances the ring's head and clears the
  * row that entered at the far extremity, O(1) in the wire length.  A
  * transverse read of every wire is a vertical counter over the rows
- * in range (CountPlanes), 64 wires per machine word; a step of the
- * multi-operand addition carry chain counts the window the same way,
- * mod 8, and writes its outputs in the same word loop (carryStep).
+ * in range (CountPlanes), 64 wires per machine word, filled in one
+ * word-major pass over the window; a step of the multi-operand
+ * addition carry chain counts the window the same way, mod 8, and
+ * writes its outputs in the same word loop (carryStep).
  * The representation is property-tested against the explicit
  * per-wire Nanowire model, whose bit-serial count
  * transverseReadWire() mirrors.
