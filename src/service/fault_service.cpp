@@ -28,6 +28,13 @@ requestOutcomeName(RequestOutcome o)
     return "?";
 }
 
+void
+ServiceFaultConfig::checkBreakerCounts() const
+{
+    fatalIf(breakerThreshold < 1, "breaker threshold must be >= 1");
+    fatalIf(tripsToRetire < 1, "trips to retire must be >= 1");
+}
+
 double
 ServiceFaultConfig::rateAt(std::uint64_t cycle) const
 {

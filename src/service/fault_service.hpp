@@ -83,13 +83,13 @@ struct ServiceFaultConfig : FaultConfig
     /** Sliding window for the per-group detected-error rate. */
     std::uint64_t healthWindowCycles = 20000;
 
-    /** Detected errors within the window that open the breaker. */
+    /** Detected errors within the window that open the breaker (>= 1). */
     std::uint32_t breakerThreshold = 8;
 
     /** Cycles a tripped breaker keeps its group out of steering. */
     std::uint64_t breakerCooldownCycles = 10000;
 
-    /** Breaker trips after which the group is retired to a spare. */
+    /** Breaker trips after which the group is retired to a spare (>= 1). */
     std::uint32_t tripsToRetire = 3;
 
     /** Spare DBC groups available per channel for retirement. */
@@ -108,6 +108,13 @@ struct ServiceFaultConfig : FaultConfig
 
     /** Fault rate in effect at @p cycle (ramp, else the flat rate). */
     double rateAt(std::uint64_t cycle) const;
+
+    /**
+     * Throws FatalError when breakerThreshold or tripsToRetire is 0:
+     * the health tracker counts an error or a trip before it compares,
+     * so a 0 would silently act as 1.
+     */
+    void checkBreakerCounts() const;
 
     /**
      * Built-in chaos schedule for `serve --chaos`: quarters of the run

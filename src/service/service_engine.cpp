@@ -886,6 +886,7 @@ ServiceEngine::ServiceEngine(const ServiceConfig &cfg)
                 cfg_.closedLoopWindow == 0,
             "closed loop needs a positive window");
     checkPimNmr(cfg_.faults.pimNmr, cfg_.trd);
+    cfg_.faults.checkBreakerCounts();
 }
 
 ServiceStats

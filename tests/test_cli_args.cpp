@@ -409,6 +409,10 @@ TEST(CliProcess, UsageErrorsExitTwo)
     // than wrapping it (2^32 + 1 would run as 1).
     EXPECT_EQ(cliExit("serve --channels 4294967297 --duration 2000"), 2);
     EXPECT_EQ(cliExit("serve --spares 4294967297 --pshift 1e-3"), 2);
+    // The health tracker counts an error or a trip before it
+    // compares, so a zero breaker threshold or trip count acted as 1.
+    EXPECT_EQ(cliExit("serve --breaker-threshold 0"), 2);
+    EXPECT_EQ(cliExit("serve --trips 0"), 2);
     EXPECT_EQ(cliExit("cnn --network vgg"), 2);
     // Open-loop rates in (0, 1000] per kcycle only: beyond one arrival
     // per cycle the arrival clock stalls and the run never ends.

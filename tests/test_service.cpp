@@ -603,6 +603,13 @@ TEST(ServiceEngine, RejectsBadConfigs)
     cfg.trd = 5;
     cfg.faults.pimNmr = 7;
     EXPECT_THROW(ServiceEngine{cfg}, FatalError);
+    // A zero breaker threshold or trip count would act as 1.
+    cfg = smallConfig();
+    cfg.faults.breakerThreshold = 0;
+    EXPECT_THROW(ServiceEngine{cfg}, FatalError);
+    cfg = smallConfig();
+    cfg.faults.tripsToRetire = 0;
+    EXPECT_THROW(ServiceEngine{cfg}, FatalError);
 }
 
 TEST(ServiceEngine, RetryLadderAtTheLimitIsNotTruncated)

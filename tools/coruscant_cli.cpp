@@ -374,11 +374,13 @@ cmdServe(const Invocation &in)
                 opt("health-window", faults.healthWindowCycles,
                     "detected-error rate window (cycles)"),
                 opt("breaker-threshold", faults.breakerThreshold,
-                    "detected errors in the window that trip a breaker"),
+                    "detected errors in the window that trip a breaker",
+                    atLeastOne, ">= 1"),
                 opt("cooldown", faults.breakerCooldownCycles,
                     "tripped-breaker cooldown (cycles)"),
                 opt("trips", faults.tripsToRetire,
-                    "breaker trips that retire a group"),
+                    "breaker trips that retire a group", atLeastOne,
+                    ">= 1"),
                 opt("spares", faults.sparesPerChannel,
                     "spare DBC groups per channel"),
                 opt("scrub-interval", faults.scrubIntervalCycles,
