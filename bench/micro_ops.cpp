@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/bitmap/bitmap_index.hpp"
 #include "arch/dwm_memory.hpp"
 #include "core/coruscant_unit.hpp"
 #include "obs/output_files.hpp"
@@ -56,6 +57,19 @@ BM_TransverseReadAll(benchmark::State &state)
         benchmark::DoNotOptimize(dbc.transverseReadAll());
 }
 BENCHMARK(BM_TransverseReadAll);
+
+/** The word-major window count alone, at TRD 7 (3 planes) and 32 (6). */
+void
+BM_TransverseReadPlanes(benchmark::State &state)
+{
+    DomainBlockCluster dbc(params(static_cast<std::size_t>(state.range(0))));
+    Rng rng(9);
+    for (std::size_t r = 0; r < dbc.rows(); ++r)
+        dbc.pokeRow(r, randomRow(rng, 512));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(dbc.transverseReadPlanes());
+}
+BENCHMARK(BM_TransverseReadPlanes)->Arg(7)->Arg(32);
 
 void
 BM_BulkAnd7(benchmark::State &state)
@@ -198,9 +212,27 @@ BM_NmrVote(benchmark::State &state)
 BENCHMARK(BM_NmrVote)->Arg(3)->Arg(5)->Arg(7);
 
 /**
+ * Fig. 12's CORUSCANT query at w = 4 over 64 Ki users: 128 chunks,
+ * each loaded from the bitmaps and ANDed by one transverse read.
+ * Items are chunks.
+ */
+void
+BM_BitmapChunkQuery(benchmark::State &state)
+{
+    constexpr std::size_t users = 1 << 16;
+    const BitmapDatabase db = BitmapDatabase::synthesize(users, 4);
+    const BitmapQueryEngine eng(db);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(eng.runCoruscant(4));
+    state.SetItemsProcessed(state.iterations() * (users / 512));
+}
+BENCHMARK(BM_BitmapChunkQuery);
+
+/**
  * One instrumented execution of every benchmarked operation: modeled
  * primitive counts per "micro_ops/<bench>" component, plus spans when
- * tracing.  Deterministic (fixed seeds, single pass).
+ * tracing.  Deterministic (fixed seeds, single pass).  The bitmap
+ * query is left out: its engine builds its units inside the call.
  */
 int
 emitObservability(const obs::OutputFiles &out)
@@ -228,6 +260,15 @@ emitObservability(const obs::OutputFiles &out)
         for (std::size_t r = 0; r < 32; ++r)
             dbc.pokeRow(r, randomRow(rng, 512));
         dbc.transverseReadAll();
+    }
+    {
+        DomainBlockCluster dbc(params(32));
+        dbc.attachMetrics(
+            &reg.component("micro_ops/transverse_read_planes"));
+        Rng rng(9);
+        for (std::size_t r = 0; r < 32; ++r)
+            dbc.pokeRow(r, randomRow(rng, 512));
+        dbc.transverseReadPlanes();
     }
     {
         CoruscantUnit unit = unitFor("bulk_and7", 7);
