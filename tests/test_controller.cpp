@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <numeric>
+#include <utility>
+
 #include "controller/memory_controller.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -73,6 +77,50 @@ TEST_F(ControllerEndToEnd, BulkAndThroughMemory)
     auto result = ctrl.execute(inst);
     EXPECT_EQ(result, a & b & c);
     EXPECT_EQ(mem.readLine(inst.dst), a & b & c);
+}
+
+TEST_F(ControllerEndToEnd, EveryBulkOpMatchesHostBitVectorOps)
+{
+    Rng rng(5);
+    const std::uint64_t src = 0x1000;
+    CpimInstruction inst;
+    inst.src = src;
+    inst.dst = 0x400000;
+    auto run = [&](CpimOp op, std::size_t m) {
+        std::vector<BitVector> rows(m, BitVector(512));
+        for (BitVector &row : rows)
+            for (std::size_t i = 0; i < 512; ++i)
+                row.set(i, rng.nextBool());
+        stage(src, rows);
+        inst.op = op;
+        inst.operands = static_cast<std::uint8_t>(m);
+        BitVector result = ctrl.execute(inst);
+        EXPECT_EQ(mem.readLine(inst.dst), result);
+        return std::pair{rows, result};
+    };
+    auto fold = [](const std::vector<BitVector> &rows, auto f) {
+        return std::accumulate(rows.begin() + 1, rows.end(), rows[0], f);
+    };
+    for (std::size_t m = 1; m <= 7; ++m) {
+        SCOPED_TRACE(m);
+        auto [and_rows, and_out] = run(CpimOp::And, m);
+        EXPECT_EQ(and_out, fold(and_rows, std::bit_and<>()));
+        auto [nand_rows, nand_out] = run(CpimOp::Nand, m);
+        EXPECT_EQ(nand_out, ~fold(nand_rows, std::bit_and<>()));
+        auto [or_rows, or_out] = run(CpimOp::Or, m);
+        EXPECT_EQ(or_out, fold(or_rows, std::bit_or<>()));
+        auto [nor_rows, nor_out] = run(CpimOp::Nor, m);
+        EXPECT_EQ(nor_out, ~fold(nor_rows, std::bit_or<>()));
+        auto [xor_rows, xor_out] = run(CpimOp::Xor, m);
+        EXPECT_EQ(xor_out, fold(xor_rows, std::bit_xor<>()));
+        auto [xnor_rows, xnor_out] = run(CpimOp::Xnor, m);
+        EXPECT_EQ(xnor_out, ~fold(xnor_rows, std::bit_xor<>()));
+    }
+    // NOT senses its first operand row only, however many are named.
+    for (std::size_t m : {1u, 3u}) {
+        auto [rows, out] = run(CpimOp::Not, m);
+        EXPECT_EQ(out, ~rows[0]) << m;
+    }
 }
 
 TEST_F(ControllerEndToEnd, PackedAdditionThroughMemory)
