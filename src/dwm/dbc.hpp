@@ -15,9 +15,9 @@
  * row that entered at the far extremity, O(1) in the wire length.  A
  * transverse read of every wire is a vertical counter over the rows
  * in range (CountPlanes), 64 wires per machine word, filled in one
- * word-major pass over the window; a step of the multi-operand
- * addition carry chain counts the window the same way, mod 8, and
- * writes its outputs in the same word loop (carryStep).
+ * word-major pass over the window; every row-wide read, a step of the
+ * multi-operand addition carry chain (carryStep) included, takes that
+ * one count and one fault pass.
  * The representation is property-tested against the explicit
  * per-wire Nanowire model, whose bit-serial count
  * transverseReadWire() mirrors.
@@ -136,18 +136,15 @@ class DomainBlockCluster
                                     TrFaultModel *faults = nullptr) const;
 
     /**
-     * One bit position of the addition carry chain, fused into one
-     * pass over the row words: the lane-strided transverse read of
-     * transverseReadWires(@p wires, @p samples, @p faults), then the
-     * PIM block's outputs written in place.  S (count bit 0) lands in
-     * @p s_row on the sensed wires, C (bit 1) in @p c_row one wire up
-     * when @p write_c, and C' (bit 2) in @p s_row two wires up when
-     * @p write_cp.  The block emits nothing above C', so the window
-     * is counted mod 8; with faults, a wire's fault draws still see
-     * its whole count.  The row words go in runs of up to
-     * BitVector::inlineWords: each run is counted before any write
-     * reaches it, and the C and C' bits that cross into the next word
-     * wait in registers, so no write disturbs a count.
+     * One bit position of the addition carry chain: the lane-strided
+     * transverse read of transverseReadWires(@p wires, @p samples,
+     * @p faults), then the PIM block's outputs written in place from
+     * its count planes.  S (count bit 0) lands in @p s_row on the
+     * sensed wires, C (bit 1) in @p c_row one wire up when
+     * @p write_c, and C' (bit 2) in @p s_row two wires up when
+     * @p write_cp.  The whole window is counted before any write, and
+     * the C and C' bits that cross into the next word wait in
+     * registers.
      */
     void carryStep(const BitVector &wires, std::size_t samples,
                    TrFaultModel *faults, std::size_t s_row,
@@ -217,8 +214,9 @@ class DomainBlockCluster
     /** Fault-free per-wire counts over the TR window. */
     CountPlanes windowCounts() const;
 
-    /** Fault-free ones count of one wire over the TR window. */
-    std::size_t windowCount(std::size_t wire) const;
+    /** Ones count of @p wire over physical rows [@p lo, @p hi). */
+    std::size_t rangeCount(std::size_t wire, std::size_t lo,
+                           std::size_t hi) const;
 
     /**
      * Sense a wire whose fault-free count is @p c once through
@@ -227,16 +225,14 @@ class DomainBlockCluster
     std::size_t sense(std::size_t c, TrFaultModel &faults) const;
 
     /**
-     * The fault pass of a lane-strided read, for one sensed wire:
-     * sense its fault-free count @p c @p samples times and return,
-     * in bits 0 .. @p planes - 1, the majority of each bit over the
-     * samples (the observed count, for one sample).
+     * The fault pass of a row-wide read: each wire set in @p wires,
+     * in ascending order, is sensed @p samples times (sample-minor)
+     * from its fault-free count in @p counts, which then holds the
+     * majority of each bit over the samples (the observed count, for
+     * one sample).
      */
-    std::size_t senseVoted(std::size_t c, std::size_t samples,
-                           std::size_t planes, TrFaultModel &faults) const;
-
-    /** Panic unless @p wires and @p samples suit a lane-strided read. */
-    void checkSensed(const BitVector &wires, std::size_t samples) const;
+    void senseWires(CountPlanes &counts, const BitVector &wires,
+                    std::size_t samples, TrFaultModel &faults) const;
 
     /** Physical rows [first, last) of one outer segment. */
     std::pair<std::size_t, std::size_t> outsideRange(Port side) const;
