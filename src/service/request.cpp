@@ -34,129 +34,114 @@ ServiceCostTable::build(std::size_t trd)
     ServiceCostTable t;
     t.trd_ = trd;
     CoruscantCostModel cost(trd);
+    // One command issues a measured operation.
+    auto measured = [](const OpCost &c) {
+        return Entry{{1, static_cast<std::uint32_t>(c.cycles), c.energyPj},
+                     c.prims};
+    };
 
     // Plain line traffic: paper Table II DWM timing with an average
     // shift distance of a quarter of the wire (random row targets).
     const DdrTiming dwm = DdrTiming::dwm();
     const unsigned avg_shift = DeviceParams::domainsPerWire / 4;
-    t.readLine_ = {1, dwm.readCycles(avg_shift),
-                   DeviceParams::readEnergyPj * 512};
-    t.writeLine_ = {1, dwm.writeCycles(avg_shift),
-                    DeviceParams::writeEnergyPj * 512};
-    t.readPrims_ = {avg_shift, 0, 0, 1, 0};
-    t.writePrims_ = {avg_shift, 0, 0, 0, 1};
+    t.readLine_ = {{1, dwm.readCycles(avg_shift),
+                    DeviceParams::readEnergyPj * 512},
+                   {avg_shift, 0, 0, 1, 0}};
+    t.writeLine_ = {{1, dwm.writeCycles(avg_shift),
+                     DeviceParams::writeEnergyPj * 512},
+                    {avg_shift, 0, 0, 0, 1}};
 
     // A k-member gang folds k operand rows plus the accumulator row
     // into one (k+1)-operand bulk op; one cpim command issues it.
-    t.gang_.resize(trd - 1);
-    t.gangPrims_.resize(trd - 1);
-    for (std::size_t k = 1; k + 1 <= trd; ++k) {
-        OpCost c = cost.bulkBitwise(k + 1);
-        t.gang_[k - 1] = {1, static_cast<std::uint32_t>(c.cycles),
-                          c.energyPj};
-        t.gangPrims_[k - 1] = c.prims;
-    }
+    for (std::size_t k = 1; k + 1 <= trd; ++k)
+        t.gang_.push_back(measured(cost.bulkBitwise(k + 1)));
 
-    std::size_t max_add = cost.maxAddOperands();
-    t.addByOperands_.resize(max_add);
-    t.addPrims_.resize(max_add);
-    t.addByOperands_[0] = {1, 0, 0.0}; // 1-operand add never issued
-    for (std::size_t m = 2; m <= max_add; ++m) {
-        OpCost c = cost.add(m, 8);
-        t.addByOperands_[m - 1] = {1,
-                                   static_cast<std::uint32_t>(c.cycles),
-                                   c.energyPj};
-        t.addPrims_[m - 1] = c.prims;
-    }
+    // A 1-operand add is never issued.
+    t.addByOperands_.push_back({{1, 0, 0.0}, {}});
+    for (std::size_t m = 2; m <= cost.maxAddOperands(); ++m)
+        t.addByOperands_.push_back(measured(cost.add(m, 8)));
 
-    OpCost red = cost.reduce();
-    t.reduce_ = {1, static_cast<std::uint32_t>(red.cycles),
-                 red.energyPj};
-    t.reducePrims_ = red.prims;
+    t.reduce_ = measured(cost.reduce());
 
     // One MAC lane = an 8-bit multiply plus the accumulate add; each
     // lane is its own cpim instruction on the command bus.
     OpCost mul = cost.multiply(8);
     OpCost acc = cost.add(2, 8);
-    t.macPrims_ = {mul.prims.shifts + acc.prims.shifts,
+    t.macLane_ = {{2, static_cast<std::uint32_t>(mul.cycles + acc.cycles),
+                   mul.energyPj + acc.energyPj},
+                  {mul.prims.shifts + acc.prims.shifts,
                    mul.prims.trPulses + acc.prims.trPulses,
                    mul.prims.twPulses + acc.prims.twPulses,
                    mul.prims.reads + acc.prims.reads,
-                   mul.prims.writes + acc.prims.writes};
-    t.macLane_ = {2, static_cast<std::uint32_t>(mul.cycles + acc.cycles),
-                  mul.energyPj + acc.energyPj};
+                   mul.prims.writes + acc.prims.writes}};
     return t;
+}
+
+ServiceCostTable::Scaled
+ServiceCostTable::lookup(RequestClass cls, std::size_t n) const
+{
+    // A repeating class takes n from a request's 32-bit size.
+    const auto times = static_cast<std::uint32_t>(n);
+    switch (cls) {
+    case RequestClass::Read:
+        return {readLine_, times};
+    case RequestClass::Write:
+        return {writeLine_, times};
+    case RequestClass::BulkBitwise:
+        fatalIf(n == 0 || n > gang_.size(), "gang size out of range");
+        return {gang_[n - 1], 1};
+    case RequestClass::MultiOpAdd:
+        fatalIf(n < 2 || n > addByOperands_.size(),
+                "add operand count out of range");
+        return {addByOperands_[n - 1], 1};
+    case RequestClass::Reduce:
+        return {reduce_, 1};
+    case RequestClass::MacTile:
+        return {macLane_, times};
+    }
+    fatal("unknown request class");
+}
+
+std::uint32_t
+ServiceCostTable::sizeOf(const ServiceRequest &req)
+{
+    // Alone, a bulk request is a one-member gang (a 2-operand fold).
+    if (req.cls == RequestClass::BulkBitwise)
+        return 1;
+    return req.size ? req.size : 1;
 }
 
 RequestCost
 ServiceCostTable::cost(const ServiceRequest &req) const
 {
-    std::uint32_t n = req.size ? req.size : 1;
-    switch (req.cls) {
-    case RequestClass::Read:
-        return {readLine_.issueCmds * n, readLine_.serviceCycles * n,
-                readLine_.energyPj * n};
-    case RequestClass::Write:
-        return {writeLine_.issueCmds * n, writeLine_.serviceCycles * n,
-                writeLine_.energyPj * n};
-    case RequestClass::BulkBitwise:
-        return gangCost(1); // alone, a request is a 2-operand fold
-    case RequestClass::MultiOpAdd:
-        return addCost(n);
-    case RequestClass::Reduce:
-        return reduce_;
-    case RequestClass::MacTile:
-        return {macLane_.issueCmds * n, macLane_.serviceCycles * n,
-                macLane_.energyPj * n};
-    }
-    fatal("unknown request class");
+    auto [e, n] = lookup(req.cls, sizeOf(req));
+    return {e.cost.issueCmds * n, e.cost.serviceCycles * n,
+            e.cost.energyPj * n};
 }
 
 RequestCost
 ServiceCostTable::gangCost(std::size_t members) const
 {
-    fatalIf(members == 0 || members > gang_.size(),
-            "gang size out of range");
-    return gang_[members - 1];
+    return lookup(RequestClass::BulkBitwise, members).entry.cost;
 }
 
 RequestCost
 ServiceCostTable::addCost(std::size_t operands) const
 {
-    fatalIf(operands < 2 || operands > addByOperands_.size(),
-            "add operand count out of range");
-    return addByOperands_[operands - 1];
+    return lookup(RequestClass::MultiOpAdd, operands).entry.cost;
 }
 
 obs::PrimCounts
 ServiceCostTable::prims(const ServiceRequest &req) const
 {
-    std::uint32_t n = req.size ? req.size : 1;
-    switch (req.cls) {
-    case RequestClass::Read:
-        return readPrims_.scaled(n);
-    case RequestClass::Write:
-        return writePrims_.scaled(n);
-    case RequestClass::BulkBitwise:
-        return gangPrims(1); // alone, a request is a 2-operand fold
-    case RequestClass::MultiOpAdd:
-        fatalIf(n < 2 || n > addPrims_.size(),
-                "add operand count out of range");
-        return addPrims_[n - 1];
-    case RequestClass::Reduce:
-        return reducePrims_;
-    case RequestClass::MacTile:
-        return macPrims_.scaled(n);
-    }
-    fatal("unknown request class");
+    auto [e, n] = lookup(req.cls, sizeOf(req));
+    return e.prims.scaled(n);
 }
 
 obs::PrimCounts
 ServiceCostTable::gangPrims(std::size_t members) const
 {
-    fatalIf(members == 0 || members > gangPrims_.size(),
-            "gang size out of range");
-    return gangPrims_[members - 1];
+    return lookup(RequestClass::BulkBitwise, members).entry.prims;
 }
 
 } // namespace coruscant

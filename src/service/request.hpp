@@ -71,9 +71,9 @@ struct ServiceRequest
  * Issue/occupancy cost of one dispatched unit of work.
  *
  * Deliberately small: one of these is built per dispatched request on
- * the engine's hot path. The device primitives behind a cost are kept
- * in parallel tables and fetched via ServiceCostTable::prims() /
- * gangPrims() only when metrics collection is enabled.
+ * the engine's hot path. The device primitives behind a cost sit
+ * beside it in the table and are fetched via ServiceCostTable::prims()
+ * / gangPrims() only when metrics collection is enabled.
  */
 struct RequestCost
 {
@@ -125,20 +125,37 @@ class ServiceCostTable
     obs::PrimCounts gangPrims(std::size_t members) const;
 
   private:
+    /** One measured slot: a cost and the device primitives behind it. */
+    struct Entry
+    {
+        RequestCost cost;
+        obs::PrimCounts prims;
+    };
+
+    /** A slot and how many times a request repeats it. */
+    struct Scaled
+    {
+        const Entry &entry;
+        std::uint32_t times;
+    };
+
+    /**
+     * The slot behind class @p cls at size @p n: lines, operands, MAC
+     * lanes or, for BulkBitwise, gang members.  Line traffic and MAC
+     * tiles repeat their one-unit slot n times.
+     */
+    Scaled lookup(RequestClass cls, std::size_t n) const;
+
+    /** The size lookup() prices @p req at. */
+    static std::uint32_t sizeOf(const ServiceRequest &req);
+
     std::size_t trd_ = 0;
-    RequestCost readLine_;
-    RequestCost writeLine_;
-    std::vector<RequestCost> gang_;          ///< [k-1] = k-member gang
-    std::vector<RequestCost> addByOperands_; ///< [m-1] = m-operand add
-    RequestCost reduce_;
-    RequestCost macLane_;
-    // Device primitives per table entry, parallel to the costs above.
-    obs::PrimCounts readPrims_;
-    obs::PrimCounts writePrims_;
-    std::vector<obs::PrimCounts> gangPrims_;
-    std::vector<obs::PrimCounts> addPrims_;
-    obs::PrimCounts reducePrims_;
-    obs::PrimCounts macPrims_;
+    Entry readLine_;
+    Entry writeLine_;
+    std::vector<Entry> gang_;          ///< [k-1] = k-member gang
+    std::vector<Entry> addByOperands_; ///< [m-1] = m-operand add
+    Entry reduce_;
+    Entry macLane_;
 };
 
 } // namespace coruscant
