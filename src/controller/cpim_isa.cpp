@@ -26,20 +26,18 @@ cpimOpName(CpimOp op)
     return "?";
 }
 
-bool
-cpimIsBulk(CpimOp op)
+std::optional<BulkOp>
+cpimBulkOp(CpimOp op)
 {
     switch (op) {
-      case CpimOp::And:
-      case CpimOp::Nand:
-      case CpimOp::Or:
-      case CpimOp::Nor:
-      case CpimOp::Xor:
-      case CpimOp::Xnor:
-      case CpimOp::Not:
-        return true;
-      default:
-        return false;
+      case CpimOp::And: return BulkOp::And;
+      case CpimOp::Nand: return BulkOp::Nand;
+      case CpimOp::Or: return BulkOp::Or;
+      case CpimOp::Nor: return BulkOp::Nor;
+      case CpimOp::Xor: return BulkOp::Xor;
+      case CpimOp::Xnor: return BulkOp::Xnor;
+      case CpimOp::Not: return BulkOp::Not;
+      default: return std::nullopt;
     }
 }
 

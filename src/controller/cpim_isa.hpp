@@ -20,7 +20,10 @@
 #define CORUSCANT_CONTROLLER_CPIM_ISA_HPP
 
 #include <cstdint>
+#include <optional>
 #include <string>
+
+#include "core/pim_logic.hpp"
 
 namespace coruscant {
 
@@ -45,8 +48,11 @@ enum class CpimOp : std::uint8_t
 
 const char *cpimOpName(CpimOp op);
 
+/** The bulk-bitwise op behind a single-TR bulk op; none otherwise. */
+std::optional<BulkOp> cpimBulkOp(CpimOp op);
+
 /** Whether the op is a single-TR bulk-bitwise operation. */
-bool cpimIsBulk(CpimOp op);
+inline bool cpimIsBulk(CpimOp op) { return cpimBulkOp(op).has_value(); }
 
 /** One cpim instruction. */
 struct CpimInstruction

@@ -56,57 +56,33 @@ MemoryController::computeResult(const CpimInstruction &inst)
     for (std::size_t i = 0; i < inst.operands; ++i)
         ops.push_back(mem.readLine(operandAddress(inst.src, i)));
 
-    BitVector result;
+    if (std::optional<BulkOp> bulk = cpimBulkOp(inst.op)) {
+        // NOT senses its first operand row only.
+        if (*bulk == BulkOp::Not)
+            ops.resize(1);
+        return unit.bulkBitwise(*bulk, ops);
+    }
     switch (inst.op) {
-      case CpimOp::And:
-        result = unit.bulkBitwise(BulkOp::And, ops);
-        break;
-      case CpimOp::Nand:
-        result = unit.bulkBitwise(BulkOp::Nand, ops);
-        break;
-      case CpimOp::Or:
-        result = unit.bulkBitwise(BulkOp::Or, ops);
-        break;
-      case CpimOp::Nor:
-        result = unit.bulkBitwise(BulkOp::Nor, ops);
-        break;
-      case CpimOp::Xor:
-        result = unit.bulkBitwise(BulkOp::Xor, ops);
-        break;
-      case CpimOp::Xnor:
-        result = unit.bulkBitwise(BulkOp::Xnor, ops);
-        break;
-      case CpimOp::Not:
-        result = unit.bulkBitwise(BulkOp::Not, {ops[0]});
-        break;
       case CpimOp::Add:
-        result = unit.add(ops, inst.blockSize);
-        break;
-      case CpimOp::Reduce: {
-        auto red = unit.reduce(ops, inst.blockSize);
-        result = red.sum; // carry rows remain resident in the DBC
-        break;
-      }
+        return unit.add(ops, inst.blockSize);
+      case CpimOp::Reduce:
+        // The carry rows remain resident in the DBC.
+        return unit.reduce(ops, inst.blockSize).sum;
       case CpimOp::Multiply:
         if (ops.size() != 2)
             fatal(describe(inst), ": mult takes exactly two operand rows");
-        result = unit.multiply(ops[0], ops[1], inst.blockSize / 2);
-        break;
+        return unit.multiply(ops[0], ops[1], inst.blockSize / 2);
       case CpimOp::Max:
-        result = unit.maxOfRows(ops, inst.blockSize);
-        break;
+        return unit.maxOfRows(ops, inst.blockSize);
       case CpimOp::Relu:
-        result = unit.relu(ops[0], inst.blockSize);
-        break;
+        return unit.relu(ops[0], inst.blockSize);
       case CpimOp::Vote:
-        result = unit.nmrVote(ops);
-        break;
+        return unit.nmrVote(ops);
       case CpimOp::Copy:
-        result = ops[0];
-        break;
+        return ops[0];
+      default: // the bulk ops, above
+        panic("unhandled cpim op ", cpimOpName(inst.op));
     }
-
-    return result;
 }
 
 BitVector
