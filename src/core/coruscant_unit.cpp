@@ -95,8 +95,7 @@ CoruscantUnit::chargeTwRow(std::size_t active_wires)
 
 std::size_t
 CoruscantUnit::stageWindow(const std::vector<BitVector> &interior_rows,
-                           bool pad_ones, std::size_t /*active_wires*/,
-                           std::size_t interior_offset)
+                           bool pad_ones, std::size_t interior_offset)
 {
     // Functional placement of operand rows into the TR window.  The
     // cycle/energy cost of staging is charged by the calling operation
@@ -141,7 +140,7 @@ CoruscantUnit::bulkBitwise(BulkOp op, const std::vector<BitVector> &operands,
     // Padding identity: '1' rows for AND/NAND, '0' rows otherwise
     // (paper Fig. 7(a)/(b)).
     bool pad_ones = (op == BulkOp::And || op == BulkOp::Nand);
-    stageWindow(operands, pad_ones, act, 0);
+    stageWindow(operands, pad_ones, 0);
 
     // Staging cost: each operand is written at an access port and
     // shifted into place; padding rows are preset.  With transverse

@@ -340,8 +340,7 @@ class CoruscantUnit
 
     /** Stage operand rows into the TR window; returns window start. */
     std::size_t stageWindow(const std::vector<BitVector> &interior_rows,
-                            bool pad_ones, std::size_t active_wires,
-                            std::size_t interior_offset);
+                            bool pad_ones, std::size_t interior_offset);
 
     std::size_t resolveActive(std::size_t active_wires) const;
 

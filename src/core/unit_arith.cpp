@@ -52,7 +52,7 @@ CoruscantUnit::carryChain(const std::vector<BitVector> &operands,
     const std::size_t m = operands.size();
     const bool compact = dev.trd < 5; // no super carry possible/needed
     const std::size_t interior_off = compact ? 0 : 1;
-    std::size_t ws = stageWindow(operands, false, act, interior_off);
+    std::size_t ws = stageWindow(operands, false, interior_off);
 
     // Staging cost (see file header).
     if (compact) {
@@ -117,7 +117,7 @@ CoruscantUnit::reduce(const std::vector<BitVector> &rows,
     fatalIf(m > max_rows, "TRD = ", dev.trd, " reduces at most ",
             max_rows, " rows, got ", m);
     fatalIf(block_size == 0, "block size must be positive");
-    std::size_t ws = stageWindow(rows, false, act, 0);
+    std::size_t ws = stageWindow(rows, false, 0);
 
     CountPlanes counts = dbc.transverseReadPlanes(&faults);
     chargeTrAll(act);

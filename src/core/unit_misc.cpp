@@ -69,7 +69,7 @@ CoruscantUnit::maxOfRows(const std::vector<BitVector> &candidates,
             "active wires must be a whole number of word lanes");
     const std::size_t lanes = act / word_bits;
 
-    stageWindow(candidates, false, act, 0);
+    stageWindow(candidates, false, 0);
     for (std::size_t i = 0; i < m; ++i) {
         chargeRowWrite(act);
         chargeShifts(1, act);
@@ -155,7 +155,7 @@ CoruscantUnit::nmrVote(const std::vector<BitVector> &replicas,
     const bool fig7 = dev.trd == 7;
     const std::size_t ones_pad = fig7 ? (7 - n) / 2 : 0;
     const std::size_t threshold = fig7 ? 4 : (n + 1) / 2;
-    std::size_t ws = stageWindow(replicas, false, act, 0);
+    std::size_t ws = stageWindow(replicas, false, 0);
     for (std::size_t i = 0; i < ones_pad; ++i)
         dbc.pokeRow(ws + n + i, BitVector(dev.wiresPerDbc, true));
     // Replicas are outputs of prior PIM steps already resident in the
