@@ -86,7 +86,10 @@ struct ServiceFaultConfig : FaultConfig
     /** Detected errors within the window that open the breaker (>= 1). */
     std::uint32_t breakerThreshold = 8;
 
-    /** Cycles a tripped breaker keeps its group out of steering. */
+    /**
+     * Cycles a tripped breaker keeps its group out of steering (at
+     * most ServiceConfig::kMaxWaitCycles in a service run).
+     */
     std::uint64_t breakerCooldownCycles = 10000;
 
     /** Breaker trips after which the group is retired to a spare (>= 1). */

@@ -885,6 +885,10 @@ ServiceEngine::ServiceEngine(const ServiceConfig &cfg)
     fatalIf(cfg_.process == ArrivalProcess::ClosedLoop &&
                 cfg_.closedLoopWindow == 0,
             "closed loop needs a positive window");
+    fatalIf(cfg_.batchWindowCycles > ServiceConfig::kMaxWaitCycles,
+            "batching window exceeds 2^32 cycles");
+    fatalIf(cfg_.faults.breakerCooldownCycles > ServiceConfig::kMaxWaitCycles,
+            "breaker cooldown exceeds 2^32 cycles");
     checkPimNmr(cfg_.faults.pimNmr, cfg_.trd);
     cfg_.faults.checkBreakerCounts();
 }

@@ -50,6 +50,13 @@ namespace coruscant {
 /** Full configuration of one service run. */
 struct ServiceConfig
 {
+    /**
+     * Longest batching window or breaker cooldown (2^32 cycles), as
+     * FaultConfig bounds the retry backoff.  A wait is added to a
+     * cycle count, and the sum must not wrap.
+     */
+    static constexpr std::uint64_t kMaxWaitCycles = std::uint64_t{1} << 32;
+
     std::uint32_t channels = 8;
     std::uint32_t threads = 1;  ///< worker threads; 0 = hardware
     std::uint32_t banksPerChannel = 16;
@@ -66,7 +73,7 @@ struct ServiceConfig
     std::uint32_t bulkHotGroups = 8; ///< see WorkloadConfig
 
     bool batching = true;
-    std::uint64_t batchWindowCycles = 256;
+    std::uint64_t batchWindowCycles = 256; ///< <= kMaxWaitCycles
 
     std::size_t queueCapacity = 64;  ///< per class per channel; 0 = inf
     std::uint32_t closedLoopWindow = 8; ///< clients per channel

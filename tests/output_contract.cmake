@@ -190,6 +190,8 @@ usage_error("${CLI}" serve --bogus 1)
 usage_error("${CLI}" serve --nmr 5 --trd 3)
 usage_error("${CLI}" serve --breaker-threshold 0)
 usage_error("${CLI}" serve --trips 0)
+usage_error("${CLI}" serve --window 18446744073709551615)
+usage_error("${CLI}" serve --cooldown 18446744073709551615)
 usage_error("${BENCH_DIR}/service_tail_latency" --rate 0)
 usage_error("${BENCH_DIR}/service_fault_tolerance" --pshift 2)
 usage_error("${BENCH_DIR}/service_ecc_tolerance" --pdata 2)

@@ -413,6 +413,12 @@ TEST(CliProcess, UsageErrorsExitTwo)
     // compares, so a zero breaker threshold or trip count acted as 1.
     EXPECT_EQ(cliExit("serve --breaker-threshold 0"), 2);
     EXPECT_EQ(cliExit("serve --trips 0"), 2);
+    // A window or cooldown past 2^32 cycles: the deadline sums
+    // wrapped, so 2^64 - 1 acted as 0.
+    EXPECT_EQ(cliExit("serve --window 4294967297"), 2);
+    EXPECT_EQ(cliExit("serve --window 18446744073709551615"), 2);
+    EXPECT_EQ(cliExit("serve --cooldown 4294967297"), 2);
+    EXPECT_EQ(cliExit("serve --cooldown 18446744073709551615"), 2);
     EXPECT_EQ(cliExit("cnn --network vgg"), 2);
     // Open-loop rates in (0, 1000] per kcycle only: beyond one arrival
     // per cycle the arrival clock stalls and the run never ends.

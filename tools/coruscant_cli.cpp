@@ -356,7 +356,8 @@ cmdServe(const Invocation &in)
                     WorkloadConfig::rateValid, WorkloadConfig::kRateRange),
                 opt("duration", cfg.durationCycles, "arrival window (cycles)"),
                 opt("window", cfg.batchWindowCycles,
-                    "TR-gang batching window (cycles)"),
+                    "TR-gang batching window (cycles)", std::uint64_t{0},
+                    cfg.kMaxWaitCycles),
                 opt("queue-cap", cfg.queueCapacity,
                     "queue depth per class per channel (0 = unbounded)"),
                 opt("hot", cfg.bulkHotGroups, "hot bulk accumulator groups"),
@@ -377,7 +378,8 @@ cmdServe(const Invocation &in)
                     "detected errors in the window that trip a breaker",
                     atLeastOne, ">= 1"),
                 opt("cooldown", faults.breakerCooldownCycles,
-                    "tripped-breaker cooldown (cycles)"),
+                    "tripped-breaker cooldown (cycles)", std::uint64_t{0},
+                    cfg.kMaxWaitCycles),
                 opt("trips", faults.tripsToRetire,
                     "breaker trips that retire a group", atLeastOne,
                     ">= 1"),
