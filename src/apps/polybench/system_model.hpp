@@ -66,11 +66,15 @@ struct PolybenchResult
 class PolybenchSystemModel
 {
   public:
+    /** Measures the 32-bit add and multiply every kernel uses. */
+    PolybenchSystemModel();
+
     PolybenchResult evaluate(const KernelRun &run) const;
 
   private:
     MemoryConfig cfg;
-    CoruscantCostModel cost{cfg.device.trd};
+    OpCost addCost; ///< two-operand add of one lane
+    OpCost mulCost; ///< multiply of one lane
 };
 
 } // namespace coruscant

@@ -9,23 +9,18 @@
  * its ledger — a single source of truth with the unit tests that pin
  * the paper's published composites.
  *
- * Measurements are memoized: the functional run (a CoruscantUnit plus
- * real BitVector data) happens once per distinct (op, operands, bits,
- * strategy) key — the model itself is per-TRD — and every repeated
- * query from the queue model or event simulator is an O(log n) map
- * lookup.  Each measurement also captures the device-primitive counts
- * behind the composite, so downstream layers can attribute shift/TR/TW
- * activity without re-running the simulation.
+ * Every query is a fresh measurement: the op runs once on a new
+ * CoruscantUnit with real BitVector data, so the model holds nothing
+ * but its TRD.  A caller that needs a cost more than once keeps the
+ * OpCost it got.  Each measurement also captures the device-primitive
+ * counts behind the composite, so downstream layers can attribute
+ * shift/TR/TW activity without re-running the simulation.
  */
 
 #ifndef CORUSCANT_CORE_OP_COST_HPP
 #define CORUSCANT_CORE_OP_COST_HPP
 
-#include <array>
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <mutex>
 
 #include "core/coruscant_unit.hpp"
 #include "obs/metrics.hpp"
@@ -40,19 +35,13 @@ struct OpCost
     obs::PrimCounts prims; ///< device primitives behind the measurement
 };
 
-/** Measured (and memoized) CORUSCANT operation costs for a given TRD. */
+/** Measured CORUSCANT operation costs for a given TRD. */
 class CoruscantCostModel
 {
   public:
     explicit CoruscantCostModel(std::size_t trd)
         : trd_(trd)
     {}
-
-    // The memo cache travels with the model; the mutex does not.
-    CoruscantCostModel(const CoruscantCostModel &o);
-    CoruscantCostModel &operator=(const CoruscantCostModel &o);
-
-    std::size_t trd() const { return trd_; }
 
     /** m-operand addition of `bits`-bit words (one lane). */
     OpCost add(std::size_t operands, std::size_t bits) const;
@@ -84,31 +73,22 @@ class CoruscantCostModel
         return DeviceParams::withTrd(trd_).maxAddOperands();
     }
 
-    /** Functional-sim runs performed so far (cache misses). */
-    std::uint64_t measurements() const;
-
-    /** Queries served from the memo cache. */
-    std::uint64_t cacheHits() const;
-
     /**
-     * Attach a registry: each distinct operation records its primitive
-     * counts and energy under "opcost/<op>" when first measured.
-     * Non-owning; nullptr detaches.
+     * Attach a registry: each measurement records its primitive
+     * counts and energy under "opcost/<op>".  Non-owning; nullptr
+     * detaches.
      */
     void attachMetrics(obs::MetricsRegistry *r) { registry_ = r; }
 
   private:
-    /** Memo key: (op kind, up to three operand/flag fields). */
-    using Key = std::array<std::uint64_t, 4>;
-
-    OpCost lookup(const Key &key, const char *name,
-                  const std::function<OpCost()> &measure) const;
+    /**
+     * Run @p op on a fresh unit of @p wires wires and return its ledger
+     * totals and primitive counts, recorded under "opcost/<name>".
+     */
+    template <typename Op>
+    OpCost measure(const char *name, std::size_t wires, Op op) const;
 
     std::size_t trd_;
-    mutable std::mutex mutex_;
-    mutable std::map<Key, OpCost> cache_;
-    mutable std::uint64_t measurements_ = 0;
-    mutable std::uint64_t cacheHits_ = 0;
     obs::MetricsRegistry *registry_ = nullptr; ///< non-owning, optional
 };
 

@@ -56,9 +56,12 @@ ServiceCostTable::build(std::size_t trd)
     for (std::size_t k = 1; k + 1 <= trd; ++k)
         t.gang_.push_back(measured(cost.bulkBitwise(k + 1)));
 
-    // A 1-operand add is never issued.
+    // A 1-operand add is never issued.  The two-operand add is also
+    // the MAC lane's accumulate.
+    const OpCost acc = cost.add(2, 8);
     t.addByOperands_.push_back({{1, 0, 0.0}, {}});
-    for (std::size_t m = 2; m <= cost.maxAddOperands(); ++m)
+    t.addByOperands_.push_back(measured(acc));
+    for (std::size_t m = 3; m <= cost.maxAddOperands(); ++m)
         t.addByOperands_.push_back(measured(cost.add(m, 8)));
 
     t.reduce_ = measured(cost.reduce());
@@ -66,7 +69,6 @@ ServiceCostTable::build(std::size_t trd)
     // One MAC lane = an 8-bit multiply plus the accumulate add; each
     // lane is its own cpim instruction on the command bus.
     OpCost mul = cost.multiply(8);
-    OpCost acc = cost.add(2, 8);
     t.macLane_ = {{2, static_cast<std::uint32_t>(mul.cycles + acc.cycles),
                    mul.energyPj + acc.energyPj},
                   {mul.prims.shifts + acc.prims.shifts,
