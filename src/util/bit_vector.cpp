@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <stdexcept>
 
 #include "util/logging.hpp"
 
@@ -20,6 +21,8 @@ lowMask(std::size_t n)
 
 BitVector::BitVector(std::size_t size, bool value) : numBits(size)
 {
+    if (size > maxBits)
+        throw std::length_error("BitVector size exceeds maxBits");
     reserveWords(numWords());
     fill(value);
 }

@@ -45,6 +45,9 @@ class BitVector
     /** Longest vector that needs no heap allocation. */
     static constexpr std::size_t inlineBits = inlineWords * bitsPerWord;
 
+    /** Longest vector; the constructor throws std::length_error past it. */
+    static constexpr std::size_t maxBits = SIZE_MAX - (bitsPerWord - 1);
+
     /** Construct an empty (size 0) vector. */
     BitVector() = default;
 
@@ -181,6 +184,7 @@ class BitVector
     std::string toString() const;
 
   private:
+    /** Exact for every size up to maxBits, which the constructor checks. */
     static std::size_t wordCount(std::size_t bits)
     {
         return (bits + bitsPerWord - 1) / bitsPerWord;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "util/bit_vector.hpp"
@@ -51,6 +52,15 @@ TEST(BitVector, ConstructAllOne)
     BitVector v(100, true);
     EXPECT_EQ(v.popcount(), 100u);
     EXPECT_TRUE(v.all());
+}
+
+TEST(BitVector, RejectsSizesWhoseWordCountWraps)
+{
+    // (size + 63) / 64 wrapped to zero words for these sizes, so the
+    // vector kept the size but no storage, and set() wrote past it.
+    // Both throw before allocating.
+    EXPECT_THROW(BitVector(SIZE_MAX), std::length_error);
+    EXPECT_THROW(BitVector(SIZE_MAX - 62), std::length_error);
 }
 
 TEST(BitVector, SetAndGet)
