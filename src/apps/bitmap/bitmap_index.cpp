@@ -39,6 +39,7 @@ BitmapDatabase::synthesize(std::size_t users, std::size_t weeks,
                            std::uint64_t seed)
 {
     fatalIf(users == 0, "bitmap database needs at least one user");
+    fatalIf(users > kMaxUsers, "bitmap database holds at most 2^30 users");
     BitmapDatabase db;
     db.users = users;
     db.male = BitVector(users);

@@ -31,11 +31,14 @@ namespace coruscant {
 /** A synthetic user table as predicate bitmaps. */
 struct BitmapDatabase
 {
+    /** Most users: seven 2^30-bit bitmaps (male, six weeks) take 896 MiB. */
+    static constexpr std::size_t kMaxUsers = std::size_t{1} << 30;
+
     std::size_t users = 0;
     BitVector male;
     std::vector<BitVector> activeWeek; ///< [week] -> activity bitmap
 
-    /** Deterministic synthetic database; throws FatalError on 0 users. */
+    /** Deterministic synthetic database; FatalError outside [1, kMaxUsers]. */
     static BitmapDatabase synthesize(std::size_t users,
                                      std::size_t weeks,
                                      std::uint64_t seed = 1);

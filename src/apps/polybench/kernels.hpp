@@ -48,6 +48,9 @@ struct KernelRun
     double checksum = 0.0; ///< sum of output elements (functional check)
 };
 
+/** Largest n: 3mm holds seven n x n doubles, 896 MiB at n = 4096. */
+inline constexpr std::size_t kMaxPolybenchSize = 4096;
+
 /** All Polybench kernels in the reproduction, run at size @p n. */
 std::vector<KernelRun> runAllPolybench(std::size_t n);
 

@@ -108,6 +108,14 @@ TEST(BitmapQueryEdge, RejectsAnEmptyDatabase)
     EXPECT_THROW(BitmapDatabase::synthesize(0, 4), FatalError);
 }
 
+TEST(BitmapQueryEdge, RejectsAnOversizedDatabase)
+{
+    // Past kMaxUsers the bitmaps of a six-week table pass 1 GiB.
+    EXPECT_THROW(
+        BitmapDatabase::synthesize(BitmapDatabase::kMaxUsers + 1, 4),
+        FatalError);
+}
+
 TEST(BitmapQueryEdge, NonMultipleOfRowUsers)
 {
     auto db = BitmapDatabase::synthesize(1000, 3, 5);

@@ -436,6 +436,11 @@ TEST(CliProcess, UsageErrorsExitTwo)
     EXPECT_EQ(cliExit("bitmap --weeks 1"), 2);
     EXPECT_EQ(cliExit("bitmap --weeks 7"), 2);
     EXPECT_EQ(cliExit("polybench --size 0"), 2);
+    // Work sizes past the memory a run needs: 2^64 - 1 users wrapped
+    // the bitmap word count (SIGSEGV), and n = 3000000 filled memory
+    // until std::bad_alloc (exit 1).
+    EXPECT_EQ(cliExit("bitmap --users 18446744073709551615"), 2);
+    EXPECT_EQ(cliExit("polybench --size 3000000"), 2);
     EXPECT_EQ(cliExit("ops --trd 2"), 2);
     EXPECT_EQ(cliExit("ops --trd 33"), 2);
     EXPECT_EQ(cliExit("ops --bits 0"), 2);
