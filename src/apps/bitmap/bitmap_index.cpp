@@ -108,13 +108,10 @@ loadChunk(std::vector<BitVector> &rows,
     const std::size_t first = lo / 64;
     for (std::size_t i = 0; i < ops.size(); ++i) {
         const BitVector &op = *ops[i];
-        BitVector &row = rows[i];
-        const std::size_t words = row.numWords();
-        const std::size_t live = std::min(words, op.numWords() - first);
-        for (std::size_t j = 0; j < live; ++j)
-            row.setWord(j, op.word(first + j));
-        for (std::size_t j = live; j < words; ++j)
-            row.setWord(j, 0);
+        const std::size_t live = op.numWords() - first;
+        rows[i].setWords([&op, first, live](std::size_t j) {
+            return j < live ? op.word(first + j) : 0;
+        });
     }
 }
 
@@ -184,11 +181,14 @@ BitmapQueryEngine::runCoruscant(std::size_t weeks,
     std::size_t chunks = (db.users + dwmRowBits - 1) / dwmRowBits;
     std::uint64_t matches = 0;
     std::vector<BitVector> rows(ops.size(), BitVector(dwmRowBits));
+    std::vector<const BitVector *> staged;
+    for (const BitVector &row : rows)
+        staged.push_back(&row);
     for (std::size_t c = 0; c < chunks; ++c) {
         std::size_t lo = c * dwmRowBits;
         std::size_t width = std::min(dwmRowBits, db.users - lo);
         loadChunk(rows, ops, lo);
-        BitVector result = unit.bulkBitwise(BulkOp::And, rows);
+        BitVector result = unit.bulkBitwise(BulkOp::And, staged);
         matches += survivors(result, width);
     }
     // The bitmaps live in consecutive rows of every PIM DBC (male at

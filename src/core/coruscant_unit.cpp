@@ -5,9 +5,38 @@
 
 #include "core/coruscant_unit.hpp"
 
+#include <array>
+
 #include "util/logging.hpp"
 
 namespace coruscant {
+
+namespace {
+
+/**
+ * Pointers to the rows of a vector, in order, for the span forms,
+ * held inline.  No TR window holds more rows than a wire has domains.
+ */
+class RowPointers
+{
+  public:
+    explicit RowPointers(const std::vector<BitVector> &rows)
+        : n(rows.size())
+    {
+        fatalIf(n > ptrs.size(), "a TR window holds at most ", ptrs.size(),
+                " rows, got ", n);
+        for (std::size_t i = 0; i < n; ++i)
+            ptrs[i] = &rows[i];
+    }
+
+    std::span<const BitVector *const> span() const { return {ptrs.data(), n}; }
+
+  private:
+    std::array<const BitVector *, DeviceParams::domainsPerWire> ptrs;
+    std::size_t n;
+};
+
+} // namespace
 
 CoruscantUnit::CoruscantUnit(const DeviceParams &params,
                              double fault_probability, std::uint64_t seed)
@@ -94,28 +123,36 @@ CoruscantUnit::chargeTwRow(std::size_t active_wires)
 // ---------------------------------------------------------------------
 
 std::size_t
-CoruscantUnit::stageWindow(const std::vector<BitVector> &interior_rows,
+CoruscantUnit::stageWindow(std::span<const BitVector *const> interior_rows,
                            bool pad_ones, std::size_t interior_offset)
 {
     // Functional placement of operand rows into the TR window.  The
     // cycle/energy cost of staging is charged by the calling operation
     // (it depends on the choreography); padding rows are the preset
     // constants of paper Fig. 7 and cost nothing to "write"; only the
-    // slots no operand row takes are padded.
+    // slots no operand row takes are padded.  The pads are rewritten
+    // on every call: faults and other operations change window rows.
     std::size_t ws = dbc.rowAtPort(Port::Left);
     panicIf(ws + dev.trd > dev.domainsPerWire,
             "TR window extends past the data rows");
     const std::size_t end = interior_offset + interior_rows.size();
-    BitVector pad(dev.wiresPerDbc, pad_ones);
     for (std::size_t r = 0; r < dev.trd; ++r)
         if (r < interior_offset || r >= end)
-            dbc.pokeRow(ws + r, pad);
+            dbc.fillRow(ws + r, pad_ones);
     for (std::size_t i = 0; i < interior_rows.size(); ++i) {
-        fatalIf(interior_rows[i].size() != dev.wiresPerDbc,
+        fatalIf(interior_rows[i]->size() != dev.wiresPerDbc,
                 "operand row width mismatch");
-        dbc.pokeRow(ws + interior_offset + i, interior_rows[i]);
+        dbc.pokeRow(ws + interior_offset + i, *interior_rows[i]);
     }
     return ws;
+}
+
+std::size_t
+CoruscantUnit::stageWindow(const std::vector<BitVector> &interior_rows,
+                           bool pad_ones, std::size_t interior_offset)
+{
+    return stageWindow(RowPointers(interior_rows).span(), pad_ones,
+                       interior_offset);
 }
 
 // ---------------------------------------------------------------------
@@ -123,7 +160,8 @@ CoruscantUnit::stageWindow(const std::vector<BitVector> &interior_rows,
 // ---------------------------------------------------------------------
 
 BitVector
-CoruscantUnit::bulkBitwise(BulkOp op, const std::vector<BitVector> &operands,
+CoruscantUnit::bulkBitwise(BulkOp op,
+                           std::span<const BitVector *const> operands,
                            std::size_t active_wires, bool write_back,
                            bool use_tw)
 {
@@ -168,6 +206,15 @@ CoruscantUnit::bulkBitwise(BulkOp op, const std::vector<BitVector> &operands,
         chargeRowWrite(act);
     }
     return result;
+}
+
+BitVector
+CoruscantUnit::bulkBitwise(BulkOp op, const std::vector<BitVector> &operands,
+                           std::size_t active_wires, bool write_back,
+                           bool use_tw)
+{
+    return bulkBitwise(op, RowPointers(operands).span(), active_wires,
+                       write_back, use_tw);
 }
 
 } // namespace coruscant

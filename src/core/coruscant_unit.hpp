@@ -36,6 +36,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/pim_logic.hpp"
@@ -147,6 +148,12 @@ class CoruscantUnit
      *        operations where the number of operands < TRD")
      * @return the result row
      */
+    BitVector bulkBitwise(BulkOp op,
+                          std::span<const BitVector *const> operands,
+                          std::size_t active_wires = 0,
+                          bool write_back = false, bool use_tw = false);
+
+    /** bulkBitwise() over the rows of @p operands. */
     BitVector bulkBitwise(BulkOp op, const std::vector<BitVector> &operands,
                           std::size_t active_wires = 0,
                           bool write_back = false, bool use_tw = false);
@@ -338,7 +345,15 @@ class CoruscantUnit
     void chargeTwRow(std::size_t active_wires);
     void chargeCopy(std::size_t active_wires);
 
-    /** Stage operand rows into the TR window; returns window start. */
+    /**
+     * Stage operand rows into the TR window from slot
+     * @p interior_offset on, and fill every other window slot with
+     * @p pad_ones in place; returns the window start.
+     */
+    std::size_t stageWindow(std::span<const BitVector *const> interior_rows,
+                            bool pad_ones, std::size_t interior_offset);
+
+    /** stageWindow() over the rows of @p interior_rows. */
     std::size_t stageWindow(const std::vector<BitVector> &interior_rows,
                             bool pad_ones, std::size_t interior_offset);
 

@@ -157,7 +157,7 @@ CoruscantUnit::nmrVote(const std::vector<BitVector> &replicas,
     const std::size_t threshold = fig7 ? 4 : (n + 1) / 2;
     std::size_t ws = stageWindow(replicas, false, 0);
     for (std::size_t i = 0; i < ones_pad; ++i)
-        dbc.pokeRow(ws + n + i, BitVector(dev.wiresPerDbc, true));
+        dbc.fillRow(ws + n + i, true);
     // Replicas are outputs of prior PIM steps already resident in the
     // DBC; cost is one alignment shift, the TR, and the result write.
     chargeShifts(1, act);

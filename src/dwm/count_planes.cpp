@@ -14,30 +14,51 @@ namespace coruscant {
 namespace {
 
 /**
+ * Count words [@p j, @p j + B) of @p rows into the @p P planes of
+ * @p n_words words at @p planes: the block's planes stay in registers
+ * while every row's words are added, then are stored once.  The B
+ * half-adder chains are independent, so the compiler runs them side
+ * by side in vector registers.
+ */
+template <std::size_t P, std::size_t B>
+void
+rippleBlock(std::uint64_t *planes, std::size_t n_words, std::size_t j,
+            std::span<const BitVector *const> rows)
+{
+    std::uint64_t p[P][B] = {};
+    for (const BitVector *row : rows) {
+        for (std::size_t b = 0; b < B; ++b) {
+            // Half-adder chain; no carry leaves the top plane because
+            // no count can exceed rows.size() < 2^P.
+            std::uint64_t carry = row->word(j + b);
+            for (std::size_t k = 0; k < P; ++k) {
+                const std::uint64_t next = p[k][b] & carry;
+                p[k][b] ^= carry;
+                carry = next;
+            }
+        }
+    }
+    for (std::size_t k = 0; k < P; ++k)
+        for (std::size_t b = 0; b < B; ++b)
+            planes[k * n_words + j + b] = p[k][b];
+}
+
+/**
  * Count @p rows into the @p P planes of @p n_words words at @p planes,
- * word-major: each word's planes stay in registers while every row's
- * word is added, then are stored once.
+ * word-major: four words at a time, then the words left over one at a
+ * time.
  */
 template <std::size_t P>
 void
 rippleRows(std::uint64_t *planes, std::size_t n_words,
            std::span<const BitVector *const> rows)
 {
-    for (std::size_t j = 0; j < n_words; ++j) {
-        std::uint64_t p[P] = {};
-        for (const BitVector *row : rows) {
-            // Half-adder chain; no carry leaves the top plane because
-            // no count can exceed rows.size() < 2^P.
-            std::uint64_t carry = row->word(j);
-            for (std::size_t k = 0; k < P; ++k) {
-                const std::uint64_t next = p[k] & carry;
-                p[k] ^= carry;
-                carry = next;
-            }
-        }
-        for (std::size_t k = 0; k < P; ++k)
-            planes[k * n_words + j] = p[k];
-    }
+    constexpr std::size_t block = 4;
+    std::size_t j = 0;
+    for (; j + block <= n_words; j += block)
+        rippleBlock<P, block>(planes, n_words, j, rows);
+    for (; j < n_words; ++j)
+        rippleBlock<P, 1>(planes, n_words, j, rows);
 }
 
 /** rippleRows<P> for every plane count up to CountPlanes' maximum. */
@@ -100,12 +121,12 @@ BitVector
 CountPlanes::plane(std::size_t k) const
 {
     BitVector out(wires);
-    // The span in a local: a word stored into `out` may alias this
+    // The span by value: a word stored into `out` may alias this
     // object's size_t members, so a bound read through `this` would
     // be reloaded at every word.
     const std::span<const std::uint64_t> src = planeWords(k);
-    for (std::size_t j = 0; j < src.size(); ++j)
-        out.setWord(j, src[j]);
+    if (!src.empty())
+        out.setWords([src](std::size_t j) { return src[j]; });
     return out;
 }
 
@@ -115,11 +136,11 @@ CountPlanes::atLeast(std::size_t threshold) const
     BitVector out(wires);
     if (static_cast<std::size_t>(std::bit_width(threshold)) > numPlanes)
         return out; // beyond every representable count
-    // Bounds in locals, as in plane().
+    // Bounds by value, as in plane().
     const std::size_t n_words = numWords;
     const std::size_t n_planes = numPlanes;
     const std::uint64_t *planes = bits();
-    for (std::size_t j = 0; j < n_words; ++j) {
+    out.setWords([=](std::size_t j) {
         // Compare MSB first: `gt` marks wires already above the
         // threshold's prefix, `eq` those still equal to it.
         std::uint64_t gt = 0;
@@ -133,8 +154,8 @@ CountPlanes::atLeast(std::size_t threshold) const
                 eq &= ~p;
             }
         }
-        out.setWord(j, gt | eq);
-    }
+        return gt | eq;
+    });
     return out;
 }
 

@@ -38,10 +38,11 @@ class CountPlanes
     /**
      * The ones count of @p rows (each @p width bits), wire by wire:
      * ceil(log2(rows.size() + 1)) planes; panics past maxPlanes
-     * planes.  One word-major pass: for each word, every row's word
-     * ripples into that word's planes, held in registers, which are
-     * then stored once.  The rows are gathered by pointer, so the
-     * counted run need not be contiguous in memory.
+     * planes.  One word-major pass: for each block of four words
+     * (then each word left over), every row's words ripple into the
+     * block's planes, held in registers, which are then stored once.
+     * The rows are gathered by pointer, so the counted run need not
+     * be contiguous in memory.
      */
     CountPlanes(std::size_t width, std::span<const BitVector *const> rows);
 

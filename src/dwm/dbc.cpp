@@ -238,9 +238,10 @@ DomainBlockCluster::carryStep(const BitVector &wires, std::size_t samples,
                               bool write_cp)
 {
     const CountPlanes counts = transverseReadWires(wires, samples, faults);
-    // The plane spans in locals: a word stored into s or c may alias
-    // the counter, so a span read through it would be reloaded at
-    // every word.  A plane past the top one reads as zero.
+    // The plane spans are captured by value: a word stored into s or c
+    // may alias the counter, so a span read through it would be
+    // reloaded at every word.  A plane past the top one reads as zero.
+    // Every row, the planes included, has the DBC's word count.
     const std::span<const std::uint64_t> p0 = counts.planeWords(0);
     const std::span<const std::uint64_t> p1 = counts.planeWords(1);
     const std::span<const std::uint64_t> p2 = counts.planeWords(2);
@@ -248,31 +249,31 @@ DomainBlockCluster::carryStep(const BitVector &wires, std::size_t samples,
     // S on the sensed wires, then C' two wires up (over S where they
     // meet).  The bits a shift moves into the next word wait in
     // registers.
-    std::uint64_t m_prev = 0, cp_prev = 0;
-    for (std::size_t j = 0; j < p0.size(); ++j) {
+    s.setWords([&s, &wires, p0, p2, write_cp, m_prev = std::uint64_t{0},
+                cp_prev = std::uint64_t{0}](std::size_t j) mutable {
         const std::uint64_t m = wires.word(j);
         const std::uint64_t cp = j < p2.size() ? p2[j] : 0;
         const std::uint64_t m2 = write_cp ? (m << 2) | (m_prev >> 62) : 0;
         const std::uint64_t bits = (p0[j] & m & ~m2) |
                                    (((cp << 2) | (cp_prev >> 62)) & m2);
-        s.setWord(j, (s.word(j) & ~(m | m2)) | bits);
         m_prev = m;
         cp_prev = cp;
-    }
+        return (s.word(j) & ~(m | m2)) | bits;
+    });
     if (!write_c)
         return;
     // C one wire up.
     BitVector &c = physRow(physicalIndex(c_row));
-    m_prev = 0;
-    std::uint64_t c_prev = 0;
-    for (std::size_t j = 0; j < p0.size(); ++j) {
+    c.setWords([&c, &wires, p1, m_prev = std::uint64_t{0},
+                c_prev = std::uint64_t{0}](std::size_t j) mutable {
         const std::uint64_t m = wires.word(j);
         const std::uint64_t cb = j < p1.size() ? p1[j] : 0;
         const std::uint64_t m1 = (m << 1) | (m_prev >> 63);
-        c.setWord(j, (c.word(j) & ~m1) | (((cb << 1) | (c_prev >> 63)) & m1));
+        const std::uint64_t bits = ((cb << 1) | (c_prev >> 63)) & m1;
         m_prev = m;
         c_prev = cb;
-    }
+        return (c.word(j) & ~m1) | bits;
+    });
 }
 
 std::vector<std::uint8_t>
@@ -340,7 +341,16 @@ DomainBlockCluster::pokeRow(std::size_t row, const BitVector &value)
 {
     fatalIf(value.size() != dev.wiresPerDbc,
             "row width ", value.size(), " != DBC width ", dev.wiresPerDbc);
-    physRow(physicalIndex(row)) = value;
+    // Same width: a word copy in place.
+    physRow(physicalIndex(row)).setWords(
+        [&value](std::size_t j) { return value.word(j); });
+}
+
+void
+DomainBlockCluster::fillRow(std::size_t row, bool value)
+{
+    const std::uint64_t word = value ? ~0ULL : 0ULL;
+    physRow(physicalIndex(row)).setWords([word](std::size_t) { return word; });
 }
 
 bool

@@ -183,6 +183,8 @@ class DomainBlockCluster
 
     BitVector peekRow(std::size_t row) const;
     void pokeRow(std::size_t row, const BitVector &value);
+    /** Set every bit of @p row to @p value, in place. */
+    void fillRow(std::size_t row, bool value);
     bool peekBit(std::size_t row, std::size_t wire) const;
     void pokeBit(std::size_t row, std::size_t wire, bool value);
 

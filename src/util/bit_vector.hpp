@@ -138,14 +138,22 @@ class BitVector
         return store[i];
     }
 
-    /** Overwrite storage word @p i; bits past size() are dropped. */
+    /**
+     * Overwrite every storage word: word i becomes @p f(i), called for
+     * i = 0, 1, ... in order, so @p f may carry state from one word to
+     * the next.  The bits past size() are dropped once, after the last
+     * word.  The word count and the store pointer are read once, so a
+     * store cannot force them to be reloaded.
+     */
+    template <typename F>
     void
-    setWord(std::size_t i, std::uint64_t value)
+    setWords(F f)
     {
-        assert(i < numWords());
-        store[i] = value;
-        if (i + 1 == numWords())
-            clearPadding();
+        const std::size_t n = numWords();
+        std::uint64_t *const w = store;
+        for (std::size_t i = 0; i < n; ++i)
+            w[i] = f(i);
+        clearPadding();
     }
 
     /** Storage words: (size() + 63) / 64. */
@@ -209,7 +217,13 @@ class BitVector
     void steal(BitVector &o);
 
     /** Zero any bits in the final word beyond numBits. */
-    void clearPadding();
+    void
+    clearPadding()
+    {
+        const std::size_t rem = numBits % bitsPerWord;
+        if (rem != 0)
+            store[numBits / bitsPerWord] &= (1ULL << rem) - 1;
+    }
 
     /** Panic unless [offset, offset+width) lies inside the vector. */
     void checkRange(const char *op, std::size_t offset,

@@ -317,8 +317,7 @@ BitVector
 randomWords(Rng &rng, std::size_t size)
 {
     BitVector v(size);
-    for (std::size_t i = 0; i < v.numWords(); ++i)
-        v.setWord(i, rng.next());
+    v.setWords([&rng](std::size_t) { return rng.next(); });
     return v;
 }
 
@@ -398,6 +397,51 @@ TEST(BitVectorStorage, WordOpsAcrossTheInlineBoundary)
         EXPECT_TRUE(paddingClear(~x));
         EXPECT_EQ(a.shiftedLeft(size - 1).popcount(), a.get(0) ? 1u : 0u);
         EXPECT_EQ(a.slice(size - 65, 65), a.shiftedRight(size - 65).slice(0, 65));
+    }
+}
+
+/** The ones of @p v counted bit by bit, through get(). */
+std::size_t
+perBitCount(const BitVector &v)
+{
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < v.size(); ++i)
+        n += v.get(i);
+    return n;
+}
+
+TEST(BitVector, PopcountMatchesPerBitCount)
+{
+    // Word-boundary and row sizes: empty, partial and whole words, a
+    // 512-wire row, a guarded SECDED row, the inline limit and past
+    // it, and a DRAM row.
+    Rng rng(0x9097);
+    for (std::size_t size :
+         {0u, 1u, 63u, 64u, 65u, 511u, 512u, 577u, 640u, 641u, 65536u}) {
+        SCOPED_TRACE(size);
+        const BitVector random = randomBits(rng, size);
+        EXPECT_EQ(random.popcount(), perBitCount(random));
+        const BitVector ones(size, true);
+        EXPECT_EQ(ones.popcount(), size);
+        EXPECT_EQ(perBitCount(ones), size);
+    }
+}
+
+TEST(BitVector, SetWordsClearsPadding)
+{
+    for (std::size_t size : {70u, 577u}) {
+        SCOPED_TRACE(size);
+        BitVector v(size);
+        std::size_t calls = 0;
+        v.setWords([&calls](std::size_t i) {
+            EXPECT_EQ(i, calls++); // in order, once per word
+            return ~0ULL;
+        });
+        EXPECT_EQ(calls, v.numWords());
+        EXPECT_TRUE(paddingClear(v));
+        EXPECT_EQ(v.word(v.numWords() - 1) >> (size % 64), 0u);
+        EXPECT_EQ(v.popcount(), size);
+        EXPECT_EQ(v, BitVector(size, true));
     }
 }
 
