@@ -212,6 +212,23 @@ BM_NmrVote(benchmark::State &state)
 BENCHMARK(BM_NmrVote)->Arg(3)->Arg(5)->Arg(7);
 
 /**
+ * Population count of a random row: a 512-wire DBC row and a 65 536-bit
+ * DRAM row, the two chunk widths of the Fig. 12 query.  Items are bits.
+ */
+void
+BM_Popcount(benchmark::State &state)
+{
+    const auto bits = static_cast<std::size_t>(state.range(0));
+    Rng rng(10);
+    const BitVector row = randomRow(rng, bits);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(row.popcount());
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(bits));
+}
+BENCHMARK(BM_Popcount)->Arg(512)->Arg(65536);
+
+/**
  * Fig. 12's CORUSCANT query at w = 4 over 64 Ki users: 128 chunks,
  * each loaded from the bitmaps and ANDed by one transverse read.
  * Items are chunks.
