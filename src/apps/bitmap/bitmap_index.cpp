@@ -32,6 +32,21 @@ constexpr std::size_t numSubarrays = 2048;
  */
 constexpr std::uint64_t coruscantChunkOverhead = 54;
 
+/**
+ * @p bits Bernoulli(@p p) bits, bit u being the u-th nextBool(@p p)
+ * draw: a word per nextBoolWord call, the last one drawing only the
+ * bits it holds so the stream ends where a per-bit fill would.
+ */
+BitVector
+randomBitmap(Rng &rng, std::size_t bits, double p)
+{
+    BitVector v(bits);
+    v.setWords([&](std::size_t i) {
+        return rng.nextBoolWord(std::min<std::size_t>(64, bits - 64 * i), p);
+    });
+    return v;
+}
+
 } // namespace
 
 BitmapDatabase
@@ -42,17 +57,12 @@ BitmapDatabase::synthesize(std::size_t users, std::size_t weeks,
     fatalIf(users > kMaxUsers, "bitmap database holds at most 2^30 users");
     BitmapDatabase db;
     db.users = users;
-    db.male = BitVector(users);
     Rng rng(seed);
-    for (std::size_t u = 0; u < users; ++u)
-        db.male.set(u, rng.nextBool(0.5));
+    db.male = randomBitmap(rng, users, 0.5);
     for (std::size_t w = 0; w < weeks; ++w) {
-        BitVector act(users);
         // Activity decays for older weeks.
         double p = 0.7 - 0.1 * static_cast<double>(w);
-        for (std::size_t u = 0; u < users; ++u)
-            act.set(u, rng.nextBool(p));
-        db.activeWeek.push_back(std::move(act));
+        db.activeWeek.push_back(randomBitmap(rng, users, p));
     }
     return db;
 }

@@ -53,8 +53,8 @@ FaultCampaign::bulkCampaign(BulkOp op, std::size_t trd,
                             std::uint64_t trials, std::uint64_t seed)
 {
     CampaignResult res;
-    const std::size_t wires = 64;
-    res.trials = trials * wires; // per-bit rate
+    constexpr std::size_t wires = 64; // one operand row is one word
+    res.trials = trials * wires;      // per-bit rate
     TrErrorModel model(trd, p_fault);
     res.analyticalRate = (op == BulkOp::Xor || op == BulkOp::Xnor)
                              ? model.perBitXor()
@@ -66,8 +66,9 @@ FaultCampaign::bulkCampaign(BulkOp op, std::size_t trd,
         std::vector<BitVector> ops;
         for (std::size_t i = 0; i < operands; ++i) {
             BitVector row(wires);
-            for (std::size_t w = 0; w < wires; ++w)
-                row.set(w, rng.nextBool());
+            row.setWords([&](std::size_t) {
+                return rng.nextBoolWord(wires, 0.5);
+            });
             ops.push_back(std::move(row));
         }
         auto noisy = unit.bulkBitwise(op, ops);

@@ -86,8 +86,10 @@ class BitVector
 
     /**
      * Set the bit at @p idx to @p value.  Branch-free on purpose:
-     * callers feed it random bits (bitmap synthesis), where a branch
-     * on @p value would mispredict half the time.
+     * callers pass data bits (a poked wire, the guard wire's ramp
+     * bit, a stuck-at value, random test bits), where a branch on
+     * @p value would mispredict.  A whole-vector fill goes through
+     * setWords instead.
      */
     void
     set(std::size_t idx, bool value)

@@ -9,7 +9,9 @@
 #ifndef CORUSCANT_UTIL_RNG_HPP
 #define CORUSCANT_UTIL_RNG_HPP
 
+#include <cassert>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 
 namespace coruscant {
@@ -53,7 +55,42 @@ class Rng
         return nextDouble() < p;
     }
 
+    /**
+     * The next @p n nextBool(@p p) draws packed LSB-first: bit i is
+     * draw i, bits [n, 64) are zero, and the stream advances exactly
+     * @p n steps.  A draw x = next() >> 11 succeeds when
+     * x * 2^-53 < p, i.e. (x an integer) when x < ceil(p * 2^53), so
+     * one integer threshold replaces the per-draw double compare.
+     * @pre n <= 64
+     */
+    std::uint64_t
+    nextBoolWord(std::size_t n, double p)
+    {
+        assert(n <= 64);
+        const std::uint64_t threshold = boolThreshold(p);
+        std::uint64_t word = 0;
+        for (std::size_t i = 0; i < n; ++i)
+            word |= static_cast<std::uint64_t>((next() >> 11) < threshold)
+                    << i;
+        return word;
+    }
+
   private:
+    /**
+     * ceil(p * 2^53) clamped to [0, 2^53]: 0 (no draw succeeds) for
+     * p <= 0 or NaN, 2^53 (every draw) for p >= 1.  p * 2^53 is exact
+     * (a power-of-two scale), so the ceil is too.
+     */
+    static std::uint64_t
+    boolThreshold(double p)
+    {
+        if (!(p > 0.0))
+            return 0;
+        if (p >= 1.0)
+            return std::uint64_t{1} << 53;
+        return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+    }
+
     std::uint64_t state;
 };
 

@@ -8,9 +8,30 @@
 
 #include "apps/bitmap/bitmap_index.hpp"
 #include "util/logging.hpp"
+#include "util/rng.hpp"
 
 namespace coruscant {
 namespace {
+
+/** The per-bit synthesis the word-at-a-time one must reproduce. */
+BitmapDatabase
+perBitReference(std::size_t users, std::size_t weeks, std::uint64_t seed)
+{
+    BitmapDatabase db;
+    db.users = users;
+    db.male = BitVector(users);
+    Rng rng(seed);
+    for (std::size_t u = 0; u < users; ++u)
+        db.male.set(u, rng.nextBool(0.5));
+    for (std::size_t w = 0; w < weeks; ++w) {
+        BitVector act(users);
+        double p = 0.7 - 0.1 * static_cast<double>(w);
+        for (std::size_t u = 0; u < users; ++u)
+            act.set(u, rng.nextBool(p));
+        db.activeWeek.push_back(std::move(act));
+    }
+    return db;
+}
 
 class BitmapQuery : public ::testing::Test
 {
@@ -122,6 +143,23 @@ TEST(BitmapQueryEdge, NonMultipleOfRowUsers)
     BitmapQueryEngine eng(db);
     EXPECT_EQ(eng.runCoruscant(3).matches, eng.goldenCount(3));
     EXPECT_EQ(eng.runAmbit(3).matches, eng.goldenCount(3));
+}
+
+TEST(BitmapQueryEdge, SynthesizeMatchesPerBitReference)
+{
+    // Ragged user counts end a bitmap inside a word: the next bitmap
+    // only matches if the last word drew just the bits it holds.  Six
+    // weeks reach p = 0.2.
+    for (std::size_t users : {1, 63, 64, 65, 1000, 65537}) {
+        SCOPED_TRACE(::testing::Message() << "users " << users);
+        const auto db = BitmapDatabase::synthesize(users, 6, 7);
+        const auto ref = perBitReference(users, 6, 7);
+        EXPECT_EQ(db.users, ref.users);
+        EXPECT_EQ(db.male, ref.male);
+        ASSERT_EQ(db.activeWeek.size(), ref.activeWeek.size());
+        for (std::size_t w = 0; w < ref.activeWeek.size(); ++w)
+            EXPECT_EQ(db.activeWeek[w], ref.activeWeek[w]) << "week " << w;
+    }
 }
 
 TEST(BitmapQueryEdge, RaggedUserCountsMatchGolden)
