@@ -32,11 +32,16 @@ constexpr std::array<std::uint64_t, maxHammingBits> coverMask = [] {
     return mask;
 }();
 
-/** Parity of the set bits of @p v. */
+/**
+ * Parity of the set bits of @p v.  The builtin is inline on x86-64
+ * (two xor folds and the parity flag); a std::popcount there, with no
+ * popcount instruction, is a libgcc call unless the compiler spots
+ * the parity in it.
+ */
 constexpr std::uint64_t
 parity(std::uint64_t v)
 {
-    return static_cast<std::uint64_t>(std::popcount(v)) & 1;
+    return static_cast<std::uint64_t>(__builtin_parityll(v));
 }
 
 } // namespace
@@ -99,7 +104,9 @@ SecdedCode::decodeWord(std::uint64_t &data, std::uint64_t &check) const
         return out;
     }
     out.status = EccStatus::Corrected;
-    if (std::has_single_bit(syndrome)) {
+    // syndrome != 0 here, so clearing its lowest set bit tests for a
+    // power of two (std::has_single_bit is a libgcc popcount call).
+    if ((syndrome & (syndrome - 1)) == 0) {
         // Position 2^k holds check bit k.
         std::size_t k = static_cast<std::size_t>(std::countr_zero(syndrome));
         check ^= std::uint64_t{1} << k;
