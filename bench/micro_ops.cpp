@@ -246,6 +246,21 @@ BM_BitmapChunkQuery(benchmark::State &state)
 BENCHMARK(BM_BitmapChunkQuery);
 
 /**
+ * Fig. 12's input: the male bitmap and four weekly activity bitmaps of
+ * 1 Mi users, drawn a word at a time.  Items are bits.
+ */
+void
+BM_BitmapSynthesize(benchmark::State &state)
+{
+    constexpr std::size_t users = 1 << 20;
+    constexpr std::size_t weeks = 4;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(BitmapDatabase::synthesize(users, weeks));
+    state.SetItemsProcessed(state.iterations() * users * (weeks + 1));
+}
+BENCHMARK(BM_BitmapSynthesize);
+
+/**
  * One instrumented execution of every benchmarked operation: modeled
  * primitive counts per "micro_ops/<bench>" component, plus spans when
  * tracing.  Deterministic (fixed seeds, single pass).  The bitmap
