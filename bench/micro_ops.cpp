@@ -16,6 +16,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "arch/dwm_memory.hpp"
 #include "core/coruscant_unit.hpp"
 #include "obs/output_files.hpp"
+#include "service/batcher.hpp"
 #include "util/rng.hpp"
 
 using namespace coruscant;
@@ -259,6 +261,50 @@ BM_BitmapSynthesize(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * users * (weeks + 1));
 }
 BENCHMARK(BM_BitmapSynthesize);
+
+/**
+ * serve's TR-gang batching at its default load, alone: Poisson bulk
+ * arrivals (4 per kcycle, half of the default 8-per-kcycle mix) over
+ * 8 hot groups, a 256-cycle window and TRD-7 gangs of up to 6 members,
+ * driven the way the engine's event loop drives it.  The batcher lives
+ * across iterations, so this times its warmed-up path.  Items are
+ * requests.
+ */
+void
+BM_GangBatcher(benchmark::State &state)
+{
+    constexpr std::size_t requests = 4096;
+    constexpr std::uint64_t window = 256;
+    Rng rng(11);
+    std::vector<ServiceRequest> stream(requests);
+    std::uint64_t clock = 0;
+    for (std::size_t i = 0; i < requests; ++i) {
+        clock += static_cast<std::uint64_t>(-250.0 *
+                                            std::log(1.0 - rng.nextDouble()));
+        stream[i].id = i;
+        stream[i].cls = RequestClass::BulkBitwise;
+        stream[i].arrival = clock;
+        stream[i].bank = static_cast<std::uint32_t>(rng.nextBelow(8));
+    }
+    GangBatcher batcher(6, window);
+    std::uint64_t base = 0;
+    for (auto _ : state) {
+        for (ServiceRequest r : stream) {
+            r.arrival += base;
+            while (batcher.pending() > 0 &&
+                   batcher.nextDeadline() <= r.arrival)
+                for (const TrGang &g :
+                     batcher.flushDue(batcher.nextDeadline()))
+                    benchmark::DoNotOptimize(g.members.data());
+            benchmark::DoNotOptimize(batcher.add(r).members.data());
+        }
+        for (const TrGang &g : batcher.flushDue(~0ull))
+            benchmark::DoNotOptimize(g.members.data());
+        base += clock + window;
+    }
+    state.SetItemsProcessed(state.iterations() * requests);
+}
+BENCHMARK(BM_GangBatcher);
 
 /**
  * One instrumented execution of every benchmarked operation: modeled

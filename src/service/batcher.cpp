@@ -1,5 +1,8 @@
 #include "service/batcher.hpp"
 
+#include <algorithm>
+
+#include "util/cycles.hpp"
 #include "util/logging.hpp"
 
 namespace coruscant {
@@ -21,23 +24,43 @@ GangBatcher::GangBatcher(std::size_t max_members,
     fatalIf(max_members == 0, "a gang needs at least one member");
 }
 
-TrGang
-GangBatcher::close(std::uint64_t key, OpenGang &&open, bool full,
-                   std::uint64_t now)
+std::vector<GangBatcher::OpenGang>::iterator
+GangBatcher::lowerBound(std::uint64_t key)
 {
-    TrGang g;
-    g.bank = static_cast<std::uint32_t>(key >> 32);
-    g.dbcGroup = static_cast<std::uint32_t>(key & 0xffffffffu);
-    g.readyAt = now;
-    g.members = std::move(open.members);
-    pending_ -= g.members.size();
+    return std::lower_bound(
+        open_.begin(), open_.end(), key,
+        [](const OpenGang &g, std::uint64_t k) { return g.key < k; });
+}
+
+std::size_t
+GangBatcher::openBlock()
+{
+    if (freeBlocks_.empty()) {
+        pool_.resize(pool_.size() + maxMembers_);
+        return pool_.size() / maxMembers_ - 1;
+    }
+    std::size_t block = freeBlocks_.back();
+    freeBlocks_.pop_back();
+    return block;
+}
+
+TrGang
+GangBatcher::close(const OpenGang &g, bool full, std::uint64_t now)
+{
+    TrGang out;
+    out.bank = static_cast<std::uint32_t>(g.key >> 32);
+    out.dbcGroup = static_cast<std::uint32_t>(g.key & 0xffffffffu);
+    out.readyAt = now;
+    out.members = {pool_.data() + g.block * maxMembers_, g.count};
+    freeBlocks_.push_back(g.block);
+    pending_ -= g.count;
     stats_.gangs += 1;
-    stats_.gangedRequests += g.members.size();
+    stats_.gangedRequests += g.count;
     if (full)
         stats_.fullCloses += 1;
     else
         stats_.windowCloses += 1;
-    return g;
+    return out;
 }
 
 TrGang
@@ -45,60 +68,56 @@ GangBatcher::add(const ServiceRequest &req)
 {
     fatalIf(req.cls != RequestClass::BulkBitwise,
             "only bulk-bitwise requests gang");
-    std::uint64_t key = groupKey(req.bank, req.dbcGroup);
-    auto [it, inserted] = open_.try_emplace(key);
-    if (inserted)
-        it->second.deadline = req.arrival + windowCycles_;
-    it->second.members.push_back(req);
+    const std::uint64_t key = groupKey(req.bank, req.dbcGroup);
+    auto it = lowerBound(key);
+    if (it == open_.end() || it->key != key)
+        it = open_.insert(it, {key, satAddCycles(req.arrival, windowCycles_),
+                               openBlock(), 0});
+    pool_[it->block * maxMembers_ + it->count] = req;
+    ++it->count;
     ++pending_;
-    if (it->second.members.size() >= maxMembers_) {
-        OpenGang g = std::move(it->second);
-        open_.erase(it);
-        return close(key, std::move(g), true, req.arrival);
-    }
-    return {};
+    if (it->count < maxMembers_)
+        return {};
+    OpenGang g = *it;
+    open_.erase(it);
+    return close(g, true, req.arrival);
 }
 
 std::uint64_t
 GangBatcher::nextDeadline() const
 {
-    std::uint64_t best = ~0ull;
-    for (const auto &[key, g] : open_)
+    std::uint64_t best = kNeverCycle;
+    for (const OpenGang &g : open_)
         best = std::min(best, g.deadline);
     return best;
 }
 
-std::vector<TrGang>
+std::span<const TrGang>
 GangBatcher::flushDue(std::uint64_t now)
 {
-    std::vector<TrGang> out;
-    for (auto it = open_.begin(); it != open_.end();) {
-        if (it->second.deadline <= now) {
-            std::uint64_t key = it->first;
-            std::uint64_t deadline = it->second.deadline;
-            OpenGang g = std::move(it->second);
-            it = open_.erase(it);
-            out.push_back(close(key, std::move(g), false, deadline));
-        } else {
-            ++it;
-        }
+    due_.clear();
+    auto kept = open_.begin();
+    for (const OpenGang &g : open_) {
+        if (g.deadline <= now)
+            due_.push_back(close(g, false, g.deadline));
+        else
+            *kept++ = g;
     }
-    return out;
+    open_.erase(kept, open_.end());
+    return due_;
 }
 
-std::vector<TrGang>
+TrGang
 GangBatcher::flushGroup(std::uint32_t bank, std::uint32_t group,
                         std::uint64_t now)
 {
-    std::vector<TrGang> out;
-    auto it = open_.find(groupKey(bank, group));
-    if (it != open_.end()) {
-        std::uint64_t key = it->first;
-        OpenGang g = std::move(it->second);
-        open_.erase(it);
-        out.push_back(close(key, std::move(g), false, now));
-    }
-    return out;
+    const std::uint64_t key = groupKey(bank, group);
+    auto it = lowerBound(key);
+    if (it == open_.end() || it->key != key)
+        return {};
+    OpenGang g = *it;
+    open_.erase(it);
+    return close(g, false, now);
 }
 
 } // namespace coruscant

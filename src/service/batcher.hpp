@@ -17,13 +17,26 @@
  * gangs fill from the queue — so batching trades a bounded added
  * queueing delay at low load for a ~(TRD-1)x reduction in both
  * command-bus slots and bank occupancy per request at high load.
+ *
+ * The batcher runs once per bulk request on the serve path, so once
+ * warmed up it touches no heap: open gangs sit in a small flat table
+ * kept in (bank, group) key order, and their members in one pooled
+ * buffer cut into blocks of max_members slots, recycled through a
+ * free list.
+ *
+ * Lifetime rule: a returned gang's members are a view into that pool.
+ * They stay valid until the next add(), the only call that reopens a
+ * block (or grows the pool); flushDue() and flushGroup() never touch a
+ * closed block, so a caller may flush a group while it is still
+ * dispatching an earlier result.  The gang list flushDue() returns
+ * lives in a buffer of its own, reused by the next flushDue().
  */
 
 #ifndef CORUSCANT_SERVICE_BATCHER_HPP
 #define CORUSCANT_SERVICE_BATCHER_HPP
 
 #include <cstdint>
-#include <map>
+#include <span>
 #include <vector>
 
 #include "service/request.hpp"
@@ -36,7 +49,7 @@ struct TrGang
     std::uint32_t bank = 0;
     std::uint32_t dbcGroup = 0;
     std::uint64_t readyAt = 0; ///< cycle the gang closed
-    std::vector<ServiceRequest> members;
+    std::span<const ServiceRequest> members; ///< into the batcher's pool
 };
 
 /** Aggregate batching counters (mergeable across channels). */
@@ -83,25 +96,30 @@ class GangBatcher
 
     /**
      * Add @p req (arriving at @p req.arrival).  Returns the closed
-     * gang if this member filled it, else an empty-member gang.
+     * gang if this member filled it, else an empty-member gang.  A new
+     * gang's deadline is arrival + window, saturated: a deadline of
+     * ~0ull closes only by capacity or the final flushDue(~0ull).
      */
     TrGang add(const ServiceRequest &req);
 
     /** Earliest window deadline among open gangs; ~0ull when none. */
     std::uint64_t nextDeadline() const;
 
-    /** Close and return every gang whose deadline is <= @p now. */
-    std::vector<TrGang> flushDue(std::uint64_t now);
+    /**
+     * Close and return every gang whose deadline is <= @p now, in
+     * (bank, group) order, each ready at its deadline.
+     */
+    std::span<const TrGang> flushDue(std::uint64_t now);
 
     /**
-     * Close and return the open gang bound to (@p bank, @p group), if
-     * any.  Used when the group's circuit breaker opens mid-window:
-     * the gang was formed before the failure and must leave the
-     * batcher before new admissions are steered elsewhere.
+     * Close and return the open gang bound to (@p bank, @p group); an
+     * empty-member gang when none is open.  Used when the group's
+     * circuit breaker opens mid-window: the gang was formed before the
+     * failure and must leave the batcher before new admissions are
+     * steered elsewhere.
      */
-    std::vector<TrGang> flushGroup(std::uint32_t bank,
-                                   std::uint32_t group,
-                                   std::uint64_t now);
+    TrGang flushGroup(std::uint32_t bank, std::uint32_t group,
+                      std::uint64_t now);
 
     const BatchStats &stats() const { return stats_; }
 
@@ -109,20 +127,29 @@ class GangBatcher
     std::uint64_t pending() const { return pending_; }
 
   private:
+    /** One open gang: its members are pool_ block @c block. */
     struct OpenGang
     {
+        std::uint64_t key = 0; ///< bank << 32 | group
         std::uint64_t deadline = 0;
-        std::vector<ServiceRequest> members;
+        std::size_t block = 0;
+        std::size_t count = 0;
     };
 
-    TrGang close(std::uint64_t key, OpenGang &&open, bool full,
-                 std::uint64_t now);
+    /** First open gang whose key is not below @p key. */
+    std::vector<OpenGang>::iterator lowerBound(std::uint64_t key);
+    /** A free member block, growing the pool when none is free. */
+    std::size_t openBlock();
+    TrGang close(const OpenGang &g, bool full, std::uint64_t now);
 
     std::size_t maxMembers_;
     std::uint64_t windowCycles_;
-    // std::map keeps deterministic iteration order (flushes happen in
-    // (bank, group) key order at equal deadlines).
-    std::map<std::uint64_t, OpenGang> open_;
+    // Sorted by key, so flushes run in (bank, group) order at equal
+    // deadlines.
+    std::vector<OpenGang> open_;
+    std::vector<ServiceRequest> pool_; ///< blocks of maxMembers_ slots
+    std::vector<std::size_t> freeBlocks_;
+    std::vector<TrGang> due_; ///< flushDue's result buffer
     std::uint64_t pending_ = 0;
     BatchStats stats_;
 };

@@ -608,7 +608,8 @@ class ChannelSim
         if (act.retired || act.died)
             stats_.trace.instant(act.retired ? "dbc_retire" : "dbc_dead",
                                  "health", now, channel_, bank);
-        for (const TrGang &g : batcher_.flushGroup(bank, group, now))
+        TrGang g = batcher_.flushGroup(bank, group, now);
+        if (!g.members.empty())
             dispatchGang(g);
     }
 
