@@ -180,21 +180,20 @@ BENCHMARK(BM_MemoryWriteLine)->Arg(0)->Arg(1);
 void
 BM_SecdedCorrectLine(benchmark::State &state)
 {
-    // The (72, 64) line: eight words, one flipped bit in each, so
-    // every word takes the correction path.
+    // The stored (72, 64) row plus the guard wire, one flipped bit in
+    // each of the eight words: every word takes the correction path.
     LineSecded ecc(512, 64);
     Rng rng(9);
-    BitVector line = randomRow(rng, 512);
-    BitVector check = ecc.encodeCheck(line);
+    BitVector row = randomRow(rng, 512 + ecc.checkLanes() + 1);
+    ecc.encode(row);
     for (std::size_t w = 0; w < ecc.words(); ++w) {
         std::size_t bit = w * 64 + rng.nextBelow(64);
-        line.set(bit, !line.get(bit));
+        row.set(bit, !row.get(bit));
     }
     for (auto _ : state) {
-        BitVector d = line;
-        BitVector c = check;
-        benchmark::DoNotOptimize(ecc.correct(d, c));
-        benchmark::DoNotOptimize(d);
+        BitVector r = row;
+        benchmark::DoNotOptimize(ecc.correct(r));
+        benchmark::DoNotOptimize(r);
     }
 }
 BENCHMARK(BM_SecdedCorrectLine);

@@ -308,8 +308,7 @@ DwmMainMemory::scrubEcc()
     EccScrubReport report;
     if (!ecc)
         return report;
-    std::size_t data_wires = cfg.device.wiresPerDbc;
-    std::size_t payload_wires = data_wires + eccLanes;
+    const double payload_wires = static_cast<double>(payloadWires());
     std::size_t rows = cfg.device.domainsPerWire;
     report.scannedRows = sweep("ecc_scrub", "ecc", [&](MemDbc &state) {
         std::size_t rewritten = 0;
@@ -322,13 +321,9 @@ DwmMainMemory::scrubEcc()
             // (retention) — transient read disturbance and stuck-at
             // sensing belong to demand reads, not to scrubbing.
             BitVector stored = state.dbc.peekRow(r);
-            BitVector data = stored.slice(0, data_wires);
-            BitVector check = stored.slice(data_wires, eccLanes);
-            LineSecded::Result res = ecc->correct(data, check);
+            LineSecded::Result res = ecc->correct(stored);
             worn = tallyEcc(state, res);
             if (res.correctedWords > 0) {
-                stored.insert(0, data);
-                stored.insert(data_wires, check);
                 state.dbc.pokeRow(r, stored);
                 if (!state.rowRefreshCycle.empty())
                     state.rowRefreshCycle[r] = costs.cycles();
@@ -340,11 +335,9 @@ DwmMainMemory::scrubEcc()
         }
         // Sweep cost: every row is sensed, corrected rows rewritten.
         double sweep_pj =
-            static_cast<double>(rows) *
-                static_cast<double>(payload_wires) *
+            static_cast<double>(rows) * payload_wires *
                 cfg.device.readEnergyPj +
-            static_cast<double>(rewritten) *
-                static_cast<double>(payload_wires) *
+            static_cast<double>(rewritten) * payload_wires *
                 cfg.device.writeEnergyPj;
         costs.charge(Cost::EccScrub,
                      rows * cfg.device.readCycles +
@@ -405,28 +398,23 @@ DwmMainMemory::readLine(std::uint64_t byte_addr)
     Port port = dbc.rowAtPort(Port::Left) == loc.row ? Port::Left
                                                      : Port::Right;
     BitVector row = dbc.readRowAtPort(port);
-    // Data + check lanes as sensed by the port (guard wire excluded:
-    // its ramp bit is the alignment story, not the data story).
-    std::size_t data_wires = cfg.device.wiresPerDbc;
-    std::size_t payload_wires = data_wires + eccLanes;
-    BitVector payload = row.size() == payload_wires
-                            ? std::move(row)
-                            : row.slice(0, payload_wires);
     if (dataInjector) {
+        // Faults reach the data and check lanes as the port senses
+        // them; the guard wire's ramp bit is the alignment story, not
+        // the data story.
+        std::size_t payload = payloadWires();
         noteDataFaults(
             "data_fault",
-            dataInjector->applyStuckAt(payload, state.physicalId,
-                                       static_cast<std::uint32_t>(
-                                           loc.row)) +
-                dataInjector->perturbTransient(payload));
+            dataInjector->applyStuckAt(
+                row, state.physicalId,
+                static_cast<std::uint32_t>(loc.row), payload) +
+                dataInjector->perturbTransient(row, payload));
     }
-    if (ecc) {
-        BitVector data = payload.slice(0, data_wires);
-        BitVector check = payload.slice(data_wires, eccLanes);
-        eccDecode(state, data, check);
-        return data;
-    }
-    return payload;
+    if (ecc)
+        eccDecode(state, row);
+    if (row.size() == cfg.device.wiresPerDbc)
+        return row;
+    return row.slice(0, cfg.device.wiresPerDbc);
 }
 
 void
@@ -443,12 +431,10 @@ DwmMainMemory::applyRetention(MemDbc &state, std::size_t row)
     // Decay mutates the stored bits (unlike a read disturbance): the
     // flip persists until a write or an ECC scrub rewrites the row.
     BitVector stored = state.dbc.peekRow(row);
-    std::size_t payload_wires = cfg.device.wiresPerDbc + eccLanes;
-    BitVector payload = stored.slice(0, payload_wires);
-    std::uint64_t flips = dataInjector->decay(payload, elapsed);
+    std::uint64_t flips =
+        dataInjector->decay(stored, elapsed, payloadWires());
     if (flips == 0)
         return;
-    stored.insert(0, payload);
     state.dbc.pokeRow(row, stored);
     noteDataFaults("retention_decay", flips);
 }
@@ -508,10 +494,10 @@ DwmMainMemory::tallyEcc(MemDbc &state, const LineSecded::Result &res)
     return rel.retireThreshold > 0 && state.eccDue >= rel.retireThreshold;
 }
 
-DwmMainMemory::MemDbc &
-DwmMainMemory::eccDecode(MemDbc &state, BitVector &data, BitVector &check)
+void
+DwmMainMemory::eccDecode(MemDbc &state, BitVector &row)
 {
-    LineSecded::Result res = ecc->correct(data, check);
+    LineSecded::Result res = ecc->correct(row);
     bool worn = tallyEcc(state, res);
     if (traceSink && res.correctedWords > 0)
         traceSink->instant("ecc_correct", "ecc", costs.cycles(), tracePid,
@@ -521,12 +507,10 @@ DwmMainMemory::eccDecode(MemDbc &state, BitVector &data, BitVector &check)
             traceSink->instant("ecc_due", "ecc", costs.cycles(),
                                tracePid, 0);
         // Repeated DUEs mark a weak cluster: escalate into the same
-        // retirement path the alignment guard uses.
+        // retirement path the alignment guard uses (best effort).
         if (worn)
-            if (MemDbc *fresh = retire(state))
-                return *fresh;
+            retire(state);
     }
-    return state;
 }
 
 void
@@ -543,33 +527,28 @@ DwmMainMemory::writeLine(std::uint64_t byte_addr, const BitVector &data)
                  cfg.device.writeEnergyPj, shifts, obs::Counter::Writes);
     Port port = dbc.rowAtPort(Port::Left) == loc.row ? Port::Left
                                                      : Port::Right;
-    if (!guard && !ecc && !dataInjector) {
-        dbc.writeRowAtPort(port, data);
-        return;
-    }
-    BitVector padded(dbcParams.wiresPerDbc);
-    padded.insert(0, data);
+    // The stored row: the data wires, then the check lanes and the
+    // guard wire, zero until filled in below.
+    BitVector row(dbcParams.wiresPerDbc);
+    row.setWords([&](std::size_t i) {
+        return i < data.numWords() ? data.word(i) : 0;
+    });
     if (ecc) {
         // The encoder sees the incoming (correct) data; disturbances
         // below hit the stored codeword, which is what a read decodes.
-        padded.insert(cfg.device.wiresPerDbc, ecc->encodeCheck(data));
+        ecc->encode(row);
     }
     if (dataInjector) {
-        std::size_t payload_wires = cfg.device.wiresPerDbc + eccLanes;
-        BitVector payload = padded.slice(0, payload_wires);
-        std::uint64_t flips = dataInjector->perturbTransient(payload);
-        if (flips > 0)
-            padded.insert(0, payload);
-        noteDataFaults("data_fault", flips);
+        noteDataFaults("data_fault",
+                       dataInjector->perturbTransient(row, payloadWires()));
         if (cfg.reliability.retentionRatePerCycle > 0.0)
             state.rowRefreshCycle[loc.row] = costs.cycles();
     }
     if (guard) {
         // Preserve the guard wire's ramp bit for this row.
-        padded.set(dbcParams.wiresPerDbc - 1,
-                   guard->patternBit(loc.row));
+        row.set(dbcParams.wiresPerDbc - 1, guard->patternBit(loc.row));
     }
-    dbc.writeRowAtPort(port, padded);
+    dbc.writeRowAtPort(port, row);
 }
 
 void

@@ -307,15 +307,18 @@ class DwmMainMemory
     void noteDataFaults(const char *name, std::uint64_t faults);
 
     /**
-     * SECDED-decode the payload read back from @p state: correct
-     * @p data (width wiresPerDbc) against @p check in place, account
-     * counters/energy, and escalate repeated DUEs into retirement.
-     * Returns the state serving the logical DBC afterwards.
+     * SECDED-decode the row read back from @p state: correct its data
+     * and check lanes in place, count the words, and escalate repeated
+     * DUEs into retirement (which may invalidate @p state).
      */
-    MemDbc &eccDecode(MemDbc &state, BitVector &data, BitVector &check);
+    void eccDecode(MemDbc &state, BitVector &row);
 
     /** Count a decode's SECDED words; true once @p state is worn out. */
     bool tallyEcc(MemDbc &state, const LineSecded::Result &res);
+
+    /** A row's data and check lanes: the wires data faults reach. */
+    std::size_t
+    payloadWires() const { return cfg.device.wiresPerDbc + eccLanes; }
 
     MemoryConfig cfg;
     RetryLadder ladder;

@@ -30,6 +30,7 @@
 #ifndef CORUSCANT_DWM_DATA_FAULT_HPP
 #define CORUSCANT_DWM_DATA_FAULT_HPP
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 
@@ -65,7 +66,9 @@ struct DataFaultRates
 
 /**
  * Injects data-domain faults into rows as they move through the
- * memory.  A default-constructed (all-zero-rate) model is inert.
+ * memory.  Each injector touches only a row's first `bits` bits, so
+ * faults can stay off wires past a payload, such as a guard wire.  A
+ * default-constructed (all-zero-rate) model is inert.
  */
 class DataFaultModel
 {
@@ -79,14 +82,17 @@ class DataFaultModel
 
     bool enabled() const { return rates_.dataFaultsEnabled(); }
 
+    /** Default of each injector's @p bits: the whole row. */
+    static constexpr std::size_t allBits = SIZE_MAX;
+
     /**
      * Transient disturbance of one accessed row: flips each bit with
      * dataFaultRate.  Returns the number of flips.
      */
     std::uint64_t
-    perturbTransient(BitVector &row)
+    perturbTransient(BitVector &row, std::size_t bits = allBits)
     {
-        std::uint64_t flips = flipBernoulli(row, rates_.dataFaultRate);
+        std::uint64_t flips = flipBernoulli(row, bits, rates_.dataFaultRate);
         transientFlips_ += flips;
         return flips;
     }
@@ -99,12 +105,13 @@ class DataFaultModel
      */
     std::uint64_t
     applyStuckAt(BitVector &row, std::uint64_t dbc_id,
-                 std::uint32_t row_index)
+                 std::uint32_t row_index, std::size_t bits = allBits)
     {
         if (rates_.stuckAtFraction <= 0.0)
             return 0;
         std::uint64_t changed = 0;
-        for (std::size_t wire = 0; wire < row.size(); ++wire) {
+        bits = std::min(bits, row.size());
+        for (std::size_t wire = 0; wire < bits; ++wire) {
             std::uint64_t h = siteHash(dbc_id, row_index, wire);
             if (!stuckSite(h))
                 continue;
@@ -136,10 +143,11 @@ class DataFaultModel
      * each bit flips with p = 1 - exp(-lambda * t).  Returns flips.
      */
     std::uint64_t
-    decay(BitVector &row, std::uint64_t elapsed_cycles)
+    decay(BitVector &row, std::uint64_t elapsed_cycles,
+          std::size_t bits = allBits)
     {
-        std::uint64_t flips =
-            flipBernoulli(row, retentionFlipProbability(elapsed_cycles));
+        std::uint64_t flips = flipBernoulli(
+            row, bits, retentionFlipProbability(elapsed_cycles));
         retentionFlips_ += flips;
         return flips;
     }
@@ -165,11 +173,12 @@ class DataFaultModel
     }
 
   private:
-    /** Flip each bit of @p row independently with probability @p p. */
+    /** Flip each of @p row's first @p bits bits with probability @p p. */
     std::uint64_t
-    flipBernoulli(BitVector &row, double p)
+    flipBernoulli(BitVector &row, std::size_t bits, double p)
     {
-        return forEachBernoulli(rng_, row.size(), p, [&](std::size_t i) {
+        bits = std::min(bits, row.size());
+        return forEachBernoulli(rng_, bits, p, [&](std::size_t i) {
             row.set(i, !row.get(i));
         });
     }

@@ -130,31 +130,28 @@ LineSecded::LineSecded(std::size_t line_bits, std::size_t word_bits)
             "-bit line; the remainder would be unprotected");
 }
 
-BitVector
-LineSecded::encodeCheck(const BitVector &line) const
+void
+LineSecded::encode(BitVector &row) const
 {
-    assert(line.size() == lineBits_);
-    BitVector lanes(checkLanes());
+    assert(row.size() >= lineBits_ + checkLanes());
     const std::size_t wb = wordBits();
     const std::size_t cb = code_.checkBits();
     for (std::size_t w = 0; w < words(); ++w)
-        lanes.insertUint64(w * cb, cb,
-                           code_.checkWord(line.sliceUint64(w * wb, wb)));
-    return lanes;
+        row.insertUint64(lineBits_ + w * cb, cb,
+                         code_.checkWord(row.sliceUint64(w * wb, wb)));
 }
 
 LineSecded::Result
-LineSecded::correct(BitVector &line, BitVector &check) const
+LineSecded::correct(BitVector &row) const
 {
-    assert(line.size() == lineBits_);
-    assert(check.size() == checkLanes());
+    assert(row.size() >= lineBits_ + checkLanes());
     Result res;
     const std::size_t wb = wordBits();
     const std::size_t cb = code_.checkBits();
     for (std::size_t w = 0; w < words(); ++w) {
-        std::uint64_t word = line.sliceUint64(w * wb, wb);
-        std::uint64_t wcheck = check.sliceUint64(w * cb, cb);
-        SecdedCode::Decoded d = code_.decodeWord(word, wcheck);
+        std::uint64_t word = row.sliceUint64(w * wb, wb);
+        std::uint64_t check = row.sliceUint64(lineBits_ + w * cb, cb);
+        SecdedCode::Decoded d = code_.decodeWord(word, check);
         if (d.status == EccStatus::Clean)
             continue;
         if (d.status == EccStatus::Uncorrectable) {
@@ -163,9 +160,9 @@ LineSecded::correct(BitVector &line, BitVector &check) const
         }
         ++res.correctedWords;
         if (d.correctedBit < wb)
-            line.insertUint64(w * wb, wb, word);
+            row.insertUint64(w * wb, wb, word);
         else
-            check.insertUint64(w * cb, cb, wcheck);
+            row.insertUint64(lineBits_ + w * cb, cb, check);
     }
     return res;
 }

@@ -3,13 +3,18 @@
  * Hamming SECDED (single-error-correct, double-error-detect) codes
  * over DWM lines.
  *
- * The alignment guard (PR 1) protects the *position* of a DBC's
- * domains; nothing so far protects their *contents*.  This module adds
- * the data-domain half of the reliability story: an extended Hamming
- * code per data word, with the check bits stored in dedicated
- * nanowires of the same DBC, so a line read returns data and check
- * lanes in one port access and the decoder can correct any single
- * flipped bit per word and flag (never miscorrect) any double flip.
+ * The alignment guard protects the *position* of a DBC's domains;
+ * this module protects their *contents*: an extended Hamming code per
+ * data word, with the check bits stored in dedicated nanowires of the
+ * same DBC, so a line read returns data and check lanes in one port
+ * access and the decoder can correct any single flipped bit per word
+ * and flag (never miscorrect) any double flip.
+ *
+ * LineSecded codes one stored DBC row in place.  The row holds L data
+ * bits in words of wb bits, word w at [w*wb, wb); then each word's cb
+ * check bits, word w's at [L + w*cb, cb); then whatever else the row
+ * carries (the memory's alignment-guard wire), which the codec never
+ * touches.
  *
  * Code construction (standard extended Hamming):
  *  - codeword positions are numbered 1..m; positions that are powers
@@ -115,11 +120,12 @@ class SecdedCode
 /**
  * SECDED over a whole DWM line: the line is split into equal words,
  * each independently protected, and the concatenated check bits form
- * the extra "check lanes" appended to the line's data nanowires.
+ * the extra "check lanes" stored on the row after the data nanowires.
  *
  * For the default 512-bit line and 64-bit words this is the classic
  * (72, 64) organization: 8 words x 8 check bits = 64 check lanes, a
- * 12.5 % capacity overhead per protected DBC.
+ * 12.5 % capacity overhead per protected DBC.  With the guard wire,
+ * the memory's stored row is 577 bits, read in one port access.
  */
 class LineSecded
 {
@@ -146,8 +152,8 @@ class LineSecded
 
     const SecdedCode &code() const { return code_; }
 
-    /** Check-lane contents for @p line (size lineBits()). */
-    BitVector encodeCheck(const BitVector &line) const;
+    /** Fill @p row's check lanes from its data words; see the file comment. */
+    void encode(BitVector &row) const;
 
     /** Aggregate outcome of decoding one line. */
     struct Result
@@ -166,12 +172,11 @@ class LineSecded
     };
 
     /**
-     * Decode @p line (size lineBits()) against @p check (size
-     * checkLanes()), correcting single-bit errors in place word by
-     * word.  Words with double-bit errors are left untouched and
-     * counted uncorrectable.
+     * Decode @p row word by word, correcting a single-bit error in
+     * place in the data or the check lane.  Words with double-bit
+     * errors are left untouched and counted uncorrectable.
      */
-    Result correct(BitVector &line, BitVector &check) const;
+    Result correct(BitVector &row) const;
 
   private:
     std::size_t lineBits_;

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "controller/channel_timeline.hpp"
+#include "util/cycles.hpp"
 #include "util/logging.hpp"
 
 namespace coruscant {
@@ -735,7 +736,7 @@ class ChannelSim
     runScrub()
     {
         std::uint64_t at = nextScrub_;
-        nextScrub_ += cfg_.faults.scrubIntervalCycles;
+        nextScrub_ = satAddCycles(at, cfg_.faults.scrubIntervalCycles);
         const bool align =
             cfg_.faults.policy == GuardPolicy::PeriodicScrub;
         const bool ecc = eccScrubOn();

@@ -229,6 +229,10 @@ WorkloadGenerator::next(ServiceRequest &out)
             "closed-loop arrivals are driven by completions; "
             "use sampleAt()");
     advanceClock();
+    // From 2^64 on the clock has no cycle value (the cast would be
+    // undefined), and it is past every duration: the stream has ended.
+    if (clock_ >= 0x1p64)
+        return false;
     std::uint64_t arrival = static_cast<std::uint64_t>(clock_);
     if (arrival >= cfg_.durationCycles)
         return false;

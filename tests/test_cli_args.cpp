@@ -505,6 +505,15 @@ TEST(CliProcess, TrdFourBuildsItsCostTables)
     EXPECT_EQ(cliExit("serve --trd 4 --duration 2000"), 0);
 }
 
+TEST(CliProcess, ServeAtTheLongestDurationEnds)
+{
+    // The arrival clock reaches 2^64 before the duration ends; the
+    // stream must stop there rather than wrap and run forever.
+    EXPECT_EQ(cliExit("serve --channels 1 --duration 18446744073709551615 "
+                      "--rate 0.000000000001"),
+              0);
+}
+
 TEST(CliProcess, DataFaultCampaignRunsCleanWithValidFlags)
 {
     EXPECT_EQ(cliExit("campaign --trials 5 --pshift 0 --pdata 1e-4 "

@@ -263,6 +263,44 @@ TEST(DataFaultMemory, EccScrubRepairsRetentionDecay)
         EXPECT_EQ(mem.readLine(addrs[i]), written[i]) << "line " << i;
 }
 
+TEST(DataFaultMemory, GuardWireSurvivesDataFaultsAndEcc)
+{
+    // The guard wire shares the row with the data and check lanes,
+    // one wire past them.  Transient, stuck-at and retention faults
+    // and SECDED's corrections stay on the data and check lanes: with
+    // no shift faults, every guard check must find its cluster
+    // aligned.  A fault or a rewrite that reached the guard wire would
+    // break the ramp and read as a misalignment.
+    MemoryConfig mc = memConfig(1e-4, EccMode::Secded, 1e-6);
+    mc.reliability.stuckAtFraction = 1e-3;
+    mc.reliability.guardPolicy = GuardPolicy::PerAccess;
+    DwmMainMemory mem(mc);
+    Rng rng(13);
+    std::vector<std::uint64_t> addrs;
+    for (std::size_t i = 0; i < 64; ++i) {
+        LineAddress loc{};
+        loc.dbc = i % 2;
+        loc.tile = (i / 2) % 2;
+        loc.row = i / 4;
+        addrs.push_back(mem.addressMap().encode(loc));
+    }
+    for (int round = 0; round < 40; ++round) {
+        for (std::uint64_t addr : addrs) {
+            mem.writeLine(addr, randomRow(rng, mc.device.wiresPerDbc));
+            mem.readLine(addrs[rng.nextBelow(addrs.size())]);
+        }
+        mem.scrubEcc();
+        for (std::uint64_t addr : addrs)
+            ASSERT_FALSE(mem.checkLine(addr).misaligned)
+                << "round " << round;
+    }
+    EXPECT_EQ(mem.detectedMisalignments(), 0u);
+    EXPECT_EQ(mem.uncorrectableEvents(), 0u);
+    EXPECT_GT(mem.guardChecks(), 0u);
+    EXPECT_GT(mem.injectedDataFaults(), 0u);
+    EXPECT_GT(mem.eccCorrections(), 0u);
+}
+
 TEST(ChannelDataFaultInjector, SameSeedSameClassifiedStream)
 {
     ServiceFaultConfig cfg;

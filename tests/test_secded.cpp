@@ -237,47 +237,53 @@ TEST(Secded, LineRoundTripAndPerWordCorrection)
 {
     LineSecded line(512, 64);
     Rng rng(0x11e5ecd);
-    BitVector stored(512);
-    for (std::size_t i = 0; i < 512; ++i)
-        stored.set(i, rng.nextBool());
-    BitVector check = line.encodeCheck(stored);
+    // The stored row: 512 data wires, 64 check lanes, one guard wire.
+    BitVector stored = randomBitsOf(rng, 512 + line.checkLanes() + 1);
+    line.encode(stored);
 
     // Clean round trip.
     {
-        BitVector d = stored;
-        BitVector c = check;
-        LineSecded::Result r = line.correct(d, c);
-        EXPECT_EQ(r.status(), EccStatus::Clean);
-        EXPECT_EQ(d, stored);
+        BitVector r = stored;
+        LineSecded::Result res = line.correct(r);
+        EXPECT_EQ(res.status(), EccStatus::Clean);
+        EXPECT_EQ(r, stored);
     }
 
     // One flip in every word: eight independent corrections.
     {
-        BitVector d = stored;
-        BitVector c = check;
+        BitVector r = stored;
         for (std::size_t w = 0; w < line.words(); ++w) {
             std::size_t bit = w * 64 + (rng.next() % 64);
-            d.set(bit, !d.get(bit));
+            r.set(bit, !r.get(bit));
         }
-        LineSecded::Result r = line.correct(d, c);
-        EXPECT_EQ(r.correctedWords, 8u);
-        EXPECT_EQ(r.uncorrectableWords, 0u);
-        EXPECT_EQ(d, stored);
+        LineSecded::Result res = line.correct(r);
+        EXPECT_EQ(res.correctedWords, 8u);
+        EXPECT_EQ(res.uncorrectableWords, 0u);
+        EXPECT_EQ(r, stored);
     }
 
     // A double flip confined to one word poisons only that word.
     {
-        BitVector d = stored;
-        BitVector c = check;
-        d.set(3 * 64 + 5, !d.get(3 * 64 + 5));
-        d.set(3 * 64 + 41, !d.get(3 * 64 + 41));
-        d.set(6 * 64 + 7, !d.get(6 * 64 + 7)); // single, elsewhere
-        LineSecded::Result r = line.correct(d, c);
-        EXPECT_EQ(r.correctedWords, 1u);
-        EXPECT_EQ(r.uncorrectableWords, 1u);
-        EXPECT_EQ(r.status(), EccStatus::Uncorrectable);
+        BitVector r = stored;
+        r.set(3 * 64 + 5, !r.get(3 * 64 + 5));
+        r.set(3 * 64 + 41, !r.get(3 * 64 + 41));
+        r.set(6 * 64 + 7, !r.get(6 * 64 + 7)); // single, elsewhere
+        LineSecded::Result res = line.correct(r);
+        EXPECT_EQ(res.correctedWords, 1u);
+        EXPECT_EQ(res.uncorrectableWords, 1u);
+        EXPECT_EQ(res.status(), EccStatus::Uncorrectable);
         // The singly-hit word is restored.
-        EXPECT_EQ(d.slice(6 * 64, 64), stored.slice(6 * 64, 64));
+        EXPECT_EQ(r.slice(6 * 64, 64), stored.slice(6 * 64, 64));
+    }
+
+    // A flip in a word's check lane is corrected in the lane.
+    {
+        BitVector r = stored;
+        std::size_t lane = 512 + 5 * 8 + 3;
+        r.set(lane, !r.get(lane));
+        LineSecded::Result res = line.correct(r);
+        EXPECT_EQ(res.correctedWords, 1u);
+        EXPECT_EQ(r, stored);
     }
 }
 
@@ -413,35 +419,47 @@ TEST(Secded, LineWordPathMatchesBitSerialOnRandomLines)
         LineSecded line(bits * 9, bits);
         BitSerialSecded ref(bits);
         const std::size_t cb = line.code().checkBits();
+        const std::size_t lb = line.lineBits();
+        const std::size_t tail = lb + line.checkLanes();
         for (int trial = 0; trial < 200; ++trial) {
-            BitVector stored = randomBitsOf(rng, line.lineBits());
-            BitVector check = line.encodeCheck(stored);
-            // Zero to three random flips per word, data or check.
+            // Three wires past the check lanes, like the guard wire.
+            BitVector row = randomBitsOf(rng, tail + 3);
+            const BitVector written = row;
+            line.encode(row);
+            // Each word's data and the bits past the check lanes are
+            // kept; each check lane is the bit-serial check.
+            ASSERT_EQ(row.slice(0, lb), written.slice(0, lb));
+            ASSERT_EQ(row.slice(tail, 3), written.slice(tail, 3));
+            for (std::size_t w = 0; w < line.words(); ++w)
+                ASSERT_EQ(row.slice(lb + w * cb, cb),
+                          ref.check(row.slice(w * bits, bits)))
+                    << "word " << w;
+            // Zero to four random flips per word, data or check.
             for (std::size_t w = 0; w < line.words(); ++w) {
-                for (std::size_t f = rng.nextBelow(4); f > 0; --f) {
+                for (std::size_t f = rng.nextBelow(5); f > 0; --f) {
                     std::size_t pos = rng.nextBelow(bits + cb);
-                    if (pos < bits)
-                        stored.set(w * bits + pos,
-                                   !stored.get(w * bits + pos));
-                    else
-                        check.set(w * cb + pos - bits,
-                                  !check.get(w * cb + pos - bits));
+                    std::size_t at = pos < bits
+                                         ? w * bits + pos
+                                         : lb + w * cb + pos - bits;
+                    row.set(at, !row.get(at));
                 }
             }
-            BitVector d = stored, c = check;
-            LineSecded::Result got = line.correct(d, c);
+            BitVector got = row;
+            LineSecded::Result res = line.correct(got);
             LineSecded::Result want;
             for (std::size_t w = 0; w < line.words(); ++w) {
-                BitVector wd = stored.slice(w * bits, bits);
-                BitVector wc = check.slice(w * cb, cb);
+                BitVector wd = row.slice(w * bits, bits);
+                BitVector wc = row.slice(lb + w * cb, cb);
                 EccStatus st = ref.decode(wd, wc).status;
                 want.correctedWords += st == EccStatus::Corrected;
                 want.uncorrectableWords += st == EccStatus::Uncorrectable;
-                ASSERT_EQ(d.slice(w * bits, bits), wd) << "word " << w;
-                ASSERT_EQ(c.slice(w * cb, cb), wc) << "word " << w;
+                ASSERT_EQ(got.slice(w * bits, bits), wd) << "word " << w;
+                ASSERT_EQ(got.slice(lb + w * cb, cb), wc)
+                    << "word " << w;
             }
-            EXPECT_EQ(got.correctedWords, want.correctedWords);
-            EXPECT_EQ(got.uncorrectableWords, want.uncorrectableWords);
+            ASSERT_EQ(got.slice(tail, 3), written.slice(tail, 3));
+            EXPECT_EQ(res.correctedWords, want.correctedWords);
+            EXPECT_EQ(res.uncorrectableWords, want.uncorrectableWords);
         }
     }
 }

@@ -108,6 +108,23 @@ TEST(WorkloadGenerator, BurstyConservesLongRunRate)
     EXPECT_NEAR(static_cast<double>(n), expected, 0.15 * expected);
 }
 
+TEST(WorkloadGenerator, StreamEndsAtTheTopOfTheCycleRange)
+{
+    // At the longest duration the arrival clock reaches 2^64, which no
+    // cycle count holds: the stream must end there.  Casting that
+    // clock to a cycle wrapped it below the duration, and the stream
+    // never ended.
+    WorkloadConfig cfg;
+    cfg.ratePerKcycle = 1e-12;
+    cfg.durationCycles = UINT64_MAX;
+    WorkloadGenerator gen(cfg, 1, 0);
+    ServiceRequest r;
+    bool ended = false;
+    for (int i = 0; i < 1000000 && !ended; ++i)
+        ended = !gen.next(r);
+    EXPECT_TRUE(ended);
+}
+
 TEST(WorkloadGenerator, RejectsUnservableOpenLoopRates)
 {
     // An open-loop rate above one arrival per cycle (or not finite)

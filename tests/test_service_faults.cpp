@@ -260,6 +260,25 @@ TEST(ServiceFaults, ScrubBoundsStickyExposure)
               outcome(u, RequestOutcome::Sdc));
 }
 
+TEST(ServiceFaults, ScrubDueTimeSaturatesAtTheEndOfTheCycleRange)
+{
+    // The first sweep is due at 2^63 + 1; the next would be at
+    // 2^64 + 2, past the last cycle.  The due time saturates there, so
+    // exactly one sweep runs.  A wrapping sum put the second sweep at
+    // cycle 2, and the channel swept forever.
+    ServiceConfig cfg = faultConfig(GuardPolicy::PeriodicScrub, 1e-3);
+    cfg.channels = 1;
+    cfg.durationCycles = UINT64_MAX;
+    cfg.ratePerKcycle = 1e-12;
+    cfg.faults.scrubIntervalCycles = (std::uint64_t{1} << 63) + 1;
+    ServiceStats s = runService(cfg);
+    expectTaxonomyClosed(s);
+    EXPECT_GT(s.generated, 0u);
+    // One sweep dispatches one maintenance unit per bank; each
+    // retirement adds its migration.
+    EXPECT_EQ(s.maintenanceUnits, cfg.banksPerChannel + s.retiredGroups);
+}
+
 TEST(ServiceFaults, BreakerRetirementAndSteeringUnderPressure)
 {
     ServiceConfig cfg = faultConfig(GuardPolicy::PerCpim, 2e-2);
