@@ -22,6 +22,7 @@
 
 #include "apps/bitmap/bitmap_index.hpp"
 #include "arch/dwm_memory.hpp"
+#include "baselines/dram_pim.hpp"
 #include "core/coruscant_unit.hpp"
 #include "obs/output_files.hpp"
 #include "service/batcher.hpp"
@@ -245,6 +246,28 @@ BM_BitmapChunkQuery(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * (users / 512));
 }
 BENCHMARK(BM_BitmapChunkQuery);
+
+/**
+ * Fig. 12's ELP2IM chunk step: one five-operand AND over 65 536-bit
+ * DRAM rows, folded into one accumulator.  Items are bits.
+ */
+void
+BM_Elp2imBulkMulti(benchmark::State &state)
+{
+    constexpr std::size_t bits = 65536;
+    Elp2ImUnit unit(bits);
+    Rng rng(12);
+    std::vector<BitVector> ops;
+    for (int i = 0; i < 5; ++i)
+        ops.push_back(randomRow(rng, bits));
+    for (auto _ : state) {
+        unit.resetCosts();
+        benchmark::DoNotOptimize(unit.bulkMulti(BulkOp::And, ops));
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(bits));
+}
+BENCHMARK(BM_Elp2imBulkMulti);
 
 /**
  * Fig. 12's input: the male bitmap and four weekly activity bitmaps of

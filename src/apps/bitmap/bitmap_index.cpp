@@ -115,12 +115,12 @@ void
 loadChunk(std::vector<BitVector> &rows,
           const std::vector<const BitVector *> &ops, std::size_t lo)
 {
-    const std::size_t first = lo / 64;
     for (std::size_t i = 0; i < ops.size(); ++i) {
-        const BitVector &op = *ops[i];
-        const std::size_t live = op.numWords() - first;
-        rows[i].setWords([&op, first, live](std::size_t j) {
-            return j < live ? op.word(first + j) : 0;
+        // The span by value, so the copy is a plain word loop.
+        const WordSpan src = ops[i]->words().subspan(lo / 64);
+        const std::size_t live = src.size();
+        rows[i].setWords([src, live](std::size_t j) {
+            return j < live ? src[j] : 0;
         });
     }
 }
@@ -190,15 +190,15 @@ BitmapQueryEngine::runCoruscant(std::size_t weeks,
 
     std::size_t chunks = (db.users + dwmRowBits - 1) / dwmRowBits;
     std::uint64_t matches = 0;
-    std::vector<BitVector> rows(ops.size(), BitVector(dwmRowBits));
-    std::vector<const BitVector *> staged;
-    for (const BitVector &row : rows)
-        staged.push_back(&row);
+    // Each chunk is staged straight from the bitmaps' words; the unit
+    // zero-extends the last, shorter chunk.
+    std::vector<WordSpan> chunk(ops.size());
     for (std::size_t c = 0; c < chunks; ++c) {
         std::size_t lo = c * dwmRowBits;
         std::size_t width = std::min(dwmRowBits, db.users - lo);
-        loadChunk(rows, ops, lo);
-        BitVector result = unit.bulkBitwise(BulkOp::And, staged);
+        for (std::size_t i = 0; i < ops.size(); ++i)
+            chunk[i] = ops[i]->words().subspan(lo / 64);
+        BitVector result = unit.bulkBitwise(BulkOp::And, chunk);
         matches += survivors(result, width);
     }
     // The bitmaps live in consecutive rows of every PIM DBC (male at

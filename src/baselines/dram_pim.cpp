@@ -15,6 +15,13 @@ constexpr double activationEnergyPj = 909.0;
 } // namespace
 
 void
+DramPimUnit::checkWidths(const BitVector &a, const BitVector &b) const
+{
+    fatalIf(a.size() != rowBits || b.size() != rowBits,
+            "row width mismatch");
+}
+
+void
 DramPimUnit::chargeAap()
 {
     costs.charge(Cost::Aap, 2u * timing.tRas + timing.tRp,
@@ -59,7 +66,7 @@ DramPimUnit::bulkMulti(BulkOp op, const std::vector<BitVector> &ops)
     }
     BitVector acc = ops[0];
     for (std::size_t i = 1; i < ops.size(); ++i)
-        acc = bulk2(inner, acc, ops[i]);
+        fold(inner, acc, ops[i]);
     if (invert)
         acc = bulkNot(acc);
     return acc;
@@ -100,16 +107,16 @@ AmbitUnit::aapCount(BulkOp op)
     }
 }
 
-BitVector
-AmbitUnit::bulk2(BulkOp op, const BitVector &a, const BitVector &b)
+void
+AmbitUnit::fold(BulkOp op, BitVector &acc, const BitVector &b)
 {
-    fatalIf(a.size() != rowBits || b.size() != rowBits,
-            "row width mismatch");
+    checkWidths(acc, b);
     for (std::size_t i = 0; i < aapCount(op); ++i)
         chargeAap();
 
-    // Functional execution through the real mechanisms.
-    scratch.setRow(6, a);
+    // Functional execution through the real mechanisms; acc is read
+    // until the result is assigned to it.
+    scratch.setRow(6, acc);
     scratch.setRow(7, b);
     auto tra = [&](std::size_t ctrl) {
         scratch.rowClone(6, 0);
@@ -119,27 +126,27 @@ AmbitUnit::bulk2(BulkOp op, const BitVector &a, const BitVector &b)
     };
     switch (op) {
       case BulkOp::And:
-        return tra(4);
+        acc = tra(4);
+        return;
       case BulkOp::Or:
-        return tra(5);
-      case BulkOp::Nand: {
-        auto r = tra(4);
-        scratch.setRow(3, r);
-        return scratch.readInverted(3);
-      }
-      case BulkOp::Nor: {
-        auto r = tra(5);
-        scratch.setRow(3, r);
-        return scratch.readInverted(3);
-      }
+        acc = tra(5);
+        return;
+      case BulkOp::Nand:
+        scratch.setRow(3, tra(4));
+        acc = scratch.readInverted(3);
+        return;
+      case BulkOp::Nor:
+        scratch.setRow(3, tra(5));
+        acc = scratch.readInverted(3);
+        return;
       case BulkOp::Xor:
       case BulkOp::Xnor: {
         // k = A AND NOT B; k' = NOT A AND B; result = k OR k'.
         scratch.setRow(3, b);
         BitVector nb = scratch.readInverted(3);
-        scratch.setRow(3, a);
+        scratch.setRow(3, acc);
         BitVector na = scratch.readInverted(3);
-        scratch.setRow(6, a);
+        scratch.setRow(6, acc);
         scratch.setRow(7, nb);
         BitVector k = tra(4);
         scratch.setRow(6, na);
@@ -147,11 +154,12 @@ AmbitUnit::bulk2(BulkOp op, const BitVector &a, const BitVector &b)
         BitVector kp = tra(4);
         scratch.setRow(6, k);
         scratch.setRow(7, kp);
-        BitVector x = tra(5);
-        if (op == BulkOp::Xor)
-            return x;
-        scratch.setRow(3, x);
-        return scratch.readInverted(3);
+        acc = tra(5);
+        if (op == BulkOp::Xnor) {
+            scratch.setRow(3, acc);
+            acc = scratch.readInverted(3);
+        }
+        return;
       }
       default:
         fatal("Ambit does not implement ", bulkOpName(op));
@@ -199,29 +207,36 @@ Elp2ImUnit::phaseCount(BulkOp op)
     }
 }
 
-BitVector
-Elp2ImUnit::bulk2(BulkOp op, const BitVector &a, const BitVector &b)
+void
+Elp2ImUnit::fold(BulkOp op, BitVector &acc, const BitVector &b)
 {
-    fatalIf(a.size() != rowBits || b.size() != rowBits,
-            "row width mismatch");
+    checkWidths(acc, b);
     for (std::size_t i = 0; i < phaseCount(op); ++i)
         chargeAp();
     switch (op) {
       case BulkOp::And:
-        return a & b;
+        acc &= b;
+        return;
       case BulkOp::Or:
-        return a | b;
-      case BulkOp::Nand:
-        return ~(a & b);
-      case BulkOp::Nor:
-        return ~(a | b);
+        acc |= b;
+        return;
       case BulkOp::Xor:
-        return a ^ b;
+        acc ^= b;
+        return;
+      case BulkOp::Nand:
+        acc &= b;
+        break;
+      case BulkOp::Nor:
+        acc |= b;
+        break;
       case BulkOp::Xnor:
-        return ~(a ^ b);
+        acc ^= b;
+        break;
       default:
         fatal("ELP2IM does not implement ", bulkOpName(op));
     }
+    // The inverting ops: NOT the result, in place.
+    acc.setWords([&acc](std::size_t j) { return ~acc.word(j); });
 }
 
 BitVector

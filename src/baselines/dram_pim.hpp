@@ -40,16 +40,28 @@ class DramPimUnit
     {}
     virtual ~DramPimUnit() = default;
 
-    /** Two-operand bulk-bitwise operation. */
-    virtual BitVector bulk2(BulkOp op, const BitVector &a,
-                            const BitVector &b) = 0;
+    /**
+     * Two-operand bulk-bitwise operation in place: @p acc becomes
+     * @p acc op @p b, charged as one two-operand step.
+     */
+    virtual void fold(BulkOp op, BitVector &acc, const BitVector &b) = 0;
+
+    /** Two-operand bulk-bitwise operation: fold() into a copy of @p a. */
+    BitVector
+    bulk2(BulkOp op, const BitVector &a, const BitVector &b)
+    {
+        BitVector acc = a;
+        fold(op, acc, b);
+        return acc;
+    }
 
     /** NOT of one row. */
     virtual BitVector bulkNot(const BitVector &a) = 0;
 
     /**
      * Multi-operand operation composed from two-operand steps (these
-     * designs have no multi-operand primitive).
+     * designs have no multi-operand primitive), folded into one
+     * accumulator.
      */
     BitVector bulkMulti(BulkOp op, const std::vector<BitVector> &ops);
 
@@ -57,6 +69,9 @@ class DramPimUnit
     void resetCosts() { costs.reset(); }
 
   protected:
+    /** Panic unless both rows of a step are rowBits wide. */
+    void checkWidths(const BitVector &a, const BitVector &b) const;
+
     /** Charge one AAP (ACTIVATE-ACTIVATE-PRECHARGE). */
     void chargeAap();
 
@@ -74,8 +89,7 @@ class AmbitUnit : public DramPimUnit
   public:
     explicit AmbitUnit(std::size_t row_bits);
 
-    BitVector bulk2(BulkOp op, const BitVector &a,
-                    const BitVector &b) override;
+    void fold(BulkOp op, BitVector &acc, const BitVector &b) override;
     BitVector bulkNot(const BitVector &a) override;
 
     /** AAP count for a two-operand op (published sequences). */
@@ -93,8 +107,7 @@ class Elp2ImUnit : public DramPimUnit
   public:
     explicit Elp2ImUnit(std::size_t row_bits);
 
-    BitVector bulk2(BulkOp op, const BitVector &a,
-                    const BitVector &b) override;
+    void fold(BulkOp op, BitVector &acc, const BitVector &b) override;
     BitVector bulkNot(const BitVector &a) override;
 
     /** Row-activation phases for a two-operand op. */

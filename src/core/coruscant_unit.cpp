@@ -5,6 +5,7 @@
 
 #include "core/coruscant_unit.hpp"
 
+#include <algorithm>
 #include <array>
 
 #include "util/logging.hpp"
@@ -14,25 +15,53 @@ namespace coruscant {
 namespace {
 
 /**
- * Pointers to the rows of a vector, in order, for the span forms,
- * held inline.  No TR window holds more rows than a wire has domains.
+ * The words of a list of operand rows, in order, for the word-span
+ * forms, held inline; each row's width is checked once, here.  No TR
+ * window holds more rows than a wire has domains.
  */
-class RowPointers
+class RowWords
 {
   public:
-    explicit RowPointers(const std::vector<BitVector> &rows)
-        : n(rows.size())
+    RowWords(std::span<const BitVector *const> rows, std::size_t width)
+        : n(checkedCount(rows.size()))
     {
-        fatalIf(n > ptrs.size(), "a TR window holds at most ", ptrs.size(),
-                " rows, got ", n);
         for (std::size_t i = 0; i < n; ++i)
-            ptrs[i] = &rows[i];
+            words[i] = checked(*rows[i], width);
     }
 
-    std::span<const BitVector *const> span() const { return {ptrs.data(), n}; }
+    RowWords(const std::vector<BitVector> &rows, std::size_t width)
+        : n(checkedCount(rows.size()))
+    {
+        for (std::size_t i = 0; i < n; ++i)
+            words[i] = checked(rows[i], width);
+    }
+
+    std::span<const WordSpan> span() const { return {words, n}; }
 
   private:
-    std::array<const BitVector *, DeviceParams::domainsPerWire> ptrs;
+    static std::size_t
+    checkedCount(std::size_t count)
+    {
+        fatalIf(count > capacity, "a TR window holds at most ", capacity,
+                " rows, got ", count);
+        return count;
+    }
+
+    static WordSpan
+    checked(const BitVector &row, std::size_t width)
+    {
+        fatalIf(row.size() != width, "operand row width mismatch");
+        return row.words();
+    }
+
+    static constexpr std::size_t capacity = DeviceParams::domainsPerWire;
+
+    // In a union, so a call does not zero the slots it leaves unused;
+    // assigning a slot begins its lifetime (spans copy trivially).
+    union
+    {
+        WordSpan words[capacity];
+    };
     std::size_t n;
 };
 
@@ -118,12 +147,46 @@ CoruscantUnit::chargeTwRow(std::size_t active_wires)
     noteCost(obs::Counter::TwPulses, 1, pj);
 }
 
+void
+CoruscantUnit::chargeStaging(std::size_t rows, std::size_t active_wires,
+                             bool use_tw)
+{
+    // Per row, the charges chargeTwRow(), or chargeRowWrite() then
+    // chargeShifts(1, ...), make, with the same cycles and energy
+    // bits.  All ledger charges come first and then all counter notes,
+    // each in row order: a counter's energy store could alias a ledger
+    // total, so a note between two charges would send every total
+    // back through memory.
+    const double act = static_cast<double>(active_wires);
+    const double tw_pj = act * dev.twEnergyPj;
+    const double write_pj = act * dev.writeEnergyPj;
+    const double shift_pj = act * dev.shiftEnergyPj;
+    for (std::size_t i = 0; i < rows; ++i) {
+        if (use_tw) {
+            costs.charge(Cost::Tw, dev.twCycles, tw_pj);
+        } else {
+            costs.charge(Cost::Write, dev.writeCycles, write_pj);
+            costs.charge(Cost::Shift, dev.shiftCycles, shift_pj);
+        }
+    }
+    if (!metrics)
+        return;
+    for (std::size_t i = 0; i < rows; ++i) {
+        if (use_tw) {
+            noteCost(obs::Counter::TwPulses, 1, tw_pj);
+        } else {
+            noteCost(obs::Counter::Writes, 1, write_pj);
+            noteCost(obs::Counter::Shifts, 1, shift_pj);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Window staging
 // ---------------------------------------------------------------------
 
 std::size_t
-CoruscantUnit::stageWindow(std::span<const BitVector *const> interior_rows,
+CoruscantUnit::stageWindow(std::span<const WordSpan> interior_rows,
                            bool pad_ones, std::size_t interior_offset)
 {
     // Functional placement of operand rows into the TR window.  The
@@ -132,27 +195,19 @@ CoruscantUnit::stageWindow(std::span<const BitVector *const> interior_rows,
     // constants of paper Fig. 7 and cost nothing to "write"; only the
     // slots no operand row takes are padded.  The pads are rewritten
     // on every call: faults and other operations change window rows.
-    std::size_t ws = dbc.rowAtPort(Port::Left);
-    panicIf(ws + dev.trd > dev.domainsPerWire,
-            "TR window extends past the data rows");
-    const std::size_t end = interior_offset + interior_rows.size();
-    for (std::size_t r = 0; r < dev.trd; ++r)
-        if (r < interior_offset || r >= end)
-            dbc.fillRow(ws + r, pad_ones);
-    for (std::size_t i = 0; i < interior_rows.size(); ++i) {
-        fatalIf(interior_rows[i]->size() != dev.wiresPerDbc,
-                "operand row width mismatch");
-        dbc.pokeRow(ws + interior_offset + i, *interior_rows[i]);
-    }
-    return ws;
+    // Operands past the window (a reduction wider than TRD) are
+    // staged too.
+    return dbc.stageWindow(
+        std::max(dev.trd, interior_offset + interior_rows.size()),
+        interior_offset, interior_rows, pad_ones);
 }
 
 std::size_t
 CoruscantUnit::stageWindow(const std::vector<BitVector> &interior_rows,
                            bool pad_ones, std::size_t interior_offset)
 {
-    return stageWindow(RowPointers(interior_rows).span(), pad_ones,
-                       interior_offset);
+    return stageWindow(RowWords(interior_rows, dev.wiresPerDbc).span(),
+                       pad_ones, interior_offset);
 }
 
 // ---------------------------------------------------------------------
@@ -160,8 +215,7 @@ CoruscantUnit::stageWindow(const std::vector<BitVector> &interior_rows,
 // ---------------------------------------------------------------------
 
 BitVector
-CoruscantUnit::bulkBitwise(BulkOp op,
-                           std::span<const BitVector *const> operands,
+CoruscantUnit::bulkBitwise(BulkOp op, std::span<const WordSpan> operands,
                            std::size_t active_wires, bool write_back,
                            bool use_tw)
 {
@@ -184,14 +238,7 @@ CoruscantUnit::bulkBitwise(BulkOp op,
     // shifted into place; padding rows are preset.  With transverse
     // writes the segment shift is fused with the write, halving the
     // staging cycles (paper Sec. IV-B).
-    for (std::size_t i = 0; i < m; ++i) {
-        if (use_tw) {
-            chargeTwRow(act);
-        } else {
-            chargeRowWrite(act);
-            chargeShifts(1, act);
-        }
-    }
+    chargeStaging(m, act, use_tw);
 
     // One transverse read evaluates every wire; the PIM block (or the
     // orange direct path, for OR) selects the output.  The effective
@@ -209,12 +256,22 @@ CoruscantUnit::bulkBitwise(BulkOp op,
 }
 
 BitVector
+CoruscantUnit::bulkBitwise(BulkOp op,
+                           std::span<const BitVector *const> operands,
+                           std::size_t active_wires, bool write_back,
+                           bool use_tw)
+{
+    return bulkBitwise(op, RowWords(operands, dev.wiresPerDbc).span(),
+                       active_wires, write_back, use_tw);
+}
+
+BitVector
 CoruscantUnit::bulkBitwise(BulkOp op, const std::vector<BitVector> &operands,
                            std::size_t active_wires, bool write_back,
                            bool use_tw)
 {
-    return bulkBitwise(op, RowPointers(operands).span(), active_wires,
-                       write_back, use_tw);
+    return bulkBitwise(op, RowWords(operands, dev.wiresPerDbc).span(),
+                       active_wires, write_back, use_tw);
 }
 
 } // namespace coruscant

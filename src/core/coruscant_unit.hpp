@@ -138,7 +138,9 @@ class CoruscantUnit
      * evaluates all wires, and the PIM block selects the result.
      *
      * @param op the logic operation
-     * @param operands 1..TRD rows of width() bits
+     * @param operands the words of 1..TRD rows: row i takes the first
+     *        words of operands[i] (zeros past the end of a shorter
+     *        span; words and bits past width() are dropped)
      * @param active_wires wires carrying data (energy attribution);
      *        defaults to the full row
      * @param write_back also write the result row back at the left port
@@ -148,12 +150,17 @@ class CoruscantUnit
      *        operations where the number of operands < TRD")
      * @return the result row
      */
+    BitVector bulkBitwise(BulkOp op, std::span<const WordSpan> operands,
+                          std::size_t active_wires = 0,
+                          bool write_back = false, bool use_tw = false);
+
+    /** bulkBitwise() over the words of @p operands, each width() bits. */
     BitVector bulkBitwise(BulkOp op,
                           std::span<const BitVector *const> operands,
                           std::size_t active_wires = 0,
                           bool write_back = false, bool use_tw = false);
 
-    /** bulkBitwise() over the rows of @p operands. */
+    /** bulkBitwise() over the rows of @p operands, each width() bits. */
     BitVector bulkBitwise(BulkOp op, const std::vector<BitVector> &operands,
                           std::size_t active_wires = 0,
                           bool write_back = false, bool use_tw = false);
@@ -343,17 +350,25 @@ class CoruscantUnit
     void chargeRowRead(std::size_t active_wires);
     void chargeShifts(std::size_t steps, std::size_t active_wires);
     void chargeTwRow(std::size_t active_wires);
+
+    /**
+     * Charge @p rows operand rows staged into the window: each a TW
+     * with @p use_tw, else a port write and a one-step shift.
+     */
+    void chargeStaging(std::size_t rows, std::size_t active_wires,
+                       bool use_tw);
     void chargeCopy(std::size_t active_wires);
 
     /**
-     * Stage operand rows into the TR window from slot
-     * @p interior_offset on, and fill every other window slot with
-     * @p pad_ones in place; returns the window start.
+     * Stage operand rows, given by their words as in bulkBitwise(),
+     * into the TR window from slot @p interior_offset on, and fill
+     * every other window slot with @p pad_ones, in place and in one
+     * pass; returns the window start.
      */
-    std::size_t stageWindow(std::span<const BitVector *const> interior_rows,
+    std::size_t stageWindow(std::span<const WordSpan> interior_rows,
                             bool pad_ones, std::size_t interior_offset);
 
-    /** stageWindow() over the rows of @p interior_rows. */
+    /** stageWindow() over the rows of @p interior_rows, each width() bits. */
     std::size_t stageWindow(const std::vector<BitVector> &interior_rows,
                             bool pad_ones, std::size_t interior_offset);
 

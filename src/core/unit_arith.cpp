@@ -62,10 +62,7 @@ CoruscantUnit::carryChain(const std::vector<BitVector> &operands,
                 chargeShifts(1, act);
         }
     } else {
-        for (std::size_t i = 0; i < dev.trd - 2; ++i) {
-            chargeRowWrite(act);
-            chargeShifts(1, act);
-        }
+        chargeStaging(dev.trd - 2, act, false);
     }
 
     const std::size_t s_row = ws; // S always lands in the left-port row

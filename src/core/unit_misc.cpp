@@ -70,10 +70,7 @@ CoruscantUnit::maxOfRows(const std::vector<BitVector> &candidates,
     const std::size_t lanes = act / word_bits;
 
     stageWindow(candidates, false, 0);
-    for (std::size_t i = 0; i < m; ++i) {
-        chargeRowWrite(act);
-        chargeShifts(1, act);
-    }
+    chargeStaging(m, act, false);
 
     const BitVector lane_start = laneStarts(word_bits, act);
     for (std::size_t bit = word_bits; bit-- > 0;) {

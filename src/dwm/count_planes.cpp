@@ -61,6 +61,41 @@ rippleRows(std::uint64_t *planes, std::size_t n_words,
         rippleBlock<P, 1>(planes, n_words, j, rows);
 }
 
+/**
+ * Into @p out, the wires whose count in the @p P planes of @p n_words
+ * words at @p planes is at least @p threshold (< 2^P).  Each word is
+ * one branch-free compare, MSB first, against the threshold's bits
+ * as masks: `gt` marks wires already above the threshold's prefix,
+ * `eq` those still equal to it.
+ */
+template <std::size_t P>
+void
+atLeastWords(const std::uint64_t *planes, std::size_t n_words,
+             std::size_t threshold, BitVector &out)
+{
+    std::array<std::uint64_t, P> t;
+    for (std::size_t k = 0; k < P; ++k)
+        t[k] = std::uint64_t{0} - ((threshold >> k) & 1);
+    out.setWords([planes, n_words, t](std::size_t j) {
+        std::uint64_t gt = 0;
+        std::uint64_t eq = ~0ULL;
+        for (std::size_t k = P; k-- > 0;) {
+            const std::uint64_t p = planes[k * n_words + j];
+            gt |= eq & p & ~t[k];
+            eq &= ~(p ^ t[k]);
+        }
+        return gt | eq;
+    });
+}
+
+/** atLeastWords<P> for every plane count, 0 to CountPlanes' maximum. */
+template <std::size_t... P>
+constexpr auto
+atLeastTable(std::index_sequence<P...>)
+{
+    return std::array{&atLeastWords<P>...};
+}
+
 /** rippleRows<P> for every plane count up to CountPlanes' maximum. */
 template <std::size_t... P>
 constexpr auto
@@ -136,26 +171,10 @@ CountPlanes::atLeast(std::size_t threshold) const
     BitVector out(wires);
     if (static_cast<std::size_t>(std::bit_width(threshold)) > numPlanes)
         return out; // beyond every representable count
-    // Bounds by value, as in plane().
-    const std::size_t n_words = numWords;
-    const std::size_t n_planes = numPlanes;
-    const std::uint64_t *planes = bits();
-    out.setWords([=](std::size_t j) {
-        // Compare MSB first: `gt` marks wires already above the
-        // threshold's prefix, `eq` those still equal to it.
-        std::uint64_t gt = 0;
-        std::uint64_t eq = ~0ULL;
-        for (std::size_t k = n_planes; k-- > 0;) {
-            std::uint64_t p = planes[k * n_words + j];
-            if ((threshold >> k) & 1) {
-                eq &= p;
-            } else {
-                gt |= eq & p;
-                eq &= ~p;
-            }
-        }
-        return gt | eq;
-    });
+    // The plane count is a template argument, as in the ripple.
+    static constexpr auto compare =
+        atLeastTable(std::make_index_sequence<maxPlanes + 1>());
+    compare[numPlanes](bits(), numWords, threshold, out);
     return out;
 }
 

@@ -70,7 +70,11 @@ class CountPlanes
         return {bits() + k * numWords, numWords};
     }
 
-    /** Wires whose count is >= @p threshold. */
+    /**
+     * Wires whose count is >= @p threshold: one branch-free compare
+     * per word against the threshold's bits, the plane count a
+     * template argument.
+     */
     BitVector atLeast(std::size_t threshold) const;
 
     /** Every wire's count, truncated to 8 bits. */

@@ -353,6 +353,39 @@ DomainBlockCluster::fillRow(std::size_t row, bool value)
     physRow(physicalIndex(row)).setWords([word](std::size_t) { return word; });
 }
 
+std::size_t
+DomainBlockCluster::stageWindow(std::size_t count, std::size_t offset,
+                                std::span<const WordSpan> operands,
+                                bool pad)
+{
+    const std::size_t first = rowAtPort(Port::Left);
+    panicIf(first + count > dev.domainsPerWire ||
+                offset + operands.size() > count,
+            "staged rows extend past the data rows");
+    const std::uint64_t pad_word = pad ? ~0ULL : 0ULL;
+    // Ring slots from the window start on, wrapping at the end.
+    const std::size_t slots = ring.size();
+    std::size_t slot = head + portPhysical(Port::Left);
+    if (slot >= slots)
+        slot -= slots;
+    for (std::size_t r = 0; r < count; ++r) {
+        BitVector &row = ring[slot];
+        slot = slot + 1 == slots ? 0 : slot + 1;
+        // Wraps to a huge index for the rows before the operands.
+        const std::size_t i = r - offset;
+        if (i < operands.size()) {
+            const WordSpan src = operands[i];
+            const std::size_t live = src.size();
+            row.setWords([src, live](std::size_t j) {
+                return j < live ? src[j] : 0;
+            });
+        } else {
+            row.setWords([pad_word](std::size_t) { return pad_word; });
+        }
+    }
+    return first;
+}
+
 bool
 DomainBlockCluster::peekBit(std::size_t row, std::size_t wire) const
 {

@@ -27,6 +27,7 @@
 #define CORUSCANT_DWM_DBC_HPP
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -185,6 +186,18 @@ class DomainBlockCluster
     void pokeRow(std::size_t row, const BitVector &value);
     /** Set every bit of @p row to @p value, in place. */
     void fillRow(std::size_t row, bool value);
+
+    /**
+     * Stage the TR window in place, in one pass: @p count rows from
+     * the window start on (more than TRD stages rows past the window),
+     * where row @p offset + i takes the words of @p operands[i] and
+     * every other row is filled with @p pad.  An operand span shorter
+     * than a row reads as zero past its end; words and bits past
+     * width() are dropped.  Panics unless the operands fit the rows
+     * and the rows are data rows.  Returns the window start.
+     */
+    std::size_t stageWindow(std::size_t count, std::size_t offset,
+                            std::span<const WordSpan> operands, bool pad);
     bool peekBit(std::size_t row, std::size_t wire) const;
     void pokeBit(std::size_t row, std::size_t wire, bool value);
 

@@ -6,6 +6,7 @@
 
 #include "arch/dwm_memory.hpp"
 #include "util/bit_vector.hpp"
+#include "util/cycles.hpp"
 #include "util/logging.hpp"
 
 namespace coruscant {
@@ -294,7 +295,7 @@ DbcHealthTracker::recordError(std::uint32_t bank, std::uint32_t group,
     g.errorCycles.clear();
     g.trips += 1;
     g.openedAt = cycle;
-    g.openUntil = cycle + cfg_.breakerCooldownCycles;
+    g.openUntil = satAddCycles(cycle, cfg_.breakerCooldownCycles);
     ++breakerTrips_;
     action.breakerOpened = true;
     if (g.trips < cfg_.tripsToRetire)

@@ -14,9 +14,13 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 
 namespace coruscant {
+
+/** A run of storage words in BitVector word layout, read-only. */
+using WordSpan = std::span<const std::uint64_t>;
 
 /**
  * A fixed-size-after-construction vector of bits with value semantics.
@@ -160,6 +164,12 @@ class BitVector
 
     /** Storage words: (size() + 63) / 64. */
     std::size_t numWords() const { return wordCount(numBits); }
+
+    /**
+     * Every storage word, numWords() of them; the bits past size() in
+     * the last one read zero.  The span points into this object.
+     */
+    WordSpan words() const { return {store, numWords()}; }
 
     /**
      * Interpret bits [offset, offset+width) as an unsigned integer.

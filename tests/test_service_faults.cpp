@@ -168,6 +168,20 @@ TEST(DbcHealthTracker, DueTripsImmediatelyAndWindowPrunes)
     EXPECT_EQ(t.breakerTrips(), 1u);
 }
 
+TEST(DbcHealthTracker, CooldownSaturatesAtTheEndOfTheCycleRange)
+{
+    // A trip near the top of the cycle range stays open to its end:
+    // the cooldown's end saturates instead of wrapping to a small
+    // cycle that would reopen the group at once.
+    ServiceFaultConfig cfg;
+    cfg.breakerThreshold = 1;
+    cfg.breakerCooldownCycles = 1000;
+    DbcHealthTracker t(cfg, 1, 1);
+    constexpr std::uint64_t top = ~0ull;
+    EXPECT_TRUE(t.recordError(0, 0, top - 10, false).breakerOpened);
+    EXPECT_FALSE(t.available(0, 0, top - 5));
+}
+
 TEST(DbcHealthTracker, SteeringPrefersHomeThenSiblingsThenOtherBanks)
 {
     ServiceFaultConfig cfg;

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/coruscant_unit.hpp"
 #include "obs/metrics.hpp"
 #include "util/logging.hpp"
@@ -202,11 +204,40 @@ expectSameRows(const CoruscantUnit &a, const CoruscantUnit &b)
         EXPECT_EQ(a.peekRow(r), b.peekRow(r)) << "row " << r;
 }
 
+/** The words of each row of @p rows, for the word-span form. */
+std::vector<WordSpan>
+wordsOf(const std::vector<BitVector> &rows)
+{
+    std::vector<WordSpan> out;
+    for (const BitVector &row : rows)
+        out.push_back(row.words());
+    return out;
+}
+
+/**
+ * Two units after the same call: equal charges, counters (energy
+ * compared exactly), injected faults and data rows.
+ */
+void
+expectSameUnits(const CoruscantUnit &a, const obs::ComponentMetrics &am,
+                const CoruscantUnit &b, const obs::ComponentMetrics &bm)
+{
+    expectSameLedger(a.ledger(), b.ledger());
+    for (std::size_t c = 0; c < obs::kCounterKinds; ++c) {
+        const auto counter = static_cast<obs::Counter>(c);
+        EXPECT_EQ(am.get(counter), bm.get(counter))
+            << obs::counterName(counter);
+    }
+    EXPECT_EQ(am.energyPj(), bm.energyPj());
+    EXPECT_EQ(a.injectedFaults(), b.injectedFaults());
+    expectSameRows(a, b);
+}
+
 TEST(UnitBulk, SpanFormMatchesVectorForm)
 {
-    // Both forms on two fresh units, with TR faults off and on (the
-    // faulty pair draws from equal seeds): the same result, charges,
-    // counters and window.
+    // The vector, pointer-span and word-span forms on fresh units,
+    // with TR faults off and on (the faulty units draw from equal
+    // seeds): the same result, charges, counters and window.
     for (std::size_t trd : {3u, 5u, 7u}) {
         for (double pfault : {0.0, 0.05}) {
             Rng rng(trd * 1000 + (pfault > 0));
@@ -227,29 +258,120 @@ TEST(UnitBulk, SpanFormMatchesVectorForm)
                             const auto ops = randomRows(rng, m, 64);
                             CoruscantUnit by_vec(smallParams(trd), pfault, 9);
                             CoruscantUnit by_span(smallParams(trd), pfault, 9);
-                            obs::ComponentMetrics vec_metrics, span_metrics;
+                            CoruscantUnit by_words(smallParams(trd), pfault,
+                                                   9);
+                            obs::ComponentMetrics vec_metrics, span_metrics,
+                                words_metrics;
                             by_vec.attachMetrics(&vec_metrics);
                             by_span.attachMetrics(&span_metrics);
+                            by_words.attachMetrics(&words_metrics);
                             const BitVector want = by_vec.bulkBitwise(
                                 op, ops, 0, write_back, use_tw);
                             const BitVector got = by_span.bulkBitwise(
                                 op, pointersTo(ops), 0, write_back, use_tw);
                             EXPECT_EQ(got, want);
-                            expectSameLedger(by_span.ledger(), by_vec.ledger());
-                            for (std::size_t c = 0; c < obs::kCounterKinds;
-                                 ++c) {
-                                const auto counter = static_cast<obs::Counter>(c);
-                                EXPECT_EQ(span_metrics.get(counter),
-                                          vec_metrics.get(counter))
-                                    << obs::counterName(counter);
-                            }
-                            EXPECT_EQ(span_metrics.energyPj(),
-                                      vec_metrics.energyPj());
-                            EXPECT_EQ(by_span.injectedFaults(),
-                                      by_vec.injectedFaults());
-                            expectSameRows(by_span, by_vec);
+                            expectSameUnits(by_span, span_metrics, by_vec,
+                                            vec_metrics);
+                            EXPECT_EQ(by_words.bulkBitwise(op, wordsOf(ops),
+                                                           0, write_back,
+                                                           use_tw),
+                                      want);
+                            expectSameUnits(by_words, words_metrics, by_vec,
+                                            vec_metrics);
                         }
                     }
+                }
+            }
+        }
+    }
+}
+
+TEST(UnitBulk, ChargesAreThePrimitiveChargesInOrder)
+{
+    // A bulk op charges, per operand, a TW or a port write and a
+    // one-step shift, then the TR, each with the per-primitive
+    // cycles and energy: the ledger and the counters' energy equal
+    // those charges summed in that order, bit for bit.
+    const DeviceParams dev = smallParams(7, 512);
+    const double act = 512.0;
+    Rng rng(31);
+    for (bool use_tw : {false, true}) {
+        for (std::size_t m = 1; m <= 7; ++m) {
+            SCOPED_TRACE(::testing::Message() << "m=" << m << " tw=" << use_tw);
+            CostLedger want;
+            double want_pj = 0;
+            auto charge = [&](Cost c, std::uint64_t cycles, double pj) {
+                want.charge(c, cycles, pj);
+                want_pj += pj;
+            };
+            for (std::size_t i = 0; i < m; ++i) {
+                if (use_tw) {
+                    charge(Cost::Tw, dev.twCycles, act * dev.twEnergyPj);
+                } else {
+                    charge(Cost::Write, dev.writeCycles,
+                           act * dev.writeEnergyPj);
+                    charge(Cost::Shift, 1 * dev.shiftCycles,
+                           1.0 * act * dev.shiftEnergyPj);
+                }
+            }
+            charge(Cost::Tr, dev.trCycles,
+                   act * (dev.trEnergyPj(dev.trd) + dev.pimLogicEnergyPj));
+            CoruscantUnit unit(dev);
+            obs::ComponentMetrics metrics;
+            unit.attachMetrics(&metrics);
+            unit.bulkBitwise(BulkOp::And, randomRows(rng, m, 512), 0, false,
+                             use_tw);
+            expectSameLedger(unit.ledger(), want);
+            EXPECT_EQ(metrics.energyPj(), want_pj);
+        }
+    }
+}
+
+TEST(UnitBulk, WordSpansAreZeroExtendedAndTruncated)
+{
+    // A word span shorter than the row stages as the row with zeros
+    // past its end; a longer one, as its first words with the bits
+    // past the row's width dropped.  Each call equals the vector form
+    // on the rows so built, with faults off and on: the same result,
+    // charges, counters, faults and window.
+    for (std::size_t width : {64u, 100u, 577u}) {
+        const std::size_t n_words = (width + 63) / 64;
+        for (double pfault : {0.0, 0.05}) {
+            Rng rng(width + (pfault > 0));
+            for (BulkOp op : {BulkOp::And, BulkOp::Or, BulkOp::Xor}) {
+                for (std::size_t m = 1; m <= 7; ++m) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << bulkOpName(op) << " width=" << width
+                                 << " m=" << m << " pfault=" << pfault);
+                    // Sources a word longer than the row, with random
+                    // bits throughout; operand i keeps (i + shift) %
+                    // (n_words + 2) words, so every length from empty
+                    // to the whole source turns up.
+                    const auto sources = randomRows(rng, m, n_words * 64 + 64);
+                    const std::size_t shift = rng.nextBelow(n_words + 2);
+                    std::vector<WordSpan> spans;
+                    std::vector<BitVector> rows;
+                    for (std::size_t i = 0; i < m; ++i) {
+                        const std::size_t keep = (i + shift) % (n_words + 2);
+                        spans.push_back(sources[i].words().first(keep));
+                        BitVector row(width);
+                        for (std::size_t w = 0; w < std::min(width, keep * 64);
+                             ++w)
+                            row.set(w, sources[i].get(w));
+                        rows.push_back(row);
+                    }
+                    CoruscantUnit by_vec(smallParams(7, width), pfault, 5);
+                    CoruscantUnit by_words(smallParams(7, width), pfault, 5);
+                    obs::ComponentMetrics vec_metrics, words_metrics;
+                    by_vec.attachMetrics(&vec_metrics);
+                    by_words.attachMetrics(&words_metrics);
+                    const BitVector want = by_vec.bulkBitwise(op, rows);
+                    EXPECT_EQ(by_words.bulkBitwise(op, spans), want);
+                    if (pfault == 0.0) {
+                        EXPECT_EQ(want, golden(op, rows));
+                    }
+                    expectSameUnits(by_words, words_metrics, by_vec,
+                                    vec_metrics);
                 }
             }
         }
