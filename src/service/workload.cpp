@@ -1,5 +1,6 @@
 #include "service/workload.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <sstream>
 
@@ -47,12 +48,12 @@ WorkloadMix::parse(const std::string &text)
         fatalIf(colon == std::string::npos, "mix entry '", part,
                 "' is not name:weight");
         std::string name = part.substr(0, colon);
+        // The whole token is one finite number, as in an option table.
         double w = 0;
-        try {
-            w = std::stod(part.substr(colon + 1));
-        } catch (const std::exception &) {
-            fatal("mix entry '", part, "' has a malformed weight");
-        }
+        const char *last = part.data() + part.size();
+        auto [end, ec] = std::from_chars(part.data() + colon + 1, last, w);
+        fatalIf(ec != std::errc() || end != last || !std::isfinite(w),
+                "mix entry '", part, "' has a malformed weight");
         fatalIf(w < 0, "mix weight for '", name, "' is negative");
         bool known = false;
         for (std::size_t c = 0; c < kRequestClasses; ++c) {

@@ -65,7 +65,8 @@ struct WorkloadMix
     /**
      * Parse "read:0.2,bulk:0.5,add:0.2,mac:0.1" (class names from
      * requestClassName(); omitted classes get weight 0).  Throws
-     * FatalError on unknown names or malformed weights.
+     * FatalError on unknown names, or on a weight that is not one
+     * finite, non-negative number spelled as an option's double.
      */
     static WorkloadMix parse(const std::string &text);
 

@@ -178,6 +178,8 @@ contract("${BENCH_DIR}/service_ecc_tolerance" ARGS --duration 20000
 
 # ci.yml: usage errors exit 2.
 usage_error("${CLI}" serve --rate inf)
+usage_error("${CLI}" serve --mix bulk:nan)
+usage_error("${CLI}" serve --mix read:inf,bulk:1)
 usage_error("${CLI}" serve --nmr 2)
 usage_error("${CLI}" bitmap --users 0)
 usage_error("${CLI}" polybench --size 0)

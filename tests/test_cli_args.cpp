@@ -427,6 +427,13 @@ TEST(CliProcess, UsageErrorsExitTwo)
     EXPECT_EQ(cliExit("serve --rate 1000.5"), 2);
     EXPECT_EQ(cliExit("serve --rate -5"), 2);
     EXPECT_EQ(cliExit("serve --rate 0"), 2);
+    // A mix weight is one finite, non-negative number spelled as an
+    // option's double: a NaN or infinite weight ran the wrong classes,
+    // and a trailing suffix or a hex spelling was read in part.
+    EXPECT_EQ(cliExit("serve --mix bulk:nan --duration 2000"), 2);
+    EXPECT_EQ(cliExit("serve --mix read:inf,bulk:1 --duration 2000"), 2);
+    EXPECT_EQ(cliExit("serve --mix read:1,bulk:2xyz --duration 2000"), 2);
+    EXPECT_EQ(cliExit("serve --mix read:0x10 --duration 2000"), 2);
     // Without their ranges these values fail mid-run or not at all:
     // zero users leave zero row chunks to divide by, a zero problem
     // size gives NaN ratios, a week count outside 2..6 gives an empty
