@@ -91,16 +91,13 @@ BitmapQueryEngine::goldenCount(std::size_t weeks) const
 BitmapQueryResult
 BitmapQueryEngine::runCpuDram(std::size_t weeks) const
 {
-    auto ops = operands(weeks);
-    BitVector acc = *ops[0];
-    for (std::size_t i = 1; i < ops.size(); ++i)
-        acc &= *ops[i];
-    // Every bitmap streams over the 16 B/cycle bus; the SIMD AND and
-    // population count overlap with the transfers.
+    const std::uint64_t matches = goldenCount(weeks);
+    // Every bitmap (male and each week) streams over the 16 B/cycle
+    // bus; the SIMD AND and population count overlap with the
+    // transfers.
     std::uint64_t lines =
-        ops.size() * ((db.users + dwmRowBits - 1) / dwmRowBits);
-    return {"cpu-dram", acc.popcount(),
-            lines * BusConfig::lineBurstCycles()};
+        (weeks + 1) * ((db.users + dwmRowBits - 1) / dwmRowBits);
+    return {"cpu-dram", matches, lines * BusConfig::lineBurstCycles()};
 }
 
 namespace {

@@ -1,5 +1,6 @@
 #include "baselines/dram_pim.hpp"
 
+#include "arch/timing.hpp"
 #include "util/logging.hpp"
 
 namespace coruscant {
@@ -14,24 +15,58 @@ constexpr double activationEnergyPj = 909.0;
 
 } // namespace
 
+DramPimUnit::DramPimUnit(std::size_t row_bits, const DramPriceList &price_list)
+    : rowBits(row_bits), prices(price_list),
+      // A command opens its rows one after another, then precharges.
+      commandCycles(price_list.activations * DdrTiming::dram().tRas +
+                    DdrTiming::dram().tRp),
+      commandEnergyPj(price_list.activations * activationEnergyPj)
+{}
+
 void
-DramPimUnit::checkWidths(const BitVector &a, const BitVector &b) const
+DramPimUnit::charge(std::size_t n)
 {
-    fatalIf(a.size() != rowBits || b.size() != rowBits,
+    for (std::size_t i = 0; i < n; ++i)
+        costs.charge(prices.command, commandCycles, commandEnergyPj);
+}
+
+void
+DramPimUnit::fold(BulkOp op, BitVector &acc, const BitVector &b)
+{
+    fatalIf(acc.size() != rowBits || b.size() != rowBits,
             "row width mismatch");
+    fatalIf(op == BulkOp::Not || op == BulkOp::Maj,
+            "a DRAM step has no two-operand ", bulkOpName(op));
+    charge(prices.count(op));
+    switch (op) {
+      case BulkOp::And:
+        acc &= b;
+        return;
+      case BulkOp::Or:
+        acc |= b;
+        return;
+      case BulkOp::Xor:
+        acc ^= b;
+        return;
+      case BulkOp::Nand:
+        acc &= b;
+        break;
+      case BulkOp::Nor:
+        acc |= b;
+        break;
+      default: // Xnor
+        acc ^= b;
+        break;
+    }
+    // The inverting ops: NOT the result, in place.
+    acc.setWords([&acc](std::size_t j) { return ~acc.word(j); });
 }
 
-void
-DramPimUnit::chargeAap()
+BitVector
+DramPimUnit::bulkNot(const BitVector &a)
 {
-    costs.charge(Cost::Aap, 2u * timing.tRas + timing.tRp,
-                 2.0 * activationEnergyPj);
-}
-
-void
-DramPimUnit::chargeAp()
-{
-    costs.charge(Cost::Ap, timing.tRas + timing.tRp, activationEnergyPj);
+    charge(prices.count(BulkOp::Not));
+    return ~a;
 }
 
 BitVector
@@ -77,11 +112,8 @@ DramPimUnit::bulkMulti(BulkOp op, const std::vector<BitVector> &ops)
 // ---------------------------------------------------------------------
 
 AmbitUnit::AmbitUnit(std::size_t row_bits)
-    : DramPimUnit(row_bits), scratch(8, row_bits)
-{
-    scratch.setRow(4, BitVector(row_bits, false)); // C0
-    scratch.setRow(5, BitVector(row_bits, true));  // C1
-}
+    : DramPimUnit(row_bits, {Cost::Aap, 2, &AmbitUnit::aapCount})
+{}
 
 std::size_t
 AmbitUnit::aapCount(BulkOp op)
@@ -107,80 +139,12 @@ AmbitUnit::aapCount(BulkOp op)
     }
 }
 
-void
-AmbitUnit::fold(BulkOp op, BitVector &acc, const BitVector &b)
-{
-    checkWidths(acc, b);
-    for (std::size_t i = 0; i < aapCount(op); ++i)
-        chargeAap();
-
-    // Functional execution through the real mechanisms; acc is read
-    // until the result is assigned to it.
-    scratch.setRow(6, acc);
-    scratch.setRow(7, b);
-    auto tra = [&](std::size_t ctrl) {
-        scratch.rowClone(6, 0);
-        scratch.rowClone(7, 1);
-        scratch.rowClone(ctrl, 2);
-        return scratch.tripleRowActivate(0, 1, 2);
-    };
-    switch (op) {
-      case BulkOp::And:
-        acc = tra(4);
-        return;
-      case BulkOp::Or:
-        acc = tra(5);
-        return;
-      case BulkOp::Nand:
-        scratch.setRow(3, tra(4));
-        acc = scratch.readInverted(3);
-        return;
-      case BulkOp::Nor:
-        scratch.setRow(3, tra(5));
-        acc = scratch.readInverted(3);
-        return;
-      case BulkOp::Xor:
-      case BulkOp::Xnor: {
-        // k = A AND NOT B; k' = NOT A AND B; result = k OR k'.
-        scratch.setRow(3, b);
-        BitVector nb = scratch.readInverted(3);
-        scratch.setRow(3, acc);
-        BitVector na = scratch.readInverted(3);
-        scratch.setRow(6, acc);
-        scratch.setRow(7, nb);
-        BitVector k = tra(4);
-        scratch.setRow(6, na);
-        scratch.setRow(7, b);
-        BitVector kp = tra(4);
-        scratch.setRow(6, k);
-        scratch.setRow(7, kp);
-        acc = tra(5);
-        if (op == BulkOp::Xnor) {
-            scratch.setRow(3, acc);
-            acc = scratch.readInverted(3);
-        }
-        return;
-      }
-      default:
-        fatal("Ambit does not implement ", bulkOpName(op));
-    }
-}
-
-BitVector
-AmbitUnit::bulkNot(const BitVector &a)
-{
-    for (std::size_t i = 0; i < aapCount(BulkOp::Not); ++i)
-        chargeAap();
-    scratch.setRow(3, a);
-    return scratch.readInverted(3);
-}
-
 // ---------------------------------------------------------------------
 // ELP2IM
 // ---------------------------------------------------------------------
 
 Elp2ImUnit::Elp2ImUnit(std::size_t row_bits)
-    : DramPimUnit(row_bits)
+    : DramPimUnit(row_bits, {Cost::Ap, 1, &Elp2ImUnit::phaseCount})
 {}
 
 std::size_t
@@ -205,46 +169,6 @@ Elp2ImUnit::phaseCount(BulkOp op)
       default:
         fatal("ELP2IM does not implement ", bulkOpName(op));
     }
-}
-
-void
-Elp2ImUnit::fold(BulkOp op, BitVector &acc, const BitVector &b)
-{
-    checkWidths(acc, b);
-    for (std::size_t i = 0; i < phaseCount(op); ++i)
-        chargeAp();
-    switch (op) {
-      case BulkOp::And:
-        acc &= b;
-        return;
-      case BulkOp::Or:
-        acc |= b;
-        return;
-      case BulkOp::Xor:
-        acc ^= b;
-        return;
-      case BulkOp::Nand:
-        acc &= b;
-        break;
-      case BulkOp::Nor:
-        acc |= b;
-        break;
-      case BulkOp::Xnor:
-        acc ^= b;
-        break;
-      default:
-        fatal("ELP2IM does not implement ", bulkOpName(op));
-    }
-    // The inverting ops: NOT the result, in place.
-    acc.setWords([&acc](std::size_t j) { return ~acc.word(j); });
-}
-
-BitVector
-Elp2ImUnit::bulkNot(const BitVector &a)
-{
-    for (std::size_t i = 0; i < phaseCount(BulkOp::Not); ++i)
-        chargeAp();
-    return ~a;
 }
 
 } // namespace coruscant

@@ -13,50 +13,51 @@
  * activations per operation and is ~3.2x faster than Ambit on bitmap
  * scans.
  *
- * Costs are expressed in DDR3-1600 memory cycles with the paper
- * Table II DRAM timing; command counts follow each paper's published
- * sequences.  Both models are functional: they produce bit-exact
- * results via the DramSubarray mechanisms.
+ * Both designs produce the same bits, so one unit computes each step
+ * with word operations and charges the design's published command
+ * count (its price list) in DDR3-1600 memory cycles with the paper
+ * Table II DRAM timing.  Ambit's RowClone/TRA/DCC command sequence is
+ * a test oracle (tests/oracle/ambit.hpp) the unit is checked against.
  */
 
 #ifndef CORUSCANT_BASELINES_DRAM_PIM_HPP
 #define CORUSCANT_BASELINES_DRAM_PIM_HPP
 
+#include <cstdint>
 #include <vector>
 
-#include "arch/timing.hpp"
-#include "baselines/dram_subarray.hpp"
 #include "core/pim_logic.hpp"
+#include "util/bit_vector.hpp"
 #include "util/stats.hpp"
 
 namespace coruscant {
 
-/** Common interface for the two DRAM PIM baselines. */
+/**
+ * A DRAM PIM design's price list: the command each step is built from
+ * and how many of them each op takes.
+ */
+struct DramPriceList
+{
+    Cost command;                    ///< Cost::Aap or Cost::Ap
+    unsigned activations;            ///< row activations per command
+    std::size_t (*count)(BulkOp op); ///< commands per op
+};
+
+/** Two-operand bulk-bitwise steps in DRAM, charged per a price list. */
 class DramPimUnit
 {
   public:
-    explicit DramPimUnit(std::size_t row_bits)
-        : timing(DdrTiming::dram()), rowBits(row_bits)
-    {}
-    virtual ~DramPimUnit() = default;
+    DramPimUnit(std::size_t row_bits, const DramPriceList &price_list);
 
     /**
      * Two-operand bulk-bitwise operation in place: @p acc becomes
-     * @p acc op @p b, charged as one two-operand step.
+     * @p acc op @p b, charged as one two-operand step.  An op with no
+     * two-operand form (NOT, MAJ) is rejected before any charge.
      */
-    virtual void fold(BulkOp op, BitVector &acc, const BitVector &b) = 0;
-
-    /** Two-operand bulk-bitwise operation: fold() into a copy of @p a. */
-    BitVector
-    bulk2(BulkOp op, const BitVector &a, const BitVector &b)
-    {
-        BitVector acc = a;
-        fold(op, acc, b);
-        return acc;
-    }
+    void fold(BulkOp op, BitVector &acc, const BitVector &b);
 
     /** NOT of one row. */
-    virtual BitVector bulkNot(const BitVector &a) = 0;
+    BitVector bulkNot(const BitVector &a);
 
     /**
      * Multi-operand operation composed from two-operand steps (these
@@ -68,37 +69,25 @@ class DramPimUnit
     const CostLedger &ledger() const { return costs; }
     void resetCosts() { costs.reset(); }
 
-  protected:
-    /** Panic unless both rows of a step are rowBits wide. */
-    void checkWidths(const BitVector &a, const BitVector &b) const;
+  private:
+    /** Charge @p n commands of the price list. */
+    void charge(std::size_t n);
 
-    /** Charge one AAP (ACTIVATE-ACTIVATE-PRECHARGE). */
-    void chargeAap();
-
-    /** Charge one AP (ACTIVATE-PRECHARGE). */
-    void chargeAp();
-
-    DdrTiming timing;
     std::size_t rowBits;
+    DramPriceList prices;
+    std::uint64_t commandCycles;
+    double commandEnergyPj;
     CostLedger costs;
 };
 
-/** Ambit: TRA + RowClone + DCC over a scratch subarray. */
+/** Ambit: each step is a sequence of AAPs (TRA + RowClone + DCC). */
 class AmbitUnit : public DramPimUnit
 {
   public:
     explicit AmbitUnit(std::size_t row_bits);
 
-    void fold(BulkOp op, BitVector &acc, const BitVector &b) override;
-    BitVector bulkNot(const BitVector &a) override;
-
     /** AAP count for a two-operand op (published sequences). */
     static std::size_t aapCount(BulkOp op);
-
-  private:
-    // Scratch subarray: rows 0..2 = T0..T2 (TRA group), 3 = DCC,
-    // 4 = constant zero, 5 = constant one, 6/7 = operand staging.
-    DramSubarray scratch;
 };
 
 /** ELP2IM: pseudo-precharge in-SA logic, no operand copies. */
@@ -107,10 +96,7 @@ class Elp2ImUnit : public DramPimUnit
   public:
     explicit Elp2ImUnit(std::size_t row_bits);
 
-    void fold(BulkOp op, BitVector &acc, const BitVector &b) override;
-    BitVector bulkNot(const BitVector &a) override;
-
-    /** Row-activation phases for a two-operand op. */
+    /** Row-activation phases (APs) for a two-operand op. */
     static std::size_t phaseCount(BulkOp op);
 };
 

@@ -22,38 +22,20 @@ namespace {
 class RowWords
 {
   public:
-    RowWords(std::span<const BitVector *const> rows, std::size_t width)
-        : n(checkedCount(rows.size()))
-    {
-        for (std::size_t i = 0; i < n; ++i)
-            words[i] = checked(*rows[i], width);
-    }
-
     RowWords(const std::vector<BitVector> &rows, std::size_t width)
-        : n(checkedCount(rows.size()))
+        : n(rows.size())
     {
-        for (std::size_t i = 0; i < n; ++i)
-            words[i] = checked(rows[i], width);
+        fatalIf(n > capacity, "a TR window holds at most ", capacity,
+                " rows, got ", n);
+        for (std::size_t i = 0; i < n; ++i) {
+            fatalIf(rows[i].size() != width, "operand row width mismatch");
+            words[i] = rows[i].words();
+        }
     }
 
     std::span<const WordSpan> span() const { return {words, n}; }
 
   private:
-    static std::size_t
-    checkedCount(std::size_t count)
-    {
-        fatalIf(count > capacity, "a TR window holds at most ", capacity,
-                " rows, got ", count);
-        return count;
-    }
-
-    static WordSpan
-    checked(const BitVector &row, std::size_t width)
-    {
-        fatalIf(row.size() != width, "operand row width mismatch");
-        return row.words();
-    }
-
     static constexpr std::size_t capacity = DeviceParams::domainsPerWire;
 
     // In a union, so a call does not zero the slots it leaves unused;
@@ -253,16 +235,6 @@ CoruscantUnit::bulkBitwise(BulkOp op, std::span<const WordSpan> operands,
         chargeRowWrite(act);
     }
     return result;
-}
-
-BitVector
-CoruscantUnit::bulkBitwise(BulkOp op,
-                           std::span<const BitVector *const> operands,
-                           std::size_t active_wires, bool write_back,
-                           bool use_tw)
-{
-    return bulkBitwise(op, RowWords(operands, dev.wiresPerDbc).span(),
-                       active_wires, write_back, use_tw);
 }
 
 BitVector

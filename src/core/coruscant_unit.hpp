@@ -154,12 +154,6 @@ class CoruscantUnit
                           std::size_t active_wires = 0,
                           bool write_back = false, bool use_tw = false);
 
-    /** bulkBitwise() over the words of @p operands, each width() bits. */
-    BitVector bulkBitwise(BulkOp op,
-                          std::span<const BitVector *const> operands,
-                          std::size_t active_wires = 0,
-                          bool write_back = false, bool use_tw = false);
-
     /** bulkBitwise() over the rows of @p operands, each width() bits. */
     BitVector bulkBitwise(BulkOp op, const std::vector<BitVector> &operands,
                           std::size_t active_wires = 0,

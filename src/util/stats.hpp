@@ -139,8 +139,8 @@ class LatencyHistogram
  */
 enum class Cost : std::uint8_t
 {
-    Aap,          ///< DRAM triple-row activation (Ambit/ELP2IM)
-    Ap,           ///< DRAM activate-precharge
+    Aap,          ///< DRAM activate-activate-precharge (Ambit)
+    Ap,           ///< DRAM activate-precharge (ELP2IM)
     Copy,         ///< multiplier's partial-product row copy
     Ecc,          ///< SECDED check lanes of a line access
     EccScrub,     ///< SECDED scrub sweep of a DBC

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include "arch/timing.hpp"
 #include "baselines/dram_pim.hpp"
+#include "oracle/ambit.hpp"
+#include "oracle/dram_subarray.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 
@@ -19,6 +22,44 @@ randomRow(Rng &rng, std::size_t width)
     for (std::size_t w = 0; w < width; ++w)
         row.set(w, rng.nextBool());
     return row;
+}
+
+/** @p a op @p b, folded by @p unit into a copy of @p a. */
+BitVector
+folded(DramPimUnit &unit, BulkOp op, BitVector a, const BitVector &b)
+{
+    unit.fold(op, a, b);
+    return a;
+}
+
+/** Equal ledgers: totals and every category, energy compared exactly. */
+void
+expectSameLedger(const CostLedger &a, const CostLedger &b)
+{
+    EXPECT_EQ(a.cycles(), b.cycles());
+    EXPECT_EQ(a.energyPj(), b.energyPj());
+    for (std::size_t i = 0; i < kCostCategories; ++i) {
+        const Cost c = static_cast<Cost>(i);
+        EXPECT_EQ(a.entry(c).cycles, b.entry(c).cycles) << i;
+        EXPECT_EQ(a.entry(c).energyPj, b.entry(c).energyPj) << i;
+        EXPECT_EQ(a.entry(c).count, b.entry(c).count) << i;
+    }
+}
+
+/**
+ * @p n DRAM commands of @p activations row activations each, then a
+ * precharge, charged to @p what at the paper's Table II DRAM timing
+ * and ~0.9 nJ per activation.
+ */
+CostLedger
+commands(Cost what, unsigned activations, std::size_t n)
+{
+    const DdrTiming t = DdrTiming::dram();
+    CostLedger ledger;
+    for (std::size_t i = 0; i < n; ++i)
+        ledger.charge(what, activations * t.tRas + t.tRp,
+                      activations * 909.0);
+    return ledger;
 }
 
 TEST(DramSubarray, TripleRowActivateIsDestructiveMajority)
@@ -48,35 +89,35 @@ class DramPimFunctional
     : public ::testing::TestWithParam<bool> // true = Ambit
 {
   protected:
-    std::unique_ptr<DramPimUnit>
+    DramPimUnit
     make(std::size_t bits)
     {
         if (GetParam())
-            return std::make_unique<AmbitUnit>(bits);
-        return std::make_unique<Elp2ImUnit>(bits);
+            return AmbitUnit(bits);
+        return Elp2ImUnit(bits);
     }
 };
 
 TEST_P(DramPimFunctional, TwoOperandTruthTables)
 {
-    auto unit = make(64);
+    DramPimUnit unit = make(64);
     Rng rng(17);
     for (int iter = 0; iter < 20; ++iter) {
         auto a = randomRow(rng, 64);
         auto b = randomRow(rng, 64);
-        EXPECT_EQ(unit->bulk2(BulkOp::And, a, b), a & b);
-        EXPECT_EQ(unit->bulk2(BulkOp::Or, a, b), a | b);
-        EXPECT_EQ(unit->bulk2(BulkOp::Xor, a, b), a ^ b);
-        EXPECT_EQ(unit->bulk2(BulkOp::Nand, a, b), ~(a & b));
-        EXPECT_EQ(unit->bulk2(BulkOp::Nor, a, b), ~(a | b));
-        EXPECT_EQ(unit->bulk2(BulkOp::Xnor, a, b), ~(a ^ b));
-        EXPECT_EQ(unit->bulkNot(a), ~a);
+        EXPECT_EQ(folded(unit, BulkOp::And, a, b), a & b);
+        EXPECT_EQ(folded(unit, BulkOp::Or, a, b), a | b);
+        EXPECT_EQ(folded(unit, BulkOp::Xor, a, b), a ^ b);
+        EXPECT_EQ(folded(unit, BulkOp::Nand, a, b), ~(a & b));
+        EXPECT_EQ(folded(unit, BulkOp::Nor, a, b), ~(a | b));
+        EXPECT_EQ(folded(unit, BulkOp::Xnor, a, b), ~(a ^ b));
+        EXPECT_EQ(unit.bulkNot(a), ~a);
     }
 }
 
 TEST_P(DramPimFunctional, MultiOperandComposition)
 {
-    auto unit = make(32);
+    DramPimUnit unit = make(32);
     Rng rng(23);
     std::vector<BitVector> ops;
     for (int i = 0; i < 5; ++i)
@@ -87,9 +128,24 @@ TEST_P(DramPimFunctional, MultiOperandComposition)
         and_all &= ops[i];
         xor_all ^= ops[i];
     }
-    EXPECT_EQ(unit->bulkMulti(BulkOp::And, ops), and_all);
-    EXPECT_EQ(unit->bulkMulti(BulkOp::Xor, ops), xor_all);
-    EXPECT_EQ(unit->bulkMulti(BulkOp::Nand, ops), ~and_all);
+    EXPECT_EQ(unit.bulkMulti(BulkOp::And, ops), and_all);
+    EXPECT_EQ(unit.bulkMulti(BulkOp::Xor, ops), xor_all);
+    EXPECT_EQ(unit.bulkMulti(BulkOp::Nand, ops), ~and_all);
+}
+
+TEST_P(DramPimFunctional, OpsWithoutATwoOperandStepChargeNothing)
+{
+    // NOT and MAJ have no two-operand step: a fold or a multi-row
+    // NOT is rejected before any command is charged.
+    DramPimUnit unit = make(64);
+    BitVector acc(64, true);
+    const BitVector b(64, false);
+    const std::vector<BitVector> rows(2, b);
+    EXPECT_THROW(unit.fold(BulkOp::Not, acc, b), FatalError);
+    EXPECT_THROW(unit.fold(BulkOp::Maj, acc, b), FatalError);
+    EXPECT_THROW(unit.bulkMulti(BulkOp::Not, rows), FatalError);
+    EXPECT_EQ(acc, BitVector(64, true));
+    expectSameLedger(unit.ledger(), CostLedger());
 }
 
 INSTANTIATE_TEST_SUITE_P(BothDesigns, DramPimFunctional,
@@ -105,8 +161,8 @@ TEST(DramPimCosts, Elp2ImFasterThanAmbit)
     AmbitUnit ambit(64);
     Elp2ImUnit elp(64);
     BitVector a(64, true), b(64, true);
-    ambit.bulk2(BulkOp::And, a, b);
-    elp.bulk2(BulkOp::And, a, b);
+    folded(ambit, BulkOp::And, a, b);
+    folded(elp, BulkOp::And, a, b);
     double ratio = static_cast<double>(ambit.ledger().cycles()) /
                    static_cast<double>(elp.ledger().cycles());
     EXPECT_GT(ratio, 2.8);
@@ -135,6 +191,43 @@ TEST(DramPimCosts, MultiOperandCostGrowsLinearly)
     elp.bulkMulti(BulkOp::And, ops2);
     auto c2 = elp.ledger().cycles();
     EXPECT_EQ(c5, 4 * c2);
+}
+
+TEST(AmbitOracle, SequencesMatchTheUnit)
+{
+    // Ambit's RowClone/TRA/DCC choreography, Ambit's unit and
+    // ELP2IM's unit compute the same row; each unit charges its
+    // design's command count for the op and nothing else.
+    Rng rng(41);
+    for (std::size_t width : {1u, 63u, 64u, 65u, 512u, 65536u}) {
+        for (BulkOp op : {BulkOp::And, BulkOp::Or, BulkOp::Nand,
+                          BulkOp::Nor, BulkOp::Xor, BulkOp::Xnor,
+                          BulkOp::Not}) {
+            SCOPED_TRACE(::testing::Message()
+                         << bulkOpName(op) << " width=" << width);
+            const BitVector a = randomRow(rng, width);
+            const BitVector b = randomRow(rng, width);
+            AmbitOracle oracle(width);
+            AmbitUnit ambit(width);
+            Elp2ImUnit elp(width);
+            BitVector want = a, by_ambit = a, by_elp = a;
+            if (op == BulkOp::Not) {
+                want = oracle.bulkNot(a);
+                by_ambit = ambit.bulkNot(a);
+                by_elp = elp.bulkNot(a);
+            } else {
+                oracle.fold(op, want, b);
+                ambit.fold(op, by_ambit, b);
+                elp.fold(op, by_elp, b);
+            }
+            EXPECT_EQ(by_ambit, want);
+            EXPECT_EQ(by_elp, by_ambit);
+            expectSameLedger(ambit.ledger(),
+                             commands(Cost::Aap, 2, AmbitUnit::aapCount(op)));
+            expectSameLedger(elp.ledger(),
+                             commands(Cost::Ap, 1, Elp2ImUnit::phaseCount(op)));
+        }
+    }
 }
 
 } // namespace

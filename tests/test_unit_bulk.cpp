@@ -172,16 +172,6 @@ randomRows(Rng &rng, std::size_t n, std::size_t width)
     return rows;
 }
 
-/** Pointers to the rows of @p rows, for the span form. */
-std::vector<const BitVector *>
-pointersTo(const std::vector<BitVector> &rows)
-{
-    std::vector<const BitVector *> out;
-    for (const BitVector &row : rows)
-        out.push_back(&row);
-    return out;
-}
-
 /** Equal ledgers: totals and every category, energy compared exactly. */
 void
 expectSameLedger(const CostLedger &a, const CostLedger &b)
@@ -235,7 +225,7 @@ expectSameUnits(const CoruscantUnit &a, const obs::ComponentMetrics &am,
 
 TEST(UnitBulk, SpanFormMatchesVectorForm)
 {
-    // The vector, pointer-span and word-span forms on fresh units,
+    // The vector and word-span forms on fresh units,
     // with TR faults off and on (the faulty units draw from equal
     // seeds): the same result, charges, counters and window.
     for (std::size_t trd : {3u, 5u, 7u}) {
@@ -257,21 +247,13 @@ TEST(UnitBulk, SpanFormMatchesVectorForm)
                                          << " wb=" << write_back);
                             const auto ops = randomRows(rng, m, 64);
                             CoruscantUnit by_vec(smallParams(trd), pfault, 9);
-                            CoruscantUnit by_span(smallParams(trd), pfault, 9);
                             CoruscantUnit by_words(smallParams(trd), pfault,
                                                    9);
-                            obs::ComponentMetrics vec_metrics, span_metrics,
-                                words_metrics;
+                            obs::ComponentMetrics vec_metrics, words_metrics;
                             by_vec.attachMetrics(&vec_metrics);
-                            by_span.attachMetrics(&span_metrics);
                             by_words.attachMetrics(&words_metrics);
                             const BitVector want = by_vec.bulkBitwise(
                                 op, ops, 0, write_back, use_tw);
-                            const BitVector got = by_span.bulkBitwise(
-                                op, pointersTo(ops), 0, write_back, use_tw);
-                            EXPECT_EQ(got, want);
-                            expectSameUnits(by_span, span_metrics, by_vec,
-                                            vec_metrics);
                             EXPECT_EQ(by_words.bulkBitwise(op, wordsOf(ops),
                                                            0, write_back,
                                                            use_tw),
@@ -392,8 +374,8 @@ TEST(UnitBulk, PadsAreRestagedOnEveryCall)
         const auto ops = randomRows(rng, m, 64);
         CoruscantUnit fresh(smallParams(trd));
         reused.resetCosts();
-        const BitVector got = reused.bulkBitwise(op, pointersTo(ops));
-        EXPECT_EQ(got, fresh.bulkBitwise(op, pointersTo(ops)));
+        const BitVector got = reused.bulkBitwise(op, ops);
+        EXPECT_EQ(got, fresh.bulkBitwise(op, ops));
         EXPECT_EQ(got, golden(op, ops));
         expectSameLedger(reused.ledger(), fresh.ledger());
         expectSameRows(reused, fresh);
