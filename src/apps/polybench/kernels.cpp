@@ -1,106 +1,53 @@
 #include "apps/polybench/kernels.hpp"
 
-#include <cmath>
-
 namespace coruscant {
 
 namespace {
 
-/** Deterministic pseudo-data so checksums are reproducible. */
-double
-seed(std::size_t i, std::size_t j, std::size_t n)
+OpRecorder
+operator+(const OpRecorder &a, const OpRecorder &b)
 {
-    return static_cast<double>((i * j + 1) % n) / static_cast<double>(n);
+    return {.adds = a.adds + b.adds,
+            .muls = a.muls + b.muls,
+            .loads = a.loads + b.loads,
+            .stores = a.stores + b.stores};
 }
 
-double
-seedv(std::size_t i, std::size_t n)
+OpRecorder
+operator*(std::uint64_t k, const OpRecorder &t)
 {
-    return static_cast<double>(i % n) / static_cast<double>(n);
+    return {.adds = k * t.adds,
+            .muls = k * t.muls,
+            .loads = k * t.loads,
+            .stores = k * t.stores};
 }
 
-using Matrix = std::vector<std::vector<double>>;
-
-Matrix
-makeMatrix(std::size_t n, std::size_t salt = 0)
+/**
+ * One element of C = alpha*A*B + beta*C: C[i][j] is loaded and scaled
+ * (1 mul), n terms take 2 loads, 2 muls and 1 add each, 1 store.
+ */
+OpRecorder
+gemmElement(std::uint64_t n)
 {
-    Matrix m(n, std::vector<double>(n));
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < n; ++j)
-            m[i][j] = seed(i + salt, j + 2 * salt + 1, n);
-    return m;
+    return {.adds = n, .muls = 2 * n + 1, .loads = 2 * n + 1, .stores = 1};
 }
 
-std::vector<double>
-makeVector(std::size_t n, std::size_t salt = 0)
+OpRecorder
+gemm(std::uint64_t n)
 {
-    std::vector<double> v(n);
-    for (std::size_t i = 0; i < n; ++i)
-        v[i] = seedv(i + salt, n);
-    return v;
+    return n * n * gemmElement(n);
 }
 
-double
-checksum(const Matrix &m)
+/**
+ * y += A*x (or A^T*x): each of the n rows takes n terms (2 loads,
+ * 1 mul, 1 add each), then loads, adds to and stores y[i].
+ */
+OpRecorder
+matvec(std::uint64_t n)
 {
-    double s = 0;
-    for (const auto &row : m)
-        for (double v : row)
-            s += v;
-    return s;
-}
-
-double
-checksum(const std::vector<double> &v)
-{
-    double s = 0;
-    for (double x : v)
-        s += x;
-    return s;
-}
-
-/** C = alpha*A*B + beta*C with trace recording. */
-void
-gemmInto(Matrix &c, const Matrix &a, const Matrix &b, double alpha,
-         double beta, OpRecorder &rec)
-{
-    std::size_t n = c.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
-            rec.loads += 1; // C[i][j]
-            double acc = beta * c[i][j];
-            rec.muls += 1;
-            for (std::size_t k = 0; k < n; ++k) {
-                rec.loads += 2; // A[i][k], B[k][j]
-                acc += alpha * a[i][k] * b[k][j];
-                rec.muls += 2;
-                rec.adds += 1;
-            }
-            c[i][j] = acc;
-            rec.stores += 1;
-        }
-    }
-}
-
-/** y = A*x (or A^T*x) with trace recording. */
-void
-matvecInto(std::vector<double> &y, const Matrix &a,
-           const std::vector<double> &x, bool transpose, OpRecorder &rec)
-{
-    std::size_t n = y.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        double acc = 0;
-        for (std::size_t j = 0; j < n; ++j) {
-            rec.loads += 2;
-            acc += (transpose ? a[j][i] : a[i][j]) * x[j];
-            rec.muls += 1;
-            rec.adds += 1;
-        }
-        y[i] += acc;
-        rec.loads += 1;
-        rec.adds += 1;
-        rec.stores += 1;
-    }
+    const OpRecorder row{
+        .adds = n + 1, .muls = n, .loads = 2 * n + 1, .stores = 1};
+    return n * row;
 }
 
 } // namespace
@@ -108,240 +55,94 @@ matvecInto(std::vector<double> &y, const Matrix &a,
 KernelRun
 runGemm(std::size_t n)
 {
-    KernelRun run{"gemm", {}, 0};
-    Matrix a = makeMatrix(n, 1), b = makeMatrix(n, 2),
-           c = makeMatrix(n, 3);
-    gemmInto(c, a, b, 1.5, 1.2, run.trace);
-    run.checksum = checksum(c);
-    return run;
+    return {"gemm", gemm(n)};
 }
 
 KernelRun
 run2mm(std::size_t n)
 {
-    KernelRun run{"2mm", {}, 0};
-    Matrix a = makeMatrix(n, 1), b = makeMatrix(n, 2),
-           c = makeMatrix(n, 3), d = makeMatrix(n, 4);
-    Matrix tmp(n, std::vector<double>(n, 0.0));
-    gemmInto(tmp, a, b, 1.1, 0.0, run.trace);
-    gemmInto(d, tmp, c, 1.0, 1.3, run.trace);
-    run.checksum = checksum(d);
-    return run;
+    return {"2mm", 2 * gemm(n)};
 }
 
 KernelRun
 run3mm(std::size_t n)
 {
-    KernelRun run{"3mm", {}, 0};
-    Matrix a = makeMatrix(n, 1), b = makeMatrix(n, 2),
-           c = makeMatrix(n, 3), d = makeMatrix(n, 4);
-    Matrix e(n, std::vector<double>(n, 0.0));
-    Matrix f(n, std::vector<double>(n, 0.0));
-    Matrix g(n, std::vector<double>(n, 0.0));
-    gemmInto(e, a, b, 1.0, 0.0, run.trace);
-    gemmInto(f, c, d, 1.0, 0.0, run.trace);
-    gemmInto(g, e, f, 1.0, 0.0, run.trace);
-    run.checksum = checksum(g);
-    return run;
+    return {"3mm", 3 * gemm(n)};
 }
 
 KernelRun
 runGemver(std::size_t n)
 {
-    KernelRun run{"gemver", {}, 0};
-    Matrix a = makeMatrix(n, 1);
-    auto u1 = makeVector(n, 1), v1 = makeVector(n, 2),
-         u2 = makeVector(n, 3), v2 = makeVector(n, 4),
-         y = makeVector(n, 5), z = makeVector(n, 6);
-    std::vector<double> x(n, 0.0), w(n, 0.0);
-    auto &rec = run.trace;
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
-            rec.loads += 5;
-            a[i][j] += u1[i] * v1[j] + u2[i] * v2[j];
-            rec.muls += 2;
-            rec.adds += 2;
-            rec.stores += 1;
-        }
-    }
-    matvecInto(x, a, y, true, rec);
-    for (std::size_t i = 0; i < n; ++i) {
-        x[i] += z[i];
-        rec.loads += 2;
-        rec.adds += 1;
-        rec.stores += 1;
-    }
-    matvecInto(w, a, x, false, rec);
-    run.checksum = checksum(w);
-    return run;
+    // A += u1*v1^T + u2*v2^T per element, x = A^T*y, x += z per
+    // element, w = A*x.
+    const OpRecorder update{.adds = 2, .muls = 2, .loads = 5, .stores = 1};
+    const OpRecorder add_z{.adds = 1, .loads = 2, .stores = 1};
+    return {"gemver", n * n * update + n * add_z + 2 * matvec(n)};
 }
 
 KernelRun
 runGesummv(std::size_t n)
 {
-    KernelRun run{"gesummv", {}, 0};
-    Matrix a = makeMatrix(n, 1), b = makeMatrix(n, 2);
-    auto x = makeVector(n, 3);
-    std::vector<double> tmp(n, 0.0), y(n, 0.0);
-    auto &rec = run.trace;
-    matvecInto(tmp, a, x, false, rec);
-    matvecInto(y, b, x, false, rec);
-    for (std::size_t i = 0; i < n; ++i) {
-        y[i] = 1.4 * tmp[i] + 1.2 * y[i];
-        rec.loads += 2;
-        rec.muls += 2;
-        rec.adds += 1;
-        rec.stores += 1;
-    }
-    run.checksum = checksum(y);
-    return run;
+    // tmp = A*x, y = B*x, then y = alpha*tmp + beta*y per element.
+    const OpRecorder combine{.adds = 1, .muls = 2, .loads = 2, .stores = 1};
+    return {"gesummv", 2 * matvec(n) + n * combine};
 }
 
 KernelRun
 runAtax(std::size_t n)
 {
-    KernelRun run{"atax", {}, 0};
-    Matrix a = makeMatrix(n, 1);
-    auto x = makeVector(n, 2);
-    std::vector<double> tmp(n, 0.0), y(n, 0.0);
-    matvecInto(tmp, a, x, false, run.trace);
-    matvecInto(y, a, tmp, true, run.trace);
-    run.checksum = checksum(y);
-    return run;
+    return {"atax", 2 * matvec(n)};
 }
 
 KernelRun
 runBicg(std::size_t n)
 {
-    KernelRun run{"bicg", {}, 0};
-    Matrix a = makeMatrix(n, 1);
-    auto p = makeVector(n, 2), r = makeVector(n, 3);
-    std::vector<double> q(n, 0.0), s(n, 0.0);
-    matvecInto(q, a, p, false, run.trace);
-    matvecInto(s, a, r, true, run.trace);
-    run.checksum = checksum(q) + checksum(s);
-    return run;
+    return {"bicg", 2 * matvec(n)};
 }
 
 KernelRun
 runMvt(std::size_t n)
 {
-    KernelRun run{"mvt", {}, 0};
-    Matrix a = makeMatrix(n, 1);
-    auto y1 = makeVector(n, 2), y2 = makeVector(n, 3);
-    std::vector<double> x1(n, 0.0), x2(n, 0.0);
-    matvecInto(x1, a, y1, false, run.trace);
-    matvecInto(x2, a, y2, true, run.trace);
-    run.checksum = checksum(x1) + checksum(x2);
-    return run;
+    return {"mvt", 2 * matvec(n)};
 }
 
 KernelRun
 runSyrk(std::size_t n)
 {
-    KernelRun run{"syrk", {}, 0};
-    Matrix a = makeMatrix(n, 1), c = makeMatrix(n, 2);
-    auto &rec = run.trace;
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j <= i; ++j) {
-            rec.loads += 1;
-            double acc = 1.2 * c[i][j];
-            rec.muls += 1;
-            for (std::size_t k = 0; k < n; ++k) {
-                rec.loads += 2;
-                acc += 1.5 * a[i][k] * a[j][k];
-                rec.muls += 2;
-                rec.adds += 1;
-            }
-            c[i][j] = acc;
-            rec.stores += 1;
-        }
-    }
-    run.checksum = checksum(c);
-    return run;
+    // The n(n+1)/2 elements j <= i of C = alpha*A*A^T + beta*C.
+    return {"syrk", n * (n + 1) / 2 * gemmElement(n)};
 }
 
 KernelRun
 runSyr2k(std::size_t n)
 {
-    KernelRun run{"syr2k", {}, 0};
-    Matrix a = makeMatrix(n, 1), b = makeMatrix(n, 2),
-           c = makeMatrix(n, 3);
-    auto &rec = run.trace;
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j <= i; ++j) {
-            rec.loads += 1;
-            double acc = 1.2 * c[i][j];
-            rec.muls += 1;
-            for (std::size_t k = 0; k < n; ++k) {
-                rec.loads += 4;
-                acc += 1.5 * (a[i][k] * b[j][k] + b[i][k] * a[j][k]);
-                rec.muls += 3;
-                rec.adds += 2;
-            }
-            c[i][j] = acc;
-            rec.stores += 1;
-        }
-    }
-    run.checksum = checksum(c);
-    return run;
+    // The n(n+1)/2 elements j <= i of C = alpha*(A*B^T + B*A^T) +
+    // beta*C: C[i][j] is loaded and scaled, n terms take 4 loads,
+    // 3 muls and 2 adds each, 1 store.
+    const OpRecorder element{
+        .adds = 2 * n, .muls = 3 * n + 1, .loads = 4 * n + 1, .stores = 1};
+    return {"syr2k", n * (n + 1) / 2 * element};
 }
 
 KernelRun
 runTrmm(std::size_t n)
 {
-    KernelRun run{"trmm", {}, 0};
-    Matrix a = makeMatrix(n, 1), b = makeMatrix(n, 2);
-    auto &rec = run.trace;
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
-            double acc = 0;
-            for (std::size_t k = i + 1; k < n; ++k) {
-                rec.loads += 2;
-                acc += a[k][i] * b[k][j];
-                rec.muls += 1;
-                rec.adds += 1;
-            }
-            b[i][j] = 1.1 * (b[i][j] + acc);
-            rec.loads += 1;
-            rec.muls += 1;
-            rec.adds += 1;
-            rec.stores += 1;
-        }
-    }
-    run.checksum = checksum(b);
-    return run;
+    // B[i][j] = alpha*(B[i][j] + sum_{k>i} A[k][i]*B[k][j]): row i
+    // takes n - 1 - i terms per column, n * n(n-1)/2 terms in all.
+    const OpRecorder term{.adds = 1, .muls = 1, .loads = 2};
+    const OpRecorder element{.adds = 1, .muls = 1, .loads = 1, .stores = 1};
+    return {"trmm", n * ((n * n - n) / 2) * term + n * n * element};
 }
 
 KernelRun
 runDoitgen(std::size_t n)
 {
     // Contraction over the innermost dimension of an n x n x n tensor
-    // (Polybench doitgen with nr = nq = np = n).
-    KernelRun run{"doitgen", {}, 0};
-    auto &rec = run.trace;
-    Matrix c4 = makeMatrix(n, 1);
-    std::vector<double> sum(n);
-    double cs = 0;
-    for (std::size_t r = 0; r < n; ++r) {
-        for (std::size_t q = 0; q < n; ++q) {
-            for (std::size_t p = 0; p < n; ++p) {
-                double acc = 0;
-                for (std::size_t s = 0; s < n; ++s) {
-                    rec.loads += 2;
-                    acc += seed(r + q, s, n) * c4[s][p];
-                    rec.muls += 1;
-                    rec.adds += 1;
-                }
-                sum[p] = acc;
-                rec.stores += 1;
-            }
-            for (std::size_t p = 0; p < n; ++p)
-                cs += sum[p];
-        }
-    }
-    run.checksum = cs;
-    return run;
+    // (Polybench doitgen with nr = nq = np = n): n^3 outputs, each an
+    // n-term dot product (2 loads, 1 mul, 1 add per term) and a store.
+    const OpRecorder output{
+        .adds = n, .muls = n, .loads = 2 * n, .stores = 1};
+    return {"doitgen", n * n * n * output};
 }
 
 std::vector<KernelRun>

@@ -1,16 +1,18 @@
 /**
  * @file
- * Polybench kernels with operation recording (paper Sec. V-C).
+ * Polybench kernel traces (paper Sec. V-C).
  *
  * The paper extracted Polybench traces with an Intel Pin tool and
- * mapped the addition/multiplication operations to PIM.  We rebuild
- * the equivalent: each kernel is implemented directly (computing real
- * results on real data) and instrumented with an OpRecorder that
- * counts the arithmetic operations and the element loads/stores a
- * trace would contain.  The selected kernels are the
- * addition/multiplication-heavy subset the paper targets: linear
- * algebra (2mm, 3mm, gemm, gemver, gesummv, atax, bicg, mvt, syrk,
- * syr2k, trmm) and the doitgen stencil-like contraction.
+ * mapped the addition/multiplication operations to PIM.  A trace here
+ * is the same four counts: arithmetic operations and the element
+ * loads/stores the kernel performs.  Every loop bound depends on n
+ * only, so each count is a closed-form polynomial in n, and a trace
+ * costs O(1) time and memory.  The instrumented kernels the closed
+ * forms are checked against live in tests/oracle/polybench_trace.
+ * The selected kernels are the addition/multiplication-heavy subset
+ * the paper targets: linear algebra (2mm, 3mm, gemm, gemver, gesummv,
+ * atax, bicg, mvt, syrk, syr2k, trmm) and the doitgen stencil-like
+ * contraction.
  */
 
 #ifndef CORUSCANT_APPS_POLYBENCH_KERNELS_HPP
@@ -29,29 +31,22 @@ struct OpRecorder
     std::uint64_t muls = 0;   ///< floating multiply operations
     std::uint64_t loads = 0;  ///< element loads
     std::uint64_t stores = 0; ///< element stores
-
-    void
-    merge(const OpRecorder &o)
-    {
-        adds += o.adds;
-        muls += o.muls;
-        loads += o.loads;
-        stores += o.stores;
-    }
 };
 
-/** A named kernel run: its trace and a checksum of the real output. */
+/** A named kernel trace. */
 struct KernelRun
 {
     std::string name;
     OpRecorder trace;
-    double checksum = 0.0; ///< sum of output elements (functional check)
 };
 
-/** Largest n: 3mm holds seven n x n doubles, 896 MiB at n = 4096. */
+/**
+ * Largest n: every count stays below 2^53 (doitgen's loads, 2n^4, are
+ * 2^49 here), so the system model converts each to double exactly.
+ */
 inline constexpr std::size_t kMaxPolybenchSize = 4096;
 
-/** All Polybench kernels in the reproduction, run at size @p n. */
+/** All Polybench kernels in the reproduction, traced at size @p n. */
 std::vector<KernelRun> runAllPolybench(std::size_t n);
 
 /** Individual kernels (sizes: square matrices / vectors of @p n). */

@@ -126,7 +126,7 @@ PolybenchSystemModel::evaluate(const KernelRun &run) const
     // Energy (Fig. 11): CPU system moves every operand over the bus at
     // line granularity and computes in the ALU; PIM computes in place.
     // ------------------------------------------------------------------
-    CpuSystem cpu(DdrTiming::dwm());
+    CpuSystem cpu;
     double accesses = static_cast<double>(t.loads + t.stores);
     double lines = streamedLines(accesses);
     AccessSummary s;

@@ -4,10 +4,10 @@
  *
  * Models the non-PIM alternative: operands stream over the DDR3-1600
  * bus to an Intel Xeon X5670-class processor and results stream back.
- * Latency is the memory-system makespan of the access stream (the
- * workloads are memory bound); energy is the paper's transfer cost of
- * 1250 pJ/Byte plus the CPU ALU energies (111 pJ per 32-bit add,
- * 164 pJ per 32-bit multiply).
+ * Energy is the paper's transfer cost of 1250 pJ/Byte plus the CPU ALU
+ * energies (111 pJ per 32-bit add, 164 pJ per 32-bit multiply).  The
+ * Fig. 10 latency of this system is the Polybench system model's
+ * (apps/polybench/system_model).
  */
 
 #ifndef CORUSCANT_BASELINES_CPU_SYSTEM_HPP
@@ -42,35 +42,12 @@ struct AccessSummary
     std::uint64_t muls32 = 0;       ///< 32-bit CPU multiplications
 };
 
-/** CPU system over either DRAM or DWM main memory. */
+/** CPU system over main memory. */
 class CpuSystem
 {
   public:
-    /**
-     * @param timing memory-technology timing (DdrTiming::dram()/dwm());
-     *        a DWM access shifts kCpuDwmAvgShift domains
-     */
-    explicit CpuSystem(DdrTiming timing) : timing_(timing) {}
-
-    /**
-     * Memory-system makespan for an access stream, in memory cycles.
-     *
-     * The stream is bandwidth-limited: requests interleave over the
-     * banks, so the makespan is the larger of the data-bus occupancy
-     * and the per-bank service time divided by the bank parallelism.
-     */
-    std::uint64_t latencyCycles(const AccessSummary &s) const;
-
     /** Data-movement plus ALU energy, in pJ. */
     double energyPj(const AccessSummary &s) const;
-
-    const DdrTiming &timing() const { return timing_; }
-
-  private:
-    /** Bank-level parallelism (paper: 32 banks). */
-    static constexpr std::size_t kBanks = 32;
-
-    DdrTiming timing_;
 };
 
 /**

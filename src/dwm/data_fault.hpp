@@ -196,15 +196,12 @@ class DataFaultModel
     siteHash(std::uint64_t dbc_id, std::uint32_t row_index,
              std::size_t wire) const
     {
-        std::uint64_t z = seed_ ^
-                          (dbc_id * 0x9e3779b97f4a7c15ULL) ^
-                          ((static_cast<std::uint64_t>(row_index)
-                            << 32) |
-                           static_cast<std::uint64_t>(wire));
-        z += 0x9e3779b97f4a7c15ULL;
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-        return z ^ (z >> 31);
+        std::uint64_t key = seed_ ^
+                            (dbc_id * 0x9e3779b97f4a7c15ULL) ^
+                            ((static_cast<std::uint64_t>(row_index)
+                              << 32) |
+                             static_cast<std::uint64_t>(wire));
+        return splitMix64(key + 0x9e3779b97f4a7c15ULL);
     }
 
     DataFaultRates rates_;

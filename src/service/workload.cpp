@@ -69,6 +69,9 @@ WorkloadMix::parse(const std::string &text)
     double total = 0;
     for (double w : m.weight)
         total += w;
+    // Finite weights can still sum to inf, which no weight is a share of.
+    fatalIf(!std::isfinite(total), "mix '", text, "' weights sum past the "
+            "largest double");
     fatalIf(total <= 0, "mix '", text, "' has no positive weight");
     return m;
 }
@@ -98,11 +101,8 @@ channelSeed(std::uint64_t seed, std::uint32_t channel)
 {
     // SplitMix64 finalizer over the pair: well-separated streams for
     // adjacent channels even with small user seeds.
-    std::uint64_t z = seed + 0x9e3779b97f4a7c15ULL *
-                                 (static_cast<std::uint64_t>(channel) + 1);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
+    return splitMix64(seed + 0x9e3779b97f4a7c15ULL *
+                                 (static_cast<std::uint64_t>(channel) + 1));
 }
 
 WorkloadGenerator::WorkloadGenerator(const WorkloadConfig &cfg,
@@ -122,6 +122,8 @@ WorkloadGenerator::WorkloadGenerator(const WorkloadConfig &cfg,
         total += cfg_.mix.weight[c];
         cumulative_[c] = total;
     }
+    fatalIf(!std::isfinite(total), "workload mix weights sum past the "
+            "largest double");
     fatalIf(total <= 0, "workload mix has no positive weight");
     if (cfg_.process == ArrivalProcess::Bursty) {
         burstOn_ = rng_.nextBool(cfg_.burstFraction);

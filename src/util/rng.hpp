@@ -16,6 +16,19 @@
 
 namespace coruscant {
 
+/**
+ * SplitMix64's output function: a bijective mix of @p z whose outputs
+ * for successive Weyl-sequence inputs pass as independent draws.  Rng,
+ * the per-channel seeds and the stateless per-site hashes all use it.
+ */
+constexpr std::uint64_t
+splitMix64(std::uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
 /** Small fast deterministic RNG (SplitMix64). */
 class Rng
 {
@@ -28,10 +41,7 @@ class Rng
     std::uint64_t
     next()
     {
-        std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-        return z ^ (z >> 31);
+        return splitMix64(state += 0x9e3779b97f4a7c15ULL);
     }
 
     /** Uniform integer in [0, bound). @pre bound > 0 */

@@ -6,8 +6,8 @@
 #
 # The set: every bench/ program except micro_ops (it prints host
 # timings), every example, the defaults of each CLI command, `help`,
-# and every coruscant_cli and bench call in .github/workflows/ci.yml.
-# Each `serve` call runs at --threads 1, 4 and 8 (CI's own --threads
+# and every coruscant_cli and bench call in .github/workflows/ci.yml
+# except the `polybench --size 4096` run-time check.  Each `serve` call runs at --threads 1, 4 and 8 (CI's own --threads
 # value is replaced); the three must hash the same once the
 # `threads=` echo is stripped from stdout.  Usage errors are checked
 # for exit code 2 only: their diagnostics go to stderr.
@@ -180,6 +180,7 @@ contract("${BENCH_DIR}/service_ecc_tolerance" ARGS --duration 20000
 usage_error("${CLI}" serve --rate inf)
 usage_error("${CLI}" serve --mix bulk:nan)
 usage_error("${CLI}" serve --mix read:inf,bulk:1)
+usage_error("${CLI}" serve --mix bulk:1e308,read:1e308)
 usage_error("${CLI}" serve --nmr 2)
 usage_error("${CLI}" bitmap --users 0)
 usage_error("${CLI}" polybench --size 0)

@@ -434,6 +434,10 @@ TEST(CliProcess, UsageErrorsExitTwo)
     EXPECT_EQ(cliExit("serve --mix read:inf,bulk:1 --duration 2000"), 2);
     EXPECT_EQ(cliExit("serve --mix read:1,bulk:2xyz --duration 2000"), 2);
     EXPECT_EQ(cliExit("serve --mix read:0x10 --duration 2000"), 2);
+    // Finite weights whose sum is inf served only a zero-weight class.
+    EXPECT_EQ(cliExit("serve --mix bulk:1e308,read:1e308 --duration 2000 "
+                      "--channels 1"),
+              2);
     // Without their ranges these values fail mid-run or not at all:
     // zero users leave zero row chunks to divide by, a zero problem
     // size gives NaN ratios, a week count outside 2..6 gives an empty

@@ -144,6 +144,26 @@ TEST(WorkloadGenerator, RejectsUnservableOpenLoopRates)
     EXPECT_NO_THROW(WorkloadGenerator(cfg, 1, 0));
 }
 
+TEST(WorkloadGenerator, RejectsAMixWhoseWeightsSumPastTheLargestDouble)
+{
+    // Each weight is finite, but the total is inf: every cumulative
+    // share read 0 and the generator served only its last class.
+    WorkloadConfig cfg;
+    cfg.mix = WorkloadMix{};
+    cfg.mix.weight[static_cast<std::size_t>(RequestClass::Read)] = 1e308;
+    cfg.mix.weight[static_cast<std::size_t>(RequestClass::BulkBitwise)] =
+        1e308;
+    EXPECT_THROW(WorkloadGenerator(cfg, 1, 0), FatalError);
+    EXPECT_THROW(WorkloadMix::parse("bulk:1e308,read:1e308"), FatalError);
+    // A large total that stays finite is kept, weight for weight.
+    auto m = WorkloadMix::parse("bulk:1e308,read:1e307");
+    EXPECT_EQ(m.weight[static_cast<std::size_t>(RequestClass::BulkBitwise)],
+              1e308);
+    EXPECT_EQ(m.weight[static_cast<std::size_t>(RequestClass::Read)], 1e307);
+    cfg.mix = m;
+    EXPECT_NO_THROW(WorkloadGenerator(cfg, 1, 0));
+}
+
 TEST(WorkloadGenerator, SizesRespectClassDistributions)
 {
     WorkloadConfig cfg;
