@@ -23,6 +23,7 @@
 #include "apps/bitmap/bitmap_index.hpp"
 #include "arch/dwm_memory.hpp"
 #include "baselines/dram_pim.hpp"
+#include "controller/memory_controller.hpp"
 #include "core/coruscant_unit.hpp"
 #include "obs/output_files.hpp"
 #include "service/batcher.hpp"
@@ -198,6 +199,49 @@ BM_SecdedCorrectLine(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SecdedCorrectLine);
+
+/**
+ * One guarded cpim packed add in FaultCampaign::controllerCampaign's
+ * memory: 16 DBCs of 64 wires, per-cpim guard, SECDED, NMR-3, shift
+ * faults at 1e-3 per pulse and transient data faults at 1e-4 per bit.
+ * Each iteration re-executes the same five-operand, 8-bit-lane add:
+ * four guard checks, three replicas of five operand reads, the vote
+ * and the result write.
+ */
+void
+BM_ExecuteGuardedAdd(benchmark::State &state)
+{
+    MemoryConfig cfg;
+    cfg.banks = 2;
+    cfg.subarraysPerBank = 2;
+    cfg.tilesPerSubarray = 2;
+    cfg.dbcsPerTile = 2;
+    cfg.pimDbcsPerSubarray = 1;
+    cfg.device.wiresPerDbc = 64;
+    ReliabilityConfig &rel = cfg.reliability;
+    rel.guardPolicy = GuardPolicy::PerCpim;
+    rel.eccMode = EccMode::Secded;
+    rel.pimNmr = 3;
+    rel.shiftFaultRate = 1e-3;
+    rel.shiftFaultSeed = 12;
+    rel.dataFaultRate = 1e-4;
+    rel.dataFaultSeed = 13;
+    DwmMainMemory mem(cfg);
+    MemoryController ctrl(mem);
+    Rng rng(14);
+    constexpr std::size_t operands = 5;
+    for (std::size_t i = 0; i < operands; ++i)
+        mem.writeLine(ctrl.operandAddress(0, i), randomRow(rng, 64));
+    CpimInstruction inst;
+    inst.op = CpimOp::Add;
+    inst.src = 0;
+    inst.dst = ctrl.operandAddress(0, operands);
+    inst.operands = operands;
+    inst.blockSize = 8;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(ctrl.executeGuarded(inst));
+}
+BENCHMARK(BM_ExecuteGuardedAdd);
 
 void
 BM_NmrVote(benchmark::State &state)

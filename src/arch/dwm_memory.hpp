@@ -109,10 +109,20 @@ class DwmMainMemory
     const MemoryConfig &config() const { return cfg; }
     const AddressMap &addressMap() const { return amap; }
 
-    /** Read the 512-bit line at @p byte_addr (charges DWM timing). */
+    /**
+     * Read the 512-bit line at @p loc (charges DWM timing).
+     * @pre every field of @p loc is in range, as AddressMap::decode
+     *      returns it.
+     */
+    BitVector readLine(const LineAddress &loc);
+
+    /** readLine at the line holding @p byte_addr. */
     BitVector readLine(std::uint64_t byte_addr);
 
-    /** Write the 512-bit line at @p byte_addr (charges DWM timing). */
+    /** Write the 512-bit line at @p loc (charges DWM timing). */
+    void writeLine(const LineAddress &loc, const BitVector &data);
+
+    /** writeLine at the line holding @p byte_addr. */
     void writeLine(std::uint64_t byte_addr, const BitVector &data);
 
     /**
@@ -126,11 +136,14 @@ class DwmMainMemory
     // --- Guarded execution ----------------------------------------------
 
     /**
-     * Guard-check (and correct) the DBC holding @p byte_addr.  Used by
-     * the controller around cpim instructions (GuardPolicy::PerCpim)
-     * and by tests; a no-op returning checked = false when no guard is
+     * Guard-check (and correct) the DBC holding @p loc.  Used by the
+     * controller around cpim instructions (GuardPolicy::PerCpim) and
+     * by tests; a no-op returning checked = false when no guard is
      * configured.  May retire the DBC (remapping its addresses).
      */
+    GuardReport checkLine(const LineAddress &loc);
+
+    /** checkLine at the line holding @p byte_addr. */
     GuardReport checkLine(std::uint64_t byte_addr);
 
     /** Guard-check every materialized DBC (deterministic order). */

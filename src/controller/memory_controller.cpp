@@ -29,32 +29,44 @@ describe(const CpimInstruction &inst)
     return os.str();
 }
 
+/**
+ * Operand row @p i of an instruction whose first operand is @p src
+ * (decoded from byte address @p src_addr): the same DBC, @p i rows on.
+ */
+LineAddress
+operandLine(const DwmMainMemory &mem, const LineAddress &src,
+            std::uint64_t src_addr, std::size_t i)
+{
+    LineAddress loc = src;
+    loc.row += i;
+    // Diagnostics are formatted only on failure: this runs per operand.
+    if (loc.row >= mem.config().device.domainsPerWire)
+        fatal("operand row ", i, " of src=", hexAddr(src_addr),
+              " (DBC row ", loc.row, ") runs past the end of the DBC (",
+              mem.config().device.domainsPerWire, " rows)");
+    return loc;
+}
+
 } // namespace
 
 std::uint64_t
 MemoryController::operandAddress(std::uint64_t src, std::size_t i) const
 {
-    LineAddress loc = mem.addressMap().decode(src);
-    loc.row += i;
-    // Diagnostics are formatted only on failure: this runs per operand.
-    if (loc.row >= mem.config().device.domainsPerWire)
-        fatal("operand row ", i, " of src=", hexAddr(src), " (DBC row ",
-              loc.row, ") runs past the end of the DBC (",
-              mem.config().device.domainsPerWire, " rows)");
-    return mem.addressMap().encode(loc);
+    const AddressMap &amap = mem.addressMap();
+    return amap.encode(operandLine(mem, amap.decode(src), src, i));
 }
 
 BitVector
-MemoryController::computeResult(const CpimInstruction &inst)
+MemoryController::computeResult(const CpimInstruction &inst,
+                                const LineAddress &src)
 {
-    LineAddress src = mem.addressMap().decode(inst.src);
     CoruscantUnit &unit = mem.pimUnit(src.bank, src.subarray);
 
     // Gather operand rows (charges DWM access timing per row).
     std::vector<BitVector> &ops = operandRows;
     ops.clear();
     for (std::size_t i = 0; i < inst.operands; ++i)
-        ops.push_back(mem.readLine(operandAddress(inst.src, i)));
+        ops.push_back(mem.readLine(operandLine(mem, src, inst.src, i)));
 
     if (std::optional<BulkOp> bulk = cpimBulkOp(inst.op)) {
         // NOT senses its first operand row only.
@@ -86,7 +98,9 @@ MemoryController::computeResult(const CpimInstruction &inst)
 }
 
 BitVector
-MemoryController::computeOnce(const CpimInstruction &inst)
+MemoryController::computeOnce(const CpimInstruction &inst,
+                              const LineAddress &src,
+                              const LineAddress &dst)
 {
     const ReliabilityConfig &rel = mem.config().reliability;
     // ECC protects lines crossing the port, but in-situ compute senses
@@ -99,16 +113,15 @@ MemoryController::computeOnce(const CpimInstruction &inst)
                inst.op != CpimOp::Copy;
     BitVector result;
     if (nmr) {
-        LineAddress src = mem.addressMap().decode(inst.src);
         CoruscantUnit &unit = mem.pimUnit(src.bank, src.subarray);
         replicaRows.clear();
         for (std::size_t i = 0; i < rel.pimNmr; ++i)
-            replicaRows.push_back(computeResult(inst));
+            replicaRows.push_back(computeResult(inst, src));
         result = unit.nmrVote(replicaRows);
     } else {
-        result = computeResult(inst);
+        result = computeResult(inst, src);
     }
-    mem.writeLine(inst.dst, result);
+    mem.writeLine(dst, result);
     return result;
 }
 
@@ -118,6 +131,10 @@ MemoryController::executeGuarded(const CpimInstruction &inst)
     std::string err = inst.validate(mem.config().device.trd);
     if (!err.empty())
         fatal(describe(inst), ": ", err);
+    // Decoded once: every operand read, the result write and the guard
+    // checks below address these lines.
+    const LineAddress src = mem.addressMap().decode(inst.src);
+    const LineAddress dst = mem.addressMap().decode(inst.dst);
 
     ++executed;
     std::uint64_t cycles_before = mem.ledger().cycles();
@@ -130,7 +147,7 @@ MemoryController::executeGuarded(const CpimInstruction &inst)
         // an unguarded memory executes single-shot.  Surface any event
         // the memory hit during this instruction.
         MemoryEvents before = mem.events();
-        report.result = computeOnce(inst);
+        report.result = computeOnce(inst, src, dst);
         MemoryEvents seen = mem.events().since(before);
         corrected = seen.fixed();
         uncorrectable = seen.flagged();
@@ -139,8 +156,8 @@ MemoryController::executeGuarded(const CpimInstruction &inst)
         // Rung 1: realign the source and destination clusters up front
         // so the operand reads (all in the source DBC, by the ISA)
         // start from a known-good position.
-        GuardReport pre_src = mem.checkLine(inst.src);
-        GuardReport pre_dst = mem.checkLine(inst.dst);
+        GuardReport pre_src = mem.checkLine(src);
+        GuardReport pre_dst = mem.checkLine(dst);
         corrected = pre_src.corrected || pre_dst.corrected;
         uncorrectable = pre_src.uncorrectable || pre_dst.uncorrectable;
         spares_exhausted =
@@ -154,9 +171,9 @@ MemoryController::executeGuarded(const CpimInstruction &inst)
         bool exhausted = mem.retryLadder().climb(
             [&](std::size_t) {
                 MemoryEvents before = mem.events();
-                report.result = computeOnce(inst);
-                GuardReport post_src = mem.checkLine(inst.src);
-                GuardReport post_dst = mem.checkLine(inst.dst);
+                report.result = computeOnce(inst, src, dst);
+                GuardReport post_src = mem.checkLine(src);
+                GuardReport post_dst = mem.checkLine(dst);
                 MemoryEvents seen = mem.events().since(before);
                 uncorrectable |=
                     post_src.uncorrectable || post_dst.uncorrectable;
@@ -199,12 +216,13 @@ MemoryController::executeGuarded(const CpimInstruction &inst)
     } else if (corrected) {
         report.outcome = ExecOutcome::Corrected;
     }
-    noteExecution(inst, report, cycles_before);
+    noteExecution(inst, src, report, cycles_before);
     return report;
 }
 
 void
 MemoryController::noteExecution(const CpimInstruction &inst,
+                                const LineAddress &src,
                                 const ExecReport &report,
                                 std::uint64_t cycles_before)
 {
@@ -213,7 +231,6 @@ MemoryController::noteExecution(const CpimInstruction &inst,
         metrics->add(obs::Counter::Retries, report.retries);
     }
     if (traceSink && traceSink->on()) {
-        LineAddress src = mem.addressMap().decode(inst.src);
         traceSink->span(cpimOpName(inst.op), "cpim", cycles_before,
                         mem.ledger().cycles() - cycles_before, tracePid,
                         static_cast<std::uint32_t>(src.bank), "retries",

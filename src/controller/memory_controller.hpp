@@ -121,19 +121,25 @@ class MemoryController
     }
 
   private:
-    /** Read operands and compute; no result write, no NMR. */
-    BitVector computeResult(const CpimInstruction &inst);
+    /**
+     * Read operands and compute; no result write, no NMR.  @p src is
+     * inst.src decoded.
+     */
+    BitVector computeResult(const CpimInstruction &inst,
+                            const LineAddress &src);
 
     /**
      * One full execution: compute (replicated + voted when
      * ReliabilityConfig::pimNmr routes PIM ops through NMR under data
-     * faults) and write the result row.
+     * faults) and write the result row.  @p src and @p dst are
+     * inst.src and inst.dst decoded.
      */
-    BitVector computeOnce(const CpimInstruction &inst);
+    BitVector computeOnce(const CpimInstruction &inst,
+                          const LineAddress &src, const LineAddress &dst);
 
     /** Record counters and the instruction span after an execution. */
     void noteExecution(const CpimInstruction &inst,
-                       const ExecReport &report,
+                       const LineAddress &src, const ExecReport &report,
                        std::uint64_t cycles_before);
 
     DwmMainMemory &mem;

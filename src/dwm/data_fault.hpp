@@ -77,7 +77,8 @@ class DataFaultModel
 
     /** Same @p seed => same fault sites at any thread count. */
     DataFaultModel(const DataFaultRates &rates, std::uint64_t seed)
-        : rates_(rates), seed_(seed), rng_(seed)
+        : rates_(rates), transientRate_(rates.dataFaultRate),
+          seed_(seed), rng_(seed)
     {}
 
     bool enabled() const { return rates_.dataFaultsEnabled(); }
@@ -92,7 +93,7 @@ class DataFaultModel
     std::uint64_t
     perturbTransient(BitVector &row, std::size_t bits = allBits)
     {
-        std::uint64_t flips = flipBernoulli(row, bits, rates_.dataFaultRate);
+        std::uint64_t flips = flipBernoulli(row, bits, transientRate_);
         transientFlips_ += flips;
         return flips;
     }
@@ -147,7 +148,8 @@ class DataFaultModel
           std::size_t bits = allBits)
     {
         std::uint64_t flips = flipBernoulli(
-            row, bits, retentionFlipProbability(elapsed_cycles));
+            row, bits,
+            BernoulliRate(retentionFlipProbability(elapsed_cycles)));
         retentionFlips_ += flips;
         return flips;
     }
@@ -173,12 +175,13 @@ class DataFaultModel
     }
 
   private:
-    /** Flip each of @p row's first @p bits bits with probability @p p. */
+    /** Flip each of @p row's first @p bits bits at @p rate. */
     std::uint64_t
-    flipBernoulli(BitVector &row, std::size_t bits, double p)
+    flipBernoulli(BitVector &row, std::size_t bits,
+                  const BernoulliRate &rate)
     {
         bits = std::min(bits, row.size());
-        return forEachBernoulli(rng_, bits, p, [&](std::size_t i) {
+        return forEachBernoulli(rng_, bits, rate, [&](std::size_t i) {
             row.set(i, !row.get(i));
         });
     }
@@ -205,6 +208,7 @@ class DataFaultModel
     }
 
     DataFaultRates rates_;
+    BernoulliRate transientRate_; ///< dataFaultRate, built once
     std::uint64_t seed_ = 0;
     Rng rng_;
     std::uint64_t transientFlips_ = 0;

@@ -1,6 +1,7 @@
 #include "reliability/fault_campaign.hpp"
 
-#include <algorithm>
+#include <array>
+#include <utility>
 
 #include "arch/dwm_memory.hpp"
 #include "controller/memory_controller.hpp"
@@ -115,7 +116,8 @@ FaultCampaign::controllerCampaign(const ControllerCampaignConfig &ccfg)
     mcfg.tilesPerSubarray = 2;
     mcfg.dbcsPerTile = 2;
     mcfg.pimDbcsPerSubarray = 1;
-    mcfg.device.wiresPerDbc = 64;
+    constexpr std::size_t wires = 64; // one operand row is one word
+    mcfg.device.wiresPerDbc = wires;
     ReliabilityConfig &rel = mcfg.reliability;
     static_cast<DataFaultRates &>(rel) = ccfg;
     rel.shiftFaultRate = ccfg.shiftFaultRate;
@@ -138,15 +140,22 @@ FaultCampaign::controllerCampaign(const ControllerCampaignConfig &ccfg)
     }
     Rng rng(ccfg.seed * 6364136223846793005ULL + 1442695040888963407ULL);
 
-    const std::size_t wires = mcfg.device.wiresPerDbc;
+    // Rows are staged and checked a word at a time: each word packs
+    // whole lanes, lane l of a row at bits [l * block, (l + 1) * block).
+    constexpr std::size_t block = ControllerCampaignConfig::blockSize;
+    static_assert(block > 0 && 64 % block == 0,
+                  "a packed lane must not straddle a word");
+    constexpr std::size_t lanes_per_word = 64 / block;
+    constexpr std::uint64_t lane_mask = ~0ULL >> (64 - block);
+    // The top bit of every lane: lane-wise sums keep their carries out
+    // of it, so no lane carries into the next.
+    constexpr std::uint64_t lane_tops = (~0ULL / lane_mask)
+                                        << (block - 1);
     const std::size_t rows = mcfg.device.domainsPerWire;
-    const std::size_t lanes = wires / ccfg.blockSize;
-    const std::uint64_t lane_mask =
-        ccfg.blockSize >= 64 ? ~0ULL : ((1ULL << ccfg.blockSize) - 1);
 
     ControllerCampaignResult res;
     res.trials = ccfg.trials;
-    std::vector<std::uint64_t> golden(lanes);
+    std::array<std::uint64_t, wires / 64> golden{};
     for (std::uint64_t t = 0; t < ccfg.trials; ++t) {
         // Operands occupy consecutive rows of one random DBC; the
         // destination row sits just past them so ladder re-reads never
@@ -159,39 +168,37 @@ FaultCampaign::controllerCampaign(const ControllerCampaignConfig &ccfg)
         loc.dbc = rng.next() % mcfg.dbcsPerTile;
         loc.row = rng.next() % (rows - ccfg.operands);
 
-        std::fill(golden.begin(), golden.end(), 0);
-        std::uint64_t src = 0;
+        golden.fill(0);
         for (std::size_t i = 0; i < ccfg.operands; ++i) {
             BitVector row(wires);
-            for (std::size_t l = 0; l < lanes; ++l) {
-                std::uint64_t v = rng.next() & lane_mask;
-                row.insertUint64(l * ccfg.blockSize, ccfg.blockSize, v);
-                golden[l] = (golden[l] + v) & lane_mask;
-            }
+            row.setWords([&](std::size_t w) {
+                std::uint64_t word = 0;
+                for (std::size_t l = 0; l < lanes_per_word; ++l)
+                    word |= (rng.next() & lane_mask) << (l * block);
+                golden[w] = ((golden[w] & ~lane_tops) +
+                             (word & ~lane_tops)) ^
+                            ((golden[w] ^ word) & lane_tops);
+                return word;
+            });
             LineAddress op_loc = loc;
             op_loc.row = loc.row + i;
-            std::uint64_t addr = mem.addressMap().encode(op_loc);
-            if (i == 0)
-                src = addr;
-            mem.writeLine(addr, row);
+            mem.writeLine(op_loc, row);
         }
         LineAddress dst_loc = loc;
         dst_loc.row = loc.row + ccfg.operands;
-        std::uint64_t dst = mem.addressMap().encode(dst_loc);
 
         CpimInstruction inst;
         inst.op = CpimOp::Add;
-        inst.src = src;
-        inst.dst = dst;
+        inst.src = mem.addressMap().encode(loc);
+        inst.dst = mem.addressMap().encode(dst_loc);
         inst.operands = static_cast<std::uint8_t>(ccfg.operands);
-        inst.blockSize = static_cast<std::uint16_t>(ccfg.blockSize);
+        inst.blockSize = static_cast<std::uint16_t>(block);
         ExecReport rep = ctrl.executeGuarded(inst);
 
-        BitVector got = mem.readLine(dst);
+        BitVector got = mem.readLine(dst_loc);
         bool match = true;
-        for (std::size_t l = 0; l < lanes && match; ++l)
-            match = got.sliceUint64(l * ccfg.blockSize,
-                                    ccfg.blockSize) == golden[l];
+        for (std::size_t w = 0; w < golden.size() && match; ++w)
+            match = got.word(w) == golden[w];
 
         // DUE/SDC taxonomy over the whole trial (staging writes,
         // execution, readback): a flagged trial is a DUE whether or

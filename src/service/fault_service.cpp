@@ -146,6 +146,7 @@ ChannelDataFaultInjector::ChannelDataFaultInjector(
     const ServiceFaultConfig &cfg, std::uint64_t channel_seed,
     std::size_t line_bits, std::size_t word_bits)
     : cfg_(cfg), lineBits_(line_bits), wordBits_(word_bits),
+      accessRate_(cfg.dataFaultRate + 0.5 * cfg.stuckAtFraction),
       rng_(channel_seed)
 {
     fatalIf(line_bits == 0 || word_bits == 0,
@@ -160,9 +161,9 @@ ChannelDataFaultInjector::sample(std::uint64_t line_accesses,
     // Key = flat bit position / word width, so two flips only share a
     // codeword when they land in the same word of the same access.
     std::map<std::uint64_t, std::uint32_t> words;
-    auto draw = [&](std::uint64_t bits, double prob) {
+    auto draw = [&](std::uint64_t bits, const BernoulliRate &rate) {
         std::uint64_t flips = forEachBernoulli(
-            rng_, bits, prob,
+            rng_, bits, rate,
             [&](std::uint64_t pos) { ++words[pos / wordBits_]; });
         s.flips += flips;
         injected_ += flips;
@@ -171,10 +172,9 @@ ChannelDataFaultInjector::sample(std::uint64_t line_accesses,
     // by the first access, so they share access 0's codeword keyspace.
     if (cfg_.retentionRatePerCycle > 0.0 && idle_cycles > 0)
         draw(lineBits_,
-             -std::expm1(-cfg_.retentionRatePerCycle *
-                         static_cast<double>(idle_cycles)));
-    draw(line_accesses * lineBits_,
-         cfg_.dataFaultRate + 0.5 * cfg_.stuckAtFraction);
+             BernoulliRate(-std::expm1(-cfg_.retentionRatePerCycle *
+                                       static_cast<double>(idle_cycles))));
+    draw(line_accesses * lineBits_, accessRate_);
     const bool secded = cfg_.ecc == EccMode::Secded;
     for (const auto &[word, count] : words) {
         (void)word;

@@ -257,6 +257,8 @@ class ChannelDataFaultInjector
     const ServiceFaultConfig &cfg_;
     std::size_t lineBits_;
     std::size_t wordBits_;
+    /** Per-bit flip rate of every access: transient plus stuck-at. */
+    BernoulliRate accessRate_;
     Rng rng_;
     std::uint64_t injected_ = 0;
 };

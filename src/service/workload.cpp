@@ -1,5 +1,6 @@
 #include "service/workload.hpp"
 
+#include <array>
 #include <charconv>
 #include <cmath>
 #include <sstream>
@@ -39,6 +40,7 @@ WorkloadMix
 WorkloadMix::parse(const std::string &text)
 {
     WorkloadMix m;
+    std::array<bool, kRequestClasses> named{};
     std::istringstream is(text);
     std::string part;
     while (std::getline(is, part, ',')) {
@@ -58,6 +60,11 @@ WorkloadMix::parse(const std::string &text)
         bool known = false;
         for (std::size_t c = 0; c < kRequestClasses; ++c) {
             if (name == requestClassName(static_cast<RequestClass>(c))) {
+                // A second weight for a class would silently replace
+                // the first.
+                fatalIf(named[c], "mix names request class '", name,
+                        "' twice");
+                named[c] = true;
                 m.weight[c] = w;
                 known = true;
                 break;

@@ -105,27 +105,55 @@ class Rng
 };
 
 /**
- * Independent Bernoulli(@p p) trials at positions [0, @p n): calls
- * @p hit(pos) for every success, drawing the geometric gap to the next
- * success instead of one trial per position (O(successes), not O(n)).
- * Returns the number of successes.
+ * A per-position success probability with the constant its geometric
+ * gaps divide by, log1p(-p), computed once.  A rate that never changes
+ * is built once and reused; one whose p varies per call (retention
+ * decay over an elapsed time) is built per call.  p <= 0 and NaN never
+ * succeed, p >= 1 always does.
+ */
+class BernoulliRate
+{
+  public:
+    BernoulliRate() = default;
+
+    explicit BernoulliRate(double p)
+        : p_(p), logq_(p > 0.0 && p < 1.0 ? std::log1p(-p) : 0.0)
+    {}
+
+    /** Success probability per position. */
+    double p() const { return p_; }
+
+    /** log1p(-p), for 0 < p < 1. */
+    double logq() const { return logq_; }
+
+  private:
+    double p_ = 0.0;
+    double logq_ = 0.0;
+};
+
+/**
+ * Independent Bernoulli(@p rate.p()) trials at positions [0, @p n):
+ * calls @p hit(pos) for every success, drawing the geometric gap to
+ * the next success instead of one trial per position (O(successes),
+ * not O(n)).  Returns the number of successes.
  */
 template <class Hit>
 inline std::uint64_t
-forEachBernoulli(Rng &rng, std::uint64_t n, double p, Hit &&hit)
+forEachBernoulli(Rng &rng, std::uint64_t n, const BernoulliRate &rate,
+                 Hit &&hit)
 {
-    if (p <= 0.0 || n == 0)
+    if (!(rate.p() > 0.0) || n == 0)
         return 0;
-    if (p >= 1.0) {
+    if (rate.p() >= 1.0) {
         for (std::uint64_t pos = 0; pos < n; ++pos)
             hit(pos);
         return n;
     }
-    const double logq = std::log1p(-p);
     std::uint64_t pos = 0;
     std::uint64_t hits = 0;
     while (pos < n) {
-        double gap = std::floor(std::log1p(-rng.nextDouble()) / logq);
+        double gap =
+            std::floor(std::log1p(-rng.nextDouble()) / rate.logq());
         if (gap >= static_cast<double>(n - pos))
             break;
         pos += static_cast<std::uint64_t>(gap);

@@ -181,6 +181,8 @@ usage_error("${CLI}" serve --rate inf)
 usage_error("${CLI}" serve --mix bulk:nan)
 usage_error("${CLI}" serve --mix read:inf,bulk:1)
 usage_error("${CLI}" serve --mix bulk:1e308,read:1e308)
+usage_error("${CLI}" serve --mix read:1,read:5,bulk:0 --duration 2000
+    --channels 1)
 usage_error("${CLI}" serve --nmr 2)
 usage_error("${CLI}" bitmap --users 0)
 usage_error("${CLI}" polybench --size 0)

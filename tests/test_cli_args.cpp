@@ -438,6 +438,10 @@ TEST(CliProcess, UsageErrorsExitTwo)
     EXPECT_EQ(cliExit("serve --mix bulk:1e308,read:1e308 --duration 2000 "
                       "--channels 1"),
               2);
+    // A class named twice ran with its last weight only.
+    EXPECT_EQ(cliExit("serve --mix read:1,read:5,bulk:0 --duration 2000 "
+                      "--channels 1"),
+              2);
     // Without their ranges these values fail mid-run or not at all:
     // zero users leave zero row chunks to divide by, a zero problem
     // size gives NaN ratios, a week count outside 2..6 gives an empty

@@ -139,6 +139,75 @@ TEST(FaultPipeline, GuardedCpimCorrectsPreExistingMisalignment)
     EXPECT_EQ(ctrl.executedInstructions(), 1u);
 }
 
+TEST(FaultPipeline, DecodeOnceFollowsASourceDbcRetiredByThePreCheck)
+{
+    // The controller decodes src and dst once per cpim, but the
+    // pre-check retires the source DBC before any operand is read: the
+    // reads must resolve the logical DBC to its spare, not the cluster
+    // the decode first named.
+    MemoryConfig cfg = smallConfig(GuardPolicy::PerCpim);
+    cfg.reliability.eccMode = EccMode::Secded;
+    cfg.reliability.retireThreshold = 1;
+    DwmMainMemory mem(cfg);
+    MemoryController ctrl(mem);
+    Rng rng(21);
+    auto golden = stageOperands(mem, 0, 3, 8, rng);
+    const std::uint64_t dst = rowAddr(mem, 1, 0); // another DBC
+    mem.injectShiftFaultAt(0, true);
+
+    CpimInstruction inst;
+    inst.op = CpimOp::Add;
+    inst.src = 0;
+    inst.dst = dst;
+    inst.operands = 3;
+    inst.blockSize = 8;
+    ExecReport rep = ctrl.executeGuarded(inst);
+    EXPECT_EQ(rep.outcome, ExecOutcome::Corrected);
+    EXPECT_EQ(mem.retiredDbcs(), 1u);
+    // The spare and the destination DBC; the retired cluster is gone
+    // and nothing re-materialized it.
+    EXPECT_EQ(mem.touchedDbcs(), 2u);
+    for (std::size_t l = 0; l < golden.size(); ++l)
+        EXPECT_EQ(rep.result.sliceUint64(l * 8, 8), golden[l])
+            << "lane " << l;
+    EXPECT_EQ(mem.readLine(dst), rep.result);
+    EXPECT_EQ(mem.eccDetectedUncorrectable(), 0u);
+}
+
+TEST(FaultPipeline, OperandRowPastTheDbcKeepsItsDiagnostic)
+{
+    DwmMainMemory mem(smallConfig(GuardPolicy::PerCpim));
+    MemoryController ctrl(mem);
+    const std::size_t rows = mem.config().device.domainsPerWire;
+    const std::uint64_t src = rowAddr(mem, 0, rows - 2);
+    std::ostringstream want;
+    want << "operand row 2 of src=0x" << std::hex << src << std::dec
+         << " (DBC row " << rows << ") runs past the end of the DBC ("
+         << rows << " rows)";
+
+    CpimInstruction inst;
+    inst.op = CpimOp::Add;
+    inst.src = src;
+    inst.dst = rowAddr(mem, 1, 0);
+    inst.operands = 3;
+    inst.blockSize = 8;
+    for (int form = 0; form < 2; ++form) {
+        try {
+            if (form == 0)
+                (void)ctrl.executeGuarded(inst);
+            else
+                (void)ctrl.operandAddress(src, 2);
+            FAIL() << "expected FatalError, form " << form;
+        } catch (const FatalError &e) {
+            std::string msg = e.what();
+            EXPECT_NE(msg.find(want.str()), std::string::npos)
+                << "form " << form << ": " << msg;
+        }
+    }
+    // The last row in the DBC is still an operand.
+    EXPECT_EQ(ctrl.operandAddress(src, 1), rowAddr(mem, 0, rows - 1));
+}
+
 TEST(FaultPipeline, IsaViolationDiagnosticsNameTheInstruction)
 {
     DwmMainMemory mem(smallConfig(GuardPolicy::None));

@@ -48,6 +48,32 @@ TEST(WorkloadMix, RejectsMalformedInput)
     EXPECT_THROW(WorkloadMix::parse("read:0"), FatalError);
 }
 
+TEST(WorkloadMix, RejectsARepeatedClassByName)
+{
+    // A second weight for a class used to replace the first silently.
+    try {
+        WorkloadMix::parse("read:1,read:5,bulk:0");
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        std::string msg = e.what();
+        EXPECT_NE(msg.find("'read'"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("twice"), std::string::npos) << msg;
+    }
+    EXPECT_THROW(WorkloadMix::parse("bulk:1,read:1,bulk:1"), FatalError);
+    EXPECT_THROW(WorkloadMix::parse("mac:0,mac:0,add:1"), FatalError);
+    // Every class once, in any order, keeps each weight exactly.
+    auto m = WorkloadMix::parse(
+        "mac:1e-3,reduce:0,add:3,,bulk:0.5,write:2,read:0.1");
+    const double want[] = {0.1, 2.0, 0.5, 3.0, 0.0, 1e-3};
+    const RequestClass order[] = {
+        RequestClass::Read,       RequestClass::Write,
+        RequestClass::BulkBitwise, RequestClass::MultiOpAdd,
+        RequestClass::Reduce,     RequestClass::MacTile};
+    for (std::size_t i = 0; i < 6; ++i)
+        EXPECT_EQ(m.weight[static_cast<std::size_t>(order[i])], want[i])
+            << requestClassName(order[i]);
+}
+
 // ---------------------------------------------------------- generator
 
 TEST(WorkloadGenerator, DeterministicPerChannelStreams)
