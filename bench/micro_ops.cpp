@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/bitmap/bitmap_index.hpp"
@@ -27,6 +28,7 @@
 #include "core/coruscant_unit.hpp"
 #include "obs/output_files.hpp"
 #include "service/batcher.hpp"
+#include "service/fault_service.hpp"
 #include "util/rng.hpp"
 
 using namespace coruscant;
@@ -371,6 +373,55 @@ BM_GangBatcher(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * requests);
 }
 BENCHMARK(BM_GangBatcher);
+
+/**
+ * serve's per-unit data-fault draw at the serve_faults load: 512-bit
+ * lines of 64-bit SECDED words, transient faults at 1e-6 per bit,
+ * retention at 1e-12 per bit and cycle.  Each call makes 1-6 line
+ * accesses after an idle span uniform in [0, 2^20) cycles, so it
+ * almost always flips nothing.  Items are calls.
+ */
+void
+BM_ChannelDataFaultSample(benchmark::State &state)
+{
+    constexpr std::size_t calls = 4096;
+    ServiceFaultConfig cfg;
+    cfg.dataFaultRate = 1e-6;
+    cfg.retentionRatePerCycle = 1e-12;
+    cfg.ecc = EccMode::Secded;
+    ChannelDataFaultInjector injector(cfg, 15, 512, 64);
+    Rng rng(16);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> units(calls);
+    for (auto &[accesses, idle] : units) {
+        accesses = 1 + rng.nextBelow(6);
+        idle = rng.nextBelow(std::uint64_t{1} << 20);
+    }
+    for (auto _ : state)
+        for (const auto &[accesses, idle] : units)
+            benchmark::DoNotOptimize(injector.sample(accesses, idle));
+    state.SetItemsProcessed(state.iterations() * calls);
+}
+BENCHMARK(BM_ChannelDataFaultSample);
+
+/**
+ * One shift pulse's fault draw at serve_faults' base rate, 1e-4 per
+ * pulse, with the rate set again before every 64 pulses the way
+ * ChannelFaultInjector sets it per unit.  Items are pulses.
+ */
+void
+BM_ShiftFaultSample(benchmark::State &state)
+{
+    constexpr int pulses = 64;
+    const double rate = 1e-4;
+    ShiftFaultModel model(rate, 17);
+    for (auto _ : state) {
+        model.setProbability(rate);
+        for (int i = 0; i < pulses; ++i)
+            benchmark::DoNotOptimize(model.sample());
+    }
+    state.SetItemsProcessed(state.iterations() * pulses);
+}
+BENCHMARK(BM_ShiftFaultSample);
 
 /**
  * One instrumented execution of every benchmarked operation: modeled

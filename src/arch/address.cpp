@@ -1,5 +1,7 @@
 #include "arch/config.hpp"
 
+#include <ios>
+
 #include "util/logging.hpp"
 
 namespace coruscant {
@@ -44,7 +46,7 @@ checkPimNmr(std::size_t n, std::size_t trd)
 LineAddress
 AddressMap::decode(std::uint64_t byte_addr) const
 {
-    fatalIf(byte_addr >= config.capacityBytes(), "address 0x",
+    fatalIf(byte_addr >= config.capacityBytes(), "address 0x", std::hex,
             byte_addr, " beyond capacity");
     std::uint64_t line = byte_addr / config.rowBytes();
     LineAddress loc;

@@ -54,8 +54,9 @@ class ShiftFaultModel
      */
     ShiftFaultModel(double probability, std::uint64_t seed,
                     double over_fraction = 0.5)
-        : faultProbability(probability), overFraction(over_fraction),
-          rng(seed)
+        : faultProbability(probability),
+          faultThreshold(Rng::boolThreshold(probability)),
+          overFraction(over_fraction), rng(seed)
     {}
 
     /** Sample the outcome of one shift pulse. */
@@ -64,7 +65,7 @@ class ShiftFaultModel
     {
         if (faultProbability <= 0.0)
             return ShiftOutcome::Normal;
-        if (!rng.nextBool(faultProbability))
+        if (!rng.nextBoolBelow(faultThreshold))
             return ShiftOutcome::Normal;
         if (rng.nextBool(overFraction)) {
             ++overShiftCount;
@@ -88,10 +89,20 @@ class ShiftFaultModel
      * Change the fault rate mid-stream (chaos ramps).  The RNG stream
      * is untouched, so runs remain reproducible for a fixed seed.
      */
-    void setProbability(double p) { faultProbability = p; }
+    void
+    setProbability(double p)
+    {
+        if (p != faultProbability) {
+            faultProbability = p;
+            faultThreshold = Rng::boolThreshold(p);
+        }
+    }
 
   private:
+    /** sample() skips its draw only when <= 0: NaN draws, never faults. */
     double faultProbability = 0.0;
+    /** Rng::boolThreshold(faultProbability). */
+    std::uint64_t faultThreshold = 0;
     double overFraction = 0.5;
     Rng rng;
     std::uint64_t overShiftCount = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "arch/dwm_memory.hpp"
 #include "util/bit_vector.hpp"
@@ -160,11 +159,19 @@ ChannelDataFaultInjector::sample(std::uint64_t line_accesses,
     Sample s;
     // Key = flat bit position / word width, so two flips only share a
     // codeword when they land in the same word of the same access.
-    std::map<std::uint64_t, std::uint32_t> words;
+    words_.clear();
     auto draw = [&](std::uint64_t bits, const BernoulliRate &rate) {
-        std::uint64_t flips = forEachBernoulli(
-            rng_, bits, rate,
-            [&](std::uint64_t pos) { ++words[pos / wordBits_]; });
+        std::uint64_t flips =
+            forEachBernoulli(rng_, bits, rate, [&](std::uint64_t pos) {
+                const std::uint64_t word = pos / wordBits_;
+                auto it = std::find_if(
+                    words_.begin(), words_.end(),
+                    [&](const WordFlips &w) { return w.word == word; });
+                if (it == words_.end())
+                    words_.push_back({word, 1});
+                else
+                    ++it->flips;
+            });
         s.flips += flips;
         injected_ += flips;
     };
@@ -172,17 +179,16 @@ ChannelDataFaultInjector::sample(std::uint64_t line_accesses,
     // by the first access, so they share access 0's codeword keyspace.
     if (cfg_.retentionRatePerCycle > 0.0 && idle_cycles > 0)
         draw(lineBits_,
-             BernoulliRate(-std::expm1(-cfg_.retentionRatePerCycle *
-                                       static_cast<double>(idle_cycles))));
+             BernoulliRate::fromExposure(cfg_.retentionRatePerCycle *
+                                         static_cast<double>(idle_cycles)));
     draw(line_accesses * lineBits_, accessRate_);
     const bool secded = cfg_.ecc == EccMode::Secded;
-    for (const auto &[word, count] : words) {
-        (void)word;
+    for (const WordFlips &w : words_) {
         if (!secded)
             ++s.sdcWords;
-        else if (count == 1)
+        else if (w.flips == 1)
             ++s.correctedWords;
-        else if (count == 2)
+        else if (w.flips == 2)
             ++s.dueWords;
         else
             ++s.sdcWords;

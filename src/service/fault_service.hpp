@@ -261,6 +261,19 @@ class ChannelDataFaultInjector
     BernoulliRate accessRate_;
     Rng rng_;
     std::uint64_t injected_ = 0;
+
+    /** Flips one sample() call put in one codeword. */
+    struct WordFlips
+    {
+        std::uint64_t word;
+        std::uint32_t flips;
+    };
+    /**
+     * The current call's flipped words, kept across calls so that a
+     * call that hits allocates only when it flips more words than any
+     * call before it.
+     */
+    std::vector<WordFlips> words_;
 };
 
 /**

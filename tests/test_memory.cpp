@@ -55,6 +55,13 @@ TEST(AddressMap, RejectsOutOfRange)
     MemoryConfig cfg;
     AddressMap amap(cfg);
     EXPECT_THROW(amap.decode(cfg.capacityBytes()), FatalError);
+    // The diagnostic prints the address in hex behind its 0x.
+    try {
+        (void)amap.decode(cfg.capacityBytes() + 64);
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(), "fatal: address 0x40000040 beyond capacity");
+    }
 }
 
 TEST(DwmMemory, ReadBackWrittenLine)

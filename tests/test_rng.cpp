@@ -3,7 +3,10 @@
  * Rng word draws: nextBoolWord must be the same stream as per-draw
  * nextBool calls, bit for bit, including the stream position after.
  * forEachBernoulli with a precomputed BernoulliRate must place the
- * same hits as the body that recomputed log1p(-p) on every call.
+ * same hits as the body that recomputed log1p(-p) on every call and
+ * had no no-hit bound, whether the rate is given as p or as an
+ * exposure.  ShiftFaultModel's integer threshold must draw the
+ * nextBool(p) stream.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +16,7 @@
 #include <limits>
 #include <vector>
 
+#include "dwm/shift_fault.hpp"
 #include "util/rng.hpp"
 
 namespace coruscant {
@@ -151,6 +155,143 @@ TEST(Rng, NanBernoulliRateNeverSucceedsAndDrawsNothing)
     Rng untouched(4);
     EXPECT_TRUE(bernoulliHits(rng, 4096, BernoulliRate{}).empty());
     EXPECT_EQ(rng.next(), untouched.next());
+}
+
+TEST(Rng, NoHitBoundMatchesTheExactGapNearItsMargin)
+{
+    // forEachBernoulli stops without a log1p when u * odds >= rest *
+    // (1 + 1e-9) + 2.  For each seed, the range n is chosen so that the
+    // first draw's u * odds lands within 1e-6 (relative) of that
+    // margin, and the seeds are scanned until enough draws land on
+    // each side.  Later calls on the same stream draw at random.
+    constexpr double kWithin = 1e-6;
+    constexpr int kPerSide = 8;
+    for (double p : {1e-12, 1e-8, 1e-6, 1e-4}) {
+        const BernoulliRate rate(p);
+        int below = 0;
+        int above = 0;
+        for (std::uint64_t seed = 1;
+             seed < 100000 && (below < kPerSide || above < kPerSide);
+             ++seed) {
+            Rng peek(seed);
+            const double v = peek.nextDouble() * rate.odds();
+            const double n0 = std::floor((v - 2.0) / (1.0 + 1e-9));
+            for (double nd : {n0, n0 + 1.0}) {
+                if (nd < 1.0)
+                    continue;
+                const double margin = nd * (1.0 + 1e-9) + 2.0;
+                const double rel = (v - margin) / margin;
+                if (std::fabs(rel) > kWithin)
+                    continue;
+                int &side = rel >= 0.0 ? above : below;
+                if (side >= kPerSide)
+                    continue;
+                ++side;
+                const auto n = static_cast<std::uint64_t>(nd);
+                SCOPED_TRACE(::testing::Message()
+                             << "p " << p << " seed " << seed << " n " << n
+                             << " rel " << rel);
+                Rng fresh(seed);
+                Rng reference(seed);
+                for (int rep = 0; rep < 3; ++rep)
+                    EXPECT_EQ(bernoulliHits(fresh, n, rate),
+                              referenceBernoulliHits(reference, n, p));
+                EXPECT_EQ(fresh.next(), reference.next());
+            }
+        }
+        EXPECT_EQ(below, kPerSide) << "p " << p;
+        EXPECT_EQ(above, kPerSide) << "p " << p;
+    }
+}
+
+TEST(Rng, ExposureRateDrawsTheEagerRateStream)
+{
+    // fromExposure(x) defers p = -expm1(-x) and log1p(-p) for
+    // 0 < x < 1 and bounds odds by (1 - x) / x; it must draw what the
+    // rate built from p now draws.  1e-3 and 0.1 take the deferred
+    // path to many hits.
+    const double exposures[] = {
+        0.0, std::numeric_limits<double>::denorm_min(), 1e-8, 1e-3, 0.1,
+        0.5, 1.0, 40.0, 1e300, std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()};
+    std::uint64_t seed = 41;
+    for (std::uint64_t n : {1, 72, 73, 4096}) {
+        for (double x : exposures) {
+            SCOPED_TRACE(::testing::Message() << "n " << n << " x " << x);
+            const BernoulliRate lazy = BernoulliRate::fromExposure(x);
+            const BernoulliRate eager(-std::expm1(-x));
+            if (!std::isnan(x)) {
+                EXPECT_EQ(lazy.p(), eager.p());
+                EXPECT_EQ(lazy.logq(), eager.logq());
+            }
+            Rng a(seed);
+            Rng b(seed);
+            ++seed;
+            for (int rep = 0; rep < 64; ++rep)
+                EXPECT_EQ(bernoulliHits(a, n, lazy),
+                          bernoulliHits(b, n, eager));
+            EXPECT_EQ(a.next(), b.next());
+        }
+    }
+    // The deferred constants are the eager doubles over (0, 1), where
+    // log1p(-p) and -x differ in the last bit for about 2 % of x.
+    for (int i = 0; i < 2000; ++i) {
+        const double x = std::pow(10.0, -12.0 + 12.0 * i / 2000.0);
+        const BernoulliRate lazy = BernoulliRate::fromExposure(x);
+        const BernoulliRate eager(-std::expm1(-x));
+        EXPECT_EQ(lazy.p(), eager.p()) << "x " << x;
+        EXPECT_EQ(lazy.logq(), eager.logq()) << "x " << x;
+    }
+}
+
+/** ShiftFaultModel::sample as it was, drawing nextBool(p) per pulse. */
+struct ReferenceShiftFaults
+{
+    double p;
+    double overFraction;
+    Rng rng;
+
+    ShiftOutcome
+    sample()
+    {
+        if (p <= 0.0 || !rng.nextBool(p))
+            return ShiftOutcome::Normal;
+        return rng.nextBool(overFraction) ? ShiftOutcome::OverShift
+                                          : ShiftOutcome::UnderShift;
+    }
+};
+
+TEST(Rng, ShiftFaultThresholdDrawsTheNextBoolStream)
+{
+    // Each base rate runs a chaos ramp (x1, x4, x10, x1), setting the
+    // same rate again between steps; NaN draws and never faults, while
+    // 0 and -0 skip the draw.
+    const double bases[] = {0.0, -0.0, 1e-4, 0.5, 1.0, 1.5,
+                            std::numeric_limits<double>::quiet_NaN()};
+    std::uint64_t seed = 53;
+    for (double base : bases) {
+        SCOPED_TRACE(::testing::Message() << "base " << base);
+        ShiftFaultModel model(base, seed, 0.3);
+        ReferenceShiftFaults ref{base, 0.3, Rng(seed)};
+        ++seed;
+        std::uint64_t faults = 0;
+        for (double scale : {1.0, 1.0, 4.0, 4.0, 10.0, 1.0, 1.0}) {
+            model.setProbability(base * scale);
+            ref.p = base * scale;
+            for (int pulse = 0; pulse < 2000; ++pulse) {
+                const ShiftOutcome want = ref.sample();
+                faults += want != ShiftOutcome::Normal;
+                ASSERT_EQ(model.sample(), want) << "scale " << scale
+                                                << " pulse " << pulse;
+            }
+        }
+        EXPECT_EQ(model.injectedFaults(), faults);
+        // Equal streams afterwards: the next draws agree too.
+        model.setProbability(0.5);
+        ref.p = 0.5;
+        for (int pulse = 0; pulse < 64; ++pulse)
+            ASSERT_EQ(model.sample(), ref.sample()) << "pulse " << pulse;
+    }
 }
 
 } // namespace
