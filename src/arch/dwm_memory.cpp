@@ -127,12 +127,12 @@ DwmMainMemory::alignForAccess(DomainBlockCluster &dbc, std::size_t row)
 }
 
 DwmMainMemory::MemDbc &
-DwmMainMemory::guardMaintain(MemDbc &state, GuardReport *report)
+DwmMainMemory::guardMaintain(MemDbc &state)
 {
     if (!guard)
         return state;
     GuardCorrection r = guard->correct(state.dbc);
-    ++guardChecks_;
+    ++ev.guardChecks;
     double guard_pj = static_cast<double>(r.guardTrs)
                       * cfg.device.trEnergyPj(cfg.device.trd);
     costs.charge(Cost::Guard, r.guardTrs * cfg.device.trCycles, guard_pj);
@@ -152,16 +152,18 @@ DwmMainMemory::guardMaintain(MemDbc &state, GuardReport *report)
             guardMetrics->addEnergy(fix_pj);
         }
     }
-    bool misaligned = r.initial != AlignmentStatus::Aligned;
-    if (misaligned)
-        ++detected_;
-    if (r.aligned) {
-        corrected_ += r.correctiveShifts;
-        if (guardMetrics && r.corrected)
+    if (r.initial != AlignmentStatus::Aligned)
+        ++ev.misaligned;
+    // correct() sets `corrected` exactly when it ends aligned after at
+    // least one pulse, so the pulse count grows exactly then.
+    if (r.corrected) {
+        ev.correctedMisalignments += r.correctiveShifts;
+        state.corrected += r.correctiveShifts;
+        if (guardMetrics)
             guardMetrics->add(obs::Counter::MisalignCorrections);
-    } else {
-        ++uncorrectable_;
     }
+    if (!r.aligned)
+        ++ev.uncorrectable;
     if (!r.aligned || r.patternDamaged) {
         // Rewrite the guard track at the believed alignment.  For a
         // damaged pattern (the edge guard bit an over-shift at maximum
@@ -183,24 +185,15 @@ DwmMainMemory::guardMaintain(MemDbc &state, GuardReport *report)
         if (guardMetrics)
             guardMetrics->addEnergy(reset_pj);
     }
-    state.corrected += r.corrected ? r.correctiveShifts : 0;
-    if (report) {
-        report->checked = true;
-        report->misaligned = misaligned;
-        report->corrected = r.corrected;
-        report->uncorrectable = !r.aligned;
-    }
     const ReliabilityConfig &rel = cfg.reliability;
     bool wear_out = rel.retireThreshold > 0 &&
                     state.corrected >= rel.retireThreshold;
     if (wear_out || (!r.aligned && rel.retireThreshold > 0)) {
+        // Spare pool exhausted: the worn cluster stays in service,
+        // and retire() counts the refusal so callers can degrade
+        // (reject/steer) instead of retrying a hopeless retirement.
         if (MemDbc *fresh = retire(state))
             return *fresh;
-        // Spare pool exhausted: the worn cluster stays in service.
-        // Surface the capacity shortfall so callers can degrade
-        // (reject/steer) instead of retrying a hopeless retirement.
-        if (report)
-            report->sparesExhausted = true;
     }
     return state;
 }
@@ -208,14 +201,14 @@ DwmMainMemory::guardMaintain(MemDbc &state, GuardReport *report)
 DwmMainMemory::MemDbc *
 DwmMainMemory::retire(MemDbc &state)
 {
-    if (sparesUsed >= cfg.reliability.spareDbcs) {
-        ++retireFailures;
+    if (ev.retired >= cfg.reliability.spareDbcs) {
+        ++ev.retireFailures;
         return nullptr;
     }
     std::uint64_t logical = state.logicalId;
     std::uint64_t old_physical = state.physicalId;
-    std::uint64_t spare_id = cfg.totalDbcs() + sparesUsed;
-    ++sparesUsed;
+    std::uint64_t spare_id = cfg.totalDbcs() + ev.retired;
+    ++ev.retired;
     MemDbc &fresh = materialize(spare_id, logical);
     // Best-effort migration: if the old cluster is still misaligned
     // the copied rows are off by the residual misalignment — the
@@ -252,17 +245,17 @@ DwmMainMemory::tickAccess()
         scrubEcc();
 }
 
-GuardReport
+MemoryEvents
 DwmMainMemory::checkLine(const LineAddress &loc)
 {
-    GuardReport report;
     if (!guard)
-        return report;
-    guardMaintain(dbcFor(loc), &report);
-    return report;
+        return {};
+    MemoryEvents before = ev;
+    guardMaintain(dbcFor(loc));
+    return ev.since(before);
 }
 
-GuardReport
+MemoryEvents
 DwmMainMemory::checkLine(std::uint64_t byte_addr)
 {
     return checkLine(amap.decode(byte_addr));
@@ -302,12 +295,12 @@ DwmMainMemory::scrubAll()
     if (!guard)
         return report;
     report.scanned = sweep("guard_scrub", "guard", [&](MemDbc &state) {
-        GuardReport one;
-        guardMaintain(state, &one);
-        if (one.corrected)
+        MemoryEvents before = ev;
+        guardMaintain(state);
+        MemoryEvents one = ev.since(before);
+        if (one.correctedMisalignments > 0)
             ++report.corrected;
-        if (one.uncorrectable)
-            ++report.uncorrectable;
+        report.uncorrectable += one.uncorrectable;
         return 1;
     });
     return report;
@@ -377,7 +370,7 @@ DwmMainMemory::alignChecked(const LineAddress &loc, unsigned &shifts)
         // zero); then realign and re-check, bounded in case the
         // realignment shifts fault too.
         for (int round = 0; round < 3; ++round) {
-            state = &guardMaintain(*state, nullptr);
+            state = &guardMaintain(*state);
             if (state->dbc.rowAtPort(Port::Left) == loc.row ||
                 state->dbc.rowAtPort(Port::Right) == loc.row)
                 break;
@@ -501,8 +494,8 @@ DwmMainMemory::chargeAccess(Cost category, std::uint64_t cycles,
 bool
 DwmMainMemory::tallyEcc(MemDbc &state, const LineSecded::Result &res)
 {
-    eccCorrections_ += res.correctedWords;
-    eccDue_ += res.uncorrectableWords;
+    ev.eccCorrections += res.correctedWords;
+    ev.eccDue += res.uncorrectableWords;
     state.eccDue += res.uncorrectableWords;
     if (eccMetrics) {
         eccMetrics->add(obs::Counter::EccCorrections, res.correctedWords);

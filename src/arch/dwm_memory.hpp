@@ -40,24 +40,19 @@
 
 namespace coruscant {
 
-/** Outcome of a guard check on one line's DBC. */
-struct GuardReport
-{
-    bool checked = false;       ///< a guard policy was active
-    bool misaligned = false;    ///< the check found a misalignment
-    bool corrected = false;     ///< corrective pulses restored alignment
-    bool uncorrectable = false; ///< cluster could not be realigned
-    bool sparesExhausted = false; ///< retirement wanted, no spare left
-};
-
 /**
- * The memory's reliability event counters at one instant; the
- * difference of two snapshots is what happened between them.
+ * The memory's reliability event counters: the one record every
+ * getter reads.  A copy is a snapshot; the difference of two
+ * snapshots is what happened between them, and checkLine returns the
+ * difference across its one check.
  */
 struct MemoryEvents
 {
+    std::uint64_t guardChecks = 0; ///< line checks + scrub entries
+    std::uint64_t misaligned = 0;  ///< checks that found a misalignment
     std::uint64_t correctedMisalignments = 0; ///< corrective pulses
     std::uint64_t uncorrectable = 0;  ///< checks that could not realign
+    std::uint64_t retired = 0;        ///< DBCs retired to spares
     std::uint64_t retireFailures = 0; ///< retirements with no spare left
     std::uint64_t eccCorrections = 0; ///< SECDED words corrected
     std::uint64_t eccDue = 0;         ///< SECDED words flagged DUE
@@ -66,8 +61,11 @@ struct MemoryEvents
     MemoryEvents
     since(const MemoryEvents &before) const
     {
-        return {correctedMisalignments - before.correctedMisalignments,
+        return {guardChecks - before.guardChecks,
+                misaligned - before.misaligned,
+                correctedMisalignments - before.correctedMisalignments,
                 uncorrectable - before.uncorrectable,
+                retired - before.retired,
                 retireFailures - before.retireFailures,
                 eccCorrections - before.eccCorrections,
                 eccDue - before.eccDue};
@@ -138,13 +136,14 @@ class DwmMainMemory
     /**
      * Guard-check (and correct) the DBC holding @p loc.  Used by the
      * controller around cpim instructions (GuardPolicy::PerCpim) and
-     * by tests; a no-op returning checked = false when no guard is
-     * configured.  May retire the DBC (remapping its addresses).
+     * by tests.  Returns the events of this one check (guardChecks is
+     * 0 when no guard is configured, 1 otherwise).  May retire the
+     * DBC (remapping its addresses).
      */
-    GuardReport checkLine(const LineAddress &loc);
+    MemoryEvents checkLine(const LineAddress &loc);
 
     /** checkLine at the line holding @p byte_addr. */
-    GuardReport checkLine(std::uint64_t byte_addr);
+    MemoryEvents checkLine(std::uint64_t byte_addr);
 
     /** Guard-check every materialized DBC (deterministic order). */
     ScrubReport scrubAll();
@@ -181,22 +180,23 @@ class DwmMainMemory
     // --- Reliability statistics -----------------------------------------
 
     /** Guard checks performed (line checks + scrub entries). */
-    std::uint64_t guardChecks() const { return guardChecks_; }
+    std::uint64_t guardChecks() const { return ev.guardChecks; }
 
     /** Checks that found the cluster misaligned. */
-    std::uint64_t detectedMisalignments() const { return detected_; }
+    std::uint64_t detectedMisalignments() const { return ev.misaligned; }
 
     /** Single-position misalignments corrected (corrective pulses). */
-    std::uint64_t correctedMisalignments() const { return corrected_; }
+    std::uint64_t
+    correctedMisalignments() const { return ev.correctedMisalignments; }
 
     /** Checks that could not restore alignment. */
-    std::uint64_t uncorrectableEvents() const { return uncorrectable_; }
+    std::uint64_t uncorrectableEvents() const { return ev.uncorrectable; }
 
     /** DBCs retired to spares so far. */
-    std::size_t retiredDbcs() const { return sparesUsed; }
+    std::size_t retiredDbcs() const { return ev.retired; }
 
     /** Retirements refused because the spare pool was exhausted. */
-    std::uint64_t retirementFailures() const { return retireFailures; }
+    std::uint64_t retirementFailures() const { return ev.retireFailures; }
 
     /** Shift faults injected into this memory's DBCs so far. */
     std::uint64_t
@@ -206,10 +206,10 @@ class DwmMainMemory
     }
 
     /** SECDED words corrected on reads and scrubs. */
-    std::uint64_t eccCorrections() const { return eccCorrections_; }
+    std::uint64_t eccCorrections() const { return ev.eccCorrections; }
 
     /** SECDED words flagged uncorrectable (DUE). */
-    std::uint64_t eccDetectedUncorrectable() const { return eccDue_; }
+    std::uint64_t eccDetectedUncorrectable() const { return ev.eccDue; }
 
     /** Data-domain faults injected into this memory so far. */
     std::uint64_t
@@ -218,13 +218,8 @@ class DwmMainMemory
         return dataInjector ? dataInjector->injectedFaults() : 0;
     }
 
-    /** Snapshot of the reliability event counters above. */
-    MemoryEvents
-    events() const
-    {
-        return {corrected_, uncorrectable_, retireFailures,
-                eccCorrections_, eccDue_};
-    }
+    /** The reliability event counters above, in one record. */
+    const MemoryEvents &events() const { return ev; }
 
     // --- Test / campaign backdoors --------------------------------------
 
@@ -284,11 +279,12 @@ class DwmMainMemory
     MemDbc &alignChecked(const LineAddress &loc, unsigned &shifts);
 
     /**
-     * Run one guard correct() pass on @p state, charge its costs, and
-     * retire the cluster if warranted.  Returns the state serving the
-     * logical DBC afterwards (the replacement, if retired).
+     * Run one guard correct() pass on @p state, charge its costs,
+     * count its events, and retire the cluster if warranted.  Returns
+     * the state serving the logical DBC afterwards (the replacement,
+     * if retired).
      */
-    MemDbc &guardMaintain(MemDbc &state, GuardReport *report);
+    MemDbc &guardMaintain(MemDbc &state);
 
     /** Periodic-scrub hook, called once per line access. */
     void tickAccess();
@@ -356,14 +352,7 @@ class DwmMainMemory
     std::uint32_t tracePid = 0;
     std::uint64_t shiftSteps = 0;
     std::uint64_t accesses = 0;
-    std::uint64_t guardChecks_ = 0;
-    std::uint64_t detected_ = 0;
-    std::uint64_t corrected_ = 0;
-    std::uint64_t uncorrectable_ = 0;
-    std::size_t sparesUsed = 0;
-    std::uint64_t retireFailures = 0;
-    std::uint64_t eccCorrections_ = 0;
-    std::uint64_t eccDue_ = 0;
+    MemoryEvents ev;
 };
 
 } // namespace coruscant

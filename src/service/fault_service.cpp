@@ -81,8 +81,8 @@ GuardServiceCosts::measure()
     GuardServiceCosts out;
 
     mem.resetCosts();
-    GuardReport clean = mem.checkLine(0);
-    panicIf(!clean.checked || clean.misaligned,
+    MemoryEvents clean = mem.checkLine(0);
+    panicIf(clean.guardChecks != 1 || clean.misaligned > 0,
             "guard cost measurement: clean check misbehaved");
     out.checkCycles =
         static_cast<std::uint32_t>(costs.entry(Cost::Guard).cycles);
@@ -90,8 +90,8 @@ GuardServiceCosts::measure()
 
     mem.injectShiftFaultAt(0, true);
     mem.resetCosts();
-    GuardReport fixed = mem.checkLine(0);
-    panicIf(!fixed.corrected,
+    MemoryEvents fixed = mem.checkLine(0);
+    panicIf(fixed.correctedMisalignments == 0,
             "guard cost measurement: injected misalignment not corrected");
     out.correctCycles =
         static_cast<std::uint32_t>(costs.entry(Cost::Guard).cycles +
