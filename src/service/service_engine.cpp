@@ -631,6 +631,11 @@ class ChannelSim
                        members.front().cls != RequestClass::Write;
             verdict = applyFaults(now, bank, group, cost,
                                   prims.shifts, pim);
+            // Each component books only its own energy: the guard its
+            // shift verdict here, the ecc component its data verdict
+            // inside applyDataFaults, the channel the unit's base cost.
+            if (guardMetrics_)
+                guardMetrics_->addEnergy(verdict.extraEnergyPj);
             if (dataInjector_)
                 verdict.merge(applyDataFaults(now, bank, group, cost,
                                               prims, pim));
@@ -644,7 +649,7 @@ class ChannelSim
         if (chMetrics_) {
             chMetrics_->add(obs::Counter::Requests, members.size());
             chMetrics_->addPrims(prims);
-            chMetrics_->addEnergy(energy);
+            chMetrics_->addEnergy(cost.energyPj);
         }
         if (stats_.trace.on()) {
             const char *name =
@@ -673,8 +678,6 @@ class ChannelSim
             guardMetrics_->add(obs::Counter::MisalignCorrections,
                                verdict.corrections);
             guardMetrics_->add(obs::Counter::Retries, verdict.retries);
-            if (verdict.extraEnergyPj != 0.0)
-                guardMetrics_->addEnergy(verdict.extraEnergyPj);
         }
         if (verdict.detected)
             handleHealthEvent(bank, group, completion, verdict.due(),
