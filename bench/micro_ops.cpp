@@ -130,8 +130,34 @@ BM_MaxOfRowsTw(benchmark::State &state)
 }
 BENCHMARK(BM_MaxOfRowsTw)->Arg(1)->Arg(0);
 
+/**
+ * Line addresses for the line-access benchmarks.  /hot cycles over 16
+ * rows of each of 4 DBCs, which stay resident in cache, so it times the
+ * line path itself.  /cold walks 1 MiB of consecutive lines, a new DBC
+ * for each access (16 384 of them), and so mostly times cache misses.
+ */
+std::vector<std::uint64_t>
+lineWalk(const DwmMainMemory &mem, bool hot)
+{
+    std::vector<std::uint64_t> addrs;
+    if (!hot) {
+        for (std::uint64_t a = 0; a < (1 << 20); a += 64)
+            addrs.push_back(a);
+        return addrs;
+    }
+    for (std::size_t row = 0; row < 16; ++row) {
+        for (std::size_t dbc = 0; dbc < 4; ++dbc) {
+            LineAddress loc{};
+            loc.dbc = dbc;
+            loc.row = row;
+            addrs.push_back(mem.addressMap().encode(loc));
+        }
+    }
+    return addrs;
+}
+
 void
-BM_MemoryReadLine(benchmark::State &state)
+BM_MemoryReadLine(benchmark::State &state, bool hot)
 {
     DwmMainMemory mem;
     Rng rng(6);
@@ -139,13 +165,15 @@ BM_MemoryReadLine(benchmark::State &state)
         mem.writeLine((rng.next() % mem.config().capacityBytes())
                           & ~63ull,
                       randomRow(rng, 512));
-    std::uint64_t addr = 0;
+    const std::vector<std::uint64_t> addrs = lineWalk(mem, hot);
+    std::size_t a = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(mem.readLine(addr));
-        addr = (addr + 64) % (1 << 20);
+        benchmark::DoNotOptimize(mem.readLine(addrs[a]));
+        a = a + 1 == addrs.size() ? 0 : a + 1;
     }
 }
-BENCHMARK(BM_MemoryReadLine);
+BENCHMARK_CAPTURE(BM_MemoryReadLine, hot, true);
+BENCHMARK_CAPTURE(BM_MemoryReadLine, cold, false);
 
 /**
  * Memory for BM_MemoryWriteLine: plain (arg 0), or (arg 1) with SECDED
@@ -164,22 +192,24 @@ writeLineConfig(bool protected_line)
 }
 
 void
-BM_MemoryWriteLine(benchmark::State &state)
+BM_MemoryWriteLine(benchmark::State &state, bool hot)
 {
     DwmMainMemory mem(writeLineConfig(state.range(0) != 0));
     Rng rng(8);
     std::vector<BitVector> lines;
     for (int i = 0; i < 16; ++i)
         lines.push_back(randomRow(rng, 512));
-    std::uint64_t addr = 0;
+    const std::vector<std::uint64_t> addrs = lineWalk(mem, hot);
+    std::size_t a = 0;
     std::size_t i = 0;
     for (auto _ : state) {
-        mem.writeLine(addr, lines[i]);
-        addr = (addr + 64) % (1 << 20);
+        mem.writeLine(addrs[a], lines[i]);
+        a = a + 1 == addrs.size() ? 0 : a + 1;
         i = (i + 1) % lines.size();
     }
 }
-BENCHMARK(BM_MemoryWriteLine)->Arg(0)->Arg(1);
+BENCHMARK_CAPTURE(BM_MemoryWriteLine, hot, true)->Arg(0)->Arg(1);
+BENCHMARK_CAPTURE(BM_MemoryWriteLine, cold, false)->Arg(0)->Arg(1);
 
 void
 BM_SecdedCorrectLine(benchmark::State &state)
