@@ -104,6 +104,25 @@ BM_FiveOperandAdd(benchmark::State &state)
 }
 BENCHMARK(BM_FiveOperandAdd)->Arg(8)->Arg(32)->Arg(512);
 
+/**
+ * The add of FaultCampaign::controllerCampaign's PIM unit: five rows
+ * of one 64-wire word at TRD 7, 8-bit lanes.  With so few words the
+ * carry chain's fixed cost per bit position dominates.
+ */
+void
+BM_FiveOperandAdd64Wires(benchmark::State &state)
+{
+    CoruscantUnit unit(params(7, 64));
+    Rng rng(3);
+    std::vector<BitVector> ops;
+    for (int i = 0; i < 5; ++i)
+        ops.push_back(randomRow(rng, 64));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            unit.add(ops, static_cast<std::size_t>(state.range(0))));
+}
+BENCHMARK(BM_FiveOperandAdd64Wires)->Arg(8);
+
 void
 BM_Multiply8Bit(benchmark::State &state)
 {

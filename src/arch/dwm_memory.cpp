@@ -424,9 +424,9 @@ DwmMainMemory::readLine(const LineAddress &loc)
     }
     if (ecc)
         eccDecode(state, row);
-    if (row.size() == cfg.device.wiresPerDbc)
-        return row;
-    return row.slice(0, cfg.device.wiresPerDbc);
+    // The line is the stored row's data wires: the one copy, cut.
+    row.truncate(cfg.device.wiresPerDbc);
+    return row;
 }
 
 void

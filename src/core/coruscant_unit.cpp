@@ -76,8 +76,15 @@ BitVector
 CoruscantUnit::laneStarts(std::size_t block, std::size_t wires) const
 {
     BitVector starts(dev.wiresPerDbc);
-    for (std::size_t w = 0; w < wires; w += block)
-        starts.set(w, true);
+    // Word by word: the lane starts below wires in [64 j, 64 j + 64).
+    starts.setWords([block, wires, next = std::size_t{0}](
+                        std::size_t j) mutable {
+        const std::size_t end = std::min(64 * j + 64, wires);
+        std::uint64_t word = 0;
+        for (; next < end; next += block)
+            word |= std::uint64_t{1} << (next - 64 * j);
+        return word;
+    });
     return starts;
 }
 

@@ -65,8 +65,6 @@ CoruscantUnit::carryChain(const std::vector<BitVector> &operands,
         chargeStaging(dev.trd - 2, act, false);
     }
 
-    const std::size_t s_row = ws; // S always lands in the left-port row
-    const std::size_t c_row = ws + dev.trd - 1;
     const bool has_super = !compact;
     const std::size_t lanes = act / block_size;
 
@@ -74,12 +72,12 @@ CoruscantUnit::carryChain(const std::vector<BitVector> &operands,
     // the lane wires (S), one wire up (C) and two wires up (C').  A
     // lane's writes stay inside the lane, so no lane's sense sees
     // another lane's writes from the same step.
-    BitVector wires = laneStarts(block_size, act);
+    dbc.carryChain(laneStarts(block_size, act), block_size, samples,
+                   &faults, has_super);
+    // Each step's charges, in the order the step makes them.
     for (std::size_t k = 0; k < block_size; ++k) {
         const bool write_c = k + 1 < block_size;
         const bool write_cp = has_super && k + 2 < block_size;
-        dbc.carryStep(wires, samples, &faults, s_row, c_row, write_c,
-                      write_cp);
         std::size_t bits_written =
             lanes * (1 + std::size_t{write_c} + std::size_t{write_cp});
         for (std::size_t r = 0; r < samples; ++r)
@@ -93,10 +91,9 @@ CoruscantUnit::carryChain(const std::vector<BitVector> &operands,
                 metrics->addEnergy(vote_pj);
         }
         chargeRowWrite(bits_written);
-        wires = wires.shiftedLeft(1);
     }
 
-    return dbc.peekRow(s_row);
+    return dbc.peekRow(ws); // S lands in the left-port row
 }
 
 CsaRows

@@ -232,48 +232,85 @@ DomainBlockCluster::transverseReadWires(const BitVector &wires,
 }
 
 void
-DomainBlockCluster::carryStep(const BitVector &wires, std::size_t samples,
-                              TrFaultModel *faults, std::size_t s_row,
-                              std::size_t c_row, bool write_c,
-                              bool write_cp)
+DomainBlockCluster::carryChain(BitVector lane_starts, std::size_t block,
+                               std::size_t samples, TrFaultModel *faults,
+                               bool has_super)
 {
-    const CountPlanes counts = transverseReadWires(wires, samples, faults);
-    // The plane spans are captured by value: a word stored into s or c
-    // may alias the counter, so a span read through it would be
-    // reloaded at every word.  A plane past the top one reads as zero.
-    // Every row, the planes included, has the DBC's word count.
-    const std::span<const std::uint64_t> p0 = counts.planeWords(0);
-    const std::span<const std::uint64_t> p1 = counts.planeWords(1);
-    const std::span<const std::uint64_t> p2 = counts.planeWords(2);
-    BitVector &s = physRow(physicalIndex(s_row));
-    // S on the sensed wires, then C' two wires up (over S where they
-    // meet).  The bits a shift moves into the next word wait in
-    // registers.
-    s.setWords([&s, &wires, p0, p2, write_cp, m_prev = std::uint64_t{0},
-                cp_prev = std::uint64_t{0}](std::size_t j) mutable {
-        const std::uint64_t m = wires.word(j);
-        const std::uint64_t cp = j < p2.size() ? p2[j] : 0;
-        const std::uint64_t m2 = write_cp ? (m << 2) | (m_prev >> 62) : 0;
-        const std::uint64_t bits = (p0[j] & m & ~m2) |
-                                   (((cp << 2) | (cp_prev >> 62)) & m2);
-        m_prev = m;
-        cp_prev = cp;
-        return (s.word(j) & ~(m | m2)) | bits;
-    });
-    if (!write_c)
-        return;
-    // C one wire up.
-    BitVector &c = physRow(physicalIndex(c_row));
-    c.setWords([&c, &wires, p1, m_prev = std::uint64_t{0},
-                c_prev = std::uint64_t{0}](std::size_t j) mutable {
-        const std::uint64_t m = wires.word(j);
-        const std::uint64_t cb = j < p1.size() ? p1[j] : 0;
-        const std::uint64_t m1 = (m << 1) | (m_prev >> 63);
-        const std::uint64_t bits = ((cb << 1) | (c_prev >> 63)) & m1;
-        m_prev = m;
-        c_prev = cb;
-        return (c.word(j) & ~m1) | bits;
-    });
+    panicIf(lane_starts.size() != dev.wiresPerDbc, "sensed wire mask width ",
+            lane_starts.size(), " != DBC width ", dev.wiresPerDbc);
+    panicIf(samples % 2 == 0, "a per-bit vote needs an odd number of ",
+            "samples, got ", samples);
+    const std::size_t lo = portPhysical(Port::Left);
+    const std::size_t hi = portPhysical(Port::Right);
+    BitVector &s = physRow(lo);
+    BitVector &c = physRow(hi);
+    // The interior rows, gathered through physRow() as in
+    // windowCounts(), counted once in planes that hold the whole
+    // window's count.
+    std::array<const BitVector *, DeviceParams::domainsPerWire> rows;
+    const std::size_t n = hi - lo - 1;
+    for (std::size_t i = 0; i < n; ++i)
+        rows[i] = &physRow(lo + 1 + i);
+    const CountPlanes interior(dev.wiresPerDbc, std::span(rows.data(), n),
+                               std::bit_width(hi + 1 - lo));
+    const std::array<const BitVector *, 2> ports = {&s, &c};
+    const bool sensed = faults && faults->active();
+    // Step k's sensed wires: the lane starts, shifted in place.
+    BitVector &wires = lane_starts;
+    for (std::size_t k = 0; k < block; ++k) {
+        // Counting the sensed wires is a pass over the mask: only when
+        // a counter set is attached.
+        if (metrics)
+            metrics->add(obs::Counter::TrPulses, wires.popcount() * samples);
+        CountPlanes counts(interior, ports);
+        if (sensed)
+            senseWires(counts, wires, samples, *faults);
+        // The plane spans are captured by value: a word stored into s
+        // or c may alias the counter, so a span read through it would
+        // be reloaded at every word.  A plane past the top one reads
+        // as zero.  Every row, the planes included, has the DBC's word
+        // count.
+        const std::span<const std::uint64_t> p0 = counts.planeWords(0);
+        const std::span<const std::uint64_t> p1 = counts.planeWords(1);
+        const std::span<const std::uint64_t> p2 = counts.planeWords(2);
+        const bool write_cp = has_super && k + 2 < block;
+        // S on the sensed wires, then C' two wires up (over S where
+        // they meet).  The bits a shift moves into the next word wait
+        // in registers.
+        s.setWords([&s, &wires, p0, p2, write_cp, m_prev = std::uint64_t{0},
+                    cp_prev = std::uint64_t{0}](std::size_t j) mutable {
+            const std::uint64_t m = wires.word(j);
+            const std::uint64_t cp = j < p2.size() ? p2[j] : 0;
+            const std::uint64_t m2 =
+                write_cp ? (m << 2) | (m_prev >> 62) : 0;
+            const std::uint64_t bits = (p0[j] & m & ~m2) |
+                                       (((cp << 2) | (cp_prev >> 62)) & m2);
+            m_prev = m;
+            cp_prev = cp;
+            return (s.word(j) & ~(m | m2)) | bits;
+        });
+        if (k + 1 < block) {
+            // C one wire up.
+            c.setWords([&c, &wires, p1, m_prev = std::uint64_t{0},
+                        c_prev = std::uint64_t{0}](std::size_t j) mutable {
+                const std::uint64_t m = wires.word(j);
+                const std::uint64_t cb = j < p1.size() ? p1[j] : 0;
+                const std::uint64_t m1 = (m << 1) | (m_prev >> 63);
+                const std::uint64_t bits = ((cb << 1) | (c_prev >> 63)) & m1;
+                m_prev = m;
+                c_prev = cb;
+                return (c.word(j) & ~m1) | bits;
+            });
+        }
+        // The lane mask moves to the next bit position, in place.
+        wires.setWords([&wires, carry = std::uint64_t{0}](
+                           std::size_t j) mutable {
+            const std::uint64_t w = wires.word(j);
+            const std::uint64_t out = (w << 1) | carry;
+            carry = w >> 63;
+            return out;
+        });
+    }
 }
 
 std::vector<std::uint8_t>

@@ -15,9 +15,11 @@
  * row that entered at the far extremity, O(1) in the wire length.  A
  * transverse read of every wire is a vertical counter over the rows
  * in range (CountPlanes), 64 wires per machine word, filled in one
- * word-major pass over the window; every row-wide read, a step of the
- * multi-operand addition carry chain (carryStep) included, takes that
- * one count and one fault pass.
+ * word-major pass over the window; every row-wide read takes that one
+ * count and one fault pass.  The carry chain of a multi-operand
+ * addition (carryChain) writes only the two port rows, so it counts
+ * the window's interior once per add and adds the port rows at each
+ * bit position, before the same fault pass.
  * The representation is property-tested against the explicit
  * per-wire Nanowire model, whose bit-serial count
  * transverseReadWire() mirrors.
@@ -137,19 +139,22 @@ class DomainBlockCluster
                                     TrFaultModel *faults = nullptr) const;
 
     /**
-     * One bit position of the addition carry chain: the lane-strided
-     * transverse read of transverseReadWires(@p wires, @p samples,
-     * @p faults), then the PIM block's outputs written in place from
-     * its count planes.  S (count bit 0) lands in @p s_row on the
-     * sensed wires, C (bit 1) in @p c_row one wire up when
-     * @p write_c, and C' (bit 2) in @p s_row two wires up when
-     * @p write_cp.  The whole window is counted before any write, and
-     * the C and C' bits that cross into the next word wait in
-     * registers.
+     * The carry chain of a multi-operand addition, @p block bit
+     * positions long.  Step k is the lane-strided transverse read of
+     * transverseReadWires(@p lane_starts << k, @p samples, @p faults),
+     * then the PIM block's outputs written in place from its count
+     * planes: S (count bit 0) under the left port on the sensed wires,
+     * C (bit 1) under the right port one wire up while k + 1 < @p block,
+     * and C' (bit 2) under the left port two wires up while
+     * @p has_super and k + 2 < @p block.  The chain writes only the
+     * two port rows, so the window's interior rows are counted once
+     * and each step adds the port rows to those counts.  Each step
+     * counts the whole window before any write, and the C and C' bits
+     * that cross into the next word wait in registers.
      */
-    void carryStep(const BitVector &wires, std::size_t samples,
-                   TrFaultModel *faults, std::size_t s_row,
-                   std::size_t c_row, bool write_c, bool write_cp);
+    void carryChain(BitVector lane_starts, std::size_t block,
+                    std::size_t samples, TrFaultModel *faults,
+                    bool has_super);
 
     /** transverseReadPlanes() as per-wire counts, size width(). */
     std::vector<std::uint8_t>

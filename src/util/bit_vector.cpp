@@ -300,6 +300,14 @@ BitVector::slice(std::size_t offset, std::size_t width) const
 }
 
 void
+BitVector::truncate(std::size_t width)
+{
+    checkRange("truncate", 0, width);
+    numBits = width;
+    clearPadding();
+}
+
+void
 BitVector::insert(std::size_t offset, const BitVector &src)
 {
     checkRange("insert", offset, src.numBits);

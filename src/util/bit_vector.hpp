@@ -195,6 +195,12 @@ class BitVector
     BitVector slice(std::size_t offset, std::size_t width) const;
 
     /**
+     * Keep bits [0, @p width) only, in place: slice(0, @p width)
+     * without a second vector.  Panics unless width <= size().
+     */
+    void truncate(std::size_t width);
+
+    /**
      * Overwrite bits [offset, offset+src.size()) with @p src.  Panics
      * unless offset+src.size() <= size().
      */

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "util/bit_vector.hpp"
@@ -443,6 +444,28 @@ TEST(BitVector, SetWordsClearsPadding)
         EXPECT_EQ(v.popcount(), size);
         EXPECT_EQ(v, BitVector(size, true));
     }
+}
+
+TEST(BitVector, TruncateMatchesSlice)
+{
+    // Inside a word, at a word edge, and across the inline boundary.
+    Rng rng(41);
+    for (auto [size, width] : {std::pair<std::size_t, std::size_t>{73, 64},
+                               {73, 5},
+                               {577, 512},
+                               {700, 577},
+                               {700, 700},
+                               {9, 0}}) {
+        SCOPED_TRACE(size);
+        BitVector v(size);
+        v.setWords([&rng](std::size_t) { return rng.next(); });
+        const BitVector want = v.slice(0, width);
+        v.truncate(width);
+        EXPECT_EQ(v, want);
+        EXPECT_TRUE(paddingClear(v));
+    }
+    BitVector v(10);
+    EXPECT_THROW(v.truncate(11), PanicError);
 }
 
 } // namespace

@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "dwm/count_planes.hpp"
+#include "util/logging.hpp"
 #include "util/rng.hpp"
 
 namespace coruscant {
@@ -51,6 +53,53 @@ TEST(CountPlanes, AtLeastMatchesPerWireCounts)
             }
         }
     }
+}
+
+TEST(CountPlanes, SumOfBaseAndRowsMatchesOneCount)
+{
+    // A base count with room to spare plus more rows reads as the
+    // count of all the rows at once, at widths around the word size
+    // and past the inline plane words; a copy reads the same.
+    Rng rng(77);
+    for (std::size_t width : {1u, 64u, 65u, 300u, 577u}) {
+        for (std::size_t n_base : {0u, 1u, 5u, 30u}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "width=" << width << " base rows=" << n_base);
+            std::vector<BitVector> rows;
+            for (std::size_t i = 0; i < n_base + 2; ++i) {
+                BitVector r(width);
+                r.setWords([&rng](std::size_t) { return rng.next(); });
+                rows.push_back(r);
+            }
+            std::vector<const BitVector *> ptrs;
+            for (const BitVector &r : rows)
+                ptrs.push_back(&r);
+            const std::span<const BitVector *const> all(ptrs);
+            const CountPlanes whole(width, all);
+            const CountPlanes base(width, all.first(n_base),
+                                   whole.planes());
+            ASSERT_EQ(base.planes(), whole.planes());
+            const CountPlanes sum(base, all.last(2));
+            const CountPlanes copy(sum);
+            ASSERT_EQ(sum.planes(), whole.planes());
+            EXPECT_EQ(sum.counts(), whole.counts());
+            EXPECT_EQ(copy.counts(), whole.counts());
+            for (std::size_t k = 0; k < whole.planes(); ++k)
+                EXPECT_EQ(sum.plane(k), whole.plane(k)) << "plane " << k;
+        }
+    }
+}
+
+TEST(CountPlanes, RejectsRowsOfAnotherWidth)
+{
+    const BitVector a(64), b(65);
+    const std::vector<const BitVector *> ok = {&a};
+    const std::vector<const BitVector *> bad = {&b};
+    EXPECT_THROW(CountPlanes(64, bad), PanicError);
+    const CountPlanes base(64, ok, 2);
+    EXPECT_THROW(CountPlanes(base, bad), PanicError);
+    EXPECT_THROW(CountPlanes(64, ok, CountPlanes::maxPlanes + 1),
+                 PanicError);
 }
 
 } // namespace

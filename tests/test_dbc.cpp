@@ -345,5 +345,90 @@ TEST(DbcProperty, RingMatchesRotatedRows)
     }
 }
 
+/**
+ * The carry chain one wire at a time: per step, every lane's wire is
+ * sensed @p samples times through transverseReadWire() (majority per
+ * count bit) before any output is poked in.
+ */
+void
+serialCarryChain(DomainBlockCluster &d, const std::vector<std::size_t> &starts,
+                 std::size_t block, std::size_t samples, TrFaultModel &faults,
+                 bool has_super)
+{
+    const std::size_t s_row = d.rowAtPort(Port::Left);
+    const std::size_t c_row = d.rowAtPort(Port::Right);
+    for (std::size_t k = 0; k < block; ++k) {
+        std::vector<std::size_t> counts;
+        for (std::size_t start : starts) {
+            std::size_t ones[CountPlanes::maxPlanes] = {};
+            for (std::size_t r = 0; r < samples; ++r) {
+                const std::size_t c = d.transverseReadWire(start + k, &faults);
+                for (std::size_t b = 0; b < CountPlanes::maxPlanes; ++b)
+                    ones[b] += (c >> b) & 1;
+            }
+            std::size_t voted = 0;
+            for (std::size_t b = 0; b < CountPlanes::maxPlanes; ++b)
+                voted |= std::size_t{2 * ones[b] > samples} << b;
+            counts.push_back(voted);
+        }
+        for (std::size_t i = 0; i < starts.size(); ++i) {
+            const std::size_t w = starts[i] + k;
+            d.pokeBit(s_row, w, counts[i] & 1);
+            if (k + 1 < block)
+                d.pokeBit(c_row, w + 1, (counts[i] >> 1) & 1);
+            if (has_super && k + 2 < block)
+                d.pokeBit(s_row, w + 2, (counts[i] >> 2) & 1);
+        }
+    }
+}
+
+TEST(DbcProperty, CarryChainMatchesSerialChainAtEveryRingHead)
+{
+    // The chain counts the window's interior once; every ring head
+    // puts the window's rows at every place in the ring, the wrap
+    // included.  TRD 3 and 4 are the compact layout (no C').
+    Rng rng(0xca77);
+    for (std::size_t trd : {3u, 4u, 7u}) {
+        for (std::size_t wires : {64u, 130u}) {
+            for (std::size_t samples : {1u, 3u}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "trd " << trd << " wires " << wires
+                             << " samples " << samples);
+                const DeviceParams p = params(wires, trd);
+                const bool has_super = trd >= 5;
+                const std::size_t block = 8;
+                BitVector lane_starts(wires);
+                std::vector<std::size_t> starts;
+                for (std::size_t w = 0; w + block <= wires; w += block) {
+                    lane_starts.set(w, true);
+                    starts.push_back(w);
+                }
+                for (std::size_t head = 0; head < p.totalDomains(); ++head) {
+                    DomainBlockCluster d(p), ref(p);
+                    for (std::size_t h = 0; h < head; ++h) {
+                        d.injectShiftFault(true);
+                        ref.injectShiftFault(true);
+                    }
+                    for (std::size_t r = 0; r < d.rows(); ++r) {
+                        const BitVector v = randomRowOf(rng, wires);
+                        d.pokeRow(r, v);
+                        ref.pokeRow(r, v);
+                    }
+                    TrFaultModel faults(0.1, head), ref_faults(0.1, head);
+                    d.carryChain(lane_starts, block, samples, &faults,
+                                 has_super);
+                    serialCarryChain(ref, starts, block, samples, ref_faults,
+                                     has_super);
+                    for (std::size_t r = 0; r < d.rows(); ++r)
+                        ASSERT_EQ(d.peekRow(r), ref.peekRow(r))
+                            << "head " << head << " row " << r;
+                    EXPECT_EQ(faults.injectedFaults(),
+                              ref_faults.injectedFaults());
+                }
+            }
+        }
+    }
+}
+
 } // namespace
 } // namespace coruscant

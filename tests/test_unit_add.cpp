@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdio>
+
 #include "core/coruscant_unit.hpp"
+#include "obs/metrics.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 
@@ -183,6 +187,101 @@ TEST(UnitAdd, RejectsRaggedLanes)
     CoruscantUnit unit(smallParams(7, 16));
     std::vector<BitVector> ops(2, BitVector(16));
     EXPECT_THROW(unit.add(ops, 5, 16), FatalError); // 16 % 5 != 0
+}
+
+/**
+ * What an add leaves in the unit's ledger and counter set: the totals,
+ * and an FNV-1a digest over every category's cycles, charge count and
+ * energy bits and every counter.  Energy is compared by its bits, so a
+ * reordered charge that rounds differently shows.
+ */
+struct AddCharges
+{
+    std::size_t trd;
+    std::size_t samples;
+    std::uint64_t cycles;
+    double energyPj;
+    double metricsEnergyPj;
+    std::uint64_t digest;
+};
+
+AddCharges
+measureAddCharges(std::size_t trd, std::size_t samples)
+{
+    CoruscantUnit unit(smallParams(trd, 64), 0.05, 7);
+    obs::ComponentMetrics metrics;
+    unit.attachMetrics(&metrics);
+    Rng rng(trd * 10 + samples);
+    const std::size_t m = unit.params().maxAddOperands();
+    // A full-width add at 8-bit lanes, then 16-bit lanes over 32
+    // active wires: both ledgers and the counter set accumulate.
+    for (auto [block, act] : {std::pair<std::size_t, std::size_t>{8, 0},
+                              {16, 32}}) {
+        std::vector<BitVector> ops;
+        for (std::size_t i = 0; i < m; ++i)
+            ops.push_back(BitVector::fromUint64(64, rng.next()));
+        if (samples == 1)
+            unit.add(ops, block, act);
+        else
+            unit.addStepVoted(ops, block, samples, act);
+    }
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](std::uint64_t v) {
+        for (int b = 0; b < 64; b += 8) {
+            h ^= (v >> b) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    const CostLedger &ledger = unit.ledger();
+    for (std::size_t c = 0; c < kCostCategories; ++c) {
+        const CostLedger::Entry &e = ledger.entry(static_cast<Cost>(c));
+        mix(e.cycles);
+        mix(e.count);
+        mix(std::bit_cast<std::uint64_t>(e.energyPj));
+    }
+    for (std::size_t c = 0; c < obs::kCounterKinds; ++c)
+        mix(metrics.get(static_cast<obs::Counter>(c)));
+    return {trd, samples, ledger.cycles(), ledger.energyPj(),
+            metrics.energyPj(), h};
+}
+
+// Generated by measureAddCharges before the carry chain counted the
+// window's interior rows once per add.
+constexpr AddCharges kAddChargeGoldens[] = {
+    {3, 1, 54, 0x1.e800000000003p+6, 0x1.e800000000003p+6,
+     0xb3a2ae8a5c0445dbull},
+    {3, 3, 126, 0x1.40f5c28f5c292p+8, 0x1.40f5c28f5c292p+8,
+     0x63e036e5f7512709ull},
+    {5, 1, 60, 0x1.8247ae147ae17p+7, 0x1.8247ae147ae17p+7,
+     0x9419ab6fd35f1fcull},
+    {5, 3, 132, 0x1.ec4ccccccccdbp+8, 0x1.ec4ccccccccdbp+8,
+     0xb82e06d0382e8c3aull},
+    {7, 1, 68, 0x1.0a47ae147ae12p+8, 0x1.0a47ae147ae12p+8,
+     0x51678b1554d8adb8ull},
+    {7, 3, 140, 0x1.4cd1eb851eb7dp+9, 0x1.4cd1eb851eb7dp+9,
+     0x774eff12cfefc2c1ull},
+};
+
+TEST(UnitAdd, ChargesArePinned)
+{
+    for (const AddCharges &g : kAddChargeGoldens) {
+        const AddCharges got = measureAddCharges(g.trd, g.samples);
+        // On a mismatch, the measured row in the table's form.
+        char line[160];
+        std::snprintf(line, sizeof line,
+                      "{%zu, %zu, %llu, %a, %a, 0x%llxull}", got.trd,
+                      got.samples,
+                      static_cast<unsigned long long>(got.cycles),
+                      got.energyPj, got.metricsEnergyPj,
+                      static_cast<unsigned long long>(got.digest));
+        SCOPED_TRACE(line);
+        EXPECT_EQ(got.cycles, g.cycles);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.energyPj),
+                  std::bit_cast<std::uint64_t>(g.energyPj));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.metricsEnergyPj),
+                  std::bit_cast<std::uint64_t>(g.metricsEnergyPj));
+        EXPECT_EQ(got.digest, g.digest);
+    }
 }
 
 } // namespace
