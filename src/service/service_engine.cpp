@@ -561,11 +561,13 @@ class ChannelSim
      * Non-request bank work (scrub sweeps, retirement migration):
      * occupies the command bus and the bank like any dispatched unit,
      * so it counts toward the channel's makespan and utilization.
+     * @p ecc_pj of @p energy_pj is the ECC scrub's share, booked in
+     * the ecc component; the rest is the guard's.
      */
     std::uint64_t
     dispatchMaintenance(const char *name, std::uint64_t now,
-                        std::uint32_t bank,
-                        std::uint32_t service_cycles, double energy_pj)
+                        std::uint32_t bank, std::uint32_t service_cycles,
+                        double energy_pj, double ecc_pj = 0.0)
     {
         auto [start, completion] =
             timeline_.issue(now, bank, 1, service_cycles);
@@ -573,7 +575,9 @@ class ChannelSim
         stats_.maintenanceUnits += 1;
         stats_.energyPj += energy_pj;
         if (guardMetrics_)
-            guardMetrics_->addEnergy(energy_pj);
+            guardMetrics_->addEnergy(energy_pj - ecc_pj);
+        if (eccMetrics_)
+            eccMetrics_->addEnergy(ecc_pj);
         stats_.trace.span(name, "maintenance", start,
                           completion - start, channel_, bank);
         return completion;
@@ -747,6 +751,7 @@ class ChannelSim
              ++bank) {
             std::uint32_t cycles = 0;
             double pj = 0.0;
+            double ecc_pj = 0.0; // the ECC share of pj
             for (std::uint32_t grp = 0; grp < cfg_.dbcGroupsPerBank;
                  ++grp) {
                 if (align) {
@@ -766,10 +771,12 @@ class ChannelSim
                                           fix.due, at);
                     }
                 }
-                if (ecc)
+                if (ecc) {
                     scrubEccGroup(bank, grp, at, cycles, pj);
+                    ecc_pj += guardCosts_.eccScrubGroupEnergyPj;
+                }
             }
-            dispatchMaintenance("scrub", at, bank, cycles, pj);
+            dispatchMaintenance("scrub", at, bank, cycles, pj, ecc_pj);
         }
     }
 

@@ -620,7 +620,7 @@ const ServeGolden kServeGoldens[] = {
          c.faults.ecc = EccMode::Secded;
          c.faults.pimNmr = 3;
      },
-     0x40807f68441fc4cbull, 0x415d5f70297648b5ull, 36419,
+     0x40807f68441fc4cbull, 0x5458d278eb6442c1ull, 36419,
      0x1.185c9ae295e08p-5, 0x1.d0ce2adc108dbp-3},
     {"periodic_scrub",
      [](ServiceConfig &c) {
@@ -649,7 +649,7 @@ const ServeGolden kServeGoldens[] = {
          c.faults.ecc = EccMode::Secded;
          c.faults.pimNmr = 1; // PIM units climb the port-path DUE ladder
      },
-     0xbd7cc3e5ec58e392ull, 0xa4774894dc3a8396ull, 38567,
+     0xbd7cc3e5ec58e392ull, 0x4a41e331bf08f4feull, 38567,
      0x1.044dfb81999cbp-5, 0x1.a2aaedce3c62cp-3},
     {"closed_loop_rejects",
      [](ServiceConfig &c) {
@@ -672,7 +672,7 @@ const ServeGolden kServeGoldens[] = {
          c.faults.ecc = EccMode::Secded;
          c.faults.scrubIntervalCycles = 512;
      },
-     0x55791b7db7c1234full, 0x8d7f030bd921eb85ull, 20377,
+     0x55791b7db7c1234full, 0xa4de52081e804cbbull, 20377,
      0x1.18adf883e4e49p-4, 0x1.8cef83636d22ep-2},
 };
 
@@ -739,6 +739,33 @@ TEST(ServiceEngine, MetricsComponentsPartitionTheEnergy)
         }
     }
     EXPECT_EQ(faulted, 7u);
+}
+
+TEST(ServiceEngine, EccScrubEnergyIsBookedInTheEccComponent)
+{
+    // With no guard policy, the only maintenance is the ECC scrub:
+    // each /guard component books nothing, and the scrub's energy is
+    // in the /ecc components.
+    ServiceConfig cfg = smallConfig();
+    cfg.collectMetrics = true;
+    cfg.faults.policy = GuardPolicy::None;
+    cfg.faults.dataFaultRate = 1e-4;
+    cfg.faults.retentionRatePerCycle = 1e-9;
+    cfg.faults.ecc = EccMode::Secded;
+    ServiceStats s = runService(cfg);
+    ASSERT_GT(s.maintenanceUnits, 0u);
+    std::size_t guards = 0;
+    double ecc_pj = 0.0;
+    for (const auto &[path, m] : s.metrics.components()) {
+        if (path.ends_with("/guard")) {
+            ++guards;
+            EXPECT_EQ(m.energyPj(), 0.0) << path;
+        } else if (path.ends_with("/ecc")) {
+            ecc_pj += m.energyPj();
+        }
+    }
+    EXPECT_EQ(guards, cfg.channels);
+    EXPECT_GT(ecc_pj, 0.0);
 }
 
 TEST(ServiceEngine, RejectsBadConfigs)
