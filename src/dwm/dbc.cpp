@@ -66,33 +66,10 @@ DomainBlockCluster::canShiftRight() const
 }
 
 std::size_t
-DomainBlockCluster::portPhysical(Port port) const
-{
-    return leftOver + basePortRow(port);
-}
-
-std::size_t
 DomainBlockCluster::physicalIndex(std::size_t row) const
 {
     panicIf(row >= dev.domainsPerWire, "row out of range");
     return leftOver + row - offset;
-}
-
-std::size_t
-DomainBlockCluster::rowAtPort(Port port) const
-{
-    return basePortRow(port) + offset;
-}
-
-bool
-DomainBlockCluster::canAlign(std::size_t row, Port port) const
-{
-    if (row >= dev.domainsPerWire)
-        return false;
-    int needed =
-        static_cast<int>(row) - static_cast<int>(basePortRow(port));
-    return needed >= -static_cast<int>(rightOver) &&
-           needed <= static_cast<int>(leftOver);
 }
 
 std::size_t

@@ -84,10 +84,23 @@ class DomainBlockCluster
     int shiftOffset() const { return offset; }
 
     /** Data row currently aligned with @p port. */
-    std::size_t rowAtPort(Port port) const;
+    std::size_t
+    rowAtPort(Port port) const
+    {
+        return basePortRow(port) + offset;
+    }
 
     /** Whether @p row can be aligned with @p port within shift range. */
-    bool canAlign(std::size_t row, Port port) const;
+    bool
+    canAlign(std::size_t row, Port port) const
+    {
+        if (row >= dev.domainsPerWire)
+            return false;
+        int needed =
+            static_cast<int>(row) - static_cast<int>(basePortRow(port));
+        return needed >= -static_cast<int>(rightOver) &&
+               needed <= static_cast<int>(leftOver);
+    }
 
     /** Align @p row with @p port; returns shifts performed. */
     std::size_t alignRowToPort(std::size_t row, Port port);
@@ -214,7 +227,13 @@ class DomainBlockCluster
         return port == Port::Left ? leftPort : rightPort;
     }
 
-    std::size_t portPhysical(Port port) const;
+    /** Physical position of @p port's domain. */
+    std::size_t
+    portPhysical(Port port) const
+    {
+        return leftOver + basePortRow(port);
+    }
+
     std::size_t physicalIndex(std::size_t row) const;
 
     /** The row at physical position @p pos (< totalDomains()). */
