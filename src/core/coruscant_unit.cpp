@@ -51,7 +51,9 @@ class RowWords
 
 CoruscantUnit::CoruscantUnit(const DeviceParams &params,
                              double fault_probability, std::uint64_t seed)
-    : dev(params), dbc(params), faults(fault_probability, seed)
+    : dev(params),
+      trPjPerWire(dev.trEnergyPj(dev.trd) + dev.pimLogicEnergyPj),
+      dbc(params), faults(fault_probability, seed)
 {
     dev.validate();
 }
@@ -95,8 +97,7 @@ CoruscantUnit::laneStarts(std::size_t block, std::size_t wires) const
 void
 CoruscantUnit::chargeTrAll(std::size_t active_wires)
 {
-    double pj = static_cast<double>(active_wires)
-                * (dev.trEnergyPj(dev.trd) + dev.pimLogicEnergyPj);
+    double pj = static_cast<double>(active_wires) * trPjPerWire;
     costs.charge(Cost::Tr, dev.trCycles, pj);
     noteCost(obs::Counter::TrPulses, 1, pj);
 }

@@ -386,6 +386,8 @@ class CoruscantUnit
                       std::size_t active_wires);
 
     DeviceParams dev;
+    /** TR plus PIM block energy per wire, as chargeTrAll() books it. */
+    double trPjPerWire;
     DomainBlockCluster dbc;
     TrFaultModel faults;
     CostLedger costs;
