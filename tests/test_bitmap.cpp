@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "apps/bitmap/bitmap_index.hpp"
+#include "dwm/device_params.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 
@@ -180,6 +183,35 @@ TEST(BitmapQueryEdge, RaggedUserCountsMatchGolden)
             EXPECT_EQ(eng.runAmbit(w).matches, golden);
             EXPECT_EQ(eng.runElp2im(w).matches, golden);
             EXPECT_EQ(eng.runCoruscant(w).matches, golden);
+        }
+    }
+}
+
+TEST(BitmapQueryEdge, SubarrayStepsMatchGoldenAndChunkCycles)
+{
+    // The CORUSCANT query steps a subarray's 16 PIM DBCs, 8192 bits,
+    // at a time.  User counts one bit short of a step, on it and one
+    // bit past it, one bit into a third step, and a last step ending
+    // one bit short of a DBC: the matches equal the golden count, and
+    // the cycles stay the closed form over 512-bit chunks.
+    const DeviceParams dev = DeviceParams::withTrd(7);
+    // The calibrated cpim round-trip per chunk, then the window
+    // alignment, the TR and the write-back.
+    const std::uint64_t chunk_cycles =
+        54 + dev.leftPortRow() + dev.trCycles + dev.writeCycles;
+    const std::uint64_t pim_dbcs = 2048 * 16;
+    for (std::size_t users : {8191, 8192, 8193, 16385, 3 * 8192 + 511}) {
+        const auto db = BitmapDatabase::synthesize(users, 6, 13);
+        const BitmapQueryEngine eng(db);
+        const std::uint64_t chunks = (users + 511) / 512;
+        const std::uint64_t concurrent = std::min(chunks, pim_dbcs);
+        const std::uint64_t waves = (chunks + concurrent - 1) / concurrent;
+        for (std::size_t w = 1; w <= 6; ++w) {
+            SCOPED_TRACE(::testing::Message()
+                         << "users " << users << " w " << w);
+            const BitmapQueryResult r = eng.runCoruscant(w);
+            EXPECT_EQ(r.matches, eng.goldenCount(w));
+            EXPECT_EQ(r.cycles, waves * chunk_cycles);
         }
     }
 }

@@ -360,6 +360,66 @@ TEST(UnitBulk, WordSpansAreZeroExtendedAndTruncated)
     }
 }
 
+TEST(UnitBulk, SubarrayGangMatchesPerDbcUnits)
+{
+    // A subarray's 16 PIM DBCs side by side in one unit, as Fig. 12's
+    // query steps them, against 16 units of 512 wires, each given its
+    // slice of the same word spans.  Every wire's staging, TR and
+    // write-back is its own, so the result rows and, after every call,
+    // the data rows are bit-identical.  Each operand ends at a random
+    // bit, from an empty span to a word past the gang's row, so the
+    // last span is ragged and some DBCs see only zeros.
+    constexpr std::size_t dbcs = 16;
+    constexpr std::size_t dbc_wires = 512;
+    constexpr std::size_t dbc_words = dbc_wires / 64;
+    for (std::size_t trd : {3u, 5u, 7u}) {
+        Rng rng(trd * 7919);
+        CoruscantUnit gang(smallParams(trd, dbcs * dbc_wires));
+        std::vector<CoruscantUnit> per_dbc;
+        per_dbc.reserve(dbcs);
+        for (std::size_t k = 0; k < dbcs; ++k)
+            per_dbc.emplace_back(smallParams(trd, dbc_wires));
+        for (BulkOp op : {BulkOp::And, BulkOp::Nand, BulkOp::Or, BulkOp::Nor,
+                          BulkOp::Xor, BulkOp::Xnor, BulkOp::Not,
+                          BulkOp::Maj}) {
+            for (std::size_t m = 1; m <= trd; ++m) {
+                if ((op == BulkOp::Not && m != 1) ||
+                    (op == BulkOp::Maj && m != trd))
+                    continue;
+                for (bool write_back : {false, true}) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << bulkOpName(op) << " trd=" << trd
+                                 << " m=" << m << " wb=" << write_back);
+                    std::vector<BitVector> sources;
+                    for (std::size_t i = 0; i < m; ++i) {
+                        const std::size_t bits =
+                            rng.nextBelow(dbcs * dbc_wires + 65);
+                        sources.push_back(randomRows(rng, 1, bits)[0]);
+                    }
+                    const std::vector<WordSpan> spans = wordsOf(sources);
+                    const BitVector want =
+                        gang.bulkBitwise(op, spans, 0, write_back);
+                    for (std::size_t k = 0; k < dbcs; ++k) {
+                        std::vector<WordSpan> slice;
+                        for (const WordSpan &w : spans)
+                            slice.push_back(w.subspan(
+                                std::min(k * dbc_words, w.size())));
+                        EXPECT_EQ(per_dbc[k].bulkBitwise(op, slice, 0,
+                                                         write_back),
+                                  want.slice(k * dbc_wires, dbc_wires))
+                            << "DBC " << k;
+                        for (std::size_t r = 0; r < gang.rows(); ++r)
+                            EXPECT_EQ(per_dbc[k].peekRow(r),
+                                      gang.peekRow(r).slice(k * dbc_wires,
+                                                            dbc_wires))
+                                << "DBC " << k << " row " << r;
+                    }
+                }
+            }
+        }
+    }
+}
+
 TEST(UnitBulk, PadsAreRestagedOnEveryCall)
 {
     // Each call on one unit equals the same call on a fresh unit: the
