@@ -326,9 +326,10 @@ BM_Popcount(benchmark::State &state)
 BENCHMARK(BM_Popcount)->Arg(512)->Arg(65536);
 
 /**
- * Fig. 12's CORUSCANT query at w = 4 over 64 Ki users: 128 chunks,
- * each loaded from the bitmaps and ANDed by one transverse read.
- * Items are chunks.
+ * Fig. 12's CORUSCANT query at w = 4 over 64 Ki users: 128 chunks of
+ * 512 bits, simulated as 8 subarray-wide steps, each staged from the
+ * bitmaps and ANDed by one transverse read.  Items are 512-bit
+ * chunks.
  */
 void
 BM_BitmapChunkQuery(benchmark::State &state)

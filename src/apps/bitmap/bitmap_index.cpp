@@ -18,6 +18,10 @@ static_assert(dramRowBits % 64 == 0 && dwmRowBits % 64 == 0,
               "row chunks start on BitVector word boundaries");
 /** Subarrays available to spread chunks over (32 banks x 64). */
 constexpr std::size_t numSubarrays = 2048;
+/** PIM DBCs in a subarray, all driven by one broadcast cpim. */
+constexpr std::size_t pimDbcsPerSubarray = 16;
+/** Bits one subarray-wide broadcast ANDs: its PIM DBCs side by side. */
+constexpr std::size_t subarrayBits = pimDbcsPerSubarray * dwmRowBits;
 
 /**
  * cpim command round-trip per CORUSCANT chunk operation (instruction
@@ -182,31 +186,36 @@ BitmapQueryEngine::runCoruscant(std::size_t weeks,
     fatalIf(ops.size() > trd, "query needs ", ops.size(),
             " operands but TRD = ", trd);
 
+    // The unit is a subarray's PIM DBCs side by side.  Each wire's TR
+    // is independent of every other wire's, so stepping subarrayBits
+    // at a time gives each 512-bit chunk the result a DBC of its own
+    // would.  The unit zero-extends the last, shorter step; its
+    // survivors count only the live bits.
     DeviceParams dev = DeviceParams::withTrd(trd);
+    dev.wiresPerDbc = subarrayBits;
     CoruscantUnit unit(dev);
 
-    std::size_t chunks = (db.users + dwmRowBits - 1) / dwmRowBits;
     std::uint64_t matches = 0;
-    // Each chunk is staged straight from the bitmaps' words; the unit
-    // zero-extends the last, shorter chunk.
-    std::vector<WordSpan> chunk(ops.size());
-    for (std::size_t c = 0; c < chunks; ++c) {
-        std::size_t lo = c * dwmRowBits;
-        std::size_t width = std::min(dwmRowBits, db.users - lo);
+    // Each step is staged straight from the bitmaps' words.
+    std::vector<WordSpan> step(ops.size());
+    for (std::size_t lo = 0; lo < db.users; lo += subarrayBits) {
+        std::size_t width = std::min(subarrayBits, db.users - lo);
         for (std::size_t i = 0; i < ops.size(); ++i)
-            chunk[i] = ops[i]->words().subspan(lo / 64);
-        BitVector result = unit.bulkBitwise(BulkOp::And, chunk);
+            step[i] = ops[i]->words().subspan(lo / 64);
+        BitVector result = unit.bulkBitwise(BulkOp::And, step);
         matches += survivors(result, width);
     }
-    // The bitmaps live in consecutive rows of every PIM DBC (male at
-    // window row 0, week b at row b, per Fig. 7's preset layout), so
-    // one chunk operation is: align the window over the bitmap rows,
-    // one TR, one write-back — independent of w.  All 32768 PIM DBCs
-    // fire on the broadcast cpim.
+    // The cycles stay a closed form over 512-bit chunks.  The bitmaps
+    // live in consecutive rows of every PIM DBC (male at window row 0,
+    // week b at row b, per Fig. 7's preset layout), so one chunk
+    // operation is: align the window over the bitmap rows, one TR, one
+    // write-back — independent of w.  All 32768 PIM DBCs fire on the
+    // broadcast cpim.
     std::uint64_t align = dev.leftPortRow(); // window over rows 0..TRD-1
     std::uint64_t chunk_cycles = coruscantChunkOverhead + align +
                                  dev.trCycles + dev.writeCycles;
-    std::size_t pim_dbcs = numSubarrays * 16;
+    std::size_t chunks = (db.users + dwmRowBits - 1) / dwmRowBits;
+    std::size_t pim_dbcs = numSubarrays * pimDbcsPerSubarray;
     std::uint64_t concurrent = std::min<std::size_t>(chunks, pim_dbcs);
     std::uint64_t waves = (chunks + concurrent - 1) / concurrent;
     return {"coruscant", matches, waves * chunk_cycles};

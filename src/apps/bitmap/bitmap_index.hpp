@@ -10,11 +10,12 @@
  * Baselines perform the AND as a chain of two-operand bulk operations
  * over 65536-bit DRAM rows (Ambit via triple-row activation, ELP2IM
  * via pseudo-precharge states); CORUSCANT evaluates all w+1 <= TRD
- * operands with a single transverse read per subarray chunk, with the
- * bitmaps laid out in consecutive rows of the PIM DBC windows — so its
- * latency stays flat as w grows while the DRAM techniques scale
+ * operands with a single transverse read per 512-bit DBC chunk, with
+ * the bitmaps laid out in consecutive rows of the PIM DBC windows — so
+ * its latency stays flat as w grows while the DRAM techniques scale
  * linearly (the paper's 1.6x / 2.2x / 3.4x over ELP2IM at
- * w = 2 / 3 / 4).
+ * w = 2 / 3 / 4).  One cpim is broadcast to every PIM DBC, so the
+ * simulation evaluates a subarray's 16 DBCs with one call.
  */
 
 #ifndef CORUSCANT_APPS_BITMAP_BITMAP_INDEX_HPP
@@ -72,7 +73,11 @@ class BitmapQueryEngine
     /** ELP2IM: chains of in-SA ANDs over 65536-bit rows. */
     BitmapQueryResult runElp2im(std::size_t weeks) const;
 
-    /** CORUSCANT: one multi-operand TR per 512-bit row chunk. */
+    /**
+     * CORUSCANT: one multi-operand TR per 512-bit row chunk.  The
+     * chunks are simulated a subarray (16 PIM DBCs, 8192 bits) at a
+     * time; the cycles are the closed form over 512-bit chunks.
+     */
     BitmapQueryResult runCoruscant(std::size_t weeks,
                                    std::size_t trd = 7) const;
 
