@@ -38,6 +38,8 @@ cnnModeName(CnnMode m)
 namespace {
 
 // ---------------------------------------------------------------------
+// CORUSCANT's multiply, reduction and addition cycles are measured by
+// CoruscantCostModel at the scheme's TRD, not calibrated.
 // Dispatch/marshaling constants (documented calibration):
 //  - dwmDispatchOverhead: per-item command/queueing cost in the DWM
 //    PIM high-throughput mode; fitted from the paper's CORUSCANT-3 vs
@@ -93,20 +95,10 @@ schemeTrd(CnnScheme s)
 double
 multiplyCycles(CnnScheme s)
 {
+    if (std::size_t trd = schemeTrd(s))
+        return static_cast<double>(
+            CoruscantCostModel(trd).multiply(8).cycles);
     switch (s) {
-      case CnnScheme::Coruscant3:
-      case CnnScheme::Coruscant5:
-      case CnnScheme::Coruscant7: {
-        static const double c3 =
-            CoruscantCostModel(3).multiply(8).cycles;
-        static const double c5 =
-            CoruscantCostModel(5).multiply(8).cycles;
-        static const double c7 =
-            CoruscantCostModel(7).multiply(8).cycles;
-        return s == CnnScheme::Coruscant3 ? c3
-               : s == CnnScheme::Coruscant5 ? c5
-                                            : c7;
-      }
       case CnnScheme::Spim: {
         // Bit-serial multiply plus the amortized accumulation share
         // (latency-optimized five-operand adds consume four values).
@@ -131,14 +123,19 @@ reductionCycles(CnnScheme s, double m)
 {
     if (m <= 1)
         return 0;
+    if (std::size_t trd = schemeTrd(s)) {
+        // Reductions until the adder's arity remains, then one add.
+        const DeviceParams dev = DeviceParams::withTrd(trd);
+        const CoruscantCostModel cost(trd);
+        auto arity = static_cast<double>(dev.maxAddOperands());
+        auto consumed =
+            static_cast<double>(dev.csaInputs() - dev.csaOutputs());
+        return std::ceil(std::max(0.0, m - arity) / consumed) *
+                   static_cast<double>(cost.reduce().cycles) +
+               static_cast<double>(
+                   cost.add(dev.maxAddOperands(), 8).cycles);
+    }
     switch (s) {
-      case CnnScheme::Coruscant7:
-        // 7->3 steps consume four operands each, then one addition.
-        return std::ceil(std::max(0.0, m - 5.0) / 4.0) * 4.0 + 26.0;
-      case CnnScheme::Coruscant5:
-        return std::ceil(std::max(0.0, m - 3.0) / 2.0) * 4.0 + 22.0;
-      case CnnScheme::Coruscant3:
-        return std::max(0.0, m - 2.0) * 3.0 + 19.0;
       case CnnScheme::Elp2Im:
         // Paper Sec. IV: one CLA addition step = 40 cycles; the
         // pairwise tree needs ceil(log2 m) steps.

@@ -63,7 +63,7 @@ struct CsaRows
     BitVector sum;        ///< weight-1 row (S)
     BitVector carry;      ///< weight-2 row, already shifted one wire
     BitVector superCarry; ///< weight-4 row, already shifted two wires
-    bool hasSuperCarry = true; ///< false for TRD = 3 (3->2 reduction)
+    bool hasSuperCarry = true; ///< DeviceParams::hasSuperCarry()
 };
 
 /** A PIM-enabled DBC executing CORUSCANT operations. */
@@ -184,8 +184,9 @@ class CoruscantUnit
     // ------------------------------------------------------------------
 
     /**
-     * Reduce up to TRD operand rows to 3 (TRD >= 5) or 2 (TRD = 3)
-     * rows of equal total sum, in O(1) time (paper: 4 cycles).
+     * Reduce up to DeviceParams::csaInputs() operand rows to
+     * csaOutputs() rows of equal total sum: TRD->3 with the super
+     * carry, else 3->2, in O(1) time (paper: 4 cycles).
      * Carries crossing a lane boundary are masked.
      */
     CsaRows reduce(const std::vector<BitVector> &rows,

@@ -1,7 +1,5 @@
 #include "core/op_cost.hpp"
 
-#include <algorithm>
-
 namespace coruscant {
 
 template <typename Op>
@@ -55,11 +53,9 @@ CoruscantCostModel::bulkBitwise(std::size_t operands) const
 OpCost
 CoruscantCostModel::reduce() const
 {
-    // Without the super-carry output (TRD < 5) the unit reduces at most
-    // 3 rows (3->2).
-    std::size_t n = trd_ >= 5 ? trd_ : std::min<std::size_t>(trd_, 3);
     return measure("reduce", 512, [&](CoruscantUnit &unit) {
-        std::vector<BitVector> rows(n, BitVector(512, true));
+        std::vector<BitVector> rows(unit.params().csaInputs(),
+                                    BitVector(512, true));
         unit.reduce(rows, 512);
     });
 }

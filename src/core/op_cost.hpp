@@ -54,8 +54,8 @@ class CoruscantCostModel
     OpCost bulkBitwise(std::size_t operands) const;
 
     /**
-     * One reduction over a full row of as many rows as the unit
-     * reduces: TRD->3 with the super-carry (TRD >= 5), else 3->2.
+     * One reduction over a full row of DeviceParams::csaInputs() rows:
+     * TRD->3 with the super carry, else 3->2.
      */
     OpCost reduce() const;
 

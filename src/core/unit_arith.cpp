@@ -11,14 +11,15 @@
  * loop costs 2 cycles per bit position regardless of how many words
  * are packed in the row.
  *
- * Layouts:
- *  - TRD >= 5: operands occupy the TRD-2 interior window rows (zero
- *    padded), C' and S share the left-port row, C the right-port row.
- *    Staging costs (TRD-2) write+shift pairs: the paper's 10-cycle
- *    setup for TRD = 7.
- *  - TRD = 3: two operands at the left-port and interior rows, the
- *    carry rides the right-port row, no super carry (counts <= 3).
- *    Staging is write/shift/write: the paper's 19-cycle 8-bit total.
+ * Layouts (DeviceParams states the shape):
+ *  - With the super carry (TRD >= 5): operands occupy the TRD-2
+ *    interior window rows (zero padded), C' and S share the left-port
+ *    row, C the right-port row.  Staging costs (TRD-2) write+shift
+ *    pairs: the paper's 10-cycle setup for TRD = 7.
+ *  - Without it (compact): operands from the left-port row on, the
+ *    carry rides the right-port row (counts <= 3).  Staging writes
+ *    each operand, shifting between: at TRD = 3, write/shift/write,
+ *    the paper's 19-cycle 8-bit total.
  */
 
 #include <algorithm>
@@ -50,22 +51,20 @@ CoruscantUnit::carryChain(const std::vector<BitVector> &operands,
                           std::size_t samples)
 {
     const std::size_t m = operands.size();
-    const bool compact = dev.trd < 5; // no super carry possible/needed
-    const std::size_t interior_off = compact ? 0 : 1;
-    std::size_t ws = stageWindow(operands, false, interior_off);
+    const bool has_super = dev.hasSuperCarry();
+    std::size_t ws = stageWindow(operands, false, has_super ? 1 : 0);
 
     // Staging cost (see file header).
-    if (compact) {
+    if (has_super) {
+        chargeStaging(dev.maxAddOperands(), act, false);
+    } else {
         for (std::size_t i = 0; i < m; ++i) {
             chargeRowWrite(act);
             if (i + 1 < m)
                 chargeShifts(1, act);
         }
-    } else {
-        chargeStaging(dev.trd - 2, act, false);
     }
 
-    const bool has_super = !compact;
     const std::size_t lanes = act / block_size;
 
     // Step k senses wire k of every lane at once; the outputs land on
@@ -103,13 +102,10 @@ CoruscantUnit::reduce(const std::vector<BitVector> &rows,
     OpSpan span(*this, "reduce");
     std::size_t act = resolveActive(active_wires);
     std::size_t m = rows.size();
-    const bool has_super = dev.trd >= 5;
-    // Without the super-carry output (TRD < 5) the per-wire count must
-    // stay below 4 or the weight-4 bit would be lost: 3->2 reduction.
-    std::size_t max_rows = has_super ? dev.trd : 3;
+    const bool has_super = dev.hasSuperCarry();
     fatalIf(m == 0, "reduction needs at least one row");
-    fatalIf(m > max_rows, "TRD = ", dev.trd, " reduces at most ",
-            max_rows, " rows, got ", m);
+    fatalIf(m > dev.csaInputs(), "TRD = ", dev.trd, " reduces at most ",
+            dev.csaInputs(), " rows, got ", m);
     fatalIf(block_size == 0, "block size must be positive");
     std::size_t ws = stageWindow(rows, false, 0);
 
@@ -150,17 +146,15 @@ CoruscantUnit::reduceAndSum(std::vector<BitVector> rows,
     OpSpan span(*this, "reduce_and_sum");
     std::size_t act = resolveActive(active_wires);
     fatalIf(rows.empty(), "reduceAndSum needs at least one row");
-    // Below TRD = 5 the reduction has no super carry: 3->2 only.
-    const std::size_t max_batch = dev.trd >= 5 ? dev.trd : 3;
     std::size_t round = 0;
     while (rows.size() > dev.maxAddOperands()) {
-        std::size_t batch = std::min(max_batch, rows.size());
+        std::size_t batch = std::min(dev.csaInputs(), rows.size());
         // Re-align the window, and gather rows that are neither a
         // freshly laid contiguous run (round 0) nor outputs of the
         // previous reduction.
         chargeShifts(1, act);
         std::size_t outputs_in_window =
-            round == 0 ? max_batch : (dev.trd >= 5 ? 3 : 2);
+            round == 0 ? dev.csaInputs() : dev.csaOutputs();
         if (batch > outputs_in_window) {
             for (std::size_t g = outputs_in_window; g < batch; ++g) {
                 chargeCopy(act);

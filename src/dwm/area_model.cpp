@@ -107,7 +107,7 @@ AreaModel::pimExtraAreaUm2(const PimFeatureSet &f)
     double per_wire = senseUpgradeUm2(f.trd);
     if (f.addition) {
         per_wire += carryLogicUm2;
-        if (f.trd >= 5)
+        if (DeviceParams{.trd = f.trd}.hasSuperCarry())
             per_wire += superCarryLogicUm2;
     }
     if (f.multiplication)
@@ -144,7 +144,7 @@ AreaModel::peAreaUm2(std::size_t trd, std::size_t operands, bool multiply)
         return 3.60;
     };
     double area = base(trd);
-    if (operands > 2 && trd >= 5)
+    if (operands > 2 && DeviceParams{.trd = trd}.hasSuperCarry())
         area += 1.34; // super-carry logic (5-op adder)
     if (multiply)
         area += trd <= 3 ? 1.64 : (trd <= 5 ? 0.885 : 0.13);

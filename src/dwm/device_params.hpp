@@ -94,11 +94,32 @@ struct DeviceParams
         return domainsPerWire + leftOverhead() + rightOverhead();
     }
 
+    // Adder and carry-save shape (paper Sec. III-C/D), stated once.
+    // From TRD 5 on, the PIM block emits the super carry C' (weight 4)
+    // and one TR reduces TRD rows to S, C, C'; below, 3 rows to S, C.
+
     /** Maximum addition operands for this TRD (ports carry C / C'). */
-    std::size_t
+    constexpr std::size_t
     maxAddOperands() const
     {
         return trd <= 3 ? 2 : trd - 2;
+    }
+
+    /** Whether the PIM block emits the super carry C'. */
+    constexpr bool hasSuperCarry() const { return trd >= 5; }
+
+    /** Rows one carry-save reduction takes. */
+    constexpr std::size_t
+    csaInputs() const
+    {
+        return hasSuperCarry() ? trd : 3;
+    }
+
+    /** Rows one carry-save reduction leaves: S, C and C' if any. */
+    constexpr std::size_t
+    csaOutputs() const
+    {
+        return hasSuperCarry() ? 3 : 2;
     }
 
     /** Preset matching the paper's defaults (TRD = 7, 512 x 32 DBC). */

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "dwm/device_params.hpp"
 #include "util/logging.hpp"
 
 namespace coruscant {
@@ -60,8 +61,9 @@ TrErrorModel::multiplyTrOpportunities(std::size_t bits) const
     // every reduction round transverse-reads all 2k product wires;
     // the final addition reads one wire per product bit.
     std::size_t product_bits = 2 * bits;
-    std::size_t arity = trd_ <= 3 ? 2 : trd_ - 2;
-    std::size_t consumed_per_round = trd_ >= 5 ? trd_ - 3 : 1;
+    const DeviceParams dev{.trd = trd_};
+    std::size_t arity = dev.maxAddOperands();
+    std::size_t consumed_per_round = dev.csaInputs() - dev.csaOutputs();
     std::size_t rows = bits; // partial products
     std::size_t rounds = 0;
     while (rows > arity) {
