@@ -1,5 +1,6 @@
 #include "controller/cpim_isa.hpp"
 
+#include "dwm/device_params.hpp"
 #include "util/logging.hpp"
 
 namespace coruscant {
@@ -52,14 +53,22 @@ CpimInstruction::validate(std::size_t trd) const
         return "at least one operand required";
     if (cpimIsBulk(op) && operands > trd)
         return "bulk operations take at most TRD operands";
-    if (op == CpimOp::Add) {
-        std::size_t arity = trd <= 3 ? 2 : trd - 2;
-        if (operands > arity)
-            return "addition takes at most TRD-2 operands";
-    }
+    // Every limit the unit enforces is checked here, before the
+    // controller reads (and charges) a single operand row.  The shape
+    // needs only the TRD, so it skips DeviceParams::validate().
+    const DeviceParams dev{.trd = trd};
+    if (op == CpimOp::Add && operands > dev.maxAddOperands())
+        return "addition takes at most TRD-2 operands";
+    if (op == CpimOp::Reduce && operands > dev.csaInputs())
+        return "reduction takes at most TRD operands (3 below TRD 5)";
+    if (op == CpimOp::Multiply && (operands != 2 || blockSize > 64))
+        return "mult takes two rows of at most 32-bit operands";
+    if (op == CpimOp::Max && operands > trd)
+        return "max compares at most TRD operands";
     if (op == CpimOp::Vote &&
-        (operands != 3 && operands != 5 && operands != 7)) {
-        return "vote requires N in {3,5,7}";
+        ((operands != 3 && operands != 5 && operands != 7) ||
+         operands > trd)) {
+        return "vote requires N in {3,5,7} and N <= TRD";
     }
     return "";
 }

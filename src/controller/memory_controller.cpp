@@ -81,8 +81,6 @@ MemoryController::computeResult(const CpimInstruction &inst,
         // The carry rows remain resident in the DBC.
         return unit.reduce(ops, inst.blockSize).sum;
       case CpimOp::Multiply:
-        if (ops.size() != 2)
-            fatal(describe(inst), ": mult takes exactly two operand rows");
         return unit.multiply(ops[0], ops[1], inst.blockSize / 2);
       case CpimOp::Max:
         return unit.maxOfRows(ops, inst.blockSize);

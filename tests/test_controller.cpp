@@ -39,6 +39,43 @@ TEST(CpimIsa, ValidationRules)
     EXPECT_FALSE(inst.validate(7).empty());
 }
 
+TEST(CpimIsa, OperandLimitsFailBeforeAnyRead)
+{
+    // Each instruction breaks a limit the unit enforces: validate()
+    // refuses it, so execute() throws before it reads (and charges) a
+    // single operand row.
+    auto cpim = [](CpimOp op, std::uint8_t operands,
+                   std::uint16_t block = 64) {
+        CpimInstruction inst;
+        inst.op = op;
+        inst.operands = operands;
+        inst.blockSize = block;
+        inst.dst = 64 * 1024;
+        return inst;
+    };
+    const CpimInstruction bad[] = {
+        cpim(CpimOp::Reduce, 8),          // > TRD rows
+        cpim(CpimOp::Multiply, 3),        // not two rows
+        cpim(CpimOp::Multiply, 1),
+        cpim(CpimOp::Multiply, 2, 128),   // 64-bit operands
+        cpim(CpimOp::Max, 8),             // > TRD candidates
+    };
+    for (const CpimInstruction &inst : bad) {
+        SCOPED_TRACE(cpimOpName(inst.op));
+        EXPECT_FALSE(inst.validate(7).empty());
+        DwmMainMemory mem;
+        MemoryController ctrl(mem);
+        EXPECT_THROW(ctrl.execute(inst), FatalError);
+        EXPECT_EQ(mem.ledger().cycles(), 0u);
+    }
+    // Below TRD 5 a reduction takes 3 rows; a vote needs N <= TRD.
+    EXPECT_TRUE(cpim(CpimOp::Reduce, 3).validate(4).empty());
+    EXPECT_FALSE(cpim(CpimOp::Reduce, 4).validate(4).empty());
+    EXPECT_TRUE(cpim(CpimOp::Reduce, 5).validate(5).empty());
+    EXPECT_FALSE(cpim(CpimOp::Vote, 7).validate(5).empty());
+    EXPECT_TRUE(cpim(CpimOp::Multiply, 2).validate(7).empty());
+}
+
 class ControllerEndToEnd : public ::testing::Test
 {
   protected:
