@@ -2,8 +2,10 @@
 
 #include <algorithm>
 
+#include "arch/config.hpp"
 #include "arch/timing.hpp"
 #include "baselines/dram_pim.hpp"
+#include "controller/queue_model.hpp"
 #include "core/coruscant_unit.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -16,12 +18,6 @@ constexpr std::size_t dramRowBits = 65536; ///< 8 KiB DRAM row
 constexpr std::size_t dwmRowBits = 512;    ///< one DBC row
 static_assert(dramRowBits % 64 == 0 && dwmRowBits % 64 == 0,
               "row chunks start on BitVector word boundaries");
-/** Subarrays available to spread chunks over (32 banks x 64). */
-constexpr std::size_t numSubarrays = 2048;
-/** PIM DBCs in a subarray, all driven by one broadcast cpim. */
-constexpr std::size_t pimDbcsPerSubarray = 16;
-/** Bits one subarray-wide broadcast ANDs: its PIM DBCs side by side. */
-constexpr std::size_t subarrayBits = pimDbcsPerSubarray * dwmRowBits;
 
 /**
  * cpim command round-trip per CORUSCANT chunk operation (instruction
@@ -153,13 +149,13 @@ runDramPim(DramPimUnit &unit, const std::string &name,
         matches += survivors(result, width);
     }
     // Chunk groups are colocated per subarray and the identical
-    // command sequence is broadcast: chunks execute concurrently, so
-    // the makespan is one chunk's operation chain (all chunks fit in
-    // distinct subarrays at this scale).
-    std::uint64_t concurrent = std::min<std::size_t>(chunks,
-                                                     numSubarrays);
-    std::uint64_t waves = (chunks + concurrent - 1) / concurrent;
-    return {name, matches, waves * chunk_cycles};
+    // command sequence is broadcast: chunks execute concurrently, one
+    // per subarray in each wave.
+    const MemoryConfig mem;
+    return {name, matches,
+            runUniform(mem.banks * mem.subarraysPerBank, chunks,
+                       chunk_cycles, 0)
+                .makespanCycles};
 }
 
 } // namespace
@@ -187,19 +183,21 @@ BitmapQueryEngine::runCoruscant(std::size_t weeks,
             " operands but TRD = ", trd);
 
     // The unit is a subarray's PIM DBCs side by side.  Each wire's TR
-    // is independent of every other wire's, so stepping subarrayBits
-    // at a time gives each 512-bit chunk the result a DBC of its own
+    // is independent of every other wire's, so stepping a subarray at
+    // a time gives each 512-bit chunk the result a DBC of its own
     // would.  The unit zero-extends the last, shorter step; its
     // survivors count only the live bits.
+    const MemoryConfig mem;
+    const std::size_t subarray_bits = mem.pimDbcsPerSubarray * dwmRowBits;
     DeviceParams dev = DeviceParams::withTrd(trd);
-    dev.wiresPerDbc = subarrayBits;
+    dev.wiresPerDbc = subarray_bits;
     CoruscantUnit unit(dev);
 
     std::uint64_t matches = 0;
     // Each step is staged straight from the bitmaps' words.
     std::vector<WordSpan> step(ops.size());
-    for (std::size_t lo = 0; lo < db.users; lo += subarrayBits) {
-        std::size_t width = std::min(subarrayBits, db.users - lo);
+    for (std::size_t lo = 0; lo < db.users; lo += subarray_bits) {
+        std::size_t width = std::min(subarray_bits, db.users - lo);
         for (std::size_t i = 0; i < ops.size(); ++i)
             step[i] = ops[i]->words().subspan(lo / 64);
         BitVector result = unit.bulkBitwise(BulkOp::And, step);
@@ -215,10 +213,9 @@ BitmapQueryEngine::runCoruscant(std::size_t weeks,
     std::uint64_t chunk_cycles = coruscantChunkOverhead + align +
                                  dev.trCycles + dev.writeCycles;
     std::size_t chunks = (db.users + dwmRowBits - 1) / dwmRowBits;
-    std::size_t pim_dbcs = numSubarrays * pimDbcsPerSubarray;
-    std::uint64_t concurrent = std::min<std::size_t>(chunks, pim_dbcs);
-    std::uint64_t waves = (chunks + concurrent - 1) / concurrent;
-    return {"coruscant", matches, waves * chunk_cycles};
+    return {"coruscant", matches,
+            runUniform(mem.totalPimDbcs(), chunks, chunk_cycles, 0)
+                .makespanCycles};
 }
 
 } // namespace coruscant

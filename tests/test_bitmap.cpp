@@ -9,6 +9,7 @@
 #include <algorithm>
 
 #include "apps/bitmap/bitmap_index.hpp"
+#include "arch/config.hpp"
 #include "dwm/device_params.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -214,6 +215,23 @@ TEST(BitmapQueryEdge, SubarrayStepsMatchGoldenAndChunkCycles)
             EXPECT_EQ(r.cycles, waves * chunk_cycles);
         }
     }
+}
+
+TEST(BitmapQueryEdge, TwoCoruscantWavesPastThePimDbcCount)
+{
+    // One chunk more than the memory's 32768 PIM DBCs: the last chunk
+    // runs in a second wave, so the query takes twice one chunk's
+    // closed form.
+    const MemoryConfig mem;
+    const std::size_t users = mem.totalPimDbcs() * 512 + 1;
+    const DeviceParams dev = DeviceParams::withTrd(7);
+    const std::uint64_t chunk_cycles =
+        54 + dev.leftPortRow() + dev.trCycles + dev.writeCycles;
+    const auto db = BitmapDatabase::synthesize(users, 2, 17);
+    const BitmapQueryEngine eng(db);
+    const BitmapQueryResult r = eng.runCoruscant(2);
+    EXPECT_EQ(r.matches, eng.goldenCount(2));
+    EXPECT_EQ(r.cycles, 2 * chunk_cycles);
 }
 
 } // namespace
