@@ -76,19 +76,7 @@ main()
         const int samples = 5000;
         for (int i = 0; i < samples; ++i) {
             std::size_t row = rng.nextBelow(p.domainsPerWire);
-            Port port = dbc.canAlign(row, Port::Left) ? Port::Left
-                                                      : Port::Right;
-            if (dbc.canAlign(row, Port::Left) &&
-                dbc.canAlign(row, Port::Right)) {
-                auto dl = std::abs(
-                    static_cast<long>(dbc.rowAtPort(Port::Left)) -
-                    static_cast<long>(row));
-                auto dr = std::abs(
-                    static_cast<long>(dbc.rowAtPort(Port::Right)) -
-                    static_cast<long>(row));
-                port = dl <= dr ? Port::Left : Port::Right;
-            }
-            shifts += dbc.alignRowToPort(row, port);
+            shifts += dbc.alignRowToPort(row, dbc.nearestPort(row));
         }
         std::printf("  TRD=%zu spacing (%zu ports at rows ", trd,
                     trd == 1 ? 1ul : 2ul);

@@ -173,13 +173,10 @@ pimNmrValid(std::size_t n)
 void checkPimNmr(std::size_t n, std::size_t trd);
 
 /**
- * The fault knobs of a fault-injecting run, declared once:
- * ServiceFaultConfig and ControllerCampaignConfig build on it, and
- * `coruscant_cli campaign` and `serve` bind its flags through one
- * option fragment.  (ReliabilityConfig, the memory's view, keeps its
- * own spellings guardPolicy/eccMode.)
+ * The fault knobs that a run's configuration (FaultConfig) and the
+ * memory's (ReliabilityConfig) share, declared once.
  */
-struct FaultConfig : RetryLadderLimits, DataFaultRates
+struct FaultKnobs : RetryLadderLimits, DataFaultRates
 {
     /** Probability that a single shift pulse over-/under-shifts. */
     double shiftFaultRate = 0.0;
@@ -187,14 +184,8 @@ struct FaultConfig : RetryLadderLimits, DataFaultRates
     /** Fraction of shift faults that are over-shifts (symmetric). */
     static constexpr double overShiftFraction = 0.5;
 
-    /** Alignment-check cadence. */
-    GuardPolicy policy = GuardPolicy::PerAccess;
-
     /** Retry-ladder depth (<= kMaxRetries). */
     std::size_t maxRetries = 2;
-
-    /** Content protection of lines on the port path (TRs bypass it). */
-    EccMode ecc = EccMode::None;
 
     /**
      * NMR arity of PIM ops under data faults (ECC cannot cover
@@ -203,12 +194,25 @@ struct FaultConfig : RetryLadderLimits, DataFaultRates
     std::size_t pimNmr = 1;
 };
 
-/** Shift-fault injection and guarded-execution configuration. */
-struct ReliabilityConfig : RetryLadderLimits, DataFaultRates
+/**
+ * The fault knobs of a fault-injecting run:
+ * ServiceFaultConfig and ControllerCampaignConfig build on it, and
+ * `coruscant_cli campaign` and `serve` bind its flags through one
+ * option fragment.  (ReliabilityConfig, the memory's view, keeps its
+ * own spellings guardPolicy/eccMode.)
+ */
+struct FaultConfig : FaultKnobs
 {
-    /** Probability that a single shift pulse over-/under-shifts. */
-    double shiftFaultRate = 0.0;
+    /** Alignment-check cadence. */
+    GuardPolicy policy = GuardPolicy::PerAccess;
 
+    /** Content protection of lines on the port path (TRs bypass it). */
+    EccMode ecc = EccMode::None;
+};
+
+/** Shift-fault injection and guarded-execution configuration. */
+struct ReliabilityConfig : FaultKnobs
+{
     /** RNG seed for the shift-fault injector. */
     std::uint64_t shiftFaultSeed = 1;
 
@@ -217,9 +221,6 @@ struct ReliabilityConfig : RetryLadderLimits, DataFaultRates
 
     /** Accesses between sweeps under GuardPolicy::PeriodicScrub. */
     static constexpr std::size_t scrubInterval = 256;
-
-    /** Retry-ladder depth for guarded cpim execution (<= kMaxRetries). */
-    std::size_t maxRetries = 2;
 
     /**
      * Idle cycles charged before the first ladder re-execution,
@@ -247,9 +248,6 @@ struct ReliabilityConfig : RetryLadderLimits, DataFaultRates
 
     /** Protected word width under EccMode::Secded: (72,64) SECDED. */
     static constexpr std::size_t eccWordBits = 64;
-
-    /** NMR arity of PIM ops under data faults (see FaultConfig). */
-    std::size_t pimNmr = 1;
 
     bool guarded() const { return guardPolicy != GuardPolicy::None; }
 

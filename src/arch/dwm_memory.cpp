@@ -36,7 +36,7 @@ DwmMainMemory::DwmMainMemory(const MemoryConfig &config)
     if (rel.shiftFaultRate > 0.0) {
         shiftInjector = std::make_unique<ShiftFaultModel>(
             rel.shiftFaultRate, rel.shiftFaultSeed,
-            FaultConfig::overShiftFraction);
+            rel.overShiftFraction);
     }
     if (rel.dataFaultsEnabled())
         dataInjector =
@@ -107,21 +107,7 @@ DwmMainMemory::dbcFor(const LineAddress &loc)
 unsigned
 DwmMainMemory::alignForAccess(DomainBlockCluster &dbc, std::size_t row)
 {
-    // Pick the port that can reach the row with the shorter shift.
-    Port port;
-    if (dbc.canAlign(row, Port::Left) && dbc.canAlign(row, Port::Right)) {
-        auto dist = [&](Port p) {
-            auto cur = static_cast<long>(dbc.rowAtPort(p));
-            return std::abs(static_cast<long>(row) - cur);
-        };
-        port = dist(Port::Left) <= dist(Port::Right) ? Port::Left
-                                                     : Port::Right;
-    } else if (dbc.canAlign(row, Port::Left)) {
-        port = Port::Left;
-    } else {
-        port = Port::Right;
-    }
-    std::size_t shifts = dbc.alignRowToPort(row, port);
+    std::size_t shifts = dbc.alignRowToPort(row, dbc.nearestPort(row));
     shiftSteps += shifts;
     return static_cast<unsigned>(shifts);
 }

@@ -29,6 +29,7 @@
 #define CORUSCANT_DWM_DBC_HPP
 
 #include <cstdint>
+#include <cstdlib>
 #include <span>
 #include <utility>
 #include <vector>
@@ -100,6 +101,20 @@ class DomainBlockCluster
             static_cast<int>(row) - static_cast<int>(basePortRow(port));
         return needed >= -static_cast<int>(rightOver) &&
                needed <= static_cast<int>(leftOver);
+    }
+
+    /** The port that reaches @p row with the shorter shift (left on a tie). */
+    Port
+    nearestPort(std::size_t row) const
+    {
+        auto dist = [&](Port p) {
+            return std::abs(static_cast<long>(row) -
+                            static_cast<long>(rowAtPort(p)));
+        };
+        bool left = canAlign(row, Port::Left);
+        if (left && canAlign(row, Port::Right))
+            left = dist(Port::Left) <= dist(Port::Right);
+        return left ? Port::Left : Port::Right;
     }
 
     /** Align @p row with @p port; returns shifts performed. */

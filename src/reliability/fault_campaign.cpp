@@ -119,15 +119,12 @@ FaultCampaign::controllerCampaign(const ControllerCampaignConfig &ccfg)
     constexpr std::size_t wires = 64; // one operand row is one word
     mcfg.device.wiresPerDbc = wires;
     ReliabilityConfig &rel = mcfg.reliability;
-    static_cast<DataFaultRates &>(rel) = ccfg;
-    rel.shiftFaultRate = ccfg.shiftFaultRate;
+    static_cast<FaultKnobs &>(rel) = ccfg;
     rel.shiftFaultSeed = ccfg.seed;
     rel.guardPolicy = ccfg.policy;
-    rel.maxRetries = ccfg.maxRetries;
     rel.retireThreshold = ccfg.retireThreshold;
     rel.dataFaultSeed = ccfg.seed ^ 0xda7af17u;
     rel.eccMode = ccfg.ecc;
-    rel.pimNmr = ccfg.pimNmr;
 
     DwmMainMemory mem(mcfg);
     MemoryController ctrl(mem);
