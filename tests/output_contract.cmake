@@ -7,7 +7,9 @@
 # The set: every bench/ program except micro_ops (it prints host
 # timings), every example, the defaults of each CLI command, `help`,
 # and every coruscant_cli and bench call in .github/workflows/ci.yml
-# except the `polybench --size 4096` run-time check.  Each `serve` call runs at --threads 1, 4 and 8 (CI's own --threads
+# except the `polybench --size 4096` run-time check and the sanitizer
+# job's sweep of `ops` and `reliability` over TRD 3..8.  Each `serve`
+# call runs at --threads 1, 4 and 8 (CI's own --threads
 # value is replaced); the three must hash the same once the
 # `threads=` echo is stripped from stdout.  Usage errors are checked
 # for exit code 2 only: their diagnostics go to stderr.
