@@ -56,6 +56,7 @@ CoruscantUnit::CoruscantUnit(const DeviceParams &params,
       dbc(params), faults(fault_probability, seed)
 {
     dev.validate();
+    DeviceParams::checkPimTrd(dev.trd);
 }
 
 BitVector

@@ -41,7 +41,9 @@ class CoruscantCostModel
   public:
     explicit CoruscantCostModel(std::size_t trd)
         : trd_(trd)
-    {}
+    {
+        DeviceParams::checkPimTrd(trd);
+    }
 
     /** m-operand addition of `bits`-bit words (one lane). */
     OpCost add(std::size_t operands, std::size_t bits) const;

@@ -30,7 +30,6 @@ requestClassName(RequestClass cls)
 ServiceCostTable
 ServiceCostTable::build(std::size_t trd)
 {
-    fatalIf(trd < 2, "service cost table needs TRD >= 2");
     ServiceCostTable t;
     t.trd_ = trd;
     CoruscantCostModel cost(trd);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/op_cost.hpp"
+#include "util/logging.hpp"
 
 namespace coruscant {
 namespace {
@@ -31,9 +32,12 @@ TEST(OpCost, ReductionIsFourCycles)
 TEST(OpCost, ReductionBuildsAtEveryTrd)
 {
     // Below TRD 5 there is no super-carry output, so the unit reduces
-    // at most 3 rows; TRD 4 must not stage 4.
-    for (std::size_t trd = 2; trd <= 8; ++trd)
+    // at most 3 rows; TRD 4 must not stage 4.  TRD 2 and 8 are outside
+    // the PIM range and build no model.
+    for (std::size_t trd = 3; trd <= 7; ++trd)
         EXPECT_NO_THROW(CoruscantCostModel(trd).reduce()) << trd;
+    for (std::size_t trd : {2u, 8u})
+        EXPECT_THROW(CoruscantCostModel{trd}, FatalError) << trd;
     EXPECT_EQ(CoruscantCostModel(4).reduce().cycles, 3u);
 }
 

@@ -290,7 +290,7 @@ expectCostOf(const RequestCost &got, std::uint32_t cmds, const OpCost &want)
 
 TEST(ServiceCostTable, EntriesEqualTheirCostModelMeasurements)
 {
-    for (std::size_t trd : {2u, 3u, 4u, 5u, 7u}) {
+    for (std::size_t trd : {3u, 4u, 5u, 7u}) {
         SCOPED_TRACE(trd);
         const ServiceCostTable t = ServiceCostTable::build(trd);
         const CoruscantCostModel model(trd);
@@ -524,14 +524,21 @@ TEST(ServiceEngine, GangsNeverExceedTrdOperands)
 
 TEST(ServiceEngine, RunsAtEveryTrd)
 {
-    // The cost table builds at every TRD the CLI accepts, TRD 4 (no
-    // super-carry, 3-row reduction) included.
-    for (std::size_t trd : {2u, 3u, 4u, 5u, 6u, 7u, 32u}) {
+    // The cost table builds at every TRD the PIM unit computes at,
+    // TRD 4 (no super-carry, 3-row reduction) included, and the
+    // engine refuses a TRD outside that range.
+    for (std::size_t trd = DeviceParams::kMinPimTrd;
+         trd <= DeviceParams::kMaxPimTrd; ++trd) {
         ServiceConfig cfg = smallConfig();
         cfg.trd = trd;
         ServiceStats s = runService(cfg);
         EXPECT_GT(s.completed, 0u) << trd;
         EXPECT_EQ(s.admitted, s.completed) << trd;
+    }
+    for (std::size_t trd : {2u, 32u}) {
+        ServiceConfig cfg = smallConfig();
+        cfg.trd = trd;
+        EXPECT_THROW(runService(cfg), FatalError) << trd;
     }
 }
 

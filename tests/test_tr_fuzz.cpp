@@ -565,65 +565,61 @@ denseRow(Rng &rng, std::size_t width)
 
 TEST(TrFuzz, CarryChainMatchesBitSerialWideAndDeep)
 {
-    // TRD 8 and 32 windows hold counts past 7, which the fused step
-    // keeps mod 8 (planes 0-2); dense rows make such counts common,
-    // including the full window a fault can only read one lower.
-    // 700 wires put every row on the heap (past BitVector::inlineBits),
-    // so the step takes two runs of words, and lanes cross word and
-    // run boundaries.
+    // At TRD 7, five operands plus C and C' fill the window; dense rows
+    // make the full count of 7 common, including the full window a
+    // fault can only read one lower.  700 wires put every row on the
+    // heap (past BitVector::inlineBits), so the step takes two runs of
+    // words, and lanes cross word and run boundaries.
     constexpr std::size_t width = 700;
     static_assert(width > BitVector::inlineBits);
     const std::size_t blocks[] = {1, 3, 8, 64, 100, 350, width};
     Rng rng(97);
     for (double rate : kFaultRates) {
-        for (std::size_t trd : {8u, 32u}) {
-            SCOPED_TRACE(::testing::Message()
-                         << "rate " << rate << " trd " << trd);
-            DeviceParams p = params(trd, width);
-            CoruscantUnit unit(p, rate, kFaultSeed);
-            DomainBlockCluster &unit_dbc = CoruscantUnitTestPeer::dbc(unit);
-            obs::ComponentMetrics unit_m;
-            unit_dbc.attachMetrics(&unit_m);
-            SerialUnit ref(p, rate);
+        SCOPED_TRACE(::testing::Message() << "rate " << rate);
+        DeviceParams p = params(7, width);
+        CoruscantUnit unit(p, rate, kFaultSeed);
+        DomainBlockCluster &unit_dbc = CoruscantUnitTestPeer::dbc(unit);
+        obs::ComponentMetrics unit_m;
+        unit_dbc.attachMetrics(&unit_m);
+        SerialUnit ref(p, rate);
 
-            for (int iter = 0; iter < 14; ++iter) {
-                std::size_t block = blocks[rng.nextBelow(7)];
-                std::size_t act = block * (1 + rng.nextBelow(width / block));
-                int off = randomOffset(rng, p);
-                shiftTo(unit_dbc, off);
-                std::vector<BitVector> ops(
-                    1 + rng.nextBelow(p.maxAddOperands()));
-                const bool dense = rng.nextBool();
-                for (BitVector &row : ops)
-                    row = dense ? denseRow(rng, width)
-                                : randomRow(rng, width);
-                std::size_t n = 1;
-                BitVector got;
-                if (rng.nextBool()) {
-                    got = unit.add(ops, block, act);
-                } else {
-                    const std::size_t votes[] = {3, 5, 7};
-                    n = votes[rng.nextBelow(3)];
-                    got = unit.addStepVoted(ops, block, n, act);
-                }
-                BitVector want = ref.add(off, ops, block, act, n);
-                SCOPED_TRACE(::testing::Message()
-                             << "samples " << n << " block " << block
-                             << " act " << act << " operands "
-                             << ops.size() << (dense ? " dense" : ""));
-                ASSERT_EQ(got, want);
-                for (std::size_t r = 0; r < p.domainsPerWire; ++r)
-                    ASSERT_EQ(unit_dbc.peekRow(r), ref.dbc.peekRow(r))
-                        << "row " << r;
-                ASSERT_EQ(unit.injectedFaults(), ref.faults.injectedFaults());
-                ASSERT_EQ(unit_m.get(obs::Counter::FaultsInjected),
-                          ref.metrics.get(obs::Counter::FaultsInjected));
-                ASSERT_EQ(unit_m.get(obs::Counter::TrPulses),
-                          ref.metrics.get(obs::Counter::TrPulses));
+        for (int iter = 0; iter < 14; ++iter) {
+            std::size_t block = blocks[rng.nextBelow(7)];
+            std::size_t act = block * (1 + rng.nextBelow(width / block));
+            int off = randomOffset(rng, p);
+            shiftTo(unit_dbc, off);
+            std::vector<BitVector> ops(
+                1 + rng.nextBelow(p.maxAddOperands()));
+            const bool dense = rng.nextBool();
+            for (BitVector &row : ops)
+                row = dense ? denseRow(rng, width)
+                            : randomRow(rng, width);
+            std::size_t n = 1;
+            BitVector got;
+            if (rng.nextBool()) {
+                got = unit.add(ops, block, act);
+            } else {
+                const std::size_t votes[] = {3, 5, 7};
+                n = votes[rng.nextBelow(3)];
+                got = unit.addStepVoted(ops, block, n, act);
             }
-            if (rate > 0) {
-                EXPECT_GT(unit.injectedFaults(), 0u);
-            }
+            BitVector want = ref.add(off, ops, block, act, n);
+            SCOPED_TRACE(::testing::Message()
+                         << "samples " << n << " block " << block
+                         << " act " << act << " operands "
+                         << ops.size() << (dense ? " dense" : ""));
+            ASSERT_EQ(got, want);
+            for (std::size_t r = 0; r < p.domainsPerWire; ++r)
+                ASSERT_EQ(unit_dbc.peekRow(r), ref.dbc.peekRow(r))
+                    << "row " << r;
+            ASSERT_EQ(unit.injectedFaults(), ref.faults.injectedFaults());
+            ASSERT_EQ(unit_m.get(obs::Counter::FaultsInjected),
+                      ref.metrics.get(obs::Counter::FaultsInjected));
+            ASSERT_EQ(unit_m.get(obs::Counter::TrPulses),
+                      ref.metrics.get(obs::Counter::TrPulses));
+        }
+        if (rate > 0) {
+            EXPECT_GT(unit.injectedFaults(), 0u);
         }
     }
 }
