@@ -8,7 +8,7 @@
 # timings), every example, the defaults of each CLI command, `help`,
 # and every coruscant_cli and bench call in .github/workflows/ci.yml
 # except the `polybench --size 4096` run-time check and the sanitizer
-# job's sweep of `ops` and `reliability` over TRD 3..8.  Each `serve`
+# job's sweep of `ops` and `reliability` over TRD 3..7.  Each `serve`
 # call runs at --threads 1, 4 and 8 (CI's own --threads
 # value is replaced); the three must hash the same once the
 # `threads=` echo is stripped from stdout.  Usage errors are checked
@@ -199,6 +199,10 @@ usage_error("${CLI}" reliability --trd 33)
 usage_error("${CLI}" reliability --pfault 2)
 usage_error("${CLI}" serve --bogus 1)
 usage_error("${CLI}" serve --nmr 5 --trd 3)
+usage_error("${CLI}" serve --trd 2)
+usage_error("${CLI}" serve --trd 8)
+usage_error("${CLI}" ops --trd 8)
+usage_error("${CLI}" reliability --trd 8)
 usage_error("${CLI}" serve --breaker-threshold 0)
 usage_error("${CLI}" serve --trips 0)
 usage_error("${CLI}" serve --window 18446744073709551615)

@@ -462,6 +462,12 @@ TEST(CliProcess, UsageErrorsExitTwo)
     EXPECT_EQ(cliExit("ops --bits 33"), 2);
     EXPECT_EQ(cliExit("serve --trd 1"), 2);
     EXPECT_EQ(cliExit("serve --trd 33"), 2);
+    // TRD 2 has no row for the carry, and from TRD 8 on a count needs a
+    // weight-8 output: the PIM front ends take TRD in [3, 7] only.
+    EXPECT_EQ(cliExit("serve --trd 2 --duration 2000"), 2);
+    EXPECT_EQ(cliExit("serve --trd 8 --duration 2000"), 2);
+    EXPECT_EQ(cliExit("ops --trd 8"), 2);
+    EXPECT_EQ(cliExit("reliability --trd 8"), 2);
     // A zero-sized topology has nothing to serve on.
     EXPECT_EQ(cliExit("serve --channels 0"), 2);
     EXPECT_EQ(cliExit("serve --banks 0"), 2);

@@ -1,11 +1,13 @@
 /**
  * @file
  * Exhaustive small-width sweeps: every input combination of 4-bit
- * multiplication and 3-operand 4-bit addition, across TRD values —
- * leaves no corner of the arithmetic untested.
+ * multiplication and of 4-bit addition at the adder's full arity,
+ * across TRD values — leaves no corner of the arithmetic untested.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "core/coruscant_unit.hpp"
 
@@ -57,28 +59,49 @@ class ExhaustiveAdd : public ::testing::TestWithParam<std::size_t>
 
 TEST_P(ExhaustiveAdd, AllThreeOperandFourBitCombos)
 {
-    std::size_t trd = GetParam();
-    CoruscantUnit unit(params(trd, 8));
-    std::size_t arity = unit.params().maxAddOperands();
-    if (arity < 3)
-        GTEST_SKIP() << "TRD " << trd << " adder is two-operand";
-    // Sum in an 8-bit block so no truncation occurs.
-    for (std::uint64_t a = 0; a < 16; ++a) {
-        for (std::uint64_t b = 0; b < 16; ++b) {
-            for (std::uint64_t c = 0; c < 16; ++c) {
-                auto sum = unit.add({BitVector::fromUint64(8, a),
-                                     BitVector::fromUint64(8, b),
-                                     BitVector::fromUint64(8, c)},
-                                    8);
-                ASSERT_EQ(sum.toUint64(), a + b + c)
-                    << a << "+" << b << "+" << c;
-            }
+    // Every tuple of maxAddOperands() 4-bit operands (16^5 at TRD 7),
+    // one tuple per 8-bit lane of a wide unit, so no sum is truncated.
+    // Tuples with trailing zero operands cover every smaller count.
+    const std::size_t trd = GetParam();
+    const std::size_t arity = DeviceParams::withTrd(trd).maxAddOperands();
+    const std::uint64_t tuples = std::uint64_t{1} << (4 * arity);
+    const std::size_t lanes = std::min<std::uint64_t>(tuples, 512);
+    CoruscantUnit unit(params(trd, 8 * lanes));
+    // Operand j of tuple t is t's 4-bit digit j; word i of a row holds
+    // the lanes of tuples base + 8i .. base + 8i + 7.
+    auto digit = [](std::uint64_t t, std::size_t j) {
+        return (t >> (4 * j)) & 0xf;
+    };
+    std::vector<BitVector> ops(arity, BitVector(8 * lanes));
+    for (std::uint64_t base = 0; base < tuples; base += lanes) {
+        auto lanesOf = [&](std::size_t i, auto value) {
+            std::uint64_t word = 0;
+            for (std::size_t k = 0; k < 8; ++k)
+                word |= value(base + 8 * i + k) << (8 * k);
+            return word;
+        };
+        for (std::size_t j = 0; j < arity; ++j)
+            ops[j].setWords([&](std::size_t i) {
+                return lanesOf(i, [&](std::uint64_t t) {
+                    return digit(t, j);
+                });
+            });
+        const BitVector sum = unit.add(ops, 8);
+        for (std::size_t i = 0; i < sum.numWords(); ++i) {
+            const std::uint64_t want = lanesOf(i, [&](std::uint64_t t) {
+                std::uint64_t total = 0;
+                for (std::size_t j = 0; j < arity; ++j)
+                    total += digit(t, j);
+                return total;
+            });
+            ASSERT_EQ(sum.word(i), want)
+                << std::hex << "tuples from 0x" << base + 8 * i;
         }
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTrds, ExhaustiveAdd,
-                         ::testing::Values(3u, 5u, 7u),
+                         ::testing::Values(3u, 4u, 5u, 6u, 7u),
                          [](const ::testing::TestParamInfo<std::size_t>
                                 &info) {
                              return "trd" + std::to_string(info.param);
