@@ -15,8 +15,7 @@
 #include <cmath>
 
 #include "bench_util.hpp"
-#include "core/coruscant_unit.hpp"
-#include "util/rng.hpp"
+#include "core/op_cost.hpp"
 
 using namespace coruscant;
 
@@ -67,24 +66,12 @@ main()
 
     bench::subheader("measured single-unit reduceAndSum (sequential "
                      "in one DBC)");
+    const CoruscantCostModel c7(7);
     for (std::size_t count : {10u, 30u, 60u, 120u}) {
-        DeviceParams p = DeviceParams::withTrd(7);
-        p.wiresPerDbc = 64;
-        CoruscantUnit unit(p);
-        Rng rng(count);
-        std::vector<BitVector> rows;
-        for (std::size_t i = 0; i < count; ++i) {
-            BitVector row(64);
-            row.insertUint64(0, 32, rng.next() & 0xFF);
-            rows.push_back(std::move(row));
-        }
-        unit.resetCosts();
-        unit.reduceAndSum(rows, 32);
+        const std::uint64_t cycles = c7.reduceAndSum(count, 32).cycles;
         std::printf("  %4zu rows: %6llu cycles (%5.1f per row)\n",
-                    count,
-                    static_cast<unsigned long long>(
-                        unit.ledger().cycles()),
-                    static_cast<double>(unit.ledger().cycles()) /
+                    count, static_cast<unsigned long long>(cycles),
+                    static_cast<double>(cycles) /
                         static_cast<double>(count));
     }
     return 0;

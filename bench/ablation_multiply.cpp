@@ -7,7 +7,7 @@
  */
 
 #include "bench_util.hpp"
-#include "core/coruscant_unit.hpp"
+#include "core/op_cost.hpp"
 #include "util/csd.hpp"
 
 using namespace coruscant;
@@ -17,25 +17,13 @@ namespace {
 std::uint64_t
 mulCycles(std::size_t trd, std::size_t bits, MulStrategy strategy)
 {
-    DeviceParams p = DeviceParams::withTrd(trd);
-    p.wiresPerDbc = 2 * bits;
-    CoruscantUnit unit(p);
-    auto a = BitVector::fromUint64(2 * bits, (1ULL << bits) - 1);
-    unit.resetCosts();
-    unit.multiply(a, a, bits, strategy);
-    return unit.ledger().cycles();
+    return CoruscantCostModel(trd).multiply(bits, strategy).cycles;
 }
 
 std::uint64_t
 constCycles(std::size_t trd, std::size_t bits, std::uint64_t c)
 {
-    DeviceParams p = DeviceParams::withTrd(trd);
-    p.wiresPerDbc = 2 * bits;
-    CoruscantUnit unit(p);
-    auto a = BitVector::fromUint64(2 * bits, (1ULL << bits) - 1);
-    unit.resetCosts();
-    unit.multiplyByConstant(a, c, bits);
-    return unit.ledger().cycles();
+    return CoruscantCostModel(trd).multiplyByConstant(bits, c).cycles;
 }
 
 } // namespace

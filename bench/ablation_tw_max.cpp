@@ -6,8 +6,7 @@
  */
 
 #include "bench_util.hpp"
-#include "core/coruscant_unit.hpp"
-#include "util/rng.hpp"
+#include "core/op_cost.hpp"
 
 using namespace coruscant;
 
@@ -16,19 +15,7 @@ namespace {
 std::uint64_t
 maxCycles(std::size_t trd, std::size_t word_bits, bool use_tw)
 {
-    DeviceParams p = DeviceParams::withTrd(trd);
-    p.wiresPerDbc = word_bits;
-    CoruscantUnit unit(p);
-    Rng rng(trd);
-    std::vector<BitVector> cands;
-    for (std::size_t i = 0; i < trd; ++i)
-        cands.push_back(
-            BitVector::fromUint64(word_bits,
-                                  rng.next() &
-                                      ((1ULL << word_bits) - 1)));
-    unit.resetCosts();
-    unit.maxOfRows(cands, word_bits, 0, use_tw);
-    return unit.ledger().cycles();
+    return CoruscantCostModel(trd).max(trd, word_bits, use_tw).cycles;
 }
 
 } // namespace

@@ -2,6 +2,17 @@
 
 namespace coruscant {
 
+namespace {
+
+/** A 2n-wide multiply lane holding the all-ones n-bit operand. */
+BitVector
+mulOperand(std::size_t bits)
+{
+    return BitVector::fromUint64(2 * bits, (1ULL << bits) - 1);
+}
+
+} // namespace
+
 template <typename Op>
 OpCost
 CoruscantCostModel::measure(const char *name, std::size_t wires,
@@ -12,6 +23,8 @@ CoruscantCostModel::measure(const char *name, std::size_t wires,
     CoruscantUnit unit(p);
     obs::ComponentMetrics m;
     unit.attachMetrics(&m);
+    if (trace_)
+        unit.attachTrace(trace_, 0, traceRows_++);
     op(unit);
     OpCost cost{unit.ledger().cycles(), unit.ledger().energyPj(),
                 m.prims()};
@@ -36,8 +49,17 @@ OpCost
 CoruscantCostModel::multiply(std::size_t bits, MulStrategy strategy) const
 {
     return measure("multiply", 2 * bits, [&](CoruscantUnit &unit) {
-        BitVector a = BitVector::fromUint64(2 * bits, (1ULL << bits) - 1);
+        BitVector a = mulOperand(bits);
         unit.multiply(a, a, bits, strategy, 2 * bits);
+    });
+}
+
+OpCost
+CoruscantCostModel::multiplyByConstant(std::size_t bits,
+                                       std::uint64_t c) const
+{
+    return measure("multiply_by_constant", 2 * bits, [&](CoruscantUnit &u) {
+        u.multiplyByConstant(mulOperand(bits), c, bits, 2 * bits);
     });
 }
 
@@ -57,6 +79,15 @@ CoruscantCostModel::reduce() const
         std::vector<BitVector> rows(unit.params().csaInputs(),
                                     BitVector(512, true));
         unit.reduce(rows, 512);
+    });
+}
+
+OpCost
+CoruscantCostModel::reduceAndSum(std::size_t rows, std::size_t bits) const
+{
+    return measure("reduce_and_sum", bits, [&](CoruscantUnit &unit) {
+        unit.reduceAndSum(std::vector<BitVector>(rows, BitVector(bits, true)),
+                          bits, bits);
     });
 }
 

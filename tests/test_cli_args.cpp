@@ -12,13 +12,16 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <map>
 #include <optional>
+#include <set>
 #include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "dwm/device_params.hpp"
 #include "reliability/fault_campaign.hpp"
 #include "service/service_engine.hpp"
 #include "util/cli_args.hpp"
@@ -522,8 +525,33 @@ TEST(CliProcess, DataFaultFlagValidationExitsTwo)
 
 TEST(CliProcess, TrdFourBuildsItsCostTables)
 {
-    EXPECT_EQ(cliExit("ops --trd 4"), 0);
     EXPECT_EQ(cliExit("serve --trd 4 --duration 2000"), 0);
+}
+
+TEST(CliProcess, OpsTracesEveryMeasuredOpAtEveryTrd)
+{
+    // One thread row per op `ops` prints: 7 where the max-arity add is
+    // the two-operand add (TRD 3 and 4), 8 otherwise.
+    for (std::size_t trd = DeviceParams::kMinPimTrd;
+         trd <= DeviceParams::kMaxPimTrd; ++trd) {
+        const std::string path =
+            "/tmp/cli_ops_trace_" + std::to_string(trd) + ".json";
+        ASSERT_EQ(cliExit("ops --trd " + std::to_string(trd) +
+                          " --bits 4 --metrics-json /tmp/cli_test_m.json"
+                          " --trace " + path),
+                  0)
+            << trd;
+        std::set<unsigned long> rows;
+        std::ifstream is(path);
+        for (std::string line; std::getline(is, line);)
+            if (line.find("\"ph\": \"X\"") != std::string::npos)
+                rows.insert(std::stoul(
+                    line.substr(line.find("\"tid\": ") + 7)));
+        const std::size_t want =
+            DeviceParams::withTrd(trd).maxAddOperands() == 2 ? 7 : 8;
+        ASSERT_EQ(rows.size(), want) << trd;
+        EXPECT_EQ(*rows.rbegin(), want - 1) << trd;
+    }
 }
 
 TEST(CliProcess, ServeAtTheLongestDurationEnds)
@@ -544,11 +572,7 @@ TEST(CliProcess, DataFaultCampaignRunsCleanWithValidFlags)
 
 TEST(CliProcess, ObservabilityFlagsAreAccepted)
 {
-    // The new flags parse (and write their files) on the fast paths.
-    EXPECT_EQ(cliExit("ops --trd 3 --bits 4 "
-                      "--metrics-json /tmp/cli_test_m.json "
-                      "--trace /tmp/cli_test_t.json"),
-              0);
+    // OpsTracesEveryMeasuredOpAtEveryTrd writes both files.
     EXPECT_EQ(cliExit("ops --metrics-json"), 2); // still needs a value
     EXPECT_EQ(cliExit("ops --trace"), 2);
 }

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "core/op_cost.hpp"
 #include "util/logging.hpp"
 
@@ -143,6 +147,45 @@ TEST(OpCost, PrimCountsBackTheComposites)
     // Bulk ops read all operands in ONE transverse read.
     EXPECT_EQ(c7.bulkBitwise(7).prims.trPulses, 1u);
     EXPECT_EQ(c7.bulkBitwise(2).prims.trPulses, 1u);
+}
+
+TEST(OpCost, TracingChangesNoCost)
+{
+    // A trace only records spans: at every PIM TRD each op costs the
+    // same with one attached, and each measurement gets its own thread
+    // row in call order.
+    for (std::size_t trd = DeviceParams::kMinPimTrd;
+         trd <= DeviceParams::kMaxPimTrd; ++trd) {
+        SCOPED_TRACE(trd);
+        CoruscantCostModel plain(trd), traced(trd);
+        obs::TraceSink sink;
+        sink.enable();
+        traced.attachTrace(&sink);
+        auto every_op = [&](const CoruscantCostModel &c) {
+            return std::vector<OpCost>{
+                c.add(c.maxAddOperands(), 8), c.multiply(8),
+                c.multiply(8, MulStrategy::Arbitrary),
+                c.multiplyByConstant(8, 20061), c.bulkBitwise(trd),
+                c.reduce(), c.reduceAndSum(30, 16), c.max(trd, 8, true),
+                c.max(trd, 8, false), c.nmrVote(3)};
+        };
+        const std::vector<OpCost> want = every_op(plain);
+        const std::vector<OpCost> got = every_op(traced);
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(got[i].cycles, want[i].cycles) << i;
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].energyPj),
+                      std::bit_cast<std::uint64_t>(want[i].energyPj))
+                << i;
+            EXPECT_EQ(got[i].prims, want[i].prims) << i;
+        }
+        std::uint32_t row = 0;
+        for (const obs::TraceEvent &e : sink.buffered()) {
+            EXPECT_EQ(e.pid, 0u);
+            EXPECT_TRUE(e.tid == row || e.tid == row + 1) << e.name;
+            row = e.tid;
+        }
+        EXPECT_EQ(row + 1, want.size());
+    }
 }
 
 } // namespace

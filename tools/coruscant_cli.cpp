@@ -96,6 +96,14 @@ cmdOps(const Invocation &in)
     obs::MetricsRegistry reg;
     if (out.metricsJson)
         cost.attachMetrics(&reg); // record primitives per measured op
+    obs::TraceSink trace;
+    if (out.trace) {
+        // Each measured op's span tree on its own thread row (cycles
+        // rendered as microseconds).
+        trace.enable();
+        trace.processName(0, "coruscant ops");
+        cost.attachTrace(&trace);
+    }
     std::printf("CORUSCANT operation costs (TRD=%zu, %zu-bit):\n", trd,
                 bits);
     auto p = [&](const std::string &name, OpCost c) {
@@ -117,34 +125,6 @@ cmdOps(const Invocation &in)
       cost.reduce());
     p("max (TRD candidates)", cost.max(trd, bits));
     p("NMR vote (N=3)", cost.nmrVote(3));
-
-    obs::TraceSink trace;
-    if (out.trace) {
-        // Re-run the composite ops on instrumented units so the trace
-        // shows each op's span tree (cycles rendered as microseconds).
-        trace.enable();
-        trace.processName(0, "coruscant ops");
-        auto unit = [&](std::size_t wires, std::uint32_t tid) {
-            DeviceParams dp = dev;
-            dp.wiresPerDbc = wires;
-            CoruscantUnit u(dp);
-            u.attachTrace(&trace, 0, tid);
-            return u;
-        };
-        CoruscantUnit add_unit = unit(bits, 0);
-        std::vector<BitVector> ops2(2, BitVector(bits, true));
-        add_unit.add(ops2, bits, bits);
-
-        CoruscantUnit mul_unit = unit(2 * bits, 1);
-        BitVector a = BitVector::fromUint64(2 * bits, (1ULL << bits) - 1);
-        mul_unit.multiply(a, a, bits);
-
-        CoruscantUnit row_unit = unit(512, 2);
-        std::vector<BitVector> rows(trd, BitVector(512, true));
-        row_unit.bulkBitwise(BulkOp::And, rows);
-        row_unit.reduce(rows, 512);
-        row_unit.nmrVote({rows[0], rows[1], rows[2]});
-    }
     return out.write(reg, trace) ? 0 : 1;
 }
 
