@@ -136,20 +136,18 @@ MemoryController::executeGuarded(const CpimInstruction &inst)
 
     ++executed;
     std::uint64_t cycles_before = mem.ledger().cycles();
+    const MemoryEvents start = mem.events();
     ExecReport report;
     bool corrected = false;
     bool uncorrectable = false;
-    bool spares_exhausted = false;
     if (mem.config().reliability.guardPolicy != GuardPolicy::PerCpim) {
         // Per-access and scrub policies run inside the memory itself;
         // an unguarded memory executes single-shot.  Surface any event
         // the memory hit during this instruction.
-        MemoryEvents before = mem.events();
         report.result = computeOnce(inst, src, dst);
-        MemoryEvents seen = mem.events().since(before);
+        MemoryEvents seen = mem.events().since(start);
         corrected = seen.fixed();
         uncorrectable = seen.flagged();
-        spares_exhausted = seen.retireFailures > 0;
     } else {
         // Guard-check (and correct) both clusters; the events of the
         // two checks.
@@ -165,7 +163,6 @@ MemoryController::executeGuarded(const CpimInstruction &inst)
         MemoryEvents pre = check_both();
         corrected = pre.correctedMisalignments > 0;
         uncorrectable = pre.uncorrectable > 0;
-        spares_exhausted = pre.retireFailures > 0;
 
         // Rungs 2-3: execute, then re-check; a fault that struck
         // between the pre-check and the post-check may have corrupted
@@ -179,10 +176,6 @@ MemoryController::executeGuarded(const CpimInstruction &inst)
                 MemoryEvents run = mem.events().since(before);
                 MemoryEvents post = check_both();
                 uncorrectable |= post.uncorrectable > 0;
-                // Only the checks' refused retirements count; one an
-                // ECC DUE asked for during `run` does not, unlike in
-                // the branch above.
-                spares_exhausted |= post.retireFailures > 0;
                 if (uncorrectable)
                     return false;
                 // An ECC DUE during this attempt means an operand or
@@ -211,8 +204,9 @@ MemoryController::executeGuarded(const CpimInstruction &inst)
     // the result is untrusted.  When the escalation itself failed for
     // capacity (no spare to retire onto), report the typed capacity
     // error so callers shed load instead of hammering a cluster that
-    // can never be replaced.
-    if (spares_exhausted) {
+    // can never be replaced.  Any retirement the instruction asked for
+    // counts, whether a guard check or an ECC DUE asked for it.
+    if (mem.events().since(start).retireFailures > 0) {
         report.outcome = ExecOutcome::SparesExhausted;
         ++spareExhaustedCount;
     } else if (uncorrectable) {

@@ -305,6 +305,44 @@ TEST(FaultPipeline, SpareExhaustionIsATypedControllerOutcome)
         EXPECT_EQ(got.sliceUint64(l * 8, 8), golden[l]) << "lane " << l;
 }
 
+TEST(FaultPipeline, EccRefusedRetirementIsSparesExhaustedUnderEveryPolicy)
+{
+    // A SECDED DUE during the operand reads asks to retire its DBC
+    // (threshold 1), but the pool is empty.  Under either policy, and
+    // whether a guard check or an ECC DUE asked for it, an instruction
+    // that saw a refused retirement reports the typed capacity error.
+    for (GuardPolicy policy : {GuardPolicy::PerCpim, GuardPolicy::PerAccess}) {
+        SCOPED_TRACE(guardPolicyName(policy));
+        MemoryConfig cfg = smallConfig(policy);
+        cfg.reliability.eccMode = EccMode::Secded;
+        cfg.reliability.dataFaultRate = 3e-2;
+        cfg.reliability.retireThreshold = 1;
+        cfg.reliability.spareDbcs = 0;
+        DwmMainMemory mem(cfg);
+        MemoryController ctrl(mem);
+        Rng rng(7);
+        CpimInstruction inst;
+        inst.op = CpimOp::Add;
+        inst.src = 0;
+        inst.dst = ctrl.operandAddress(0, 4);
+        inst.operands = 3;
+        inst.blockSize = 8;
+        std::uint64_t refused = 0;
+        for (int i = 0; i < 200; ++i) {
+            stageOperands(mem, 0, 3, 8, rng);
+            const std::uint64_t failures = mem.retirementFailures();
+            ExecReport rep = ctrl.executeGuarded(inst);
+            const bool was_refused = mem.retirementFailures() > failures;
+            refused += was_refused;
+            EXPECT_EQ(rep.outcome == ExecOutcome::SparesExhausted,
+                      was_refused)
+                << "instruction " << i;
+        }
+        EXPECT_GT(refused, 100u);
+        EXPECT_EQ(ctrl.spareExhaustedInstructions(), refused);
+    }
+}
+
 TEST(FaultPipeline, RetryBackoffIsChargedExponentially)
 {
     MemoryConfig cfg = smallConfig(GuardPolicy::PerCpim);
