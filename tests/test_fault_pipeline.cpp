@@ -574,7 +574,7 @@ const CampaignGolden kCampaignGoldens[] = {
          c.ecc = EccMode::Secded;
          c.retireThreshold = 2;
      },
-     "1000 291 426 225 58 112 4228 128 64 0 946 1202 110",
+     "1000 291 424 227 58 112 4228 128 64 0 946 1202 110",
      0x034d686d4080d061ull},
 };
 
