@@ -245,11 +245,12 @@ TEST(CliArgs, HelpPrintsEachDefaultFromItsField)
 
 #ifdef CORUSCANT_CLI_PATH
 
-/** Exit code of @p program run with @p args. */
+/** Exit code of @p program run with @p args; 124 if it hangs 10 s. */
 int
 exitOf(const std::string &program, const std::string &args)
 {
-    std::string cmd = program + " " + args + " >/dev/null 2>&1";
+    std::string cmd =
+        "timeout 10 " + program + " " + args + " >/dev/null 2>&1";
     int status = std::system(cmd.c_str());
     return WEXITSTATUS(status);
 }
@@ -396,6 +397,7 @@ TEST(CliProcess, UsageErrorsExitTwo)
     EXPECT_EQ(cliExit(""), 2);                    // no command
     EXPECT_EQ(cliExit("frobnicate"), 2);          // unknown command
     EXPECT_EQ(cliExit("ops --bogus 3"), 2);       // unknown option
+    EXPECT_EQ(cliExit("serve --bogus 1"), 2);
     EXPECT_EQ(cliExit("ops --trd"), 2);           // missing value
     EXPECT_EQ(cliExit("ops --trd seven"), 2);     // malformed number
     EXPECT_EQ(cliExit("reliability --pfault x"), 2);
