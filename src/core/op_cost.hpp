@@ -13,8 +13,9 @@
  * span tree.
  *
  * Every query is a fresh measurement: the op runs once on a new
- * CoruscantUnit with real BitVector data, so the model holds nothing
- * but its TRD.  A caller that needs a cost more than once keeps the
+ * CoruscantUnit with real BitVector data (all-ones operands; cycle
+ * counts do not depend on the data), so the model holds nothing but
+ * its TRD and its optional sinks.  A caller that needs a cost more than once keeps the
  * OpCost it got.  Each measurement also captures the device-primitive
  * counts behind the composite, so downstream layers can attribute
  * shift/TR/TW activity without re-running the simulation.
