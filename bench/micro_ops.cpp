@@ -77,6 +77,31 @@ BM_TransverseReadPlanes(benchmark::State &state)
 }
 BENCHMARK(BM_TransverseReadPlanes)->Arg(7)->Arg(32);
 
+/**
+ * The window count of one Fig. 12 step: a subarray-wide cluster (16
+ * PIM DBCs, 8192 wires) at TRD 7, counted into planes the caller
+ * keeps, as CoruscantUnit's TRs are.  Items are wires.
+ */
+void
+BM_TransverseReadPlanesWide(benchmark::State &state)
+{
+    constexpr std::size_t wires = 8192;
+    DomainBlockCluster dbc(
+        params(static_cast<std::size_t>(state.range(0)), wires));
+    Rng rng(9);
+    for (std::size_t r = 0; r < dbc.rows(); ++r)
+        dbc.pokeRow(r, randomRow(rng, wires));
+    CountPlanes planes(wires, {});
+    for (auto _ : state) {
+        dbc.transverseReadPlanes(planes);
+        benchmark::DoNotOptimize(planes.planeWords(0).data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(wires));
+}
+BENCHMARK(BM_TransverseReadPlanesWide)->Arg(7);
+
 void
 BM_BulkAnd7(benchmark::State &state)
 {
@@ -309,8 +334,9 @@ BM_NmrVote(benchmark::State &state)
 BENCHMARK(BM_NmrVote)->Arg(3)->Arg(5)->Arg(7);
 
 /**
- * Population count of a random row: a 512-wire DBC row and a 65 536-bit
- * DRAM row, the two chunk widths of the Fig. 12 query.  Items are bits.
+ * Population count of a random row: a 512-wire DBC row, an 8192-bit
+ * subarray step and a 65 536-bit DRAM row, the widths the Fig. 12
+ * query counts.  Items are bits.
  */
 void
 BM_Popcount(benchmark::State &state)
@@ -323,7 +349,7 @@ BM_Popcount(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(bits));
 }
-BENCHMARK(BM_Popcount)->Arg(512)->Arg(65536);
+BENCHMARK(BM_Popcount)->Arg(512)->Arg(8192)->Arg(65536);
 
 /**
  * Fig. 12's CORUSCANT query at w = 4 over 64 Ki users: 128 chunks of
@@ -342,6 +368,25 @@ BM_BitmapChunkQuery(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * (users / 512));
 }
 BENCHMARK(BM_BitmapChunkQuery);
+
+/**
+ * Fig. 12's CPU query over 1 Mi users at w: the male bitmap and w
+ * weekly bitmaps ANDed and counted in one pass (goldenCount).  Items
+ * are bits read.
+ */
+void
+BM_BitmapGoldenCount(benchmark::State &state)
+{
+    constexpr std::size_t users = 1 << 20;
+    const auto weeks = static_cast<std::size_t>(state.range(0));
+    const BitmapDatabase db = BitmapDatabase::synthesize(users, weeks);
+    const BitmapQueryEngine eng(db);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(eng.goldenCount(weeks));
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(users * (weeks + 1)));
+}
+BENCHMARK(BM_BitmapGoldenCount)->Arg(4);
 
 /**
  * Fig. 12's ELP2IM chunk step: one five-operand AND over 65 536-bit

@@ -81,11 +81,26 @@ BitmapQueryEngine::operands(std::size_t weeks) const
 std::uint64_t
 BitmapQueryEngine::goldenCount(std::size_t weeks) const
 {
-    auto ops = operands(weeks);
-    BitVector acc = *ops[0];
-    for (std::size_t i = 1; i < ops.size(); ++i)
-        acc &= *ops[i];
-    return acc.popcount();
+    const auto ops = operands(weeks);
+    // One pass over the bitmaps: each block of words is ANDed across
+    // the operands into a buffer that stays in cache, then counted.
+    // The block is a whole number of carry-save blocks.
+    constexpr std::size_t block = 256;
+    std::uint64_t buf[block] = {};
+    const std::size_t n_words = ops[0]->numWords();
+    std::uint64_t matches = 0;
+    for (std::size_t lo = 0; lo < n_words; lo += block) {
+        const std::size_t len = std::min(block, n_words - lo);
+        const WordSpan first = ops[0]->words().subspan(lo, len);
+        std::copy(first.begin(), first.end(), buf);
+        for (std::size_t i = 1; i < ops.size(); ++i) {
+            const WordSpan src = ops[i]->words().subspan(lo, len);
+            for (std::size_t j = 0; j < len; ++j)
+                buf[j] &= src[j];
+        }
+        matches += popcountWords({buf, len});
+    }
+    return matches;
 }
 
 BitmapQueryResult
@@ -103,31 +118,20 @@ BitmapQueryEngine::runCpuDram(std::size_t weeks) const
 namespace {
 
 /**
- * Load into each of @p rows the chunk of its operand in @p ops that
- * starts at bit @p lo, a multiple of 64, by whole words.  Words past
- * the bitmap's end are zeroed; a partial last word needs no mask,
- * since a BitVector keeps the bits past its size zero.
+ * Survivors among the first @p width bits of a step's @p result: the
+ * whole words, then the live bits of a partial last one.
  */
-void
-loadChunk(std::vector<BitVector> &rows,
-          const std::vector<const BitVector *> &ops, std::size_t lo)
-{
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-        // The span by value, so the copy is a plain word loop.
-        const WordSpan src = ops[i]->words().subspan(lo / 64);
-        const std::size_t live = src.size();
-        rows[i].setWords([src, live](std::size_t j) {
-            return j < live ? src[j] : 0;
-        });
-    }
-}
-
-/** Survivors among the first @p width bits of a chunk's @p result. */
 std::uint64_t
 survivors(const BitVector &result, std::size_t width)
 {
-    return width == result.size() ? result.popcount()
-                                  : result.slice(0, width).popcount();
+    const WordSpan words = result.words();
+    std::uint64_t n = popcountWords(words.first(width / 64));
+    if (width % 64 != 0) {
+        const std::uint64_t tail =
+            words[width / 64] & ((std::uint64_t{1} << (width % 64)) - 1);
+        n += popcountWords({&tail, 1});
+    }
+    return n;
 }
 
 /** Run a DRAM PIM unit over all row-sized chunks of the query. */
@@ -138,15 +142,19 @@ runDramPim(DramPimUnit &unit, const std::string &name,
     std::size_t chunks = (users + dramRowBits - 1) / dramRowBits;
     std::uint64_t matches = 0;
     std::uint64_t chunk_cycles = 0;
-    std::vector<BitVector> rows(ops.size(), BitVector(dramRowBits));
+    // Each chunk is folded straight from the bitmaps' words into one
+    // accumulator row; the unit zero-extends the last, shorter chunk.
+    std::vector<WordSpan> chunk(ops.size());
+    BitVector acc(dramRowBits);
     for (std::size_t c = 0; c < chunks; ++c) {
         std::size_t lo = c * dramRowBits;
         std::size_t width = std::min(dramRowBits, users - lo);
-        loadChunk(rows, ops, lo);
+        for (std::size_t i = 0; i < ops.size(); ++i)
+            chunk[i] = ops[i]->words().subspan(lo / 64);
         unit.resetCosts();
-        BitVector result = unit.bulkMulti(BulkOp::And, rows);
+        unit.bulkMulti(BulkOp::And, chunk, acc);
         chunk_cycles = unit.ledger().cycles(); // identical per chunk
-        matches += survivors(result, width);
+        matches += survivors(acc, width);
     }
     // Chunk groups are colocated per subarray and the identical
     // command sequence is broadcast: chunks execute concurrently, one
@@ -194,13 +202,15 @@ BitmapQueryEngine::runCoruscant(std::size_t weeks,
     CoruscantUnit unit(dev);
 
     std::uint64_t matches = 0;
-    // Each step is staged straight from the bitmaps' words.
+    // Each step is staged straight from the bitmaps' words, and its
+    // result lands in one row kept across the steps.
     std::vector<WordSpan> step(ops.size());
+    BitVector result(subarray_bits);
     for (std::size_t lo = 0; lo < db.users; lo += subarray_bits) {
         std::size_t width = std::min(subarray_bits, db.users - lo);
         for (std::size_t i = 0; i < ops.size(); ++i)
             step[i] = ops[i]->words().subspan(lo / 64);
-        BitVector result = unit.bulkBitwise(BulkOp::And, step);
+        unit.bulkBitwise(BulkOp::And, step, result);
         matches += survivors(result, width);
     }
     // The cycles stay a closed form over 512-bit chunks.  The bitmaps

@@ -61,7 +61,10 @@ class BitmapQueryEngine
         : db(db)
     {}
 
-    /** Golden answer (plain CPU evaluation). */
+    /**
+     * Golden answer (plain CPU evaluation): one pass that ANDs the
+     * bitmaps a block of words at a time and counts each block.
+     */
     std::uint64_t goldenCount(std::size_t weeks) const;
 
     /** CPU + DRAM: stream every bitmap over the bus. */

@@ -73,14 +73,52 @@ BitVector
 DramPimUnit::bulkMulti(BulkOp op, const std::vector<BitVector> &ops)
 {
     fatalIf(ops.empty(), "bulk op needs at least one operand");
-    if (ops.size() == 1) {
-        if (op == BulkOp::Not || op == BulkOp::Nand ||
-            op == BulkOp::Nor || op == BulkOp::Xnor) {
-            return bulkNot(ops[0]);
-        }
-        return ops[0];
+    std::vector<WordSpan> words;
+    words.reserve(ops.size());
+    for (const BitVector &row : ops) {
+        fatalIf(row.size() != rowBits, "row width mismatch");
+        words.push_back(row.words());
     }
-    // Compose with the non-inverting op, inverting once at the end.
+    // The accumulator starts as a copy of the first row, which the
+    // fold then takes in place.
+    BitVector acc = ops.front();
+    words.front() = acc.words();
+    bulkMulti(op, words, acc);
+    return acc;
+}
+
+namespace {
+
+/**
+ * @p acc's words, each combined by @p f with the same word of @p src
+ * (zero past its end).  A span that covers the row takes the loop
+ * without the bound check.
+ */
+template <typename F>
+void
+foldWords(BitVector &acc, WordSpan src, F f)
+{
+    const std::size_t live = src.size();
+    if (live >= acc.numWords())
+        acc.updateWords([src, f](std::uint64_t a, std::size_t j) {
+            return f(a, src[j]);
+        });
+    else
+        acc.updateWords([src, live, f](std::uint64_t a, std::size_t j) {
+            return f(a, j < live ? src[j] : 0);
+        });
+}
+
+} // namespace
+
+void
+DramPimUnit::bulkMulti(BulkOp op, std::span<const WordSpan> ops,
+                       BitVector &acc)
+{
+    fatalIf(ops.empty(), "bulk op needs at least one operand");
+    fatalIf(acc.size() != rowBits, "row width mismatch");
+    // Compose with the non-inverting op, inverting once at the end; a
+    // lone operand is inverted by every inverting op, NOT included.
     BulkOp inner = op;
     bool invert = false;
     switch (op) {
@@ -96,15 +134,43 @@ DramPimUnit::bulkMulti(BulkOp op, const std::vector<BitVector> &ops)
         inner = BulkOp::Xor;
         invert = true;
         break;
+      case BulkOp::Not:
+        invert = true;
+        break;
       default:
         break;
     }
-    BitVector acc = ops[0];
-    for (std::size_t i = 1; i < ops.size(); ++i)
-        fold(inner, acc, ops[i]);
+    if (ops.size() > 1) {
+        fatalIf(inner == BulkOp::Not || inner == BulkOp::Maj,
+                "a DRAM step has no two-operand ", bulkOpName(inner));
+        for (std::size_t i = 1; i < ops.size(); ++i)
+            charge(prices.count(inner));
+    }
     if (invert)
-        acc = bulkNot(acc);
-    return acc;
+        charge(prices.count(BulkOp::Not));
+
+    acc.assignWords(ops[0]);
+    for (const WordSpan &src : ops.subspan(1)) {
+        switch (inner) {
+          case BulkOp::And:
+            foldWords(acc, src, [](std::uint64_t a, std::uint64_t b) {
+                return a & b;
+            });
+            break;
+          case BulkOp::Or:
+            foldWords(acc, src, [](std::uint64_t a, std::uint64_t b) {
+                return a | b;
+            });
+            break;
+          default: // Xor
+            foldWords(acc, src, [](std::uint64_t a, std::uint64_t b) {
+                return a ^ b;
+            });
+            break;
+        }
+    }
+    if (invert)
+        acc.updateWords([](std::uint64_t a, std::size_t) { return ~a; });
 }
 
 // ---------------------------------------------------------------------

@@ -24,6 +24,7 @@
 #define CORUSCANT_BASELINES_DRAM_PIM_HPP
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/pim_logic.hpp"
@@ -62,9 +63,23 @@ class DramPimUnit
     /**
      * Multi-operand operation composed from two-operand steps (these
      * designs have no multi-operand primitive), folded into one
-     * accumulator.
+     * accumulator; the bulkMulti() below over the rows of @p ops,
+     * each row_bits wide.
      */
     BitVector bulkMulti(BulkOp op, const std::vector<BitVector> &ops);
+
+    /**
+     * bulkMulti() into @p acc, a row of row_bits that the caller keeps,
+     * over operand rows given by their words: row i takes the first
+     * words of @p ops[i], zeros past the end of a shorter span (words
+     * and bits past row_bits are dropped).  The ledger gets the charges
+     * of the two-operand folds, in their order, and then the closing
+     * NOT of an inverting op.  Each operand word is read once: the
+     * first row is copied into @p acc (or taken in place, if it is
+     * @p acc's own words) and each other one folded into it from its
+     * span.
+     */
+    void bulkMulti(BulkOp op, std::span<const WordSpan> ops, BitVector &acc);
 
     const CostLedger &ledger() const { return costs; }
     void resetCosts() { costs.reset(); }

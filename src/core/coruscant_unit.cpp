@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 
 #include "util/logging.hpp"
 
@@ -53,7 +54,9 @@ CoruscantUnit::CoruscantUnit(const DeviceParams &params,
                              double fault_probability, std::uint64_t seed)
     : dev(params),
       trPjPerWire(dev.trEnergyPj(dev.trd) + dev.pimLogicEnergyPj),
-      dbc(params), faults(fault_probability, seed)
+      dbc(params),
+      windowPlanes(params.wiresPerDbc, {}, std::bit_width(params.trd)),
+      faults(fault_probability, seed)
 {
     dev.validate();
     DeviceParams::checkPimTrd(dev.trd);
@@ -210,6 +213,16 @@ CoruscantUnit::bulkBitwise(BulkOp op, std::span<const WordSpan> operands,
                            std::size_t active_wires, bool write_back,
                            bool use_tw)
 {
+    BitVector result(dev.wiresPerDbc);
+    bulkBitwise(op, operands, result, active_wires, write_back, use_tw);
+    return result;
+}
+
+void
+CoruscantUnit::bulkBitwise(BulkOp op, std::span<const WordSpan> operands,
+                           BitVector &result, std::size_t active_wires,
+                           bool write_back, bool use_tw)
+{
     OpSpan span(*this, "bulk_bitwise");
     std::size_t act = resolveActive(active_wires);
     std::size_t m = operands.size();
@@ -219,6 +232,8 @@ CoruscantUnit::bulkBitwise(BulkOp op, std::span<const WordSpan> operands,
     fatalIf(op == BulkOp::Not && m != 1, "NOT takes exactly one operand");
     fatalIf(op == BulkOp::Maj && m != dev.trd,
             "MAJ is the full-window majority; use nmrVote for voting");
+    fatalIf(result.size() != dev.wiresPerDbc, "result row width ",
+            result.size(), " != DBC width ", dev.wiresPerDbc);
 
     // Padding identity: '1' rows for AND/NAND, '0' rows otherwise
     // (paper Fig. 7(a)/(b)).
@@ -235,15 +250,14 @@ CoruscantUnit::bulkBitwise(BulkOp op, std::span<const WordSpan> operands,
     // orange direct path, for OR) selects the output.  The effective
     // window for AND is the operand count plus the '1' padding, i.e.
     // all TRD domains must read '1'.
-    BitVector result =
-        bulkOpRow(op, dbc.transverseReadPlanes(&faults), dev.trd);
+    dbc.transverseReadPlanes(windowPlanes, &faults);
+    bulkOpRow(op, windowPlanes, dev.trd, result);
     chargeTrAll(act);
 
     if (write_back) {
         dbc.writeRowAtPort(Port::Left, result);
         chargeRowWrite(act);
     }
-    return result;
 }
 
 BitVector

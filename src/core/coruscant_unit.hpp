@@ -159,6 +159,17 @@ class CoruscantUnit
                           std::size_t active_wires = 0,
                           bool write_back = false, bool use_tw = false);
 
+    /**
+     * bulkBitwise() into @p result, a row of width() bits that the
+     * caller keeps.  The window is staged in place, the TR counts
+     * into the unit's kept planes and the PIM block decodes into
+     * @p result, so with no faults to sense the step allocates
+     * nothing.
+     */
+    void bulkBitwise(BulkOp op, std::span<const WordSpan> operands,
+                     BitVector &result, std::size_t active_wires = 0,
+                     bool write_back = false, bool use_tw = false);
+
     // ------------------------------------------------------------------
     // Multi-operand addition (Sec. III-C)
     // ------------------------------------------------------------------
@@ -390,6 +401,11 @@ class CoruscantUnit
     /** TR plus PIM block energy per wire, as chargeTrAll() books it. */
     double trPjPerWire;
     DomainBlockCluster dbc;
+    /**
+     * The count planes of the unit's row-wide TRs, sized for the TR
+     * window at construction and recounted in place at every TR.
+     */
+    CountPlanes windowPlanes;
     TrFaultModel faults;
     CostLedger costs;
     obs::ComponentMetrics *metrics = nullptr; ///< non-owning, optional

@@ -20,20 +20,34 @@ bulkOpName(BulkOp op)
     return "?";
 }
 
-BitVector
-bulkOpRow(BulkOp op, const CountPlanes &counts, std::size_t window)
+void
+bulkOpRow(BulkOp op, const CountPlanes &counts, std::size_t window,
+          BitVector &out)
 {
     switch (op) {
-      case BulkOp::And: return counts.atLeast(window);
-      case BulkOp::Nand: return ~counts.atLeast(window);
-      case BulkOp::Or: return counts.atLeast(1);
-      case BulkOp::Nor: return ~counts.atLeast(1);
-      case BulkOp::Xor: return counts.plane(0);
-      case BulkOp::Xnor: return ~counts.plane(0);
-      case BulkOp::Not: return ~counts.atLeast(1);
-      case BulkOp::Maj: return counts.plane(2);
+      case BulkOp::And:
+      case BulkOp::Nand:
+        counts.atLeast(window, out);
+        break;
+      case BulkOp::Or:
+      case BulkOp::Nor:
+      case BulkOp::Not:
+        counts.atLeast(1, out);
+        break;
+      case BulkOp::Xor:
+      case BulkOp::Xnor:
+        counts.plane(0, out);
+        break;
+      case BulkOp::Maj:
+        counts.plane(2, out);
+        break;
+      default:
+        panic("unknown bulk op");
     }
-    panic("unknown bulk op");
+    // The inverting ops: NOT the row, in place.
+    if (op == BulkOp::Nand || op == BulkOp::Nor || op == BulkOp::Xnor ||
+        op == BulkOp::Not)
+        out.updateWords([](std::uint64_t w, std::size_t) { return ~w; });
 }
 
 } // namespace coruscant

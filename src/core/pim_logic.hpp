@@ -39,11 +39,13 @@ enum class BulkOp { And, Nand, Or, Nor, Xor, Xnor, Not, Maj };
 const char *bulkOpName(BulkOp op);
 
 /**
- * The bulk-bitwise result of @p op on every wire of a row-wide
- * transverse read over a @p window-domain TR.
+ * Into @p out, a row of the counter's width, the bulk-bitwise result
+ * of @p op on every wire of a row-wide transverse read over a
+ * @p window-domain TR.  The row is overwritten in place, so a kept
+ * row allocates nothing.
  */
-BitVector bulkOpRow(BulkOp op, const CountPlanes &counts,
-                    std::size_t window);
+void bulkOpRow(BulkOp op, const CountPlanes &counts, std::size_t window,
+               BitVector &out);
 
 } // namespace coruscant
 

@@ -109,7 +109,8 @@ CoruscantUnit::reduce(const std::vector<BitVector> &rows,
     fatalIf(block_size == 0, "block size must be positive");
     std::size_t ws = stageWindow(rows, false, 0);
 
-    CountPlanes counts = dbc.transverseReadPlanes(&faults);
+    dbc.transverseReadPlanes(windowPlanes, &faults);
+    const CountPlanes &counts = windowPlanes;
     chargeTrAll(act);
 
     // Weight-2 carries land one wire up, weight-4 two wires up;

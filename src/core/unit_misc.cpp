@@ -103,8 +103,8 @@ CoruscantUnit::maxOfRows(const std::vector<BitVector> &candidates,
     // Survivors all equal the maximum (or everything is zero); a final
     // TR reads the max out as the per-wire OR, regardless of which
     // slot holds it.
-    BitVector result =
-        firstWires(dbc.transverseReadPlanes(&faults).atLeast(1), act);
+    dbc.transverseReadPlanes(windowPlanes, &faults);
+    BitVector result = firstWires(windowPlanes.atLeast(1), act);
     chargeTrAll(act);
     chargeRowRead(act);
     return result;
@@ -156,8 +156,8 @@ CoruscantUnit::nmrVote(const std::vector<BitVector> &replicas,
     // Replicas are outputs of prior PIM steps already resident in the
     // DBC; cost is one alignment shift, the TR, and the result write.
     chargeShifts(1, act);
-    BitVector result = firstWires(
-        dbc.transverseReadPlanes(&faults).atLeast(threshold), act);
+    dbc.transverseReadPlanes(windowPlanes, &faults);
+    BitVector result = firstWires(windowPlanes.atLeast(threshold), act);
     chargeTrAll(act);
     dbc.writeRowAtPort(Port::Left, result);
     chargeRowWrite(act);

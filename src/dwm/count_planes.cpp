@@ -14,39 +14,66 @@ namespace coruscant {
 namespace {
 
 /**
+ * Add @p carry, of weight 2^K, into planes K.. of one word: a
+ * half-adder chain.  A carry out of the top plane is dropped.
+ */
+template <std::size_t P, std::size_t K>
+inline void
+rippleUp(std::uint64_t (&p)[P], std::uint64_t carry)
+{
+    for (std::size_t k = K; k < P; ++k) {
+        const std::uint64_t next = p[k] & carry;
+        p[k] ^= carry;
+        carry = next;
+    }
+}
+
+/**
  * Count words [@p j, @p j + B) of @p rows into the @p P planes of
  * @p n_words words at @p planes, starting from the same words of
- * @p base (zero when FromBase is false): the block's planes stay in
- * registers while every row's words are added, then are stored once.
- * The B half-adder chains are independent, so the compiler runs them
- * side by side in vector registers.
+ * @p base (from the first row, or zero, when FromBase is false): the
+ * block's planes stay in registers while every row's words are
+ * added, then are stored once.  Rows go in two at a time: a full
+ * adder sums them with plane 0 and its one carry ripples up through
+ * the higher planes, five operations plus the ripple where two
+ * half-adder chains took ten.  The B words are independent, so the
+ * compiler runs them side by side.
  */
 template <std::size_t P, std::size_t B, bool FromBase>
 void
-rippleBlock(std::uint64_t *planes, const std::uint64_t *base,
-            std::size_t n_words, std::size_t j,
-            std::span<const BitVector *const> rows)
+countBlock(std::uint64_t *planes, const std::uint64_t *base,
+           std::size_t n_words, std::size_t j,
+           std::span<const BitVector *const> rows)
 {
-    std::uint64_t p[P][B] = {};
-    if constexpr (FromBase)
-        for (std::size_t k = 0; k < P; ++k)
-            for (std::size_t b = 0; b < B; ++b)
-                p[k][b] = base[k * n_words + j + b];
-    for (const BitVector *row : rows) {
+    std::uint64_t p[B][P] = {};
+    const std::size_t n = rows.size();
+    std::size_t i = 0;
+    if constexpr (FromBase) {
+        for (std::size_t b = 0; b < B; ++b)
+            for (std::size_t k = 0; k < P; ++k)
+                p[b][k] = base[k * n_words + j + b];
+    } else if (n > 0) {
+        for (std::size_t b = 0; b < B; ++b)
+            p[b][0] = rows[0]->word(j + b);
+        i = 1;
+    }
+    for (; i + 2 <= n; i += 2) {
+        const BitVector &x = *rows[i];
+        const BitVector &y = *rows[i + 1];
         for (std::size_t b = 0; b < B; ++b) {
-            // Half-adder chain; no carry leaves the top plane because
-            // no count can exceed 2^P - 1.
-            std::uint64_t carry = row->word(j + b);
-            for (std::size_t k = 0; k < P; ++k) {
-                const std::uint64_t next = p[k][b] & carry;
-                p[k][b] ^= carry;
-                carry = next;
-            }
+            const std::uint64_t u = p[b][0] ^ x.word(j + b);
+            const std::uint64_t carry =
+                (p[b][0] & x.word(j + b)) | (u & y.word(j + b));
+            p[b][0] = u ^ y.word(j + b);
+            rippleUp<P, 1>(p[b], carry);
         }
     }
+    if (i < n)
+        for (std::size_t b = 0; b < B; ++b)
+            rippleUp<P, 0>(p[b], rows[i]->word(j + b));
     for (std::size_t k = 0; k < P; ++k)
         for (std::size_t b = 0; b < B; ++b)
-            planes[k * n_words + j + b] = p[k][b];
+            planes[k * n_words + j + b] = p[b][k];
 }
 
 /**
@@ -56,15 +83,15 @@ rippleBlock(std::uint64_t *planes, const std::uint64_t *base,
  */
 template <std::size_t P, bool FromBase>
 void
-rippleRows(std::uint64_t *planes, const std::uint64_t *base,
-           std::size_t n_words, std::span<const BitVector *const> rows)
+countRows(std::uint64_t *planes, const std::uint64_t *base,
+          std::size_t n_words, std::span<const BitVector *const> rows)
 {
     constexpr std::size_t block = 4;
     std::size_t j = 0;
     for (; j + block <= n_words; j += block)
-        rippleBlock<P, block, FromBase>(planes, base, n_words, j, rows);
+        countBlock<P, block, FromBase>(planes, base, n_words, j, rows);
     for (; j < n_words; ++j)
-        rippleBlock<P, 1, FromBase>(planes, base, n_words, j, rows);
+        countBlock<P, 1, FromBase>(planes, base, n_words, j, rows);
 }
 
 /**
@@ -103,14 +130,14 @@ atLeastTable(std::index_sequence<P...>)
 }
 
 /**
- * rippleRows<P, FromBase> for every plane count up to CountPlanes'
+ * countRows<P, FromBase> for every plane count up to CountPlanes'
  * maximum.
  */
 template <bool FromBase, std::size_t... P>
 constexpr auto
-rippleTable(std::index_sequence<P...>)
+countTable(std::index_sequence<P...>)
 {
-    return std::array{&rippleRows<P + 1, FromBase>...};
+    return std::array{&countRows<P + 1, FromBase>...};
 }
 
 } // namespace
@@ -118,21 +145,29 @@ rippleTable(std::index_sequence<P...>)
 CountPlanes::CountPlanes(std::size_t width,
                          std::span<const BitVector *const> rows,
                          std::size_t planes)
-    : wires(width), numWords((width + 63) / 64),
-      numPlanes(std::max<std::size_t>(std::bit_width(rows.size()), planes))
+    : wires(width), numWords((width + 63) / 64), numPlanes(0)
 {
-    panicIf(numPlanes > maxPlanes, "a count of ", rows.size(),
-            " rows in ", numPlanes, " planes exceeds ", maxPlanes,
-            " planes");
+    recount(rows, planes);
+}
+
+void
+CountPlanes::recount(std::span<const BitVector *const> rows,
+                     std::size_t planes)
+{
+    const std::size_t n_planes =
+        std::max<std::size_t>(std::bit_width(rows.size()), planes);
+    panicIf(n_planes > maxPlanes, "a count of ", rows.size(), " rows in ",
+            n_planes, " planes exceeds ", maxPlanes, " planes");
     checkWidths(rows);
-    if (numPlanes * numWords > inlineWords)
+    numPlanes = n_planes;
+    if (onHeap() && heap.size() < numPlanes * numWords)
         heap.resize(numPlanes * numWords);
     // The plane count is a template argument, so the planes of a word
     // stay in registers.
-    static constexpr auto ripple =
-        rippleTable<false>(std::make_index_sequence<maxPlanes>());
+    static constexpr auto count =
+        countTable<false>(std::make_index_sequence<maxPlanes>());
     if (numPlanes > 0)
-        ripple[numPlanes - 1](bits(), nullptr, numWords, rows);
+        count[numPlanes - 1](bits(), nullptr, numWords, rows);
 }
 
 CountPlanes::CountPlanes(const CountPlanes &base,
@@ -140,20 +175,22 @@ CountPlanes::CountPlanes(const CountPlanes &base,
     : wires(base.wires), numWords(base.numWords), numPlanes(base.numPlanes)
 {
     checkWidths(rows);
-    if (!base.heap.empty())
-        heap.resize(base.heap.size());
-    static constexpr auto ripple =
-        rippleTable<true>(std::make_index_sequence<maxPlanes>());
+    if (onHeap())
+        heap.resize(numPlanes * numWords);
+    static constexpr auto count =
+        countTable<true>(std::make_index_sequence<maxPlanes>());
     if (numPlanes > 0)
-        ripple[numPlanes - 1](bits(), base.bits(), numWords, rows);
+        count[numPlanes - 1](bits(), base.bits(), numWords, rows);
 }
 
 CountPlanes::CountPlanes(const CountPlanes &o)
-    : wires(o.wires), numWords(o.numWords), numPlanes(o.numPlanes),
-      heap(o.heap)
+    : wires(o.wires), numWords(o.numWords), numPlanes(o.numPlanes)
 {
-    if (heap.empty())
-        std::copy_n(o.local, numPlanes * numWords, local);
+    const std::size_t n = numPlanes * numWords;
+    if (onHeap())
+        heap.assign(o.bits(), o.bits() + n);
+    else
+        std::copy_n(o.local, n, local);
 }
 
 void
@@ -162,6 +199,13 @@ CountPlanes::checkWidths(std::span<const BitVector *const> rows) const
     for (const BitVector *row : rows)
         panicIf(row->size() != wires, "counted row width ", row->size(),
                 " != ", wires);
+}
+
+void
+CountPlanes::checkOut(const BitVector &out) const
+{
+    panicIf(out.size() != wires, "decoded row width ", out.size(), " != ",
+            wires);
 }
 
 std::size_t
@@ -188,30 +232,25 @@ CountPlanes::setCount(std::size_t wire, std::size_t value)
     }
 }
 
-BitVector
-CountPlanes::plane(std::size_t k) const
+void
+CountPlanes::plane(std::size_t k, BitVector &out) const
 {
-    BitVector out(wires);
-    // The span by value: a word stored into `out` may alias this
-    // object's size_t members, so a bound read through `this` would
-    // be reloaded at every word.
-    const std::span<const std::uint64_t> src = planeWords(k);
-    if (!src.empty())
-        out.setWords([src](std::size_t j) { return src[j]; });
-    return out;
+    checkOut(out);
+    out.assignWords(planeWords(k)); // all zero past the top plane
 }
 
-BitVector
-CountPlanes::atLeast(std::size_t threshold) const
+void
+CountPlanes::atLeast(std::size_t threshold, BitVector &out) const
 {
-    BitVector out(wires);
-    if (static_cast<std::size_t>(std::bit_width(threshold)) > numPlanes)
-        return out; // beyond every representable count
-    // The plane count is a template argument, as in the ripple.
+    checkOut(out);
+    if (static_cast<std::size_t>(std::bit_width(threshold)) > numPlanes) {
+        out.fill(false); // beyond every representable count
+        return;
+    }
+    // The plane count is a template argument, as in the count.
     static constexpr auto compare =
         atLeastTable(std::make_index_sequence<maxPlanes + 1>());
     compare[numPlanes](bits(), numWords, threshold, out);
-    return out;
 }
 
 std::vector<std::uint8_t>

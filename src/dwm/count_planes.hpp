@@ -40,13 +40,24 @@ class CountPlanes
      * ceil(log2(rows.size() + 1)) planes, or @p planes if more (room
      * for the rows a summing constructor adds later); panics past
      * maxPlanes planes.  One word-major pass: for each block of four
-     * words (then each word left over), every row's words ripple into
+     * words (then each word left over), the rows' words are added into
      * the block's planes, held in registers, which are then stored
-     * once.  The rows are gathered by pointer, so the counted run need
-     * not be contiguous in memory.
+     * once.  Rows go in two at a time, through a full adder on plane 0
+     * whose carry ripples up the higher planes.  The rows are gathered
+     * by pointer, so the counted run need not be contiguous in memory.
      */
     CountPlanes(std::size_t width, std::span<const BitVector *const> rows,
                 std::size_t planes = 0);
+
+    /**
+     * Count again, in place: the planes become those of
+     * CountPlanes(width(), @p rows, @p planes).  The storage is kept
+     * from one count to the next and grows only past every earlier
+     * count, so a counter that is kept allocates nothing once it has
+     * held as many plane words.
+     */
+    void recount(std::span<const BitVector *const> rows,
+                 std::size_t planes = 0);
 
     /**
      * The counts of @p base plus the ones of @p rows, in as many
@@ -72,7 +83,16 @@ class CountPlanes
     void setCount(std::size_t wire, std::size_t value);
 
     /** Plane @p k (bit k of every count); zero past the top plane. */
-    BitVector plane(std::size_t k) const;
+    BitVector
+    plane(std::size_t k) const
+    {
+        BitVector out(wires);
+        plane(k, out);
+        return out;
+    }
+
+    /** plane(@p k) into @p out, a row of width() bits; panics otherwise. */
+    void plane(std::size_t k, BitVector &out) const;
 
     /**
      * The words of plane @p k, in BitVector word layout; empty past
@@ -91,7 +111,19 @@ class CountPlanes
      * per word against the threshold's bits, the plane count a
      * template argument.
      */
-    BitVector atLeast(std::size_t threshold) const;
+    BitVector
+    atLeast(std::size_t threshold) const
+    {
+        BitVector out(wires);
+        atLeast(threshold, out);
+        return out;
+    }
+
+    /**
+     * atLeast(@p threshold) into @p out, a row of width() bits; panics
+     * otherwise.
+     */
+    void atLeast(std::size_t threshold, BitVector &out) const;
 
     /** Every wire's count, truncated to 8 bits. */
     std::vector<std::uint8_t> counts() const;
@@ -100,18 +132,28 @@ class CountPlanes
     /** Panic unless every row has one bit per counted wire. */
     void checkWidths(std::span<const BitVector *const> rows) const;
 
+    /** Panic unless @p out has one bit per counted wire. */
+    void checkOut(const BitVector &out) const;
+
     /**
      * Plane words held inside the object: a TR window (TRD <= 7, three
      * planes) over any row BitVector stores inline.
      */
     static constexpr std::size_t inlineWords = 3 * BitVector::inlineWords;
 
+    /** Whether the planes' words did not fit the inline ones. */
+    bool
+    onHeap() const
+    {
+        return numPlanes * numWords > inlineWords;
+    }
+
     /** Plane words: the inline ones unless they did not fit. */
-    std::uint64_t *bits() { return heap.empty() ? local : heap.data(); }
+    std::uint64_t *bits() { return onHeap() ? heap.data() : local; }
     const std::uint64_t *
     bits() const
     {
-        return heap.empty() ? local : heap.data();
+        return onHeap() ? heap.data() : local;
     }
 
     /** Word @p j of plane @p k. */
@@ -133,6 +175,7 @@ class CountPlanes
      * read or copied.
      */
     std::uint64_t local[inlineWords];
+    /** At least the planes' words when onHeap(); never shrinks. */
     std::vector<std::uint64_t> heap;
 };
 

@@ -136,8 +136,8 @@ DomainBlockCluster::transverseReadWire(std::size_t wire,
     return faults ? sense(count, *faults) : count;
 }
 
-CountPlanes
-DomainBlockCluster::windowCounts() const
+void
+DomainBlockCluster::windowCounts(CountPlanes &counts) const
 {
     static_assert(std::bit_width(DeviceParams::domainsPerWire) <=
                       CountPlanes::maxPlanes,
@@ -149,7 +149,7 @@ DomainBlockCluster::windowCounts() const
     std::array<const BitVector *, DeviceParams::domainsPerWire> rows;
     for (std::size_t i = 0; i < n; ++i)
         rows[i] = &physRow(lo + i);
-    return CountPlanes(dev.wiresPerDbc, std::span(rows.data(), n));
+    counts.recount(std::span(rows.data(), n));
 }
 
 void
@@ -182,11 +182,19 @@ DomainBlockCluster::senseWires(CountPlanes &counts, const BitVector &wires,
 CountPlanes
 DomainBlockCluster::transverseReadPlanes(TrFaultModel *faults) const
 {
+    CountPlanes counts(dev.wiresPerDbc, {});
+    transverseReadPlanes(counts, faults);
+    return counts;
+}
+
+void
+DomainBlockCluster::transverseReadPlanes(CountPlanes &counts,
+                                         TrFaultModel *faults) const
+{
     note(obs::Counter::TrPulses);
-    CountPlanes counts = windowCounts();
+    windowCounts(counts);
     if (faults && faults->active())
         senseWires(counts, BitVector(dev.wiresPerDbc, true), 1, *faults);
-    return counts;
 }
 
 CountPlanes
@@ -202,7 +210,8 @@ DomainBlockCluster::transverseReadWires(const BitVector &wires,
     // a counter set is attached.
     if (metrics)
         metrics->add(obs::Counter::TrPulses, wires.popcount() * samples);
-    CountPlanes counts = windowCounts();
+    CountPlanes counts(dev.wiresPerDbc, {});
+    windowCounts(counts);
     if (faults && faults->active())
         senseWires(counts, wires, samples, *faults);
     return counts;
@@ -356,8 +365,7 @@ DomainBlockCluster::pokeRow(std::size_t row, const BitVector &value)
     fatalIf(value.size() != dev.wiresPerDbc,
             "row width ", value.size(), " != DBC width ", dev.wiresPerDbc);
     // Same width: a word copy in place.
-    physRow(physicalIndex(row)).setWords(
-        [&value](std::size_t j) { return value.word(j); });
+    physRow(physicalIndex(row)).assignWords(value.words());
 }
 
 void
@@ -387,15 +395,10 @@ DomainBlockCluster::stageWindow(std::size_t count, std::size_t offset,
         slot = slot + 1 == slots ? 0 : slot + 1;
         // Wraps to a huge index for the rows before the operands.
         const std::size_t i = r - offset;
-        if (i < operands.size()) {
-            const WordSpan src = operands[i];
-            const std::size_t live = src.size();
-            row.setWords([src, live](std::size_t j) {
-                return j < live ? src[j] : 0;
-            });
-        } else {
+        if (i < operands.size())
+            row.assignWords(operands[i]);
+        else
             row.setWords([pad_word](std::size_t) { return pad_word; });
-        }
     }
     return first;
 }

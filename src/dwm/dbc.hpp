@@ -151,6 +151,15 @@ class DomainBlockCluster
     CountPlanes transverseReadPlanes(TrFaultModel *faults = nullptr) const;
 
     /**
+     * transverseReadPlanes() into @p counts, a counter of width()
+     * wires that the caller keeps: it is recounted in place, so the
+     * read allocates nothing once @p counts has held a window's
+     * planes.
+     */
+    void transverseReadPlanes(CountPlanes &counts,
+                              TrFaultModel *faults = nullptr) const;
+
+    /**
      * Transverse read sensed on the wires set in @p wires only (a
      * lane-strided read: maxOfRows probes one bit of every lane).
      * The window is counted once; each selected wire is then sensed
@@ -265,8 +274,8 @@ class DomainBlockCluster
         return ring[i < ring.size() ? i : i - ring.size()];
     }
 
-    /** Fault-free per-wire counts over the TR window. */
-    CountPlanes windowCounts() const;
+    /** Recount @p counts as the TR window's fault-free per-wire counts. */
+    void windowCounts(CountPlanes &counts) const;
 
     /** Ones count of @p wire over physical rows [@p lo, @p hi). */
     std::size_t rangeCount(std::size_t wire, std::size_t lo,

@@ -16,7 +16,83 @@ lowMask(std::size_t n)
     return (1ULL << n) - 1;
 }
 
+/**
+ * Ones in @p x, bit-sliced and inline: the baseline x86-64 target has
+ * no POPCNT instruction, so std::popcount is a libgcc call per word.
+ * Each step adds neighbouring fields of the word in parallel: 2-, 4-
+ * and 8-bit counts, then the multiply sums the eight bytes into the
+ * top one.
+ */
+inline std::uint64_t
+wordOnes(std::uint64_t x)
+{
+    constexpr std::uint64_t m1 = 0x5555555555555555ULL;
+    constexpr std::uint64_t m2 = 0x3333333333333333ULL;
+    constexpr std::uint64_t m4 = 0x0f0f0f0f0f0f0f0fULL;
+    constexpr std::uint64_t bytes = 0x0101010101010101ULL;
+    x -= (x >> 1) & m1;
+    x = (x & m2) + ((x >> 2) & m2);
+    x = (x + (x >> 4)) & m4;
+    return (x * bytes) >> 56;
+}
+
+/**
+ * Carry-save adder over bit slices: @p a + @p b + @p c, bit by bit,
+ * as a carry word @p high (weight 2) and a sum word @p low.
+ */
+inline void
+carrySave(std::uint64_t &high, std::uint64_t &low, std::uint64_t a,
+          std::uint64_t b, std::uint64_t c)
+{
+    const std::uint64_t u = a ^ b;
+    high = (a & b) | (u & c);
+    low = u ^ c;
+}
+
 } // namespace
+
+std::size_t
+popcountWords(WordSpan words)
+{
+    // Harley-Seal: the words of a block go through a tree of
+    // carry-save adders into bit-sliced counters of weight 1, 2, 4 and
+    // 8, and only the weight-16 word each block carries out is
+    // counted.  Muła, Kurz and Lemire, "Faster Population Counts
+    // Using AVX2 Instructions", The Computer Journal 2018.
+    constexpr std::size_t block = 16;
+    const std::uint64_t *const w = words.data();
+    const std::size_t n = words.size();
+    std::size_t i = 0;
+    std::uint64_t total = 0;
+    if (n >= block) {
+        std::uint64_t ones = 0, twos = 0, fours = 0, eights = 0;
+        std::uint64_t twos_a, twos_b, fours_a, fours_b, eights_a, eights_b;
+        std::uint64_t sixteens;
+        for (; i + block <= n; i += block) {
+            carrySave(twos_a, ones, ones, w[i], w[i + 1]);
+            carrySave(twos_b, ones, ones, w[i + 2], w[i + 3]);
+            carrySave(fours_a, twos, twos, twos_a, twos_b);
+            carrySave(twos_a, ones, ones, w[i + 4], w[i + 5]);
+            carrySave(twos_b, ones, ones, w[i + 6], w[i + 7]);
+            carrySave(fours_b, twos, twos, twos_a, twos_b);
+            carrySave(eights_a, fours, fours, fours_a, fours_b);
+            carrySave(twos_a, ones, ones, w[i + 8], w[i + 9]);
+            carrySave(twos_b, ones, ones, w[i + 10], w[i + 11]);
+            carrySave(fours_a, twos, twos, twos_a, twos_b);
+            carrySave(twos_a, ones, ones, w[i + 12], w[i + 13]);
+            carrySave(twos_b, ones, ones, w[i + 14], w[i + 15]);
+            carrySave(fours_b, twos, twos, twos_a, twos_b);
+            carrySave(eights_b, fours, fours, fours_a, fours_b);
+            carrySave(sixteens, eights, eights, eights_a, eights_b);
+            total += wordOnes(sixteens);
+        }
+        total = 16 * total + 8 * wordOnes(eights) + 4 * wordOnes(fours) +
+                2 * wordOnes(twos) + wordOnes(ones);
+    }
+    for (; i < n; ++i)
+        total += wordOnes(w[i]);
+    return static_cast<std::size_t>(total);
+}
 
 BitVector::BitVector(std::size_t size, bool value) : numBits(size)
 {
@@ -101,6 +177,13 @@ BitVector::copyWords(const BitVector &o)
     std::copy_n(o.store, numWords(), store);
 }
 
+void
+BitVector::copyHeapWords(const std::uint64_t *src)
+{
+    std::copy_n(src, numWords(), store);
+    clearPadding();
+}
+
 BitVector
 BitVector::fromUint64(std::size_t size, std::uint64_t bits)
 {
@@ -129,30 +212,6 @@ BitVector::fill(bool value)
 {
     std::fill_n(store, numWords(), value ? ~0ULL : 0ULL);
     clearPadding();
-}
-
-std::size_t
-BitVector::popcount() const
-{
-    // Bit-sliced count, inline: the baseline x86-64 target has no
-    // POPCNT instruction, so std::popcount is a libgcc call per word.
-    // Each step adds neighbouring fields of the word in parallel: 2-,
-    // 4- and 8-bit counts, then the multiply sums the eight bytes
-    // into the top one.
-    constexpr std::uint64_t m1 = 0x5555555555555555ULL;
-    constexpr std::uint64_t m2 = 0x3333333333333333ULL;
-    constexpr std::uint64_t m4 = 0x0f0f0f0f0f0f0f0fULL;
-    constexpr std::uint64_t bytes = 0x0101010101010101ULL;
-    const std::size_t n_words = numWords();
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < n_words; ++i) {
-        std::uint64_t x = store[i];
-        x -= (x >> 1) & m1;
-        x = (x & m2) + ((x >> 2) & m2);
-        x = (x + (x >> 4)) & m4;
-        n += static_cast<std::size_t>((x * bytes) >> 56);
-    }
-    return n;
 }
 
 BitVector

@@ -23,6 +23,13 @@ namespace coruscant {
 using WordSpan = std::span<const std::uint64_t>;
 
 /**
+ * Number of '1' bits in @p words: a carry-save (Harley-Seal) count
+ * over blocks of 16 words, then a per-word count of the words left
+ * over.  Fewer than 16 words run the per-word loop alone.
+ */
+std::size_t popcountWords(WordSpan words);
+
+/**
  * A fixed-size-after-construction vector of bits with value semantics.
  *
  * Bit index 0 is the least-significant bit when the vector is viewed as
@@ -107,8 +114,8 @@ class BitVector
     /** Set all bits to @p value. */
     void fill(bool value);
 
-    /** Number of '1' bits. */
-    std::size_t popcount() const;
+    /** Number of '1' bits: popcountWords(words()). */
+    std::size_t popcount() const { return popcountWords(words()); }
 
     /** True if any bit is '1'. */
     bool any() const { return popcount() > 0; }
@@ -159,6 +166,48 @@ class BitVector
         std::uint64_t *const w = store;
         for (std::size_t i = 0; i < n; ++i)
             w[i] = f(i);
+        clearPadding();
+    }
+
+    /**
+     * Overwrite every storage word with the same word of @p src, zero
+     * past its end; words and bits of @p src past size() are dropped.
+     * A span that covers the vector is a plain copy: a heap vector's
+     * words go through the C library's block copy, which uses the
+     * host's widest vector registers, and an inline vector's few words
+     * are copied in place, without the call.  @p src may be this
+     * vector's own words, which then stay in place.
+     */
+    void
+    assignWords(WordSpan src)
+    {
+        const std::uint64_t *const s = src.data();
+        const std::size_t live = src.size();
+        if (live < numWords())
+            setWords([s, live](std::size_t j) { return j < live ? s[j] : 0; });
+        else if (s == store)
+            return;
+        else if (onHeap())
+            copyHeapWords(s);
+        else
+            setWords([s](std::size_t j) { return s[j]; });
+    }
+
+    /**
+     * Overwrite every storage word in place: word i becomes
+     * @p f(word i, i), for i = 0, 1, ... in order, and the bits past
+     * size() are dropped once, after the last word.  The row is read
+     * and written through one pointer, so an in-place fold needs no
+     * overlap check between the row and itself.
+     */
+    template <typename F>
+    void
+    updateWords(F f)
+    {
+        const std::size_t n = numWords();
+        std::uint64_t *const w = store;
+        for (std::size_t i = 0; i < n; ++i)
+            w[i] = f(w[i], i);
         clearPadding();
     }
 
@@ -224,6 +273,9 @@ class BitVector
 
     /** Free a heap block and fall back to the inline words. */
     void release();
+
+    /** Overwrite every word from @p src by block copy; drop the padding. */
+    void copyHeapWords(const std::uint64_t *src);
 
     /** Take @p o's size and live words (room already reserved). */
     void copyWords(const BitVector &o);

@@ -468,5 +468,63 @@ TEST(BitVector, TruncateMatchesSlice)
     EXPECT_THROW(v.truncate(11), PanicError);
 }
 
+TEST(BitVector, CarrySavePopcountMatchesPerBitCountAtBlockEdges)
+{
+    // The carry-save count takes 16 words (1024 bits) a block and the
+    // words left over one at a time: one bit short of a block, on it
+    // and one bit past it, two blocks, a 8192-wire subarray step and
+    // one bit short of a DRAM row.
+    Rng rng(0xc5a);
+    for (std::size_t size :
+         {1023u, 1024u, 1025u, 2047u, 2048u, 8191u, 8192u, 65535u}) {
+        SCOPED_TRACE(size);
+        BitVector random(size);
+        random.setWords([&rng](std::size_t) { return rng.next(); });
+        EXPECT_EQ(random.popcount(), perBitCount(random));
+        const BitVector ones(size, true);
+        EXPECT_EQ(ones.popcount(), size);
+    }
+}
+
+TEST(BitVector, PopcountWordsCountsEveryBlockAndTailSplit)
+{
+    // Every span length from empty to three blocks and a word, at a
+    // few starting words, against the per-bit count of the same bits.
+    Rng rng(0xb10c);
+    BitVector source(64 * 60);
+    source.setWords([&rng](std::size_t) { return rng.next(); });
+    for (std::size_t first : {0u, 1u, 7u}) {
+        for (std::size_t len = 0; len <= 49; ++len) {
+            SCOPED_TRACE(::testing::Message()
+                         << "first " << first << " words " << len);
+            const BitVector bits = source.slice(64 * first, 64 * len);
+            EXPECT_EQ(popcountWords(source.words().subspan(first, len)),
+                      perBitCount(bits));
+        }
+    }
+}
+
+TEST(BitVector, AssignWordsZeroExtendsAndDrops)
+{
+    // A span shorter than the vector leaves zeros past its end; a
+    // longer one is cut at size(), padding bits included, whatever the
+    // vector held before.
+    Rng rng(0xa55);
+    for (std::size_t size : {1u, 63u, 64u, 65u, 577u, 641u, 1025u}) {
+        const std::size_t n_words = (size + 63) / 64;
+        BitVector source(64 * (n_words + 1));
+        source.setWords([&rng](std::size_t) { return rng.next(); });
+        for (std::size_t keep = 0; keep <= n_words + 1; ++keep) {
+            SCOPED_TRACE(::testing::Message()
+                         << "size " << size << " keep " << keep);
+            BitVector v(size, true);
+            v.assignWords(source.words().first(keep));
+            for (std::size_t i = 0; i < size; ++i)
+                ASSERT_EQ(v.get(i), i < 64 * keep && source.get(i)) << i;
+            EXPECT_TRUE(paddingClear(v));
+        }
+    }
+}
+
 } // namespace
 } // namespace coruscant

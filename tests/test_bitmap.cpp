@@ -234,5 +234,36 @@ TEST(BitmapQueryEdge, TwoCoruscantWavesPastThePimDbcCount)
     EXPECT_EQ(r.cycles, 2 * chunk_cycles);
 }
 
+/**
+ * The query's count as the CPU query took it before its one-pass
+ * form: a copy of the male bitmap, one AND pass per week, then a
+ * popcount.
+ */
+std::uint64_t
+copyAndFoldCount(const BitmapDatabase &db, std::size_t weeks)
+{
+    BitVector acc = db.male;
+    for (std::size_t w = 0; w < weeks; ++w)
+        acc &= db.activeWeek[w];
+    return acc.popcount();
+}
+
+TEST(BitmapQueryEdge, GoldenCountMatchesCopyAndFold)
+{
+    // goldenCount ANDs and counts a block of words at a time: user
+    // counts one bit either side of a word multiple, of its 256-word
+    // block (16384 bits) and of a 65536-bit DRAM row, at every w.
+    for (std::size_t users : {1, 63, 65, 1023, 1025, 16383, 16385, 32767,
+                              65535, 65537}) {
+        const auto db = BitmapDatabase::synthesize(users, 6, 21);
+        const BitmapQueryEngine eng(db);
+        for (std::size_t w = 1; w <= 6; ++w) {
+            SCOPED_TRACE(::testing::Message()
+                         << "users " << users << " w " << w);
+            EXPECT_EQ(eng.goldenCount(w), copyAndFoldCount(db, w));
+        }
+    }
+}
+
 } // namespace
 } // namespace coruscant

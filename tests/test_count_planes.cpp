@@ -102,5 +102,58 @@ TEST(CountPlanes, RejectsRowsOfAnotherWidth)
                  PanicError);
 }
 
+TEST(CountPlanes, RecountMatchesAFreshCount)
+{
+    // One counter kept across counts whose plane count grows and
+    // shrinks (0 to 31 rows, and a forced plane count), at widths
+    // whose planes fit inline and ones that do not: each recount
+    // reads as a fresh counter of the same rows, every plane and
+    // every wire, so no word of an earlier count survives; rows
+    // decoded into one kept row read as freshly built ones, past the
+    // largest count too.
+    Rng rng(0x7ec);
+    for (std::size_t width : {64u, 577u, 8192u}) {
+        std::vector<BitVector> rows;
+        for (std::size_t i = 0; i < 31; ++i) {
+            BitVector r(width);
+            r.setWords([&rng](std::size_t) { return rng.next(); });
+            rows.push_back(std::move(r));
+        }
+        std::vector<const BitVector *> ptrs;
+        for (const BitVector &r : rows)
+            ptrs.push_back(&r);
+        const std::span<const BitVector *const> all(ptrs);
+        CountPlanes kept(width, {});
+        BitVector out(width); // decoded rows land here, call after call
+        for (std::size_t n : {7u, 31u, 1u, 0u, 3u, 16u, 2u, 31u, 7u}) {
+            for (std::size_t planes : {0u, 6u}) {
+                SCOPED_TRACE(::testing::Message() << "width=" << width
+                                                  << " rows=" << n
+                                                  << " planes=" << planes);
+                kept.recount(all.first(n), planes);
+                const CountPlanes fresh(width, all.first(n), planes);
+                ASSERT_EQ(kept.planes(), fresh.planes());
+                EXPECT_EQ(kept.counts(), fresh.counts());
+                for (std::size_t k = 0; k <= fresh.planes(); ++k) {
+                    kept.plane(k, out);
+                    EXPECT_EQ(out, fresh.plane(k)) << "plane " << k;
+                }
+                for (std::size_t t = 0; t <= 64; t += t < n + 2 ? 1 : 31) {
+                    kept.atLeast(t, out);
+                    EXPECT_EQ(out, fresh.atLeast(t)) << "t=" << t;
+                }
+            }
+        }
+    }
+}
+
+TEST(CountPlanes, DecodedRowsOfAnotherWidthAreRejected)
+{
+    const CountPlanes counts(64, {}, 2);
+    BitVector wrong(65);
+    EXPECT_THROW(counts.atLeast(1, wrong), PanicError);
+    EXPECT_THROW(counts.plane(0, wrong), PanicError);
+}
+
 } // namespace
 } // namespace coruscant

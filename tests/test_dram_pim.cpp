@@ -148,6 +148,53 @@ TEST_P(DramPimFunctional, OpsWithoutATwoOperandStepChargeNothing)
     expectSameLedger(unit.ledger(), CostLedger());
 }
 
+TEST_P(DramPimFunctional, SpanFormMatchesVectorForm)
+{
+    // Every op with a DRAM form, the inverting ones included, over one
+    // to five operands whose spans end at a random bit, from empty to a
+    // word past the row: the span form, into one accumulator kept
+    // across every call, equals the vector form on the rows so built
+    // (zero past a span's end, cut at the row), with equal ledgers.
+    for (std::size_t width : {1u, 64u, 100u, 577u, 65536u}) {
+        Rng rng(width + 5 * GetParam());
+        const std::size_t n_words = (width + 63) / 64;
+        DramPimUnit by_words = make(width);
+        BitVector acc(width);
+        for (BulkOp op : {BulkOp::And, BulkOp::Or, BulkOp::Xor, BulkOp::Nand,
+                          BulkOp::Nor, BulkOp::Xnor, BulkOp::Not}) {
+            for (std::size_t m = 1; m <= 5; ++m) {
+                if (op == BulkOp::Not && m != 1)
+                    continue;
+                SCOPED_TRACE(::testing::Message()
+                             << bulkOpName(op) << " width=" << width
+                             << " m=" << m);
+                std::vector<BitVector> sources;
+                std::vector<WordSpan> spans;
+                std::vector<BitVector> rows;
+                for (std::size_t i = 0; i < m; ++i) {
+                    BitVector source(rng.nextBelow(64 * n_words + 65));
+                    source.setWords([&rng](std::size_t) { return rng.next(); });
+                    sources.push_back(std::move(source));
+                }
+                for (const BitVector &source : sources) {
+                    spans.push_back(source.words());
+                    BitVector row(width);
+                    for (std::size_t w = 0;
+                         w < std::min(width, source.size()); ++w)
+                        row.set(w, source.get(w));
+                    rows.push_back(std::move(row));
+                }
+                DramPimUnit by_rows = make(width);
+                by_words.resetCosts();
+                const BitVector want = by_rows.bulkMulti(op, rows);
+                by_words.bulkMulti(op, spans, acc);
+                EXPECT_EQ(acc, want);
+                expectSameLedger(by_words.ledger(), by_rows.ledger());
+            }
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(BothDesigns, DramPimFunctional,
                          ::testing::Values(true, false),
                          [](const ::testing::TestParamInfo<bool> &i) {

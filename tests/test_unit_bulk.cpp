@@ -420,6 +420,63 @@ TEST(UnitBulk, SubarrayGangMatchesPerDbcUnits)
     }
 }
 
+TEST(UnitBulk, ReusedWideUnitMatchesFreshUnits)
+{
+    // One subarray-wide unit (8192 wires, so its count planes and rows
+    // live on the heap) and one result row, both kept across every
+    // op, operand count and write-back choice, against a fresh unit
+    // per call: the same result, charges and data rows.  A plane word
+    // or result word left over from an earlier call would show here.
+    // Each operand ends at a random bit, from empty to a word past
+    // the row.
+    constexpr std::size_t wires = 8192;
+    for (std::size_t trd : {3u, 5u, 7u}) {
+        Rng rng(trd * 104729);
+        CoruscantUnit reused(smallParams(trd, wires));
+        BitVector result(wires);
+        for (BulkOp op : {BulkOp::And, BulkOp::Nand, BulkOp::Or, BulkOp::Nor,
+                          BulkOp::Xor, BulkOp::Xnor, BulkOp::Not,
+                          BulkOp::Maj}) {
+            for (std::size_t m = 1; m <= trd; ++m) {
+                if ((op == BulkOp::Not && m != 1) ||
+                    (op == BulkOp::Maj && m != trd))
+                    continue;
+                for (bool write_back : {false, true}) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << bulkOpName(op) << " trd=" << trd
+                                 << " m=" << m << " wb=" << write_back);
+                    std::vector<BitVector> sources;
+                    for (std::size_t i = 0; i < m; ++i) {
+                        BitVector source(rng.nextBelow(wires + 65));
+                        source.setWords(
+                            [&rng](std::size_t) { return rng.next(); });
+                        sources.push_back(std::move(source));
+                    }
+                    const std::vector<WordSpan> spans = wordsOf(sources);
+                    CoruscantUnit fresh(smallParams(trd, wires));
+                    const BitVector want =
+                        fresh.bulkBitwise(op, spans, 0, write_back);
+                    reused.resetCosts();
+                    reused.bulkBitwise(op, spans, result, 0, write_back);
+                    EXPECT_EQ(result, want);
+                    expectSameLedger(reused.ledger(), fresh.ledger());
+                    expectSameRows(reused, fresh);
+                }
+            }
+        }
+    }
+}
+
+TEST(UnitBulk, ResultRowOfAnotherWidthIsRejected)
+{
+    CoruscantUnit unit(smallParams(7, 64));
+    const std::vector<BitVector> ops(2, BitVector(64, true));
+    const std::vector<WordSpan> spans = wordsOf(ops);
+    BitVector wrong(65);
+    EXPECT_THROW(unit.bulkBitwise(BulkOp::And, spans, wrong), FatalError);
+    expectSameLedger(unit.ledger(), CostLedger());
+}
+
 TEST(UnitBulk, PadsAreRestagedOnEveryCall)
 {
     // Each call on one unit equals the same call on a fresh unit: the
